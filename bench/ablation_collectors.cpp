@@ -31,7 +31,7 @@ int main() {
       point.straggler_replicas = stragglers;
       point.warmup_us = 1'000'000;
       point.measure_us = full ? 4'000'000 : 2'000'000;
-      ExperimentResult r = run_point_cached(point);
+      ExperimentResult r = run_point(point);
       std::printf("%6u %6u %10u %14.0f %14.0f %12llu %12llu%s\n", c,
                   3 * f + 2 * c + 1, stragglers, r.metrics.ops_per_second,
                   r.metrics.latency.median_ms,

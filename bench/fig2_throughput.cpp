@@ -11,8 +11,8 @@
 // counters; CI runs `--quick` and guards those fields.
 //
 // Defaults run a reduced-but-representative grid; SBFT_BENCH_FULL=1 runs the
-// paper's full client sweep. Results are cached and shared with
-// fig3_latency.
+// paper's full client sweep. Every point runs at the current build; no
+// result is reused across binaries or builds.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -38,11 +38,11 @@ const ProtocolSpec kProtocols[] = {
     {ProtocolKind::kSbft, 8, "SBFT(c=8)"},
 };
 
-// Runs one point and emits its JSON line (knobs + lane counters). The JSON
-// reports the *effective* window/batch so rows with the 0 = "keep default"
-// sentinel stay comparable with explicit overrides.
-ExperimentResult run_and_emit(const ExperimentPoint& point, const char* label) {
-  ExperimentResult r = run_point_cached(point);
+// Emits one point's JSON line (knobs + lane counters). The JSON reports the
+// *effective* window/batch so rows with the 0 = "keep default" sentinel stay
+// comparable with explicit overrides.
+void emit_json(const ExperimentPoint& point, const char* label,
+               const ExperimentResult& r) {
   const obs::MetricsRegistry& reg = r.metrics.registry;
   std::printf(
       "%s\n",
@@ -69,6 +69,11 @@ ExperimentResult run_and_emit(const ExperimentPoint& point, const char* label) {
           .str()
           .c_str());
   std::fflush(stdout);
+}
+
+ExperimentResult run_and_emit(const ExperimentPoint& point, const char* label) {
+  ExperimentResult r = run_point(point);
+  emit_json(point, label, r);
   return r;
 }
 
@@ -87,7 +92,7 @@ void classic_panels() {
       std::printf("\n");
       for (const ProtocolSpec& proto : kProtocols) {
         std::printf("%-18s", proto.label);
-        std::vector<ExperimentResult> row;
+        std::vector<std::pair<ExperimentPoint, ExperimentResult>> row;
         for (uint32_t num_clients : clients) {
           ExperimentPoint point;
           point.kind = proto.kind;
@@ -98,26 +103,15 @@ void classic_panels() {
           point.crash_replicas = crashed;
           point.warmup_us = 800'000;
           point.measure_us = bench_full_mode() ? 4'000'000 : 1'200'000;
-          ExperimentResult r = run_point_cached(point);
-          row.push_back(r);
+          ExperimentResult r = run_point(point);
           std::printf("%10.0f", r.metrics.ops_per_second);
           if (!r.agreement_ok) std::printf("!!AGREEMENT VIOLATION!!");
           std::fflush(stdout);
+          row.emplace_back(point, std::move(r));
         }
         std::printf("\n");
         // JSON rows after the text row so the panel table stays readable.
-        for (size_t i = 0; i < clients.size(); ++i) {
-          ExperimentPoint point;
-          point.kind = proto.kind;
-          point.f = f;
-          point.c = proto.c;
-          point.num_clients = clients[i];
-          point.ops_per_request = batch;
-          point.crash_replicas = crashed;
-          point.warmup_us = 800'000;
-          point.measure_us = bench_full_mode() ? 4'000'000 : 1'200'000;
-          run_and_emit(point, proto.label);  // cache hit: already ran above
-        }
+        for (const auto& [point, r] : row) emit_json(point, proto.label, r);
       }
       std::printf("\n");
     }

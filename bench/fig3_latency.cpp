@@ -1,6 +1,5 @@
 // Figure 3 reproduction: latency vs throughput curves (one point per client
-// count) for the five protocols, same six panels as Figure 2. Shares the
-// cached sweep with fig2_throughput.
+// count) for the five protocols, same six panels as Figure 2.
 #include <cstdio>
 #include <vector>
 
@@ -55,7 +54,7 @@ int main() {
           point.crash_replicas = crashed;
           point.warmup_us = 800'000;
           point.measure_us = bench_full_mode() ? 4'000'000 : 1'200'000;
-          ExperimentResult r = run_point_cached(point);
+          ExperimentResult r = run_point(point);
           std::printf("  (%7.0f -> %5.0f/%5.0fms)", r.metrics.ops_per_second,
                       r.metrics.latency.median_ms, r.metrics.latency.p99_ms);
           std::fflush(stdout);

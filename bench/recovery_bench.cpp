@@ -118,10 +118,9 @@ double measure_rejoin_ms(ProtocolKind kind, sim::SimTime downtime_us) {
 }
 
 /// Snapshot-size sweep (docs/state_transfer.md): a wiped replica rejoins via
-/// state transfer with either a small KV state or a large EVM state, under
-/// the monolithic protocol (chunk_size = 0) and the chunked protocol.
+/// chunked state transfer with either a small KV state or a large EVM state.
 /// Measures the virtual rejoin time plus the bytes state transfer put on the
-/// wire, and surfaces the chunk counters the harness metrics now carry.
+/// wire, and surfaces the chunk counters the harness metrics carry.
 struct WipeRejoinResult {
   double rejoin_ms = -1.0;
   uint64_t snapshot_bytes = 0;     // envelope adopted by the wiped replica
@@ -135,21 +134,18 @@ struct WipeRejoinResult {
 uint64_t state_transfer_wire_bytes(Cluster& cluster) {
   const auto& stats = cluster.network().stats_by_type();
   auto bytes_of = [&](auto tag) { return stats[Message(decltype(tag){}).index()].bytes; };
-  return bytes_of(StateTransferRequestMsg{}) + bytes_of(StateTransferReplyMsg{}) +
-         bytes_of(StateManifestMsg{}) + bytes_of(StateChunkRequestMsg{}) +
-         bytes_of(StateChunkMsg{});
+  return bytes_of(StateTransferRequestMsg{}) + bytes_of(StateManifestMsg{}) +
+         bytes_of(StateChunkRequestMsg{}) + bytes_of(StateChunkMsg{});
 }
 
-WipeRejoinResult measure_wipe_rejoin(ProtocolKind kind, bool evm_state,
-                                     uint32_t chunk_size) {
+WipeRejoinResult measure_wipe_rejoin(ProtocolKind kind, bool evm_state) {
   ClusterOptions opts;
   opts.kind = kind;
   opts.f = 1;
   opts.num_clients = 2;
   opts.requests_per_client = 0;  // free-running load
   // LAN latency, constrained uplinks (~40 Mbit/s): payload serialization
-  // dominates the transfer, which is what the monolithic-vs-chunked
-  // comparison is about (chunking fans the payload across donor uplinks).
+  // dominates the transfer (chunking fans the payload across donor uplinks).
   opts.topology = sim::lan_topology();
   opts.topology.bandwidth_bytes_per_us = 5.0;
   opts.seed = 31;
@@ -167,9 +163,9 @@ WipeRejoinResult measure_wipe_rejoin(ProtocolKind kind, bool evm_state,
     kv.value_size = 64;
     opts.op_factory = kv_op_factory(kv);
   }
-  opts.tweak_config = [chunk_size](ProtocolConfig& config) {
+  opts.tweak_config = [](ProtocolConfig& config) {
     config.win = 32;
-    config.state_transfer_chunk_size = chunk_size;
+    config.state_transfer_chunk_size = 4096;
     config.state_transfer_retry_us = 200'000;
   };
   Cluster cluster(std::move(opts));
@@ -206,9 +202,10 @@ WipeRejoinResult measure_wipe_rejoin(ProtocolKind kind, bool evm_state,
 
 // ---------------------------------------------------------------------------
 // Delta sweep (docs/state_transfer.md "delta manifests"): a replica crashes
-// for a bounded number of checkpoints, keeps its disk, and rejoins — with
-// delta transfer on vs. forced full-chunked — under workloads whose steady
-// state mutates a controlled fraction of the keyspace.
+// for a bounded number of checkpoints and rejoins — with its disk intact
+// (delta) vs. wiped, so it has no base and fetches every chunk (full) —
+// under workloads whose steady state mutates a controlled fraction of the
+// keyspace.
 
 /// EVM workload with a bounded mutation set: each client deploys a token and
 /// mints; the first `growth_requests` requests transfer to fresh accounts
@@ -261,7 +258,7 @@ struct DeltaRejoinResult {
 };
 
 DeltaRejoinResult measure_delta_rejoin(ProtocolKind kind, bool evm_state,
-                                       uint32_t hot, bool delta_enabled) {
+                                       uint32_t hot, bool wipe_storage) {
   ClusterOptions opts;
   opts.kind = kind;
   opts.f = 1;
@@ -281,26 +278,25 @@ DeltaRejoinResult measure_delta_rejoin(ProtocolKind kind, bool evm_state,
                                               /*value_size=*/256,
                                               /*ops_per_request=*/16);
   }
-  opts.tweak_config = [delta_enabled](ProtocolConfig& config) {
+  opts.tweak_config = [](ProtocolConfig& config) {
     config.win = 32;
     // Finer chunks than the wipe sweep: delta resolution is one chunk, so the
     // grid must be small next to the mutated working set.
     config.state_transfer_chunk_size = 1024;
     config.state_transfer_retry_us = 200'000;
-    config.state_transfer_delta_enabled = delta_enabled;
   };
   Cluster cluster(std::move(opts));
   cluster.run_for(2'500'000);  // build state + steady-state checkpoints
   cluster.crash_replica(3);
-  // Let the cluster seal exactly two more checkpoints, then restart with the
-  // disk intact — the briefly-behind case the delta path is built for.
+  // Let the cluster seal exactly two more checkpoints, then restart — with
+  // the disk intact, the briefly-behind case the delta path is built for.
   SeqNum stable_at_crash = cluster.replica(1).last_stable();
   uint64_t interval = cluster.config().checkpoint_interval();
   for (int i = 0; i < 600; ++i) {
     if (cluster.replica(1).last_stable() >= stable_at_crash + 2 * interval) break;
     cluster.run_for(25'000);
   }
-  cluster.restart_replica(3);
+  cluster.restart_replica(3, wipe_storage);
   sim::SimTime restarted_at = cluster.simulator().now();
 
   DeltaRejoinResult out;
@@ -486,53 +482,48 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n=== Snapshot-size sweep: monolithic vs chunked state transfer "
-              "(wiped-disk rejoin) ===\n\n");
-  std::printf("%10s %10s %12s %14s %12s %12s %10s %10s\n", "protocol", "state",
-              "mode", "snapshot B", "rejoin ms", "wire B", "fetched", "served");
+  std::printf("\n=== Snapshot-size sweep: chunked state transfer (wiped-disk "
+              "rejoin) ===\n\n");
+  std::printf("%10s %10s %14s %12s %12s %10s %10s\n", "protocol", "state",
+              "snapshot B", "rejoin ms", "wire B", "fetched", "served");
   std::vector<ProtocolKind> sweep_kinds =
       quick ? std::vector<ProtocolKind>{ProtocolKind::kSbft}
             : std::vector<ProtocolKind>{ProtocolKind::kSbft, ProtocolKind::kPbft};
   for (ProtocolKind kind : sweep_kinds) {
     for (bool evm : {false, true}) {
-      for (uint32_t chunk_size : {0u, 4096u}) {
-        WipeRejoinResult r = measure_wipe_rejoin(kind, evm, chunk_size);
-        const char* state = evm ? "evm-large" : "kv-small";
-        const char* mode = chunk_size == 0 ? "monolithic" : "chunked";
-        std::printf("%10s %10s %12s %14llu %12.1f %12llu %10llu %10llu\n",
-                    protocol_name(kind), state, mode,
-                    static_cast<unsigned long long>(r.snapshot_bytes),
-                    r.rejoin_ms,
-                    static_cast<unsigned long long>(r.wire_bytes),
-                    static_cast<unsigned long long>(r.chunks_fetched),
-                    static_cast<unsigned long long>(r.chunks_served));
-        std::printf("%s\n", JsonWriter()
-                                .field("bench", "state_transfer_sweep")
-                                .field("protocol", protocol_name(kind))
-                                .field("state", state)
-                                .field("mode", mode)
-                                .field("snapshot_bytes", r.snapshot_bytes)
-                                .field("rejoin_ms", r.rejoin_ms)
-                                .field("wire_bytes", r.wire_bytes)
-                                .field("state_transfer_chunks_fetched", r.chunks_fetched)
-                                .field("state_transfer_chunks_served", r.chunks_served)
-                                .field("state_transfer_bytes_transferred",
-                                       r.bytes_transferred)
-                                .field("state_transfer_resumes", r.resumes)
-                                .str()
-                                .c_str());
-        std::fflush(stdout);
-        if (r.rejoin_ms < 0) {
-          std::printf("FAIL: wiped replica never rejoined (%s, %s, %s)\n",
-                      protocol_name(kind), state, mode);
-          return 1;
-        }
+      WipeRejoinResult r = measure_wipe_rejoin(kind, evm);
+      const char* state = evm ? "evm-large" : "kv-small";
+      std::printf("%10s %10s %14llu %12.1f %12llu %10llu %10llu\n",
+                  protocol_name(kind), state,
+                  static_cast<unsigned long long>(r.snapshot_bytes), r.rejoin_ms,
+                  static_cast<unsigned long long>(r.wire_bytes),
+                  static_cast<unsigned long long>(r.chunks_fetched),
+                  static_cast<unsigned long long>(r.chunks_served));
+      std::printf("%s\n", JsonWriter()
+                              .field("bench", "state_transfer_sweep")
+                              .field("protocol", protocol_name(kind))
+                              .field("state", state)
+                              .field("snapshot_bytes", r.snapshot_bytes)
+                              .field("rejoin_ms", r.rejoin_ms)
+                              .field("wire_bytes", r.wire_bytes)
+                              .field("state_transfer_chunks_fetched", r.chunks_fetched)
+                              .field("state_transfer_chunks_served", r.chunks_served)
+                              .field("state_transfer_bytes_transferred",
+                                     r.bytes_transferred)
+                              .field("state_transfer_resumes", r.resumes)
+                              .str()
+                              .c_str());
+      std::fflush(stdout);
+      if (r.rejoin_ms < 0) {
+        std::printf("FAIL: wiped replica never rejoined (%s, %s)\n",
+                    protocol_name(kind), state);
+        return 1;
       }
     }
   }
 
   std::printf("\n=== Delta state transfer: briefly-behind rejoin, delta vs "
-              "full-chunked (mutation fraction x state) ===\n\n");
+              "wiped full-chunked (mutation fraction x state) ===\n\n");
   std::printf("%10s %10s %10s %8s %14s %12s %12s %10s\n", "protocol", "state",
               "mutation", "mode", "snapshot B", "wire B", "saved B", "skipped");
   struct DeltaCase {
@@ -551,9 +542,9 @@ int main(int argc, char** argv) {
   for (ProtocolKind kind : sweep_kinds) {
     for (const DeltaCase& c : delta_cases) {
       DeltaRejoinResult full = measure_delta_rejoin(kind, c.evm, c.hot,
-                                                    /*delta_enabled=*/false);
+                                                    /*wipe_storage=*/true);
       DeltaRejoinResult delta = measure_delta_rejoin(kind, c.evm, c.hot,
-                                                     /*delta_enabled=*/true);
+                                                     /*wipe_storage=*/false);
       for (const auto& [mode, r] :
            {std::pair<const char*, const DeltaRejoinResult&>{"full", full},
             {"delta", delta}}) {
@@ -666,9 +657,8 @@ int main(int argc, char** argv) {
               "Incremental WAL compaction writes strictly fewer bytes than "
               "rewriting the log at every checkpoint. In the snapshot sweep, "
               "chunking adds a small per-chunk proof overhead on the wire but "
-              "fans the payload out across every donor's uplink, so large "
-              "(EVM) snapshots rejoin faster chunked than monolithic — and "
-              "only the chunked path can resume after donor loss. In the "
+              "fans the payload out across every donor's uplink and resumes "
+              "after donor loss. In the "
               "delta sweep, a briefly-behind replica under a low mutation "
               "fraction seeds almost every chunk from the checkpoint it "
               "already holds: the wire bytes collapse to the mutated "

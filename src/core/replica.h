@@ -1,31 +1,23 @@
 // SBFT ordering engine (§V): fast path, Linear-PBFT fallback, execution
-// acknowledgement with E-collectors, state transfer, and the dual-mode view
-// change. Everything protocol-independent — the execution pipeline, reply
-// cache, checkpointing, WAL/recovery — lives in runtime::ReplicaRuntime; this
-// class decides *which* block commits at each sequence number.
+// acknowledgement with E-collectors, and the dual-mode view change.
+// Everything protocol-independent — the execution pipeline, reply cache,
+// checkpointing, WAL/recovery in runtime::ReplicaRuntime; admission, chunked
+// state transfer and reconfiguration glue in runtime::EngineShell — is shared
+// with the PBFT baseline; this class decides *which* block commits at each
+// sequence number.
 //
 // The replica is a simulator actor: all sends/timers go through the
 // ActorContext, and every cryptographic or service operation charges its
 // calibrated cost so the discrete-event clock reflects a real deployment.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "core/crypto_context.h"
 #include "core/view_change.h"
-#include "kv/service.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "proto/config.h"
-#include "proto/message.h"
-#include "recovery/wal.h"
-#include "runtime/replica_runtime.h"
-#include "sim/network.h"
-#include "storage/ledger_storage.h"
+#include "runtime/engine_shell.h"
 
 namespace sbft::core {
 
@@ -41,47 +33,15 @@ enum class ReplicaBehavior {
                    // forcing a view change past the censoring primary)
 };
 
-struct ReplicaOptions {
-  ProtocolConfig config;
-  ReplicaId id = 1;  // 1..n; the replica must be node id-1 in the network
+struct ReplicaOptions : runtime::EngineOptions {
   ReplicaCrypto crypto;
-  std::shared_ptr<storage::ILedgerStorage> ledger;  // optional persistence
-  // Optional write-ahead log for consensus metadata (view, checkpoints,
-  // in-flight votes). When ledger and/or wal hold state at construction, the
-  // replica rebuilds itself from them (crash recovery, §VIII).
-  std::shared_ptr<recovery::IReplicaWal> wal;
-  // Set when the replica is restarted into an already-running cluster: it
-  // probes state transfer on boot in case its local log fell behind the
-  // cluster's stable checkpoint (or the disk was lost entirely).
-  bool recovering = false;
   ReplicaBehavior behavior = ReplicaBehavior::kHonest;
-  // Fault injection: as a state-transfer donor, flip a byte in every chunk
-  // payload served (the proof still matches the honest chunk, so fetchers
-  // must detect the corruption by Merkle verification and move on).
-  bool corrupt_state_chunks = false;
   // Collector staggering (§V: "in most executions just one collector is
   // active and the others just monitor in idle").
   int64_t collector_stagger_us = 25'000;
-  // Group reconfiguration (docs/reconfiguration.md): the bootstrap roster the
-  // replica starts from. Empty derives the genesis roster from the config
-  // (ids 1..n at nodes 0..n-1). A joining replica is handed the current
-  // epoch's roster — which does not contain it — and learns the epoch that
-  // admits it from state transfer.
-  std::vector<ReplicaInfo> roster;
-  uint32_t roster_f = 0;  // fault parameters of the bootstrap roster (0: config)
-  uint32_t roster_c = 0;
   // Per-epoch threshold key material (trusted-dealer re-keying); epoch 0
   // always uses `crypto`. Required before any epoch > 0 activates.
   std::shared_ptr<const EpochKeyTable> epoch_keys;
-  // Observability (docs/observability.md). A null tracer binds to the shared
-  // disabled instance; a null registry gets an engine-private one, so both
-  // are optional for direct-construction unit tests.
-  std::shared_ptr<obs::Tracer> tracer;
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  // Cross-shard marker executor (docs/sharding.md). Not owned — the harness
-  // keeps it alive across replica incarnations, like the ledger. Null for
-  // single-group deployments.
-  runtime::IMarkerExecutor* marker_executor = nullptr;
 };
 
 /// SBFT protocol counters on top of the shared runtime counters (the base's
@@ -120,22 +80,11 @@ struct ReplicaStats : runtime::RuntimeStats {
   }
 };
 
-class SbftReplica final : public sim::IActor {
+class SbftReplica final : public runtime::EngineShell {
  public:
   SbftReplica(ReplicaOptions options, std::unique_ptr<IService> service);
   ~SbftReplica() override;  // defined where Slot is complete
 
-  void on_start(sim::ActorContext& ctx) override;
-  void on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) override;
-  void on_timer(uint64_t id, sim::ActorContext& ctx) override;
-
-  // Introspection (tests, metrics).
-  ReplicaId id() const { return opts_.id; }
-  ViewNum view() const { return view_; }
-  SeqNum last_executed() const { return runtime_.last_executed(); }
-  SeqNum last_stable() const { return runtime_.last_stable(); }
-  const IService& service() const { return runtime_.service(); }
-  const runtime::ReplicaRuntime& runtime() const { return runtime_; }
   /// Protocol stats merged with the runtime's protocol-agnostic stats.
   ReplicaStats stats() const;
   /// Chained execution digest d_s for an executed sequence (nullopt if
@@ -143,15 +92,56 @@ class SbftReplica final : public sim::IActor {
   std::optional<Digest> exec_digest_of(SeqNum s) const {
     return runtime_.exec_digest_of(s);
   }
-  /// Digest of the decision block committed at s (nullopt if not committed).
-  std::optional<Digest> committed_digest_of(SeqNum s) const;
+  std::optional<Digest> committed_digest_of(SeqNum s) const override;
+  uint64_t view_changes() const override { return stats_.view_changes; }
+  void for_each_stat(const StatVisitor& fn) const override {
+    stats().for_each(fn);
+  }
 
  private:
   struct Slot;
 
+  // Engine timer kinds (the shell owns the lower ones).
+  enum TimerKind : uint64_t {
+    kFastPathTimer = kFirstEngineTimer,
+    kStaggerFast,
+    kStaggerPrepare,
+    kStaggerSlow,
+    kStaggerExec,
+    kShareFallback,  // re-send sign-share to the primary (stalled slot)
+    kStateFallback,  // re-send sign-state to the primary (stalled cert)
+  };
+
+  // --- engine hooks (runtime::EngineShell) ------------------------------------
+  void on_engine_message(NodeId from, const Message& msg,
+                         sim::ActorContext& ctx) override;
+  void on_engine_timer(uint64_t kind, uint64_t payload,
+                       sim::ActorContext& ctx) override;
+  void try_propose(sim::ActorContext& ctx, bool flush_partial = false) override;
+  void try_execute(sim::ActorContext& ctx) override;
+  /// Checks the manifest certificate's pi signature, seq-aware with the
+  /// provisioned-epoch fallback: a joiner fetches checkpoints certified under
+  /// epochs it has not installed yet.
+  bool verify_manifest_cert(const StateManifestMsg& m,
+                            sim::ActorContext& ctx) override;
+  /// Serves only pi-certified checkpoints.
+  bool prepare_manifest(StateManifestMsg& m) override {
+    return !m.cert.pi_sig.empty();
+  }
+  /// True while this replica demonstrably needs a newer checkpoint (execution
+  /// gap behind delivered traffic, or a wiped/restarted boot with nothing yet).
+  bool state_transfer_behind() const override;
+  void on_checkpoint_adopted(SeqNum seq) override;
+  bool silent() const override { return behavior_ == ReplicaBehavior::kSilent; }
+  /// Censoring primary: requests from odd-id clients vanish at admission. The
+  /// censored client keeps retrying, backups keep forwarding, and their
+  /// progress timers eventually force a view change to an honest primary.
+  bool censors(const Request& req) const override {
+    return behavior_ == ReplicaBehavior::kCensor && is_primary() &&
+           req.client % 2 == 1;
+  }
+
   // --- message handlers -----------------------------------------------------
-  void handle_client_request(NodeId from, const ClientRequestMsg& m,
-                             sim::ActorContext& ctx);
   void handle_pre_prepare(NodeId from, const PrePrepareMsg& m, sim::ActorContext& ctx);
   void handle_sign_share(const SignShareMsg& m, sim::ActorContext& ctx);
   void handle_full_commit_proof(const FullCommitProofMsg& m, sim::ActorContext& ctx);
@@ -165,25 +155,8 @@ class SbftReplica final : public sim::IActor {
   void handle_new_view(const NewViewMsg& m, sim::ActorContext& ctx);
   void handle_get_block_request(const GetBlockRequestMsg& m, sim::ActorContext& ctx);
   void handle_get_block_reply(const GetBlockReplyMsg& m, sim::ActorContext& ctx);
-  void handle_state_transfer_request(NodeId from, const StateTransferRequestMsg& m,
-                                     sim::ActorContext& ctx);
-  void handle_state_transfer_reply(const StateTransferReplyMsg& m,
-                                   sim::ActorContext& ctx);
-  void handle_state_manifest(NodeId from, const StateManifestMsg& m,
-                             sim::ActorContext& ctx);
-  void handle_state_chunk_request(NodeId from, const StateChunkRequestMsg& m,
-                                  sim::ActorContext& ctx);
-  void handle_state_chunk(NodeId from, const StateChunkMsg& m,
-                          sim::ActorContext& ctx);
-  void handle_reconfig_block(const ReconfigBlockMsg& m, sim::ActorContext& ctx);
 
   // --- membership epochs (docs/reconfiguration.md) ----------------------------
-  const runtime::MembershipEpoch& epoch() const {
-    return runtime_.membership().active();
-  }
-  const runtime::MembershipEpoch& epoch_for_seq(SeqNum s) const {
-    return runtime_.membership().epoch_for_seq(s);
-  }
   /// Threshold key material of an epoch: epoch 0 is the dealt cluster keys;
   /// later epochs resolve from the provisioned EpochKeyTable (memoized).
   const ReplicaCrypto& crypto_for_epoch(const runtime::MembershipEpoch& e) const;
@@ -199,29 +172,12 @@ class SbftReplica final : public sim::IActor {
   /// certified under an epoch it has not installed yet): verify against the
   /// seq's epoch first, then every provisioned epoch.
   bool verify_cert_pi(const ExecCertificate& cert) const;
-  /// First sequence proposals/pre-prepares must not cross while a
-  /// reconfiguration awaits activation (0: no gate). Pre-boundary keys must
-  /// never sign post-boundary slots.
-  SeqNum reconfig_gate() const;
   /// Active epoch's verifier bundle for the pure view-change functions.
   ViewChangeVerifiers view_change_verifiers() const;
-  /// Folds a pending epoch change into the engine: derived config, primary
-  /// timers, retirement. Call after any runtime operation that can activate.
-  void maybe_refresh_epoch(sim::ActorContext& ctx);
 
   // --- primary --------------------------------------------------------------
-  bool is_primary() const { return epoch().primary_of(view_) == opts_.id; }
   uint64_t active_window() const;
   uint32_t adaptive_batch_size() const;
-  void try_propose(sim::ActorContext& ctx, bool flush_partial = false);
-  /// Continuation of handle_client_request once the request signature has
-  /// been verified (possibly on a worker lane).
-  /// Drains the marker executor after every message/timer: relays its queued
-  /// sends and (primary only) enqueues staged 2PC decision markers for
-  /// ordering (docs/sharding.md). No-op without an executor.
-  void pump_marker_executor(sim::ActorContext& ctx);
-  void admit_client_request(NodeId from, const Request& req,
-                            sim::ActorContext& ctx);
   void propose_block(Block block, sim::ActorContext& ctx);
 
   // --- commit paths ----------------------------------------------------------
@@ -232,16 +188,12 @@ class SbftReplica final : public sim::IActor {
   void commit(SeqNum s, const Digest& block_digest, bool fast, sim::ActorContext& ctx);
 
   // --- execution (§V-D) -------------------------------------------------------
-  void try_execute(sim::ActorContext& ctx);
   void execute_block(SeqNum s, sim::ActorContext& ctx);
   void ecollector_try_proof(SeqNum s, sim::ActorContext& ctx, bool from_stagger);
   void send_execute_acks(SeqNum s, sim::ActorContext& ctx);
   void advance_checkpoint(SeqNum s, sim::ActorContext& ctx);
 
   // --- crash recovery (§VIII) -------------------------------------------------
-  /// Rebuilds state from WAL + ledger at construction time (no-op when the
-  /// attached storage is fresh or absent).
-  void recover_from_storage();
   /// Fast-forwards to view `v` on the strength of a verified combined
   /// threshold signature produced in `v` (a quorum operated there). Lets a
   /// recovered or lagging replica rejoin across view changes it slept
@@ -254,99 +206,30 @@ class SbftReplica final : public sim::IActor {
   void maybe_send_new_view(ViewNum target, sim::ActorContext& ctx);
   void enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx);
 
-  // --- state transfer ----------------------------------------------------------
-  void request_state_transfer(sim::ActorContext& ctx);
-  /// True while this replica demonstrably needs a newer checkpoint (execution
-  /// gap behind delivered traffic, or a wiped/restarted boot with nothing yet).
-  bool state_transfer_behind() const;
-  /// Sends the manager's next chunk-request plan to its chosen donors.
-  void send_chunk_requests(sim::ActorContext& ctx);
-  /// Broadcasts the state-transfer probe (delta base advertised; the cold
-  /// chunk-hashing of the local snapshot is charged here).
-  void broadcast_state_probe(sim::ActorContext& ctx);
-  /// Arms the donor tick while the rate limiter has budget in use or deferred
-  /// requests queued (re-served there instead of being dropped).
-  void arm_donor_tick(sim::ActorContext& ctx);
-  /// All chunks received: assemble, adopt, and clean up (or restart the fetch
-  /// when the assembled envelope fails the certified state-root check).
-  void complete_chunked_transfer(sim::ActorContext& ctx);
-
   // --- helpers -----------------------------------------------------------------
-  SeqNum le() const { return runtime_.last_executed(); }
-  SeqNum ls() const { return runtime_.last_stable(); }
   Slot& slot(SeqNum s);
   Slot* find_slot(SeqNum s);
-  NodeId node_of(ReplicaId r) const;
-  bool from_replica(NodeId node, ReplicaId r) const { return node == node_of(r); }
-  void send_to_replica(sim::ActorContext& ctx, ReplicaId r, MessagePtr msg);
-  void broadcast_replicas(sim::ActorContext& ctx, MessagePtr msg);
   Bytes sign_share_maybe_corrupt(const crypto::IThresholdSigner& signer,
                                  const Digest& d) const;
-  void arm_progress_timer(sim::ActorContext& ctx);
-  bool silent() const { return opts_.behavior == ReplicaBehavior::kSilent; }
 
-  ReplicaOptions opts_;
-  runtime::ReplicaRuntime runtime_;
+  ReplicaCrypto crypto_;
+  ReplicaBehavior behavior_;
+  int64_t collector_stagger_us_;
+  std::shared_ptr<const EpochKeyTable> epoch_keys_;
 
-  // Observability: the tracer reference binds to opts_.tracer or the shared
-  // disabled instance; per-stage latency histograms live in the registry and
-  // survive restarts with it (the harness shares one registry per handle).
-  obs::Tracer& trace_;
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
-  obs::Histogram* h_pp_to_commit_;
-  obs::Histogram* h_commit_to_exec_;
   obs::Histogram* h_pending_wait_;
   obs::Histogram* h_exec_to_ack_;
-  // Open trace spans (0 / false = none): the view-change session under way,
-  // and the current state-transfer session.
+  // Open view-change session span (0 = none).
   ViewNum vc_span_ = 0;
-  uint64_t st_session_ = 0;
-  bool st_span_open_ = false;
 
-  // Derived from the active epoch (f/c patched into the protocol config so
-  // quorum formulas and the pure view-change functions see the epoch sizing).
-  ProtocolConfig cfg_;
   // Memoized per-epoch ReplicaCrypto resolved from the EpochKeyTable.
   mutable std::map<uint64_t, ReplicaCrypto> epoch_crypto_;
-  // Set when an activated epoch no longer contains this replica: it drains —
-  // serves state transfer and cached replies, but never votes or proposes.
-  bool retired_ = false;
-  // Pre-execution shadow of the activation boundary: set when a pre-prepare
-  // carrying a reconfiguration marker is accepted at seq s (boundary =
-  // ceil(s / interval) * interval), authoritative once the marker executes
-  // and the runtime stages the pending reconfiguration.
-  SeqNum shadow_gate_ = 0;
-
-  ViewNum view_ = 0;
-  bool in_view_change_ = false;
-  ViewNum vc_target_ = 0;
-  uint32_t vc_attempts_ = 0;
-
-  SeqNum next_seq_ = 1;  // primary: next sequence to propose
 
   std::map<SeqNum, Slot> slots_;
-
-  // Primary request queue.
-  std::deque<std::pair<Request, sim::SimTime>> pending_;
-  std::set<std::pair<ClientId, uint64_t>> pending_keys_;
-  double avg_pending_ = 0;  // EWMA demand estimate for adaptive batching
 
   // View-change messages collected per target view.
   std::map<ViewNum, std::map<ReplicaId, ViewChangeMsg>> vc_msgs_;
   bool new_view_sent_ = false;
-
-  // Progress tracking for the view-change timer.
-  SeqNum progress_marker_ = 0;
-  bool progress_timer_armed_ = false;
-  bool forwarded_waiting_ = false;  // forwarded a client request to the primary
-  bool st_inflight_ = false;
-  bool donor_tick_armed_ = false;
-
-  // Votes persisted by a previous incarnation for slots still in flight:
-  // seq -> (highest voted view, block digest). A recovered replica refuses to
-  // vote for a conflicting digest at or below that view (anti-equivocation).
-  std::map<SeqNum, std::pair<ViewNum, Digest>> wal_votes_;
-  uint64_t recovered_replay_bytes_ = 0;  // charged as boot-time replay CPU
 
   ReplicaStats stats_;  // protocol-level counters; runtime fields merged in stats()
 };

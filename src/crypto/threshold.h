@@ -6,7 +6,8 @@
 //   * ShoupRsaThreshold  — real, publicly verifiable threshold RSA (Shoup,
 //     EUROCRYPT'00), including non-interactive share-validity proofs.
 //   * SimBlsThreshold    — HMAC-based stand-in with BLS wire sizes (33-byte
-//     shares/signatures) for large-scale simulation; see DESIGN.md §3.
+//     shares/signatures) for large-scale simulation; see the paper
+//     substitutions in docs/architecture.md (row 1).
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 // Hand-assembled contract library used by the smart-contract workload
-// (DESIGN.md §3: synthetic stand-ins for the paper's Ethereum trace).
+// (synthetic stand-ins for the paper's Ethereum trace: paper substitution 3
+// in docs/architecture.md).
 #pragma once
 
 #include "common/bytes.h"

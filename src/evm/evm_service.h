@@ -72,7 +72,8 @@ class EvmLedgerService final : public IService, public IEvmHost {
   /// SHA-256("sbft.evm.addr" || sender || sender_nonce), where sender_nonce
   /// counts the creations by that sender — as in Ethereum, a sender's k-th
   /// creation address is known in advance. (Ethereum uses
-  /// keccak(rlp(sender, nonce)); see DESIGN.md §3.)
+  /// keccak(rlp(sender, nonce)); see paper substitution 6 in
+  /// docs/architecture.md.)
   static Address derive_address(const Address& sender, uint64_t nonce);
   uint64_t creations_by(const Address& sender) const;
 

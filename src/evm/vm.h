@@ -3,9 +3,10 @@
 // A deterministic 256-bit stack machine implementing the arithmetic,
 // comparison, bitwise, memory, storage, control-flow, calldata, hashing and
 // logging core of 2018-era EVM bytecode, with gas metering. Substitutions
-// versus cpp-ethereum are documented in DESIGN.md §3: SHA3 is backed by
-// SHA-256, and cross-contract CALL/CREATE opcodes are not implemented
-// (the ledger layer models Ethereum's two transaction types instead).
+// versus cpp-ethereum are paper substitution 6 in docs/architecture.md: SHA3
+// is backed by SHA-256, and cross-contract CALL/CREATE opcodes are not
+// implemented (the ledger layer models Ethereum's two transaction types
+// instead).
 //
 // Storage writes are journaled during execution and flushed to the host only
 // on successful completion, so REVERT and out-of-gas leave state untouched.

@@ -73,57 +73,52 @@ Cluster::~Cluster() = default;
 
 void Cluster::build_replica(ReplicaHandle& handle, core::ReplicaBehavior behavior,
                             bool recovering) {
-  bool corrupt_chunks =
-      std::find(opts_.corrupt_chunk_replicas.begin(),
-                opts_.corrupt_chunk_replicas.end(),
-                handle.id_) != opts_.corrupt_chunk_replicas.end();
+  auto listed = [&handle](const std::vector<ReplicaId>& ids) {
+    return std::find(ids.begin(), ids.end(), handle.id_) != ids.end();
+  };
   // Every replica bootstraps with the harness' current roster view: for the
   // genesis build this is exactly the genesis mapping, for joiners the roster
   // that does not yet contain them, and for restarts the newest one (their
   // WAL may know better — membership recovery wins then).
+  auto fill = [&](runtime::EngineOptions& eo) {
+    eo.config = config_;
+    eo.id = handle.id_;
+    eo.ledger = handle.ledger_;
+    eo.wal = handle.wal_;
+    eo.recovering = recovering;
+    eo.corrupt_state_chunks = listed(opts_.corrupt_chunk_replicas);
+    eo.roster = current_members_;
+    eo.roster_f = current_f_;
+    eo.roster_c = current_c_;
+    eo.tracer = handle.tracer_;
+    eo.metrics = handle.metrics_;
+    eo.marker_executor = handle.marker_executor_.get();
+  };
+  handle.sbft_ = nullptr;
+  handle.pbft_ = nullptr;
   if (opts_.kind == ProtocolKind::kPbft) {
     pbft::PbftOptions po;
-    po.config = config_;
-    po.id = handle.id_;
-    po.ledger = handle.ledger_;
-    po.wal = handle.wal_;
-    po.recovering = recovering;
-    po.corrupt_state_chunks = corrupt_chunks;
-    po.fabricate_checkpoint =
-        std::find(opts_.fabricate_checkpoint_replicas.begin(),
-                  opts_.fabricate_checkpoint_replicas.end(),
-                  handle.id_) != opts_.fabricate_checkpoint_replicas.end();
+    fill(po);
+    po.fabricate_checkpoint = listed(opts_.fabricate_checkpoint_replicas);
     po.checkpoint_auth = checkpoint_auth_;
-    po.roster = current_members_;
-    po.roster_f = current_f_;
-    po.tracer = handle.tracer_;
-    po.metrics = handle.metrics_;
-    po.marker_executor = handle.marker_executor_.get();
-    handle.pbft_ =
+    auto engine =
         std::make_unique<pbft::PbftReplica>(std::move(po), opts_.service_factory());
+    handle.pbft_ = engine.get();
+    handle.engine_ = std::move(engine);
   } else {
     core::ReplicaOptions ro;
-    ro.config = config_;
-    ro.id = handle.id_;
+    fill(ro);
     // A joiner holds no genesis signer slot: verifier-only epoch-0 view (its
     // signers come from the epoch that admits it, via epoch_keys).
     ro.crypto = handle.id_ <= config_.n()
                     ? core::ReplicaCrypto::for_replica(keys_, handle.id_)
                     : core::ReplicaCrypto::verifier_only(keys_);
     ro.behavior = behavior;
-    ro.ledger = handle.ledger_;
-    ro.wal = handle.wal_;
-    ro.recovering = recovering;
-    ro.corrupt_state_chunks = corrupt_chunks;
-    ro.roster = current_members_;
-    ro.roster_f = current_f_;
-    ro.roster_c = current_c_;
     ro.epoch_keys = epoch_keys_;
-    ro.tracer = handle.tracer_;
-    ro.metrics = handle.metrics_;
-    ro.marker_executor = handle.marker_executor_.get();
-    handle.sbft_ =
+    auto engine =
         std::make_unique<core::SbftReplica>(std::move(ro), opts_.service_factory());
+    handle.sbft_ = engine.get();
+    handle.engine_ = std::move(engine);
   }
 }
 

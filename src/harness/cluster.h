@@ -76,8 +76,8 @@ struct ClusterOptions {
   // in the shared chunk-serving path, not in an ordering engine.
   std::vector<ReplicaId> corrupt_chunk_replicas;
   // PBFT-only fault: replicas that answer state-transfer probes with a
-  // fabricated-but-root-consistent checkpoint (defeated by the quorum
-  // checkpoint certificate, ProtocolConfig::pbft_verify_checkpoint_certs).
+  // fabricated-but-root-consistent checkpoint (defeated by the weak f+1
+  // checkpoint certificate fetchers always verify).
   std::vector<ReplicaId> fabricate_checkpoint_replicas;
 
   // Durability: give every replica a memory-backed ledger + WAL owned by its

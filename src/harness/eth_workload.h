@@ -1,5 +1,6 @@
 // Ethereum-like smart-contract workload (§IX "Smart-Contract benchmark";
-// DESIGN.md §3 substitution 3 for the paper's 500k-transaction mainnet trace).
+// paper substitution 3 in docs/architecture.md stands in for the paper's
+// 500k-transaction mainnet trace).
 //
 // Each client deploys its own ERC-20-style token contract on its first
 // request (contract addresses are precomputable because creation uses a

@@ -1,10 +1,6 @@
 #include "harness/experiment.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace sbft::harness {
 
@@ -57,89 +53,6 @@ ExperimentResult run_point(const ExperimentPoint& point) {
   result.agreement_ok = cluster.check_agreement();
   result.sim_events = cluster.simulator().events_processed();
   return result;
-}
-
-namespace {
-
-std::string cache_key(const ExperimentPoint& p) {
-  std::ostringstream key;
-  key << "k" << static_cast<int>(p.kind) << "_f" << p.f << "_c" << p.c << "_cl"
-      << p.num_clients << "_b" << p.ops_per_request << "_cr" << p.crash_replicas
-      << "_st" << p.straggler_replicas << "_w" << p.warmup_us << "_m"
-      << p.measure_us << "_s" << p.seed << "_co" << p.cores << "_wn" << p.window
-      << "_mb" << p.max_batch << "_ad" << p.adaptive << "_t"
-      << (p.topology.region_latency_us.empty() ? "continent" : p.topology.name);
-  return key.str();
-}
-
-std::filesystem::path cache_dir() {
-  return std::filesystem::temp_directory_path() / "sbft-bench-cache";
-}
-
-// Cache schema version: bump whenever the serialized shape changes so stale
-// files from older builds re-run instead of mis-parsing.
-constexpr int kCacheVersion = 4;
-
-bool load_cached(const std::filesystem::path& file, ExperimentResult* out) {
-  std::ifstream in(file);
-  if (!in) return false;
-  int version = 0;
-  in >> version;
-  if (version != kCacheVersion) return false;
-  int agreement = 0;
-  RunMetrics& m = out->metrics;
-  in >> m.requests_completed >> m.requests_per_second >> m.ops_per_second >>
-      m.latency.count >> m.latency.mean_ms >> m.latency.median_ms >>
-      m.latency.p95_ms >> m.latency.p99_ms >> m.latency.p999_ms >>
-      m.latency.min_ms >> m.latency.max_ms >> m.fast_ack_fraction >> agreement >>
-      out->sim_events;
-  size_t num_counters = 0;
-  in >> num_counters;
-  for (size_t i = 0; i < num_counters && in; ++i) {
-    std::string name;
-    uint64_t value = 0;
-    in >> name >> value;
-    m.registry.counter(name) = value;
-  }
-  if (!in) return false;
-  out->agreement_ok = agreement != 0;
-  return true;
-}
-
-void store_cached(const std::filesystem::path& file, const ExperimentResult& r) {
-  std::error_code ec;
-  std::filesystem::create_directories(cache_dir(), ec);
-  std::ofstream out(file);
-  const RunMetrics& m = r.metrics;
-  out << kCacheVersion << ' ' << m.requests_completed << ' '
-      << m.requests_per_second << ' ' << m.ops_per_second << ' '
-      << m.latency.count << ' ' << m.latency.mean_ms << ' ' << m.latency.median_ms
-      << ' ' << m.latency.p95_ms << ' ' << m.latency.p99_ms << ' '
-      << m.latency.p999_ms << ' ' << m.latency.min_ms << ' ' << m.latency.max_ms
-      << ' ' << m.fast_ack_fraction << ' ' << (r.agreement_ok ? 1 : 0) << ' '
-      << r.sim_events << '\n';
-  // Counters by name (names never contain whitespace); histograms are not
-  // cached — a cache hit keeps the table counters, which is all the benches
-  // read through run_point_cached.
-  size_t num_counters = 0;
-  m.registry.for_each_counter([&](const std::string&, uint64_t) { ++num_counters; });
-  out << num_counters;
-  m.registry.for_each_counter([&](const std::string& name, uint64_t value) {
-    out << ' ' << name << ' ' << value;
-  });
-  out << '\n';
-}
-
-}  // namespace
-
-ExperimentResult run_point_cached(const ExperimentPoint& point) {
-  if (point.tweak) return run_point(point);  // closures are not hashable
-  std::filesystem::path file = cache_dir() / (cache_key(point) + ".txt");
-  ExperimentResult cached;
-  if (load_cached(file, &cached)) return cached;
-  ExperimentResult fresh = run_point(point);
-  store_cached(file, fresh);
-  return fresh;
 }
 
 }  // namespace sbft::harness

@@ -39,11 +39,6 @@ struct ExperimentResult {
 
 ExperimentResult run_point(const ExperimentPoint& point);
 
-/// Like run_point, but memoizes results in a per-build on-disk cache keyed by
-/// the point's parameters, so fig3 reuses fig2's sweep (and re-runs are free).
-/// Points with a custom `tweak` are never cached (the closure is opaque).
-ExperimentResult run_point_cached(const ExperimentPoint& point);
-
 /// True when SBFT_BENCH_FULL=1: run the paper's full sweeps instead of the
 /// reduced default grid.
 bool bench_full_mode();

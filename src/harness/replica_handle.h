@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "pbft/pbft_replica.h"
 #include "recovery/wal.h"
+#include "runtime/engine_shell.h"
 #include "runtime/replica_runtime.h"
 #include "storage/ledger_storage.h"
 
@@ -32,44 +33,28 @@ class ReplicaHandle {
   /// harness uses (never hand-compute r - 1).
   NodeId node() const { return node_; }
 
-  core::SbftReplica* sbft() const { return sbft_.get(); }
-  pbft::PbftReplica* pbft() const { return pbft_.get(); }
-  sim::IActor* actor() const {
-    return sbft_ ? static_cast<sim::IActor*>(sbft_.get())
-                 : static_cast<sim::IActor*>(pbft_.get());
-  }
+  /// The engine-typed views; null when the handle runs the other engine.
+  core::SbftReplica* sbft() const { return sbft_; }
+  pbft::PbftReplica* pbft() const { return pbft_; }
+  sim::IActor* actor() const { return engine_.get(); }
 
   // --- uniform introspection -------------------------------------------------
-  ViewNum view() const { return sbft_ ? sbft_->view() : pbft_->view(); }
-  SeqNum last_executed() const {
-    return sbft_ ? sbft_->last_executed() : pbft_->last_executed();
-  }
-  SeqNum last_stable() const {
-    return sbft_ ? sbft_->last_stable() : pbft_->last_stable();
-  }
-  const IService& service() const {
-    return sbft_ ? sbft_->service() : pbft_->service();
-  }
-  const runtime::ReplicaRuntime& runtime() const {
-    return sbft_ ? sbft_->runtime() : pbft_->runtime();
-  }
+  ViewNum view() const { return engine_->view(); }
+  SeqNum last_executed() const { return engine_->last_executed(); }
+  SeqNum last_stable() const { return engine_->last_stable(); }
+  const IService& service() const { return engine_->service(); }
+  const runtime::ReplicaRuntime& runtime() const { return engine_->runtime(); }
   const runtime::RuntimeStats& runtime_stats() const { return runtime().stats(); }
-  uint64_t view_changes() const {
-    return sbft_ ? sbft_->stats().view_changes : pbft_->stats().view_changes;
-  }
+  uint64_t view_changes() const { return engine_->view_changes(); }
   std::optional<Digest> committed_digest_of(SeqNum s) const {
-    return sbft_ ? sbft_->committed_digest_of(s) : pbft_->committed_digest_of(s);
+    return engine_->committed_digest_of(s);
   }
 
   /// Visits every protocol + runtime counter as (name, value) — the generic
   /// path metrics collection walks instead of copying fields one by one.
   template <typename Fn>
   void for_each_stat(Fn&& fn) const {
-    if (sbft_) {
-      sbft_->stats().for_each(fn);
-    } else {
-      pbft_->stats().for_each(fn);
-    }
+    engine_->for_each_stat(fn);
   }
 
   // --- durable storage (outlives replica incarnations) -----------------------
@@ -92,8 +77,9 @@ class ReplicaHandle {
 
   ReplicaId id_ = 0;
   NodeId node_ = 0;
-  std::unique_ptr<core::SbftReplica> sbft_;
-  std::unique_ptr<pbft::PbftReplica> pbft_;
+  std::unique_ptr<runtime::EngineShell> engine_;
+  core::SbftReplica* sbft_ = nullptr;  // engine_, when it runs SBFT
+  pbft::PbftReplica* pbft_ = nullptr;  // engine_, when it runs PBFT
   std::shared_ptr<storage::ILedgerStorage> ledger_;
   std::shared_ptr<recovery::IReplicaWal> wal_;
   std::shared_ptr<obs::Tracer> tracer_;

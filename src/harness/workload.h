@@ -1,9 +1,10 @@
 // Key-value benchmark workload (§IX "Measurements"): every request is a put
 // of a random value to a random key; in batching mode a request carries 64
 // operations. Also provides FastKvService, a deterministic lightweight state
-// machine used by the large protocol sweeps (DESIGN.md §3: the authenticated
-// KV store is exercised by tests/examples/smart-contract runs; the fig2/fig3
-// sweeps use this O(1)-digest service so a laptop can simulate 209 replicas).
+// machine used by the large protocol sweeps (docs/architecture.md, paper
+// substitution 5: the authenticated KV store is exercised by
+// tests/examples/smart-contract runs; the fig2/fig3 sweeps use this
+// O(1)-digest service so a laptop can simulate 209 replicas).
 #pragma once
 
 #include <functional>

@@ -9,49 +9,6 @@
 
 namespace sbft::pbft {
 
-namespace {
-enum TimerKind : uint64_t {
-  kBatchTimer = 1,
-  kProgressTimer = 2,
-  kStateTransferTimer = 3,
-  kDonorTickTimer = 4,  // drain chunk serves the donor rate limiter deferred
-  kShardTickTimer = 5,  // marker executor retry cadence (docs/sharding.md)
-};
-uint64_t timer_id(TimerKind kind, uint64_t payload) {
-  return (static_cast<uint64_t>(kind) << 48) | payload;
-}
-TimerKind timer_kind(uint64_t id) { return static_cast<TimerKind>(id >> 48); }
-
-runtime::RuntimeOptions make_runtime_options(const PbftOptions& opts) {
-  runtime::RuntimeOptions ro;
-  ro.checkpoint_interval = opts.config.checkpoint_interval();
-  ro.ledger = opts.ledger;
-  ro.wal = opts.wal;
-  ro.state_transfer_chunk_size = opts.config.state_transfer_chunk_size;
-  ro.state_transfer_max_chunks_per_request =
-      opts.config.state_transfer_max_chunks_per_request;
-  ro.state_transfer_delta_enabled = opts.config.state_transfer_delta_enabled;
-  ro.state_transfer_donor_chunks_per_tick =
-      opts.config.state_transfer_donor_chunks_per_tick;
-  ro.state_transfer_delta_history = opts.config.state_transfer_delta_history;
-  ro.self = opts.id;
-  ro.tracer = opts.tracer;
-  ro.marker_executor = opts.marker_executor;
-  if (!opts.roster.empty()) {
-    ro.membership_f = opts.roster_f > 0 ? opts.roster_f : opts.config.f;
-    ro.membership_c = 0;
-    ro.bootstrap_members = opts.roster;
-  } else {
-    ro.membership_f = opts.config.f;
-    ro.membership_c = 0;
-    for (ReplicaId r = 1; r <= opts.config.n(); ++r) {
-      ro.bootstrap_members.push_back({r, r - 1});
-    }
-  }
-  return ro;
-}
-}  // namespace
-
 Bytes CheckpointAuth::sign(ReplicaId replica, SeqNum seq,
                           const Digest& state_root) const {
   Writer key;
@@ -74,101 +31,10 @@ bool CheckpointAuth::verify(ReplicaId replica, SeqNum seq,
 }
 
 PbftReplica::PbftReplica(PbftOptions options, std::unique_ptr<IService> service)
-    : opts_(std::move(options)),
-      runtime_(make_runtime_options(opts_), std::move(service)),
-      trace_(opts_.tracer ? *opts_.tracer : obs::Tracer::nop()),
-      metrics_(opts_.metrics ? opts_.metrics
-                             : std::make_shared<obs::MetricsRegistry>()),
-      h_pp_to_commit_(&metrics_->histogram("stage.pp_to_commit_us")),
-      h_commit_to_exec_(&metrics_->histogram("stage.commit_to_exec_us")),
-      cfg_(opts_.config) {
+    : EngineShell(std::move(options), std::move(service)),
+      fabricate_checkpoint_(options.fabricate_checkpoint),
+      checkpoint_auth_(std::move(options.checkpoint_auth)) {
   SBFT_CHECK(opts_.config.c == 0);  // PBFT sizing: n = 3f + 1
-  SBFT_CHECK(opts_.id >= 1 &&
-             (!opts_.roster.empty() || opts_.id <= opts_.config.n()));
-  recover_from_storage();
-  // See the SBFT engine: a recovered non-member re-retires; only a replica
-  // with no local evidence (a joiner, or a wiped removed member that will
-  // retire on its first adopted epoch) keeps probing for admission.
-  cfg_ = epoch().derive_config(opts_.config);
-  runtime_.take_epoch_change();
-  retired_ = !runtime_.membership().is_member(opts_.id) &&
-             (!opts_.recovering || runtime_.stats().recoveries > 0);
-}
-
-NodeId PbftReplica::node_of(ReplicaId r) const {
-  const runtime::MembershipManager& m = runtime_.membership();
-  if (!m.configured()) return r - 1;
-  for (auto it = m.history().rbegin(); it != m.history().rend(); ++it) {
-    if (int rank = it->rank_of(r); rank >= 0) {
-      return it->members[static_cast<size_t>(rank)].node;
-    }
-  }
-  if (m.pending()) {
-    for (const ReplicaInfo& add : m.pending()->delta.adds) {
-      if (add.id == r) return add.node;
-    }
-  }
-  return r - 1;
-}
-
-SeqNum PbftReplica::reconfig_gate() const {
-  if (SeqNum staged = runtime_.membership().pending_activation(); staged > 0) {
-    return staged;
-  }
-  return shadow_gate_ > le() ? shadow_gate_ : 0;
-}
-
-void PbftReplica::maybe_refresh_epoch(sim::ActorContext& ctx) {
-  if (!runtime_.take_epoch_change()) return;
-  cfg_ = epoch().derive_config(opts_.config);
-  shadow_gate_ = 0;
-  if (!runtime_.membership().is_member(opts_.id)) {
-    retired_ = true;
-    trace_.instant(ctx.now(), obs::Category::kReconfig, obs::ev::kEpochRetired,
-                   0, 0, 0, "epoch", epoch().epoch);
-    in_view_change_ = false;
-    pending_.clear();
-    pending_keys_.clear();
-    return;
-  }
-  retired_ = false;
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-    try_propose(ctx);
-  }
-}
-
-void PbftReplica::recover_from_storage() {
-  auto recovered = runtime_.recover();
-  if (!recovered) return;  // fresh storage, or snapshot failed verification
-
-  view_ = recovered->view;
-  vc_target_ = view_;
-  progress_marker_ = le();
-  next_seq_ = recovered->install_votes(wal_votes_, le() + 1);
-  recovered_replay_bytes_ = recovered->replayed_bytes;
-}
-
-void PbftReplica::on_start(sim::ActorContext& ctx) {
-  // Boot-time replay cost: reading the ledger suffix back and re-executing it
-  // is charged like the sequential I/O that produced it.
-  if (recovered_replay_bytes_ > 0) {
-    ctx.charge(ctx.costs().persist_us(recovered_replay_bytes_));
-  }
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-  }
-  if (opts_.marker_executor != nullptr &&
-      opts_.marker_executor->tick_interval_us() > 0) {
-    ctx.set_timer(opts_.marker_executor->tick_interval_us(),
-                  timer_id(kShardTickTimer, 0));
-  }
-  // Recovery replay may have re-run shard decisions whose results the
-  // outside world never saw (crash between execute and send): flush them.
-  pump_marker_executor(ctx);
-  // A restarted replica may have slept through checkpoints (or lost its disk
-  // entirely): probe a peer for a newer stable checkpoint right away.
-  if (opts_.recovering) request_state_transfer(ctx);
 }
 
 PbftStats PbftReplica::stats() const {
@@ -188,25 +54,12 @@ std::optional<Digest> PbftReplica::committed_digest_of(SeqNum s) const {
   return std::nullopt;
 }
 
-void PbftReplica::broadcast(sim::ActorContext& ctx, MessagePtr msg) {
-  for (const ReplicaInfo& m : epoch().members) ctx.send(m.node, msg);
-}
-
-void PbftReplica::arm_progress_timer(sim::ActorContext& ctx) {
-  if (progress_timer_armed_) return;
-  progress_timer_armed_ = true;
-  int64_t backoff = opts_.config.view_change_timeout_us
-                    << std::min<uint32_t>(vc_attempts_, 6);
-  ctx.set_timer(backoff, timer_id(kProgressTimer, 0));
-}
-
-void PbftReplica::on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) {
+void PbftReplica::on_engine_message(NodeId from, const Message& msg,
+                                    sim::ActorContext& ctx) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ClientRequestMsg>) {
-          handle_client_request(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, PrePrepareMsg>) {
+        if constexpr (std::is_same_v<T, PrePrepareMsg>) {
           handle_pre_prepare(from, m, ctx);
         } else if constexpr (std::is_same_v<T, PbftPrepareMsg>) {
           handle_prepare(m, ctx);
@@ -218,214 +71,37 @@ void PbftReplica::on_message(NodeId from, const Message& msg, sim::ActorContext&
           handle_view_change(m, ctx);
         } else if constexpr (std::is_same_v<T, PbftNewViewMsg>) {
           handle_new_view(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, StateTransferRequestMsg>) {
-          handle_state_transfer_request(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, StateTransferReplyMsg>) {
-          handle_state_transfer_reply(m, ctx);
-        } else if constexpr (std::is_same_v<T, StateManifestMsg>) {
-          handle_state_manifest(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, StateChunkRequestMsg>) {
-          handle_state_chunk_request(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, StateChunkMsg>) {
-          handle_state_chunk(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, ReconfigBlockMsg>) {
-          handle_reconfig_block(m, ctx);
-        } else if constexpr (std::is_same_v<T, TxVoteMsg> ||
-                             std::is_same_v<T, TxDecisionMsg>) {
-          // Cross-shard 2PC traffic belongs to the marker executor; the pump
-          // below relays its responses and stages decision markers.
-          if (opts_.marker_executor != nullptr) {
-            opts_.marker_executor->on_network(from, msg, ctx.now());
-          }
         }
       },
       msg);
-  pump_marker_executor(ctx);
 }
 
-void PbftReplica::on_timer(uint64_t id, sim::ActorContext& ctx) {
-  switch (timer_kind(id)) {
-    case kBatchTimer: {
-      if (is_primary() && !in_view_change_) try_propose(ctx, /*flush_partial=*/true);
-      if (is_primary()) {
-        ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-      }
-      break;
-    }
-    case kProgressTimer: {
-      progress_timer_armed_ = false;
-      bool outstanding = !pending_.empty() || forwarded_waiting_ ||
-                         (!slots_.empty() && slots_.rbegin()->first > le()) ||
-                         in_view_change_;
-      if (le() > progress_marker_) {
-        progress_marker_ = le();
-        forwarded_waiting_ = false;
-        if (outstanding) arm_progress_timer(ctx);
-        break;
-      }
-      // If f+1 checkpoint votes prove the cluster executed past us, the
-      // stall is not the primary's fault — we missed (or are dropping, if a
-      // view change is pending) the traffic for slots a quorum already
-      // garbage-collected. Fetch the checkpoint; escalating the view change
-      // alone cannot recover the gap (schedule fuzzer, seed 91).
-      if (outstanding && checkpoint_evidence_frontier() > le()) {
-        request_state_transfer(ctx);
-      }
-      if (outstanding) start_view_change(std::max(view_, vc_target_) + 1, ctx);
-      break;
-    }
-    case kStateTransferTimer: {
-      runtime::StateTransferManager& st = runtime_.state_transfer();
-      if (st.chunked()) {
-        // Single retry loop; the stop/probe decisions live in the manager,
-        // shared with the SBFT engine.
-        auto tick = st.on_retry_tick(le(), state_transfer_behind(), runtime_.stats());
-        if (tick.stop) {
-          st_inflight_ = false;
-          if (st_span_open_ && !state_transfer_behind()) {
-            st_span_open_ = false;
-            trace_.end(ctx.now(), obs::Category::kStateTransfer,
-                       obs::ev::kStateTransfer, st_session_, le());
-          }
-          // The fetch that just ended may have become moot for its *target*
-          // while the replica fell behind a newer checkpoint (the cluster
-          // moved on mid-fetch): start over, like the legacy path below.
-          if (state_transfer_behind()) request_state_transfer(ctx);
-          break;
-        }
-        if (tick.probe) {
-          broadcast_state_probe(ctx);
-        } else {
-          trace_.instant(ctx.now(), obs::Category::kStateTransfer,
-                         obs::ev::kStResume, st_session_, le());
-        }
-        send_chunk_requests(ctx);
-        ctx.set_timer(opts_.config.state_transfer_retry_us,
-                      timer_id(kStateTransferTimer, 0));
-        break;
-      }
-      st_inflight_ = false;
-      if (st_span_open_ && !state_transfer_behind()) {
-        st_span_open_ = false;
-        trace_.end(ctx.now(), obs::Category::kStateTransfer,
-                   obs::ev::kStateTransfer, st_session_, le());
-      }
-      // Retry while a true gap persists — or while a wiped/restarted replica
-      // has yet to obtain any checkpoint (its boot probe may have picked a
-      // peer with nothing to ship).
-      if (state_transfer_behind()) request_state_transfer(ctx);
-      break;
-    }
-    case kDonorTickTimer: {
-      donor_tick_armed_ = false;
-      runtime::StateTransferManager& st = runtime_.state_transfer();
-      for (auto& [node, chunk] : st.on_donor_tick(
-               runtime_.checkpoints(), opts_.id, runtime_.stats())) {
-        ctx.charge(ctx.costs().hash_us(chunk.data.size()));
-        if (opts_.corrupt_state_chunks && !chunk.data.empty()) {
-          chunk.data[0] ^= 0xff;
-        }
-        ctx.send(node, make_message(std::move(chunk)));
-      }
-      arm_donor_tick(ctx);
-      break;
-    }
-    case kShardTickTimer: {
-      if (opts_.marker_executor != nullptr) {
-        opts_.marker_executor->on_tick(ctx.now());
-        ctx.set_timer(opts_.marker_executor->tick_interval_us(),
-                      timer_id(kShardTickTimer, 0));
-      }
-      break;
-    }
+void PbftReplica::on_engine_timer(uint64_t kind, uint64_t /*payload*/,
+                                  sim::ActorContext& ctx) {
+  if (kind != kProgressTimer) return;
+  progress_timer_armed_ = false;
+  bool outstanding = !pending_.empty() || forwarded_waiting_ ||
+                     (!slots_.empty() && slots_.rbegin()->first > le()) ||
+                     in_view_change_;
+  if (le() > progress_marker_) {
+    progress_marker_ = le();
+    forwarded_waiting_ = false;
+    if (outstanding) arm_progress_timer(ctx);
+    return;
   }
-  pump_marker_executor(ctx);
+  // If f+1 checkpoint votes prove the cluster executed past us, the stall is
+  // not the primary's fault — we missed (or are dropping, if a view change
+  // is pending) the traffic for slots a quorum already garbage-collected.
+  // Fetch the checkpoint; escalating the view change alone cannot recover
+  // the gap (schedule fuzzer, seed 91).
+  if (outstanding && checkpoint_evidence_frontier() > le()) {
+    request_state_transfer(ctx);
+  }
+  if (outstanding) start_view_change(std::max(view_, vc_target_) + 1, ctx);
 }
 
 // ---------------------------------------------------------------------------
 // Normal case
-
-void PbftReplica::handle_client_request(NodeId from, const ClientRequestMsg& m,
-                                        sim::ActorContext& ctx) {
-  const Request& req = m.request;
-  // Reserved marker ids: reconfiguration blocks and shard 2PC decisions are
-  // built internally, never accepted from the wire as client requests.
-  if (req.client == kReconfigClient || req.client == kShardTxClient) return;
-  // Request signature verification runs on a worker lane when available;
-  // admission continues serially in the completion.
-  ctx.offload(ctx.costs().rsa_verify_us,
-              [this, from, req](sim::ActorContext& c) {
-                admit_client_request(from, req, c);
-              });
-}
-
-void PbftReplica::admit_client_request(NodeId from, const Request& req,
-                                       sim::ActorContext& ctx) {
-  if (const runtime::CachedReply* cached =
-          runtime_.cached_reply(req.client, req.timestamp)) {
-    ClientReplyMsg reply;
-    reply.replica = opts_.id;
-    reply.client = req.client;
-    reply.timestamp = cached->timestamp;
-    reply.seq = cached->seq;
-    reply.value = cached->value;
-    trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kReplyCached, 0,
-                   cached->seq, 0, "client", req.client);
-    ctx.send(req.client, make_message(std::move(reply)));
-    return;
-  }
-  if (retired_) return;  // drained: serves caches only, never orders
-  if (is_primary() && !in_view_change_) {
-    auto key = std::make_pair(req.client, req.timestamp);
-    if (pending_keys_.insert(key).second) {
-      pending_.push_back(req);
-      trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kRequestAdmitted,
-                     0, 0, view_, "client", req.client);
-    }
-    try_propose(ctx);
-  } else if (from == req.client) {
-    ctx.send(node_of(epoch().primary_of(view_)),
-             make_message(ClientRequestMsg{req}));
-    forwarded_waiting_ = true;
-    arm_progress_timer(ctx);
-  }
-}
-
-void PbftReplica::handle_reconfig_block(const ReconfigBlockMsg& m,
-                                        sim::ActorContext& ctx) {
-  // Administrative channel (docs/reconfiguration.md): ordered as a marker
-  // request; validation repeats deterministically at execution.
-  if (retired_ || !is_primary() || in_view_change_) return;
-  auto key = std::make_pair(kReconfigClient, m.nonce);
-  if (pending_keys_.insert(key).second) {
-    pending_.push_back(make_reconfig_request(m.delta, m.nonce));
-  }
-  try_propose(ctx, /*flush_partial=*/true);
-}
-
-void PbftReplica::pump_marker_executor(sim::ActorContext& ctx) {
-  runtime::IMarkerExecutor* ex = opts_.marker_executor;
-  if (ex == nullptr) return;
-  // Relay whatever the executor queued while handling ordered markers or
-  // cross-group messages (votes, decision broadcasts, client results).
-  for (auto& [node, msg] : ex->take_outbound()) ctx.send(node, std::move(msg));
-  // Decision markers the executor wants ordered go through the primary's
-  // pending queue like reconfiguration blocks; on a backup they are dropped
-  // here and re-staged by the executor's tick (possibly under a new primary).
-  if (retired_ || !is_primary() || in_view_change_) {
-    ex->take_marker_requests();
-    return;
-  }
-  bool queued = false;
-  for (Request& req : ex->take_marker_requests()) {
-    auto key = std::make_pair(req.client, req.timestamp);
-    if (pending_keys_.insert(key).second) {
-      pending_.push_back(std::move(req));
-      queued = true;
-    }
-  }
-  if (queued) try_propose(ctx, /*flush_partial=*/true);
-}
 
 uint32_t PbftReplica::adaptive_batch_size() const {
   if (!opts_.config.adaptive_batching) return opts_.config.max_batch;
@@ -449,7 +125,7 @@ void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
                  0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
   const uint64_t window = std::max<uint64_t>(1, opts_.config.win / 4);
   while (!pending_.empty()) {
-    const Request& head = pending_.front();
+    const Request& head = pending_.front().first;
     if (runtime_.replies().is_duplicate(head.client, head.timestamp)) {
       pending_keys_.erase({head.client, head.timestamp});
       pending_.pop_front();
@@ -466,14 +142,14 @@ void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
     if (pending_.size() < want && !flush_partial) return;
     Block block;
     while (!pending_.empty() && block.requests.size() < want) {
-      Request r = std::move(pending_.front());
+      Request r = std::move(pending_.front().first);
       pending_.pop_front();
       pending_keys_.erase({r.client, r.timestamp});
       block.requests.push_back(std::move(r));
     }
     SeqNum s = next_seq_++;
     ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
-    broadcast(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
+    broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
   }
 
   // Primary-driven no-op fill (docs/reconfiguration.md): a staged
@@ -488,7 +164,7 @@ void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
       SeqNum s = next_seq_++;
       ++stats_.noop_fill_blocks;
       ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
-      broadcast(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
+      broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
     }
   }
 }
@@ -526,24 +202,11 @@ void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
   if (!epoch_for_seq(s).contains(opts_.id)) return;
   Slot& sl = slots_[s];
   Digest digest = block.digest();
-  // Shadow of the activation boundary (see the SBFT engine): slots beyond a
-  // marker-bearing block wait until the marker executes and stages.
-  for (const Request& req : block.requests) {
-    if (decode_reconfig_request(req)) {
-      uint64_t interval = opts_.config.checkpoint_interval();
-      SeqNum boundary = (s + interval - 1) / interval * interval;
-      shadow_gate_ = std::max(shadow_gate_, boundary);
-    }
-  }
-  // Anti-equivocation across restarts: a previous incarnation's persisted
-  // vote at this (or a later) view binds this one to the same digest.
-  if (auto wv = wal_votes_.find(s);
-      wv != wal_votes_.end() && wv->second.first >= v &&
-      !(wv->second.second == digest)) {
-    return;
-  }
+  // Shadow of the activation boundary: slots beyond a marker-bearing block
+  // wait until the marker executes and stages.
+  note_reconfig_markers(s, block);
   // Write-ahead contract: the vote is durable before the prepare leaves.
-  runtime_.wal_record_vote(s, v, digest);
+  if (!record_vote(s, v, digest)) return;
   sl.has_pp = true;
   sl.pp_view = v;
   sl.block_digest = digest;
@@ -560,7 +223,7 @@ void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
     sl.sent_prepare = true;
     sl.prepares.insert(opts_.id);
     ctx.charge(ctx.costs().rsa_sign_us);  // sign once, broadcast copies
-    broadcast(ctx, make_message(PbftPrepareMsg{s, v, sl.h, opts_.id}));
+    broadcast_replicas(ctx, make_message(PbftPrepareMsg{s, v, sl.h, opts_.id}));
   }
   arm_progress_timer(ctx);
   check_prepared(s, ctx);
@@ -598,7 +261,7 @@ void PbftReplica::check_prepared(SeqNum s, sim::ActorContext& ctx) {
     sl.sent_commit = true;
     sl.commits.insert(opts_.id);
     ctx.charge(ctx.costs().rsa_sign_us);
-    broadcast(ctx, make_message(PbftCommitMsg{s, sl.pp_view, sl.h, opts_.id}));
+    broadcast_replicas(ctx, make_message(PbftCommitMsg{s, sl.pp_view, sl.h, opts_.id}));
   }
   check_committed(s, ctx);
 }
@@ -664,10 +327,10 @@ void PbftReplica::try_execute(sim::ActorContext& ctx) {
     if (s % opts_.config.checkpoint_interval() == 0) {
       ctx.charge(ctx.costs().rsa_sign_us);
       PbftCheckpointMsg ckpt{s, rec.cert.state_root, opts_.id, {}};
-      if (opts_.checkpoint_auth) {
-        ckpt.sig = opts_.checkpoint_auth->sign(opts_.id, s, rec.cert.state_root);
+      if (checkpoint_auth_) {
+        ckpt.sig = checkpoint_auth_->sign(opts_.id, s, rec.cert.state_root);
       }
-      broadcast(ctx, make_message(std::move(ckpt)));
+      broadcast_replicas(ctx, make_message(std::move(ckpt)));
     }
   }
 }
@@ -729,8 +392,8 @@ void PbftReplica::handle_checkpoint_verified(const PbftCheckpointMsg& m,
   if (m.seq < ls()) return;  // stability may have advanced mid-verification
   // A signature that fails verification never enters the vote set — the
   // checkpoint protocol itself is hardened, not just state transfer.
-  if (opts_.checkpoint_auth &&
-      !opts_.checkpoint_auth->verify(m.replica, m.seq, m.state_digest,
+  if (checkpoint_auth_ &&
+      !checkpoint_auth_->verify(m.replica, m.seq, m.state_digest,
                                      as_span(m.sig))) {
     return;
   }
@@ -772,18 +435,14 @@ void PbftReplica::handle_checkpoint_verified(const PbftCheckpointMsg& m,
 }
 
 // ---------------------------------------------------------------------------
-// State transfer (checkpoint shipping; crash-fault trust model, see header;
-// chunked protocol spec in docs/state_transfer.md)
-
-bool PbftReplica::state_transfer_behind() const {
-  return execution_gap() || (opts_.recovering && le() == 0 && ls() == 0) ||
-         (!retired_ && !runtime_.membership().is_member(opts_.id));
-}
+// Checkpoint certificates for state transfer, and the fabricated-checkpoint
+// fault (the chunked protocol itself lives in runtime::EngineShell; spec in
+// docs/state_transfer.md)
 
 std::vector<CheckpointSigShare> PbftReplica::checkpoint_proof_for(
     const ExecCertificate& cert) const {
   std::vector<CheckpointSigShare> proof;
-  if (!opts_.checkpoint_auth) return proof;
+  if (!checkpoint_auth_) return proof;
   const runtime::MembershipEpoch& e = epoch_for_seq(cert.seq);
   // A weak certificate (f+1 distinct voters, PBFT §state transfer) is what a
   // fetcher needs; ship the full 2f+1 when available, but do not refuse to
@@ -816,9 +475,7 @@ std::vector<CheckpointSigShare> PbftReplica::checkpoint_proof_for(
 bool PbftReplica::verify_checkpoint_proof(
     const ExecCertificate& cert, const std::vector<CheckpointSigShare>& proof,
     sim::ActorContext& ctx) {
-  if (!opts_.config.pbft_verify_checkpoint_certs || !opts_.checkpoint_auth) {
-    return true;  // trust-the-channel mode (the pre-certificate behaviour)
-  }
+  if (!checkpoint_auth_) return true;  // unit setups without certificates
   const runtime::MembershipEpoch& e = epoch_for_seq(cert.seq);
   // PBFT's weak-certificate rule covers exactly this adoption decision: f+1
   // distinct shares contain at least one honest voucher, and that honest
@@ -836,7 +493,7 @@ bool PbftReplica::verify_checkpoint_proof(
   std::set<ReplicaId> valid;
   for (const CheckpointSigShare& s : proof) {
     if (!e.contains(s.replica) || valid.count(s.replica)) continue;
-    if (opts_.checkpoint_auth->verify(s.replica, cert.seq, cert.state_root,
+    if (checkpoint_auth_->verify(s.replica, cert.seq, cert.state_root,
                                       as_span(s.sig))) {
       valid.insert(s.replica);
       if (valid.size() >= need) {
@@ -857,47 +514,6 @@ bool PbftReplica::verify_checkpoint_proof(
                  obs::ev::kStCertRejected, st_session_, cert.seq, 0, "valid_sigs",
                  valid.size());
   return false;
-}
-
-void PbftReplica::request_state_transfer(sim::ActorContext& ctx) {
-  if (retired_) return;  // drained: serves state, never fetches newer state
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  if (st.chunked()) {
-    if (st.active()) return;  // a fetch round is already running
-    ++runtime_.stats().state_transfers;
-    if (!st_span_open_) {
-      st_span_open_ = true;
-      trace_.begin(ctx.now(), obs::Category::kStateTransfer,
-                   obs::ev::kStateTransfer, ++st_session_, le());
-    }
-    broadcast_state_probe(ctx);
-    if (!st_inflight_) {
-      st_inflight_ = true;  // retry timer armed
-      ctx.set_timer(opts_.config.state_transfer_retry_us,
-                    timer_id(kStateTransferTimer, 0));
-    }
-    return;
-  }
-  if (st_inflight_) return;
-  st_inflight_ = true;
-  ++runtime_.stats().state_transfers;
-  if (!st_span_open_) {
-    st_span_open_ = true;
-    trace_.begin(ctx.now(), obs::Category::kStateTransfer,
-                 obs::ev::kStateTransfer, ++st_session_, le());
-  }
-  // Ask a pseudo-random member; retry rotates the choice.
-  const auto& members = epoch().members;
-  ReplicaId peer = members[ctx.rng().below(members.size())].id;
-  if (peer == opts_.id) {
-    peer = members[(epoch().rank_of(peer) + 1) % members.size()].id;
-  }
-  StateTransferRequestMsg req;
-  req.requester = opts_.id;
-  req.have_seq = le();
-  ctx.send(node_of(peer), make_message(std::move(req)));
-  ctx.set_timer(opts_.config.view_change_timeout_us,
-                timer_id(kStateTransferTimer, 0));
 }
 
 std::optional<StateManifestMsg> PbftReplica::fabricate_manifest(
@@ -935,126 +551,29 @@ std::optional<StateManifestMsg> PbftReplica::fabricate_manifest(
   m.total_bytes = fake_chunks_->total_bytes();
   // The best forgery available: its own signature. 1 < f+1 (the
   // weak-certificate floor), which is the entire point of the certificate.
-  if (opts_.checkpoint_auth) {
+  if (checkpoint_auth_) {
     m.checkpoint_proof.push_back(
-        {opts_.id, opts_.checkpoint_auth->sign(opts_.id, fake_cert_.seq,
+        {opts_.id, checkpoint_auth_->sign(opts_.id, fake_cert_.seq,
                                                fake_cert_.state_root)});
   }
   return m;
 }
 
-void PbftReplica::handle_state_transfer_request(NodeId from,
-                                                const StateTransferRequestMsg& m,
-                                                sim::ActorContext& ctx) {
-  // Ship the consistent (certificate, snapshot) pair captured when the
-  // checkpoint executed. No pi signature here — the weak checkpoint
-  // certificate (f+1 distinct CheckpointSigShares, up to 2f+1 shipped) is
-  // what vouches for the checkpoint's legitimacy. Replies go to the
-  // requesting *node*: a joining replica is not in any epoch the donor
-  // holds yet.
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  if (opts_.fabricate_checkpoint && st.chunked()) {
-    if (auto fake = fabricate_manifest(m, ctx)) {
-      ctx.send(from, make_message(std::move(*fake)));
-    }
-    return;
+bool PbftReplica::fabricated_manifest(NodeId from, const StateTransferRequestMsg& m,
+                                      sim::ActorContext& ctx) {
+  if (!fabricate_checkpoint_) return false;
+  if (auto fake = fabricate_manifest(m, ctx)) {
+    ctx.send(from, make_message(std::move(*fake)));
   }
-  const runtime::CheckpointManager& cp = runtime_.checkpoints();
-  if (!cp.has_shippable() || cp.snapshot_cert().seq <= m.have_seq) return;
-  if (st.chunked()) {
-    // Building the chunk tree hashes the whole envelope — charged only when
-    // the cache is cold for this checkpoint, not on every repeated probe
-    // (note_checkpoint keeps it warm in steady state).
-    bool cold = st.donor_cached_seq() != cp.snapshot_cert().seq;
-    auto manifest = st.make_manifest(cp, m, opts_.id);
-    if (!manifest) return;
-    manifest->checkpoint_proof = checkpoint_proof_for(manifest->cert);
-    if (cold) ctx.charge(ctx.costs().hash_us(cp.snapshot().size()));
-    ctx.send(from, make_message(std::move(*manifest)));
-    return;
-  }
-  StateTransferReplyMsg reply;
-  reply.seq = cp.snapshot_cert().seq;
-  reply.cert = cp.snapshot_cert();
-  reply.service_snapshot = cp.snapshot();
-  reply.checkpoint_proof = checkpoint_proof_for(reply.cert);
-  ctx.charge(ctx.costs().hash_us(cp.snapshot().size()));
-  ctx.send(from, make_message(std::move(reply)));
+  return true;
 }
 
-void PbftReplica::handle_state_transfer_reply(const StateTransferReplyMsg& m,
-                                              sim::ActorContext& ctx) {
-  if (m.seq <= le()) {
-    st_inflight_ = false;
-    if (st_span_open_ && !state_transfer_behind()) {
-      st_span_open_ = false;
-      trace_.end(ctx.now(), obs::Category::kStateTransfer,
-                 obs::ev::kStateTransfer, st_session_, le());
-    }
-    return;
-  }
-  if (m.cert.seq != m.seq) return;
-  // A monolithic reply without a weak checkpoint certificate (f+1 distinct
-  // shares) is exactly the single-donor trust the certificate removes.
-  if (!verify_checkpoint_proof(m.cert, m.checkpoint_proof, ctx)) return;
-  // The runtime verifies the snapshot envelope against the certificate's
-  // state root, installs the service + reply cache, and records the
-  // checkpoint in the WAL.
-  if (!runtime_.adopt_checkpoint(m.cert, as_span(m.service_snapshot), ctx)) return;
-  slots_.erase(slots_.begin(), slots_.upper_bound(m.seq));
-  runtime_.evidence().gc_through(m.seq);
-  checkpoint_votes_.erase(checkpoint_votes_.begin(),
-                          checkpoint_votes_.lower_bound(m.seq));
-  progress_marker_ = le();
-  st_inflight_ = false;
-  trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStAdopt,
-                 st_session_, m.seq);
-  if (st_span_open_) {
-    st_span_open_ = false;
-    trace_.end(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStateTransfer,
-               st_session_, m.seq);
-  }
-  maybe_refresh_epoch(ctx);
-  try_execute(ctx);
-}
-
-void PbftReplica::handle_state_manifest(NodeId from, const StateManifestMsg& m,
-                                        sim::ActorContext& ctx) {
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  if (!st.chunked() || !st.active() || m.seq <= le()) return;
-  // The donor field must match the authenticated channel's sender: donor
-  // identity drives registration and (on an invalid chunk) exclusion, so a
-  // faulty replica must not be able to impersonate honest donors.
-  if (from != node_of(m.donor)) return;
-  // Weak checkpoint certificate: f+1 distinct signed checkpoint digests
-  // (at least one honest voucher) must back the manifest's certificate, so a
-  // single faulty donor cannot feed a fabricated-but-root-consistent
-  // checkpoint (PBFT has no pi threshold signature; this is its equivalent).
-  // An unverifiable manifest is ignored rather than excluding its donor: an
-  // honest donor may simply not have gathered f+1 matching signatures *yet*
-  // and will re-offer a complete certificate on a later probe.
-  if (st.donor_excluded(m.donor)) return;
-  if (!verify_checkpoint_proof(m.cert, m.checkpoint_proof, ctx)) return;
-  if (st.on_manifest(m, le(), runtime_.checkpoints(), runtime_.stats())) {
-    trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStManifest,
-                   st_session_, m.seq, 0, "donor", m.donor);
-    // A delta manifest may have seeded every chunk from the local base — the
-    // fetch can be complete without a single wire chunk.
-    if (st.fetch_complete()) {
-      complete_chunked_transfer(ctx);
-    } else {
-      send_chunk_requests(ctx);
-    }
-  }
-}
-
-void PbftReplica::handle_state_chunk_request(NodeId from,
-                                             const StateChunkRequestMsg& m,
-                                             sim::ActorContext& ctx) {
+bool PbftReplica::fabricated_chunks(NodeId from, const StateChunkRequestMsg& m,
+                                    sim::ActorContext& ctx) {
   // The fabricating donor serves its invented envelope with perfectly valid
   // Merkle proofs — per-chunk verification cannot catch it; only the
   // checkpoint certificate (or the final state-root check) can.
-  if (opts_.fabricate_checkpoint && fake_chunks_ &&
+  if (fabricate_checkpoint_ && fake_chunks_ &&
       m.chunk_root == fake_chunks_->transfer_root() && m.seq == fake_cert_.seq) {
     size_t limit = std::min<size_t>(
         m.indices.size(), opts_.config.state_transfer_max_chunks_per_request);
@@ -1072,107 +591,17 @@ void PbftReplica::handle_state_chunk_request(NodeId from,
       ctx.charge(ctx.costs().hash_us(c.data.size()));
       ctx.send(from, make_message(std::move(c)));
     }
-    return;
+    return true;
   }
-  std::vector<StateChunkMsg> chunks = runtime_.state_transfer().make_chunks(
-      runtime_.checkpoints(), m, opts_.id, runtime_.stats(), from);
-  for (StateChunkMsg& c : chunks) {
-    ctx.charge(ctx.costs().hash_us(c.data.size()));
-    if (opts_.corrupt_state_chunks && !c.data.empty()) c.data[0] ^= 0xff;
-    ctx.send(from, make_message(std::move(c)));
-  }
-  arm_donor_tick(ctx);
+  return false;
 }
 
-void PbftReplica::broadcast_state_probe(sim::ActorContext& ctx) {
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  const runtime::CheckpointManager& cp = runtime_.checkpoints();
-  // The probe advertises this replica's retained checkpoint as the delta
-  // base; computing its transfer root chunk-hashes the local snapshot when
-  // the donor cache is cold (mirrors the manifest-side cold charge).
-  bool cold =
-      cp.has_shippable() && st.donor_cached_seq() != cp.snapshot_cert().seq;
-  StateTransferRequestMsg probe = st.make_probe(cp, opts_.id, le());
-  if (cold && probe.base_seq > 0) {
-    ctx.charge(ctx.costs().hash_us(cp.snapshot().size()));
-  }
-  trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStProbe,
-                 st_session_, le());
-  broadcast(ctx, make_message(std::move(probe)));
-}
-
-void PbftReplica::arm_donor_tick(sim::ActorContext& ctx) {
-  if (donor_tick_armed_ || !runtime_.state_transfer().donor_tick_needed()) return;
-  donor_tick_armed_ = true;
-  ctx.set_timer(opts_.config.state_transfer_donor_tick_us,
-                timer_id(kDonorTickTimer, 0));
-}
-
-void PbftReplica::handle_state_chunk(NodeId from, const StateChunkMsg& m,
-                                     sim::ActorContext& ctx) {
-  // Spoofed donor ids could exclude honest donors (see handle_state_manifest).
-  if (from != node_of(m.donor)) return;
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  ctx.charge(ctx.costs().hash_us(m.data.size()));  // leaf hash + proof path
-  using Verdict = runtime::StateTransferManager::ChunkVerdict;
-  switch (Verdict verdict = st.on_chunk(m, runtime_.stats()); verdict) {
-    case Verdict::kCompleted:
-      trace_.instant(ctx.now(), obs::Category::kStateTransfer,
-                     obs::ev::kStChunkStored, st_session_, m.seq, 0, "index",
-                     m.index);
-      complete_chunked_transfer(ctx);
-      break;
-    case Verdict::kStored:
-    case Verdict::kInvalid:
-      trace_.instant(ctx.now(), obs::Category::kStateTransfer,
-                     verdict == Verdict::kStored ? obs::ev::kStChunkStored
-                                                 : obs::ev::kStChunkInvalid,
-                     st_session_, m.seq, 0,
-                     verdict == Verdict::kStored ? "index" : "donor",
-                     verdict == Verdict::kStored ? m.index : m.donor);
-      send_chunk_requests(ctx);
-      break;
-    case Verdict::kDuplicate:
-    case Verdict::kRejected:
-      break;
-  }
-}
-
-void PbftReplica::send_chunk_requests(sim::ActorContext& ctx) {
-  for (auto& [donor, req] : runtime_.state_transfer().plan_requests(opts_.id)) {
-    ctx.send(node_of(donor), make_message(std::move(req)));
-  }
-}
-
-void PbftReplica::complete_chunked_transfer(sim::ActorContext& ctx) {
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  ExecCertificate cert = st.target_cert();
-  Bytes envelope = st.take_envelope();
-  bool adopted = runtime_.adopt_checkpoint(cert, as_span(envelope), ctx);
-  // The stale-target vs lying-manifest distinction lives in the manager,
-  // shared with the SBFT engine.
-  if (st.on_adopt_result(adopted, le())) broadcast_state_probe(ctx);
-  if (!adopted) {
-    // Session stays open: the retry tick re-probes or stops it.
-    trace_.instant(ctx.now(), obs::Category::kStateTransfer,
-                   obs::ev::kStAdoptFailed, st_session_, cert.seq);
-    return;
-  }
-  trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStAdopt,
-                 st_session_, cert.seq, 0, "digest",
-                 obs::digest_prefix(cert.exec_digest().data()));
-  if (st_span_open_) {
-    st_span_open_ = false;
-    trace_.end(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStateTransfer,
-               st_session_, cert.seq);
-  }
-  slots_.erase(slots_.begin(), slots_.upper_bound(cert.seq));
-  runtime_.evidence().gc_through(cert.seq);
+void PbftReplica::on_checkpoint_adopted(SeqNum seq) {
+  slots_.erase(slots_.begin(), slots_.upper_bound(seq));
+  runtime_.evidence().gc_through(seq);
   checkpoint_votes_.erase(checkpoint_votes_.begin(),
-                          checkpoint_votes_.lower_bound(cert.seq));
+                          checkpoint_votes_.lower_bound(seq));
   progress_marker_ = le();
-  maybe_refresh_epoch(ctx);
-  try_execute(ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -1215,7 +644,7 @@ void PbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
       });
   vc_msgs_[target][opts_.id] = msg;
   ctx.charge(ctx.costs().rsa_sign_us);
-  broadcast(ctx, make_message(PbftViewChangeMsg(msg)));
+  broadcast_replicas(ctx, make_message(PbftViewChangeMsg(msg)));
   arm_progress_timer(ctx);
 }
 
@@ -1241,7 +670,7 @@ void PbftReplica::handle_view_change(const PbftViewChangeMsg& m,
     trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
                    vc_span_, 0, m.next_view);
     ctx.charge(ctx.costs().rsa_sign_us);
-    broadcast(ctx, make_message(PbftNewViewMsg(nv)));
+    broadcast_replicas(ctx, make_message(PbftNewViewMsg(nv)));
     enter_new_view(nv, ctx);
   }
 }

@@ -6,35 +6,28 @@
 // wait for f+1 matching replies. Checkpoints are the quadratic PBFT protocol.
 // The view change carries prepared certificates and refills gaps with no-ops;
 // certificate signatures ride on the simulator's authenticated channels (the
-// baseline is evaluated for performance and crash faults, see DESIGN.md).
+// baseline is evaluated for performance and crash faults; see the paper
+// substitutions in docs/architecture.md).
 //
-// The ordering engine sits on the same runtime::ReplicaRuntime as SBFT, so
-// the baseline gets the identical execution pipeline, reply cache,
-// checkpointing, WAL durability, crash recovery, and checkpoint-based state
-// transfer — every crash/restart/disk-wipe harness scenario runs on both
-// protocols through the same Cluster API. State-transfer certificates carry
-// no pi threshold signature here (PBFT has no threshold keys); the snapshot
-// is still verified against the certificate's state root, which is the
-// crash-fault trust model the baseline is evaluated under.
+// The ordering engine sits on the same runtime::ReplicaRuntime and
+// runtime::EngineShell as SBFT, so the baseline gets the identical execution
+// pipeline, reply cache, checkpointing, WAL durability, crash recovery,
+// admission, and chunked state transfer — every crash/restart/disk-wipe
+// harness scenario runs on both protocols through the same Cluster API.
+// State-transfer certificates carry no pi threshold signature here (PBFT has
+// no threshold keys): a weak checkpoint certificate (f+1 CheckpointSigShares)
+// vouches for them instead, and the snapshot is verified against the
+// certificate's state root.
 //
 // n = 3f + 1 (set c = 0 in the ProtocolConfig).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 
-#include "kv/service.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "proto/config.h"
-#include "proto/message.h"
-#include "recovery/wal.h"
-#include "runtime/replica_runtime.h"
-#include "sim/network.h"
-#include "storage/ledger_storage.h"
+#include "runtime/engine_shell.h"
 
 namespace sbft::pbft {
 
@@ -57,40 +50,15 @@ class CheckpointAuth {
   Bytes secret_;
 };
 
-struct PbftOptions {
-  ProtocolConfig config;  // c must be 0
-  ReplicaId id = 1;
-  std::shared_ptr<storage::ILedgerStorage> ledger;  // optional persistence
-  std::shared_ptr<recovery::IReplicaWal> wal;       // optional consensus WAL
-  // Set when the replica is restarted into an already-running cluster: it
-  // probes state transfer on boot in case its local log fell behind the
-  // cluster's stable checkpoint (or the disk was lost entirely).
-  bool recovering = false;
-  // Fault injection: as a state-transfer donor, flip a byte in every chunk
-  // payload served (fetchers must detect it by Merkle verification).
-  bool corrupt_state_chunks = false;
+struct PbftOptions : runtime::EngineOptions {  // config.c must be 0
   // Fault injection: as a state-transfer donor, answer probes with a
-  // fabricated-but-root-consistent checkpoint ahead of the cluster. Without
-  // verified checkpoint certificates a fetcher adopts it; with them
-  // (ProtocolConfig::pbft_verify_checkpoint_certs) the manifest lacks the
-  // f+1 valid CheckpointSigShares of a weak certificate and is rejected.
+  // fabricated-but-root-consistent checkpoint ahead of the cluster. The
+  // manifest lacks the f+1 valid CheckpointSigShares of a weak certificate,
+  // so fetchers reject it.
   bool fabricate_checkpoint = false;
   // Checkpoint signing/verification authority (shared per cluster). Null
   // disables checkpoint certificates entirely (unit setups).
   std::shared_ptr<const CheckpointAuth> checkpoint_auth;
-  // Group reconfiguration (docs/reconfiguration.md): bootstrap roster; empty
-  // derives the genesis roster (ids 1..n at nodes 0..n-1) from the config.
-  std::vector<ReplicaInfo> roster;
-  uint32_t roster_f = 0;
-  uint32_t roster_c = 0;
-  // Observability (docs/observability.md). Both optional: a null tracer
-  // binds the shared no-op instance; a null registry gets a private one.
-  std::shared_ptr<obs::Tracer> tracer;
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  // Cross-shard marker executor (docs/sharding.md). Not owned — the harness
-  // keeps it alive across replica incarnations, like the ledger. Null for
-  // single-group deployments.
-  runtime::IMarkerExecutor* marker_executor = nullptr;
 };
 
 /// Protocol counters over the shared runtime counters (execution, WAL,
@@ -114,23 +82,17 @@ struct PbftStats : runtime::RuntimeStats {
   }
 };
 
-class PbftReplica final : public sim::IActor {
+class PbftReplica final : public runtime::EngineShell {
  public:
   PbftReplica(PbftOptions options, std::unique_ptr<IService> service);
 
-  void on_start(sim::ActorContext& ctx) override;
-  void on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) override;
-  void on_timer(uint64_t id, sim::ActorContext& ctx) override;
-
-  ReplicaId id() const { return opts_.id; }
-  ViewNum view() const { return view_; }
-  SeqNum last_executed() const { return runtime_.last_executed(); }
-  SeqNum last_stable() const { return runtime_.last_stable(); }
-  const IService& service() const { return runtime_.service(); }
-  const runtime::ReplicaRuntime& runtime() const { return runtime_; }
   /// Protocol stats merged with the runtime's protocol-agnostic stats.
   PbftStats stats() const;
-  std::optional<Digest> committed_digest_of(SeqNum s) const;
+  std::optional<Digest> committed_digest_of(SeqNum s) const override;
+  uint64_t view_changes() const override { return stats_.view_changes; }
+  void for_each_stat(const StatVisitor& fn) const override {
+    stats().for_each(fn);
+  }
 
  private:
   struct Slot {
@@ -149,8 +111,43 @@ class PbftReplica final : public sim::IActor {
     sim::SimTime commit_time = 0;  // when the commit quorum formed
   };
 
-  void handle_client_request(NodeId from, const ClientRequestMsg& m,
-                             sim::ActorContext& ctx);
+  // --- engine hooks (runtime::EngineShell) ------------------------------------
+  void on_engine_message(NodeId from, const Message& msg,
+                         sim::ActorContext& ctx) override;
+  void on_engine_timer(uint64_t kind, uint64_t payload,
+                       sim::ActorContext& ctx) override;
+  void try_propose(sim::ActorContext& ctx, bool flush_partial = false) override;
+  void try_execute(sim::ActorContext& ctx) override;
+  /// Weak checkpoint certificate: f+1 distinct signed checkpoint digests (at
+  /// least one honest voucher) must back the manifest's certificate, so a
+  /// single faulty donor cannot feed a fabricated-but-root-consistent
+  /// checkpoint (PBFT has no pi threshold signature; this is its
+  /// equivalent). An unverifiable manifest is ignored rather than excluding
+  /// its donor: an honest donor may simply not have gathered f+1 matching
+  /// signatures *yet* and will re-offer a complete certificate later.
+  bool verify_manifest_cert(const StateManifestMsg& m,
+                            sim::ActorContext& ctx) override {
+    return verify_checkpoint_proof(m.cert, m.checkpoint_proof, ctx);
+  }
+  /// Ships the weak checkpoint certificate with every manifest.
+  bool prepare_manifest(StateManifestMsg& m) override {
+    m.checkpoint_proof = checkpoint_proof_for(m.cert);
+    return true;
+  }
+  bool state_transfer_behind() const override {
+    return execution_gap() || (opts_.recovering && le() == 0 && ls() == 0) ||
+           (!retired_ && !runtime_.membership().is_member(opts_.id));
+  }
+  void on_checkpoint_adopted(SeqNum seq) override;
+  /// PBFT traces cached replies outside any view.
+  ViewNum cached_reply_trace_view() const override { return 0; }
+  /// The fabricated-checkpoint fault answers every probe with its invented
+  /// checkpoint, and serves the chunks of that checkpoint.
+  bool fabricated_manifest(NodeId from, const StateTransferRequestMsg& m,
+                           sim::ActorContext& ctx) override;
+  bool fabricated_chunks(NodeId from, const StateChunkRequestMsg& m,
+                         sim::ActorContext& ctx) override;
+
   void handle_pre_prepare(NodeId from, const PrePrepareMsg& m, sim::ActorContext& ctx);
   void handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx);
   void handle_commit(const PbftCommitMsg& m, sim::ActorContext& ctx);
@@ -161,31 +158,6 @@ class PbftReplica final : public sim::IActor {
                                   sim::ActorContext& ctx);
   void handle_view_change(const PbftViewChangeMsg& m, sim::ActorContext& ctx);
   void handle_new_view(NodeId from, const PbftNewViewMsg& m, sim::ActorContext& ctx);
-  void handle_state_transfer_request(NodeId from, const StateTransferRequestMsg& m,
-                                     sim::ActorContext& ctx);
-  void handle_state_transfer_reply(const StateTransferReplyMsg& m,
-                                   sim::ActorContext& ctx);
-  void handle_state_manifest(NodeId from, const StateManifestMsg& m,
-                             sim::ActorContext& ctx);
-  void handle_state_chunk_request(NodeId from, const StateChunkRequestMsg& m,
-                                  sim::ActorContext& ctx);
-  void handle_state_chunk(NodeId from, const StateChunkMsg& m,
-                          sim::ActorContext& ctx);
-  void handle_reconfig_block(const ReconfigBlockMsg& m, sim::ActorContext& ctx);
-
-  // --- membership epochs (docs/reconfiguration.md) ---------------------------
-  const runtime::MembershipEpoch& epoch() const {
-    return runtime_.membership().active();
-  }
-  const runtime::MembershipEpoch& epoch_for_seq(SeqNum s) const {
-    return runtime_.membership().epoch_for_seq(s);
-  }
-  NodeId node_of(ReplicaId r) const;
-  /// Activation boundary no proposal/pre-prepare may cross (0: none).
-  SeqNum reconfig_gate() const;
-  /// Folds a pending epoch change into the engine (derived config, primary
-  /// timer, retirement). Call after any runtime operation that can activate.
-  void maybe_refresh_epoch(sim::ActorContext& ctx);
 
   // --- checkpoint certificates (CheckpointSigShare lists) --------------------
   /// Proof for the current shippable checkpoint: up to 2f+1 shares, served
@@ -196,7 +168,8 @@ class PbftReplica final : public sim::IActor {
       const ExecCertificate& cert) const;
   /// Weak certificate: f+1 distinct members of the checkpoint's epoch, all
   /// verifying over (cert.seq, cert.state_root) — at least one honest
-  /// voucher. Counts a rejection on failure.
+  /// voucher. Counts a rejection on failure; always passes without a
+  /// CheckpointAuth (unit setups).
   bool verify_checkpoint_proof(const ExecCertificate& cert,
                                const std::vector<CheckpointSigShare>& proof,
                                sim::ActorContext& ctx);
@@ -205,80 +178,28 @@ class PbftReplica final : public sim::IActor {
   std::optional<StateManifestMsg> fabricate_manifest(
       const StateTransferRequestMsg& probe, sim::ActorContext& ctx);
 
-  bool is_primary() const { return epoch().primary_of(view_) == opts_.id; }
-  void try_propose(sim::ActorContext& ctx, bool flush_partial = false);
   /// §VIII adaptive batch parameter, mirroring SBFT's controller: sizes the
   /// minimum block off an EWMA of the pending backlog (small blocks when
   /// idle for latency, full blocks under load for amortized fixed costs).
   /// Returns the static config.max_batch when adaptive_batching is off.
   uint32_t adaptive_batch_size() const;
-  /// Continuation of handle_client_request once the request signature has
-  /// been verified (possibly on a worker lane).
-  /// Drains the marker executor after every message/timer: relays its queued
-  /// sends and (primary only) enqueues staged 2PC decision markers for
-  /// ordering (docs/sharding.md). No-op without an executor.
-  void pump_marker_executor(sim::ActorContext& ctx);
-  void admit_client_request(NodeId from, const Request& req,
-                            sim::ActorContext& ctx);
   void accept_pre_prepare(SeqNum s, ViewNum v, Block block, sim::ActorContext& ctx);
   void check_prepared(SeqNum s, sim::ActorContext& ctx);
   void check_committed(SeqNum s, sim::ActorContext& ctx);
-  void try_execute(sim::ActorContext& ctx);
   void start_view_change(ViewNum target, sim::ActorContext& ctx);
   void enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx);
-  void recover_from_storage();
-  void request_state_transfer(sim::ActorContext& ctx);
-  bool state_transfer_behind() const;
-  void send_chunk_requests(sim::ActorContext& ctx);
-  void complete_chunked_transfer(sim::ActorContext& ctx);
-  /// Broadcasts the state-transfer probe (delta base advertised; the cold
-  /// chunk-hashing of the local snapshot is charged here).
-  void broadcast_state_probe(sim::ActorContext& ctx);
-  /// Arms the donor tick while the rate limiter has budget in use or deferred
-  /// requests queued (re-served there instead of being dropped).
-  void arm_donor_tick(sim::ActorContext& ctx);
   bool execution_gap() const;
   /// Highest sequence for which f+1 distinct checkpoint votes on one digest
   /// are on hand — proof some honest replica executed that far.
   SeqNum checkpoint_evidence_frontier() const;
-  void broadcast(sim::ActorContext& ctx, MessagePtr msg);
-  void arm_progress_timer(sim::ActorContext& ctx);
-  SeqNum le() const { return runtime_.last_executed(); }
-  SeqNum ls() const { return runtime_.last_stable(); }
 
-  PbftOptions opts_;
-  runtime::ReplicaRuntime runtime_;
+  bool fabricate_checkpoint_;
+  std::shared_ptr<const CheckpointAuth> checkpoint_auth_;
 
-  // Observability: bound once at construction; emit sites never null-check.
-  obs::Tracer& trace_;
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
-  obs::Histogram* h_pp_to_commit_ = nullptr;
-  obs::Histogram* h_commit_to_exec_ = nullptr;
   // Open view-change session span (0 = none); see the SBFT engine.
   ViewNum vc_span_ = 0;
-  // State-transfer session span bookkeeping.
-  uint64_t st_session_ = 0;
-  bool st_span_open_ = false;
-
-  // Derived from the active epoch (f patched into the protocol config).
-  ProtocolConfig cfg_;
-  // Set when an activated epoch no longer contains this replica: it drains —
-  // serves state transfer and cached replies, but never votes or proposes.
-  bool retired_ = false;
-  // Pre-execution shadow of a reconfiguration activation boundary (see the
-  // SBFT engine; authoritative once the marker executes).
-  SeqNum shadow_gate_ = 0;
-
-  ViewNum view_ = 0;
-  bool in_view_change_ = false;
-  ViewNum vc_target_ = 0;
-  uint32_t vc_attempts_ = 0;
-  SeqNum next_seq_ = 1;
 
   std::map<SeqNum, Slot> slots_;
-  std::deque<Request> pending_;
-  std::set<std::pair<ClientId, uint64_t>> pending_keys_;
-  double avg_pending_ = 0;  // EWMA demand estimate for adaptive batching
 
   // Checkpoint votes: seq -> digest -> voter -> signature (CheckpointSigShare
   // material; sigs verified on arrival when checkpoint_auth is set). The
@@ -302,18 +223,6 @@ class PbftReplica final : public sim::IActor {
 
   std::map<ViewNum, std::map<ReplicaId, PbftViewChangeMsg>> vc_msgs_;
   bool new_view_sent_ = false;
-
-  SeqNum progress_marker_ = 0;
-  bool progress_timer_armed_ = false;
-  bool forwarded_waiting_ = false;
-  bool st_inflight_ = false;
-  bool donor_tick_armed_ = false;
-
-  // Votes persisted by a previous incarnation for slots still in flight:
-  // seq -> (highest voted view, block digest). A recovered replica refuses to
-  // accept a conflicting pre-prepare at or below that view.
-  std::map<SeqNum, std::pair<ViewNum, Digest>> wal_votes_;
-  uint64_t recovered_replay_bytes_ = 0;  // charged as boot-time replay CPU
 
   PbftStats stats_;  // protocol-level counters; runtime fields merged in stats()
 };

@@ -37,9 +37,7 @@ struct ProtocolConfig {
   // --- state transfer (§VIII; normative spec in docs/state_transfer.md) -----
   // Checkpoint snapshots ship as fixed-size chunks addressed by a Merkle tree
   // over chunk hashes, fetched in parallel from every replica holding the
-  // stable checkpoint. 0 disables chunking: the whole snapshot envelope ships
-  // in one StateTransferReplyMsg (the pre-chunking protocol, kept for the
-  // monolithic-vs-chunked comparison in bench_recovery_bench).
+  // stable checkpoint. Must be positive.
   uint32_t state_transfer_chunk_size = 64 * 1024;
   // Upper bound on chunk indices carried by one StateChunkRequestMsg; bounds
   // the per-donor burst a single request can trigger.
@@ -47,12 +45,9 @@ struct ProtocolConfig {
   // Delta state transfer (docs/state_transfer.md): a probing fetcher
   // advertises its retained checkpoint, and donors still holding that base's
   // chunk hashes answer with a delta manifest so only the chunks that differ
-  // travel. false falls back to full-chunked manifests everywhere (kept for
-  // the delta-vs-full comparison in bench_recovery_bench).
-  bool state_transfer_delta_enabled = true;
-  // Delta bases retained per donor: a rejoining fetcher whose retained
-  // checkpoint is more than this many checkpoints behind the donor's newest
-  // falls back to a full-chunked manifest. Retention costs 32 B per chunk per
+  // travel. This bounds the bases retained per donor: a rejoining fetcher
+  // whose retained checkpoint is more than this many checkpoints behind the
+  // donor's newest falls back to a full-chunked manifest. Retention costs 32 B per chunk per
   // base (hashes only), so deep histories are cheap for mid-size states.
   uint32_t state_transfer_delta_history = 16;
   // Donor-side chunk-rate limit: at most this many chunks served per donor
@@ -64,13 +59,6 @@ struct ProtocolConfig {
   // queued or turned away — counts donor_chunks_throttled.
   uint32_t state_transfer_donor_chunks_per_tick = 0;
   int64_t state_transfer_donor_tick_us = 100'000;
-  // PBFT baseline: require a weak checkpoint certificate (f+1 distinct
-  // signed checkpoint digests, CheckpointSigShare; donors ship up to 2f+1)
-  // with every state-transfer manifest/reply, so a single faulty donor
-  // cannot feed a fabricated but root-consistent checkpoint. false restores the old trust-the-channel
-  // behaviour (kept for the malicious-donor regression comparison). No effect
-  // on SBFT, whose certificates carry the pi threshold signature.
-  bool pbft_verify_checkpoint_certs = true;
 
   // --- timers (microseconds of simulated time) ------------------------------
   int64_t batch_timeout_us = 5'000;        // primary flushes a partial batch
@@ -85,6 +73,7 @@ struct ProtocolConfig {
     SBFT_CHECK(f >= 1);
     SBFT_CHECK(win >= 8);
     SBFT_CHECK(max_batch >= 1);
+    SBFT_CHECK(state_transfer_chunk_size > 0);
   }
 
   /// Primary of a view: round-robin over replica ids 1..n (§V-B).

@@ -89,8 +89,10 @@ enum class Tag : uint8_t {
   kClientRequest = 1, kPrePrepare, kSignShare, kFullCommitProof, kPrepare,
   kCommitShare, kFullCommitProofSlow, kSignState, kFullExecuteProof,
   kExecuteAck, kClientReply, kViewChange, kNewView, kGetBlockRequest,
-  kGetBlockReply, kStateTransferRequest, kStateTransferReply, kPbftPrepare,
-  kPbftCommit, kPbftCheckpoint, kPbftViewChange, kPbftNewView,
+  kGetBlockReply, kStateTransferRequest,
+  // 17 was the retired monolithic state-transfer reply; pinning the next tag
+  // keeps every later value wire-stable.
+  kPbftPrepare = 18, kPbftCommit, kPbftCheckpoint, kPbftViewChange, kPbftNewView,
   // Chunked state transfer (appended; earlier tag values are wire-stable).
   kStateManifest, kStateChunkRequest, kStateChunk,
   // Group reconfiguration (appended).
@@ -476,13 +478,6 @@ struct Encoder {
     w.u64(m.base_seq);
     w.digest(m.base_root);
   }
-  void operator()(const StateTransferReplyMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kStateTransferReply));
-    w.u64(m.seq);
-    put(w, m.cert);
-    w.bytes(as_span(m.service_snapshot));
-    put(w, m.checkpoint_proof);
-  }
   void operator()(const StateManifestMsg& m) {
     w.u8(static_cast<uint8_t>(Tag::kStateManifest));
     w.u32(m.donor);
@@ -742,15 +737,6 @@ std::optional<Message> decode_message(ByteSpan data) {
       out = m;
       break;
     }
-    case Tag::kStateTransferReply: {
-      StateTransferReplyMsg m;
-      m.seq = r.u64();
-      m.cert = get_cert(r);
-      m.service_snapshot = r.bytes();
-      m.checkpoint_proof = get_checkpoint_proof(r);
-      out = m;
-      break;
-    }
     case Tag::kStateManifest: {
       StateManifestMsg m;
       m.donor = r.u32();
@@ -903,7 +889,6 @@ const char* message_type_name(const Message& msg) {
     const char* operator()(const GetBlockRequestMsg&) { return "get-block-request"; }
     const char* operator()(const GetBlockReplyMsg&) { return "get-block-reply"; }
     const char* operator()(const StateTransferRequestMsg&) { return "state-transfer-request"; }
-    const char* operator()(const StateTransferReplyMsg&) { return "state-transfer-reply"; }
     const char* operator()(const StateManifestMsg&) { return "state-manifest"; }
     const char* operator()(const StateChunkRequestMsg&) { return "state-chunk-request"; }
     const char* operator()(const StateChunkMsg&) { return "state-chunk"; }

@@ -355,8 +355,7 @@ struct StateTransferRequestMsg {
   // Delta base advertisement (docs/state_transfer.md "delta manifests"): the
   // requester's retained checkpoint, identified by its sequence and the
   // geometry-bound transfer root of its chunked snapshot. base_seq == 0 means
-  // no usable base (wiped disk / chunking off): donors answer with a full
-  // manifest.
+  // no usable base (wiped disk): donors answer with a full manifest.
   SeqNum base_seq = 0;
   Digest base_root{};
 };
@@ -370,18 +369,6 @@ struct StateTransferRequestMsg {
 struct CheckpointSigShare {
   ReplicaId replica = 0;
   Bytes sig;
-};
-
-/// Monolithic reply: the whole snapshot envelope in one message. Legacy path,
-/// used when ProtocolConfig::state_transfer_chunk_size == 0; the chunked
-/// protocol below replaces it everywhere else (docs/state_transfer.md).
-struct StateTransferReplyMsg {
-  SeqNum seq = 0;  // checkpoint being shipped
-  ExecCertificate cert;
-  Bytes service_snapshot;
-  // PBFT weak checkpoint certificate (f+1..2f+1 CheckpointSigShare); empty
-  // under SBFT.
-  std::vector<CheckpointSigShare> checkpoint_proof;
 };
 
 // --- chunked state transfer (docs/state_transfer.md is the normative spec) --
@@ -496,7 +483,7 @@ using Message = std::variant<
     PrepareMsg, CommitShareMsg, FullCommitProofSlowMsg, SignStateMsg,
     FullExecuteProofMsg, ExecuteAckMsg, ClientReplyMsg, ViewChangeMsg,
     NewViewMsg, GetBlockRequestMsg, GetBlockReplyMsg, StateTransferRequestMsg,
-    StateTransferReplyMsg, StateManifestMsg, StateChunkRequestMsg, StateChunkMsg,
+    StateManifestMsg, StateChunkRequestMsg, StateChunkMsg,
     PbftPrepareMsg, PbftCommitMsg, PbftCheckpointMsg,
     PbftViewChangeMsg, PbftNewViewMsg, ReconfigBlockMsg,
     TxVoteMsg, TxDecisionMsg, TxResultMsg>;

@@ -17,7 +17,6 @@ ReplicaRuntime::ReplicaRuntime(RuntimeOptions options,
       state_transfer_(opts_.state_transfer_chunk_size,
                       opts_.state_transfer_max_chunks_per_request,
                       opts_.state_transfer_donor_chunks_per_tick,
-                      opts_.state_transfer_delta_enabled,
                       opts_.state_transfer_delta_history) {
   // Every service instance this runtime ever executes on carries the same
   // chunk hint, so snapshot bytes are identical across replicas (the delta
@@ -270,8 +269,8 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
 
   service_ = std::move(fresh);
   le_ = cert.seq;
-  // The snapshot's cache can only be newer than ours, but a legacy envelope
-  // carries none — keep our own entries where they win.
+  // Merge the snapshot's cache into ours, keeping our own entries where they
+  // are newer.
   replies_.absorb(std::move(decoded->replies));
   // The membership section moves the roster forward (never back): a joining
   // replica learns the epoch that admitted it from the snapshot itself, and a

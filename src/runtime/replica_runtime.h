@@ -47,12 +47,9 @@ struct RuntimeOptions {
   std::shared_ptr<storage::ILedgerStorage> ledger;  // optional persistence
   std::shared_ptr<recovery::IReplicaWal> wal;       // optional consensus WAL
   // Chunked state transfer (ProtocolConfig::state_transfer_chunk_size /
-  // _max_chunks_per_request); chunk size 0 keeps the monolithic protocol.
-  uint32_t state_transfer_chunk_size = 0;
+  // _max_chunks_per_request / _donor_chunks_per_tick; docs/state_transfer.md).
+  uint32_t state_transfer_chunk_size = 64 * 1024;
   uint32_t state_transfer_max_chunks_per_request = 16;
-  // Delta state transfer + donor-side chunk-rate limit (docs/state_transfer.md;
-  // ProtocolConfig::state_transfer_delta_enabled / _donor_chunks_per_tick).
-  bool state_transfer_delta_enabled = true;
   uint32_t state_transfer_donor_chunks_per_tick = 0;
   // Delta bases retained per donor (ProtocolConfig::state_transfer_delta_history).
   uint32_t state_transfer_delta_history = 16;

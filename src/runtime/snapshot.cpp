@@ -8,9 +8,7 @@ namespace sbft::runtime {
 
 namespace {
 constexpr char kMagic[8] = {'S', 'B', 'F', 'T', 'S', 'N', 'A', 'P'};
-constexpr uint16_t kVersionFlat = 1;     // [bytes service][bytes replies]
-constexpr uint16_t kVersionAligned = 2;  // chunk-aligned sections (see header)
-constexpr uint16_t kVersionMembership = 3;  // + membership tail section
+constexpr uint16_t kVersionMembership = 3;  // membership tail section
 constexpr uint16_t kVersionMarker = 4;      // + marker-executor tail section
 constexpr uint32_t kMaxAlign = 1u << 26;
 
@@ -49,41 +47,26 @@ Bytes encode_checkpoint_snapshot(ByteSpan service_state, const ReplyCache& repli
 }
 
 std::optional<CheckpointSnapshot> decode_checkpoint_snapshot(ByteSpan data) {
-  CheckpointSnapshot out;
   if (data.size() < sizeof(kMagic) + 2 ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    out.service_state.assign(data.begin(), data.end());  // bare legacy snapshot
-    return out;
+    return std::nullopt;
   }
   Reader r(ByteSpan{data.data() + sizeof(kMagic), data.size() - sizeof(kMagic)});
   uint16_t version = r.u16();
-  if (version == kVersionFlat) {
-    Bytes service_state = r.bytes();
-    Bytes replies = r.bytes();
-    if (!r.at_end()) return std::nullopt;
-    auto cache = ReplyCache::decode(as_span(replies));
-    if (!cache) return std::nullopt;
-    out.service_state = std::move(service_state);
-    out.replies = std::move(*cache);
-    return out;
-  }
-  if (version != kVersionAligned && version != kVersionMembership &&
-      version != kVersionMarker) {
+  if (version != kVersionMembership && version != kVersionMarker) {
     return std::nullopt;
   }
   uint32_t align = r.u32();
   uint64_t service_len = r.u64();
   uint64_t replies_len = r.u64();
-  uint64_t membership_len = version >= kVersionMembership ? r.u64() : 0;
-  uint64_t marker_len = version >= kVersionMarker ? r.u64() : 0;
+  uint64_t membership_len = r.u64();
+  uint64_t marker_len = version == kVersionMarker ? r.u64() : 0;
   if (!r.ok() || align == 0 || align > kMaxAlign) return std::nullopt;
   if (service_len > data.size() || replies_len > data.size() ||
       membership_len > data.size() || marker_len > data.size()) {
     return std::nullopt;
   }
-  size_t len_fields = version >= kVersionMarker      ? 32
-                      : version >= kVersionMembership ? 24
-                                                      : 16;
+  size_t len_fields = version == kVersionMarker ? 32 : 24;
   size_t header = align_up(sizeof(kMagic) + 2 + 4 + len_fields, align);
   size_t service_end = header + align_up(service_len, align);
   if (service_end > data.size() ||
@@ -92,6 +75,7 @@ std::optional<CheckpointSnapshot> decode_checkpoint_snapshot(ByteSpan data) {
   }
   auto cache = ReplyCache::decode(data.subspan(service_end, replies_len));
   if (!cache) return std::nullopt;
+  CheckpointSnapshot out;
   out.service_state = to_bytes(data.subspan(header, service_len));
   out.replies = std::move(*cache);
   out.membership = to_bytes(data.subspan(service_end + replies_len, membership_len));

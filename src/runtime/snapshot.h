@@ -1,15 +1,15 @@
 // Checkpoint snapshot envelope.
 //
-// A checkpoint snapshot as shipped in WAL records and state-transfer replies
+// A checkpoint snapshot as shipped in WAL records and state-transfer chunks
 // is more than the service state: the per-client reply cache rides along so a
 // recovered replica suppresses duplicates of pre-checkpoint requests instead
-// of re-executing them, (version 3) the membership section so recovering
-// and joining replicas learn the roster from the snapshot itself
-// (docs/reconfiguration.md), and (version 4) the marker-executor section so
-// cross-shard lock/transaction state survives state transfer exactly like
-// the reply cache does (docs/sharding.md). The envelope frames all parts.
-// Version 4 (current) is *chunk-aligned* so the delta state-transfer path can
-// diff consecutive checkpoints chunk-for-chunk (docs/state_transfer.md):
+// of re-executing them, the membership section lets recovering and joining
+// replicas learn the roster from the snapshot itself
+// (docs/reconfiguration.md), and (version 4) the marker-executor section lets
+// cross-shard lock/transaction state survive state transfer exactly like the
+// reply cache does (docs/sharding.md). The envelope frames all parts and is
+// *chunk-aligned* so the delta state-transfer path can diff consecutive
+// checkpoints chunk-for-chunk (docs/state_transfer.md):
 //
 //   [8-byte magic "SBFTSNAP"][u16 version=4][u32 align]
 //   [u64 service_len][u64 replies_len][u64 membership_len][u64 marker_len]
@@ -17,25 +17,21 @@
 //   [service_state, zero-padded to a multiple of align]
 //   [replies][membership][marker]
 //
-// `align` equals the cluster's state-transfer chunk size (1 when chunking is
-// off), so the service serializer's page-aligned sections land exactly on
-// chunk boundaries of the envelope: an unmutated section occupies
-// byte-identical chunks across consecutive checkpoints. The mutable
-// reply-cache, membership, and marker sections ride at the tail where they
-// can only dirty the last chunks. Version 3 (no marker section), version 2
-// (no membership), and version 1 ([bytes service_state][bytes replies],
-// unaligned) are still decoded (snapshots persisted in older WALs); an empty
-// marker section encodes as version 3 so deployments without a shard layer
-// produce byte-identical envelopes to the previous release.
+// `align` equals the cluster's state-transfer chunk size, so the service
+// serializer's page-aligned sections land exactly on chunk boundaries of the
+// envelope: an unmutated section occupies byte-identical chunks across
+// consecutive checkpoints. The mutable reply-cache, membership, and marker
+// sections ride at the tail where they can only dirty the last chunks. An
+// empty marker section encodes as version 3 (no marker_len field), so
+// deployments without a shard layer stay byte-identical to that layout.
+// These two versions are the only ones decoded: anything else — including
+// bytes without the magic — is rejected, never guessed at.
 //
 // The service part is the component verified against the certificate's
 // state_root; the reply cache and membership section are covered by the local
 // WAL's crash-fault trust (and, over state transfer, by the same
 // authenticated-channel/quorum assumptions the snapshot ride-along metadata
 // already relies on — see README §durability and docs/reconfiguration.md).
-// decode falls back to treating the whole input as a bare service snapshot
-// (the pre-envelope format) with an empty reply cache, so logs written before
-// this format remain recoverable.
 #pragma once
 
 #include "runtime/reply_cache.h"
@@ -45,8 +41,8 @@ namespace sbft::runtime {
 struct CheckpointSnapshot {
   Bytes service_state;
   ReplyCache replies;
-  Bytes membership;  // MembershipManager section; empty on pre-v3 envelopes
-  Bytes marker;      // IMarkerExecutor section; empty on pre-v4 envelopes
+  Bytes membership;  // MembershipManager section; empty when unconfigured
+  Bytes marker;      // IMarkerExecutor section; empty on version-3 envelopes
 };
 
 /// `align` is the chunk-stability unit (pass the state-transfer chunk size);
@@ -56,14 +52,12 @@ struct CheckpointSnapshot {
 Bytes encode_checkpoint_snapshot(ByteSpan service_state, const ReplyCache& replies,
                                  uint32_t align = 1, ByteSpan membership = {},
                                  ByteSpan marker = {});
-/// Inputs without the envelope magic decode as a bare service snapshot (a
-/// malformed service part is caught downstream, by IService::restore and the
-/// state-root check). An input that *carries* the magic but is malformed —
-/// unknown version, broken framing, corrupt reply-cache section — returns
-/// nullopt: the cache has no state-root covering it, and silently dropping
-/// it would reintroduce the duplicate re-execution hazard the envelope
-/// exists to close. Callers treat nullopt like a corrupt snapshot (abort
-/// recovery / reject the transfer).
+/// nullopt for anything but a well-formed version 3/4 envelope: missing
+/// magic, unknown version, broken framing, or a corrupt reply-cache section.
+/// The cache has no state-root covering it, and silently dropping it would
+/// reintroduce the duplicate re-execution hazard the envelope exists to
+/// close. Callers treat nullopt like a corrupt snapshot (abort recovery /
+/// reject the transfer).
 std::optional<CheckpointSnapshot> decode_checkpoint_snapshot(ByteSpan data);
 
 }  // namespace sbft::runtime

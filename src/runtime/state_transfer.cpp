@@ -95,7 +95,7 @@ StateTransferRequestMsg StateTransferManager::make_probe(
   StateTransferRequestMsg req;
   req.requester = self;
   req.have_seq = last_executed;
-  if (chunked() && delta_enabled_ && cp.has_shippable()) {
+  if (cp.has_shippable()) {
     const ChunkedSnapshot* base = donor_snapshot(cp);
     probe_base_seq_ = cp.snapshot_cert().seq;
     probe_base_root_ = base->transfer_root();
@@ -180,7 +180,7 @@ bool StateTransferManager::on_manifest(const StateManifestMsg& m,
 void StateTransferManager::seed_from_base(const StateManifestMsg& m,
                                           const CheckpointManager& cp,
                                           RuntimeStats& stats) {
-  if (!delta_enabled_ || m.base_seq == 0) return;
+  if (m.base_seq == 0) return;
   // The delta must answer exactly the base this fetch advertised, and that
   // base must still be the locally retained shippable pair.
   if (m.base_seq != probe_base_seq_ || !cp.has_shippable() ||
@@ -427,7 +427,7 @@ const ChunkedSnapshot* StateTransferManager::donor_snapshot(
   if (donor_seq_ != cp.snapshot_cert().seq || !donor_chunks_) {
     // Retire the outgoing pair's chunk hashes into the delta-base history (a
     // fetcher briefly behind will advertise exactly that checkpoint).
-    if (donor_chunks_ && delta_enabled_ && donor_seq_ > 0) {
+    if (donor_chunks_ && donor_seq_ > 0) {
       DonorBaseRecord rec;
       rec.transfer_root = donor_chunks_->transfer_root();
       rec.leaves = donor_chunks_->leaf_hashes();
@@ -445,9 +445,9 @@ const ChunkedSnapshot* StateTransferManager::donor_snapshot(
 }
 
 bool StateTransferManager::note_checkpoint(const CheckpointManager& cp) {
-  // Eager sealing only buys the delta-base history; with delta off the lazy
-  // cold-probe rebuild (charged at manifest time) is strictly cheaper.
-  if (!chunked() || !delta_enabled_ || !cp.has_shippable()) return false;
+  // Eager sealing buys the delta-base history: the outgoing pair's chunk
+  // hashes retire into it before the next pair replaces the cache.
+  if (!cp.has_shippable()) return false;
   if (donor_seq_ == cp.snapshot_cert().seq && donor_chunks_) return false;
   donor_snapshot(cp);
   return true;
@@ -456,8 +456,7 @@ bool StateTransferManager::note_checkpoint(const CheckpointManager& cp) {
 std::optional<StateManifestMsg> StateTransferManager::make_manifest(
     const CheckpointManager& cp, const StateTransferRequestMsg& probe,
     ReplicaId self) {
-  if (!chunked() || !cp.has_shippable() ||
-      cp.snapshot_cert().seq <= probe.have_seq) {
+  if (!cp.has_shippable() || cp.snapshot_cert().seq <= probe.have_seq) {
     return std::nullopt;
   }
   const ChunkedSnapshot* snap = donor_snapshot(cp);
@@ -474,7 +473,7 @@ std::optional<StateManifestMsg> StateTransferManager::make_manifest(
   // hashes are still held, under the identical transfer identity the fetcher
   // computed locally (root mismatch means different bytes — e.g. the fetcher's
   // disk rotted — and silently diffing would waste its round).
-  if (!delta_enabled_ || probe.base_seq == 0 || probe.base_seq >= m.seq) return m;
+  if (probe.base_seq == 0 || probe.base_seq >= m.seq) return m;
   auto it = donor_history_.find(probe.base_seq);
   if (it == donor_history_.end() ||
       !(it->second.transfer_root == probe.base_root) ||
@@ -524,7 +523,7 @@ std::vector<StateChunkMsg> StateTransferManager::make_chunks(
     const CheckpointManager& cp, const StateChunkRequestMsg& req, ReplicaId self,
     RuntimeStats& stats, NodeId requester_node) {
   std::vector<StateChunkMsg> out;
-  if (!chunked() || !cp.has_shippable() || cp.snapshot_cert().seq != req.seq) {
+  if (!cp.has_shippable() || cp.snapshot_cert().seq != req.seq) {
     return out;  // checkpoint advanced past the request: fetcher re-probes
   }
   const ChunkedSnapshot* snap = donor_snapshot(cp);

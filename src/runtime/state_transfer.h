@@ -95,15 +95,14 @@ class ChunkedSnapshot {
 /// ReplicaRuntime; driven by the ordering engines.
 class StateTransferManager {
  public:
+  /// `chunk_size` must be positive.
   explicit StateTransferManager(uint32_t chunk_size,
                                 uint32_t max_chunks_per_request = 16,
                                 uint32_t donor_chunks_per_tick = 0,
-                                bool delta_enabled = true,
                                 size_t delta_history = kDefaultDonorHistory)
       : chunk_size_(chunk_size),
         max_chunks_per_request_(max_chunks_per_request ? max_chunks_per_request : 1),
         donor_chunks_per_tick_(donor_chunks_per_tick),
-        delta_enabled_(delta_enabled),
         delta_history_(delta_history ? delta_history : 1) {}
 
   /// Delta bases retained per donor (ProtocolConfig::state_transfer_delta_history).
@@ -112,9 +111,6 @@ class StateTransferManager {
   /// Default delta-base retention: a fetcher whose base is older than this
   /// many checkpoints behind a donor falls back to a full-chunked manifest.
   static constexpr size_t kDefaultDonorHistory = 16;
-
-  /// Chunking enabled? (false => the legacy monolithic reply is used).
-  bool chunked() const { return chunk_size_ > 0; }
 
   // --- fetcher ---------------------------------------------------------------
 
@@ -140,8 +136,7 @@ class StateTransferManager {
   }
 
   /// Marks a fetch round active and builds the probe to broadcast. When this
-  /// replica retains a shippable checkpoint (and delta transfer is on), the
-  /// probe advertises it as the delta base: donors still holding that base's
+  /// replica retains a shippable checkpoint, the probe advertises it as the delta base: donors still holding that base's
   /// chunk hashes answer with a delta manifest, and the fetcher seeds the
   /// unchanged chunks from its local snapshot. Partial state from a disturbed
   /// earlier round is kept (resume).
@@ -238,8 +233,7 @@ class StateTransferManager {
 
   /// Manifest for the current shippable pair; nullopt when there is none or
   /// it is not newer than probe.have_seq. When the probe advertises a base
-  /// this donor retains (and delta transfer is on), the manifest carries the
-  /// chunk diff against it.
+  /// this donor retains, the manifest carries the chunk diff against it.
   std::optional<StateManifestMsg> make_manifest(const CheckpointManager& cp,
                                                 const StateTransferRequestMsg& probe,
                                                 ReplicaId self);
@@ -294,7 +288,6 @@ class StateTransferManager {
   uint32_t chunk_size_;
   uint32_t max_chunks_per_request_;
   uint32_t donor_chunks_per_tick_;
-  bool delta_enabled_;
   // Delta bases retained per donor (chunk *hashes* only — 32 B per chunk, the
   // envelope bytes are never duplicated).
   size_t delta_history_;

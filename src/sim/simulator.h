@@ -1,7 +1,8 @@
 // Deterministic discrete-event simulator. All protocol time in the
 // repository is *simulated* microseconds; replicas run real protocol code and
 // real (simulated-BLS) cryptography, while CPU and network costs advance the
-// virtual clock through the cost model (DESIGN.md §3, substitution 2).
+// virtual clock through the cost model (docs/architecture.md, paper
+// substitution 2).
 #pragma once
 
 #include <cstdint>

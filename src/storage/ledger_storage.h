@@ -1,5 +1,6 @@
 // Ledger persistence (§VIII: the paper persists the blockchain through
-// RocksDB; DESIGN.md §3 substitutes an append-only log). Replicas write each
+// RocksDB; paper substitution 4 in docs/architecture.md uses an append-only
+// log instead). Replicas write each
 // committed decision block; the file-backed implementation exercises a real
 // disk path in examples/tests, while the simulator charges persistence cost
 // through the cost model.

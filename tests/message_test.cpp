@@ -150,15 +150,6 @@ TEST(Messages, StateTransferRoundTrips) {
   probe.base_seq = 32;
   probe.base_root = random_digest();
   expect_roundtrip(Message(probe));
-  StateTransferReplyMsg reply;
-  reply.seq = 128;
-  reply.cert = random_cert();
-  reply.service_snapshot = rng().bytes(500);
-  expect_roundtrip(Message(reply));
-  // With a PBFT quorum checkpoint certificate attached.
-  reply.checkpoint_proof = {{1, rng().bytes(32)}, {2, rng().bytes(32)},
-                            {4, rng().bytes(32)}};
-  expect_roundtrip(Message(reply));
 }
 
 TEST(Messages, ChunkedStateTransferRoundTrips) {

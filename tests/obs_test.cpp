@@ -348,7 +348,6 @@ TEST(TracedScenarios, FabricatedCheckpointLeavesRejectionEvents) {
     config.win = 16;
     config.state_transfer_chunk_size = 1024;
     config.state_transfer_retry_us = 200'000;
-    config.pbft_verify_checkpoint_certs = true;
   };
   Cluster cluster(std::move(opts));
   cluster.run_for(2'500'000);

@@ -279,9 +279,11 @@ TEST(RecoveryManagerTest, SnapshotPlusSuffixMatchesFullReplay) {
   EXPECT_EQ(recovered->reply_cache.find(7)->timestamp, 6u);
 }
 
-TEST(RecoveryManagerTest, LegacyBareSnapshotStillRecovers) {
-  // WALs written before the snapshot envelope carry the raw service
-  // snapshot; recovery must keep accepting them (with an empty cache).
+TEST(RecoveryManagerTest, BareWalSnapshotAbortsRecovery) {
+  // A WAL checkpoint carrying a raw service snapshot instead of the envelope
+  // (no reply cache, no magic) is refused like a corrupt one, even though
+  // its service state matches the certified root: the replica boots fresh
+  // and relies on state transfer.
   auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
   for (SeqNum s = 1; s <= 4; ++s) {
     ledger->append_block(s, as_span(encoded_block(s, 0, 9, s)));
@@ -298,11 +300,7 @@ TEST(RecoveryManagerTest, LegacyBareSnapshotStillRecovers) {
   wal->record_checkpoint(half->replayed[1].cert, as_span(service2->snapshot()));
 
   RecoveryManager manager(ledger, wal);
-  auto recovered = manager.recover(factory);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->last_stable, 2u);
-  EXPECT_EQ(recovered->last_executed, 4u);
-  EXPECT_EQ(recovered->service->state_digest(), half->service->state_digest());
+  EXPECT_FALSE(manager.recover(factory).has_value());
 }
 
 TEST(RecoveryManagerTest, CorruptSnapshotAbortsRecovery) {

@@ -258,14 +258,39 @@ TEST(Membership, EncodeRestoreMovesForwardOnly) {
   EXPECT_FALSE(joiner.restore(as_span(to_bytes("garbage"))));
 }
 
-TEST(CheckpointSnapshot, BareLegacySnapshotFallsBack) {
-  // Pre-envelope WAL records carry the raw service snapshot; it must decode
-  // as the service part with an empty cache, not fail.
+TEST(CheckpointSnapshot, RejectsBareAndRetiredFormats) {
+  // Only version 3/4 envelopes decode. Bytes without the magic are not
+  // guessed to be a raw service snapshot, and the retired flat (v1) and
+  // membership-less aligned (v2) layouts are refused even when well formed.
   Bytes bare = to_bytes("raw-service-snapshot");
-  auto decoded = decode_checkpoint_snapshot(as_span(bare));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->service_state, bare);
-  EXPECT_TRUE(decoded->replies.empty());
+  EXPECT_FALSE(decode_checkpoint_snapshot(as_span(bare)).has_value());
+
+  Bytes service = to_bytes("svc");
+  Bytes replies = ReplyCache{}.encode();
+  auto header = [](uint16_t version) {
+    Writer w;
+    w.raw(as_span(to_bytes("SBFTSNAP")));
+    w.u16(version);
+    return w;
+  };
+  Writer v1 = header(1);
+  v1.bytes(as_span(service));
+  v1.bytes(as_span(replies));
+  EXPECT_FALSE(decode_checkpoint_snapshot(as_span(v1.data())).has_value());
+
+  Writer v2 = header(2);
+  v2.u32(1);  // align
+  v2.u64(service.size());
+  v2.u64(replies.size());
+  v2.raw(as_span(service));
+  v2.raw(as_span(replies));
+  EXPECT_FALSE(decode_checkpoint_snapshot(as_span(v2.data())).has_value());
+
+  // The same parts in the current layout decode.
+  auto current = decode_checkpoint_snapshot(
+      as_span(encode_checkpoint_snapshot(as_span(service), ReplyCache{})));
+  ASSERT_TRUE(current.has_value());
+  EXPECT_EQ(current->service_state, service);
 }
 
 TEST(CheckpointSnapshot, CorruptCacheSectionRejectsEnvelope) {
@@ -1112,18 +1137,14 @@ TEST(ReplyCachePersistence, EvmTransferNotReExecutedAfterRecovery) {
   EXPECT_EQ(recovered->reply_cache.find(7)->timestamp, 5u);
 }
 
-TEST(ReplyCachePersistence, WithoutPersistedCacheTheTransferDoubles) {
-  // Hazard demonstration: a checkpoint snapshot *without* the reply cache
-  // (the pre-envelope format) replays the duplicate transfer a second time —
-  // the recovered state diverges from the certified execution. This is the
-  // ROADMAP open item this subsystem closes; benign for idempotent KV puts,
-  // wrong for EVM transfers.
+TEST(ReplyCachePersistence, CachelessSnapshotIsRefused) {
+  // The hazard the envelope closes: a checkpoint snapshot *without* the reply
+  // cache would replay the duplicate transfer in block 3 a second time and
+  // diverge from the certified execution. Such a bare snapshot can no longer
+  // be recovered from at all — recovery refuses it and the replica boots
+  // fresh (rejoining via state transfer) instead of double-executing.
   EvmLedgerFixture fx;
   auto ledger = fx.full_ledger();
-
-  RecoveryManager reference_manager(ledger, nullptr);
-  auto reference = reference_manager.recover(fx.factory());
-  ASSERT_TRUE(reference.has_value());
 
   auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
   prefix->append_block(1, *ledger->read_block(1));
@@ -1137,12 +1158,7 @@ TEST(ReplyCachePersistence, WithoutPersistedCacheTheTransferDoubles) {
                          as_span(at2->service->snapshot()));  // bare: no cache
 
   RecoveryManager manager(ledger, wal);
-  auto recovered = manager.recover(fx.factory());
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->last_executed, 4u);
-  // The transfer re-executed: alice lost another 10 — state diverged.
-  EXPECT_FALSE(recovered->service->state_digest() ==
-               reference->service->state_digest());
+  EXPECT_FALSE(manager.recover(fx.factory()).has_value());
 }
 
 }  // namespace
@@ -2111,61 +2127,48 @@ TEST(FastKvSnapshots, ChunkHintYieldsStableSectionsAndRoundTrips) {
 
 TEST(PbftMaliciousDonor, FabricatedCheckpointNeedsQuorumCertificate) {
   // A single faulty donor fabricates a root-consistent checkpoint far ahead
-  // of the cluster. On the old trust-the-channel path the wiped fetcher
-  // adopts it; with verified quorum checkpoint certificates (2f+1 signed
-  // checkpoint digests shipped with the manifest) it is rejected and the
-  // fetcher lands on the honest checkpoint.
-  for (bool verify : {false, true}) {
-    ClusterOptions opts;
-    opts.kind = ProtocolKind::kPbft;
-    opts.f = 1;
-    opts.c = 0;
-    opts.num_clients = 2;
-    opts.requests_per_client = 0;  // free-running
-    opts.topology = sim::lan_topology();
-    opts.seed = 67;
-    opts.service_factory = [] { return std::make_unique<kv::KvService>(); };
-    KvWorkloadOptions kv;
-    kv.value_size = 256;
-    kv.key_space = 1024;
-    opts.op_factory = kv_op_factory(kv);
-    opts.fabricate_checkpoint_replicas = {2};
-    opts.tweak_config = [verify](ProtocolConfig& config) {
-      config.win = 16;
-      config.state_transfer_chunk_size = 1024;
-      config.state_transfer_retry_us = 200'000;
-      config.pbft_verify_checkpoint_certs = verify;
-    };
-    Cluster cluster(std::move(opts));
-    cluster.run_for(2'500'000);
-    ASSERT_GT(cluster.replica(1).last_stable(), 0u) << "no checkpoint formed";
-    uint64_t interval = cluster.config().checkpoint_interval();
+  // of the cluster. Its manifest carries only its own checkpoint signature,
+  // short of the weak certificate's f+1, so the wiped fetcher rejects it and
+  // lands on the honest checkpoint.
+  ClusterOptions opts;
+  opts.kind = ProtocolKind::kPbft;
+  opts.f = 1;
+  opts.c = 0;
+  opts.num_clients = 2;
+  opts.requests_per_client = 0;  // free-running
+  opts.topology = sim::lan_topology();
+  opts.seed = 67;
+  opts.service_factory = [] { return std::make_unique<kv::KvService>(); };
+  KvWorkloadOptions kv;
+  kv.value_size = 256;
+  kv.key_space = 1024;
+  opts.op_factory = kv_op_factory(kv);
+  opts.fabricate_checkpoint_replicas = {2};
+  opts.tweak_config = [](ProtocolConfig& config) {
+    config.win = 16;
+    config.state_transfer_chunk_size = 1024;
+    config.state_transfer_retry_us = 200'000;
+  };
+  Cluster cluster(std::move(opts));
+  cluster.run_for(2'500'000);
+  ASSERT_GT(cluster.replica(1).last_stable(), 0u) << "no checkpoint formed";
+  uint64_t interval = cluster.config().checkpoint_interval();
 
-    cluster.crash_replica(4);
-    cluster.run_for(300'000);
-    cluster.restart_replica(4, /*wipe_storage=*/true);
-    for (int i = 0; i < 600; ++i) {
-      if (cluster.replica(4).last_stable() > 0) break;
-      cluster.run_for(50'000);
-    }
-    ASSERT_GT(cluster.replica(4).last_stable(), 0u)
-        << "wiped replica adopted nothing (verify=" << verify << ")";
-
-    SeqNum honest = cluster.replica(1).last_stable();
-    SeqNum adopted = cluster.replica(4).last_stable();
-    if (!verify) {
-      // The regression this feature fixes: the fabricated checkpoint (dozens
-      // of intervals ahead of anything real) was swallowed whole.
-      EXPECT_GT(adopted, honest + 10 * interval)
-          << "fetcher did not adopt the fabricated checkpoint on the "
-             "trust-the-channel path — the regression test lost its teeth";
-    } else {
-      EXPECT_LE(adopted, honest + interval) << "fabricated checkpoint adopted";
-      EXPECT_GT(cluster.pbft_replica(4)->stats().checkpoint_certs_rejected, 0u)
-          << "the fabricated manifest was never rejected";
-      EXPECT_TRUE(cluster.check_agreement());
-    }
+  cluster.crash_replica(4);
+  cluster.run_for(300'000);
+  cluster.restart_replica(4, /*wipe_storage=*/true);
+  for (int i = 0; i < 600; ++i) {
+    if (cluster.replica(4).last_stable() > 0) break;
+    cluster.run_for(50'000);
   }
+  ASSERT_GT(cluster.replica(4).last_stable(), 0u) << "wiped replica adopted nothing";
+
+  SeqNum honest = cluster.replica(1).last_stable();
+  EXPECT_LE(cluster.replica(4).last_stable(), honest + interval)
+      << "fabricated checkpoint adopted";
+  EXPECT_GT(cluster.pbft_replica(4)->stats().checkpoint_certs_rejected, 0u)
+      << "the fabricated manifest was never rejected";
+  EXPECT_TRUE(cluster.check_agreement());
 }
 
 }  // namespace
