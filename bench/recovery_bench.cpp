@@ -65,7 +65,7 @@ ReplayResult measure_replay(uint64_t blocks, bool with_snapshot) {
     auto service = factory();
     runtime::ReplyCache cache;
     for (SeqNum s = 1; s <= half; ++s) {
-      for (const Request& r : state->replayed[s - 1].block.requests) {
+      for (const Request& r : state->replayed[s - 1].block.requests()) {
         cache.store(r.client, r.timestamp, s, 0, service->execute(as_span(r.op)));
       }
     }

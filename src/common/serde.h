@@ -97,6 +97,9 @@ class Reader {
     }
     pos_ += n;
   }
+  /// Latches failure for a structural error the reader cannot see itself
+  /// (a count the remaining bytes cannot hold, a malformed nested value).
+  void fail() { fail_ = true; }
   bool ok() const { return !fail_; }
   bool at_end() const { return ok() && remaining() == 0; }
 

@@ -14,7 +14,7 @@ struct SbftReplica::Slot {
   bool has_pp = false;
   ViewNum pp_view = 0;
   Digest block_digest{};
-  std::optional<Block> block;
+  std::optional<SealedBlock> block;
   Digest h{};
   Bytes own_sigma_share;  // kept for the view-change fm vote
 
@@ -327,7 +327,7 @@ void SbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
   uint64_t in_flight_reqs = 0;
   for (auto it = slots_.upper_bound(le());
        it != slots_.end() && it->first < next_seq_; ++it) {
-    if (it->second.block) in_flight_reqs += it->second.block->requests.size();
+    if (it->second.block) in_flight_reqs += it->second.block->requests().size();
   }
   avg_pending_ = 0.8 * avg_pending_ +
                  0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
@@ -381,17 +381,17 @@ void SbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
   }
 }
 
-void SbftReplica::propose_block(Block block, sim::ActorContext& ctx) {
+void SbftReplica::propose_block(SealedBlock block, sim::ActorContext& ctx) {
   SeqNum s = next_seq_++;
   ctx.charge(ctx.costs().hash_us(block.wire_size()));
 
-  if (behavior_ == ReplicaBehavior::kEquivocate && block.requests.size() >= 2) {
+  if (behavior_ == ReplicaBehavior::kEquivocate && block.requests().size() >= 2) {
     // Send conflicting blocks to the two halves of the cluster: same
     // sequence, different request order => different digests.
-    Block alt = block;
+    Block alt = *block;
     std::swap(alt.requests.front(), alt.requests.back());
-    auto msg_a = make_message(PrePrepareMsg{s, view_, block});
-    auto msg_b = make_message(PrePrepareMsg{s, view_, alt});
+    auto msg_a = make_message(PrePrepareMsg{s, view_, std::move(block)});
+    auto msg_b = make_message(PrePrepareMsg{s, view_, std::move(alt)});
     for (const ReplicaInfo& m : epoch().members) {
       ctx.send(m.node, (m.id % 2 == 0) ? msg_a : msg_b);
     }
@@ -425,7 +425,7 @@ void SbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
   // The guards re-run in the completion: a view change or checkpoint may
   // have advanced while verification was in flight.
   int64_t cost =
-      static_cast<int64_t>(m.block.requests.size()) * ctx.costs().rsa_verify_us;
+      static_cast<int64_t>(m.block.requests().size()) * ctx.costs().rsa_verify_us;
   ctx.offload(cost, [this, seq = m.seq, v = m.view,
                      block = m.block](sim::ActorContext& c) mutable {
     if (in_view_change_ || v != view_ || retired_) return;
@@ -435,7 +435,7 @@ void SbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
   });
 }
 
-void SbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
+void SbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
                                      sim::ActorContext& ctx) {
   if (retired_) return;
   // Only members of the slot's epoch vote (a joiner hears the enlarged
@@ -447,7 +447,7 @@ void SbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
   Digest digest = block.digest();
   // A block carrying a reconfiguration marker raises the pre-execution shadow
   // of the activation boundary.
-  note_reconfig_markers(s, block);
+  note_reconfig_markers(s, *block);
   if (!record_vote(s, v, digest)) return;
   sl.has_pp = true;
   sl.pp_view = v;
@@ -895,8 +895,8 @@ void SbftReplica::execute_block(SeqNum s, sim::ActorContext& ctx) {
   // replies to every client directly — the f+1-messages-per-client cost that
   // ingredient 3 removes.
   if (!opts_.config.execution_collector && !silent()) {
-    for (size_t l = 0; l < rec.block.requests.size(); ++l) {
-      const Request& req = rec.block.requests[l];
+    for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+      const Request& req = rec.block.requests()[l];
       ClientReplyMsg reply;
       reply.replica = opts_.id;
       reply.client = req.client;
@@ -1024,10 +1024,10 @@ void SbftReplica::send_execute_acks(SeqNum s, sim::ActorContext& ctx) {
   h_exec_to_ack_->record(ctx.now() - rec.executed_at);
   ++stats_.acked_blocks;
   trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kExecAcks, 0, s,
-                 view_, "requests", rec.block.requests.size());
+                 view_, "requests", rec.block.requests().size());
   merkle::BlockMerkleTree tree(rec.leaves);
-  for (size_t l = 0; l < rec.block.requests.size(); ++l) {
-    const Request& req = rec.block.requests[l];
+  for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+    const Request& req = rec.block.requests()[l];
     ExecuteAckMsg ack;
     ack.client = req.client;
     ack.timestamp = req.timestamp;
@@ -1052,8 +1052,12 @@ void SbftReplica::handle_full_execute_proof(const FullExecuteProofMsg& m,
     if (rec != nullptr && rec->cert.exec_digest() == m.exec_digest) {
       if (rec->cert.pi_sig.empty()) rec->cert.pi_sig = m.pi_sig;
       advance_checkpoint(m.seq, c);
-    } else if (m.seq > le() + opts_.config.win / 2) {
-      // Far behind the cluster: catch up via state transfer.
+    } else if (m.seq > le() + opts_.config.win / 2 ||
+               (in_view_change_ && m.seq > le() &&
+                m.seq % opts_.config.checkpoint_interval() == 0)) {
+      // Far behind the cluster, or stalled in a view change behind a
+      // certified checkpoint (handle_view_change relays it): catch up via
+      // state transfer.
       request_state_transfer(c);
     }
   });
@@ -1079,7 +1083,7 @@ void SbftReplica::advance_checkpoint(SeqNum s, sim::ActorContext& ctx) {
 void SbftReplica::handle_get_block_request(const GetBlockRequestMsg& m,
                                            sim::ActorContext& ctx) {
   if (silent()) return;
-  const Block* found = nullptr;
+  const SealedBlock* found = nullptr;
   if (Slot* sl = find_slot(m.seq); sl && sl->block &&
                                    sl->block_digest == m.block_digest) {
     found = &*sl->block;
@@ -1217,6 +1221,18 @@ void SbftReplica::handle_view_change(const ViewChangeMsg& m, sim::ActorContext& 
   ViewChangeVerifiers verifiers = view_change_verifiers();
   ctx.charge(ctx.costs().batch_verify_us(2 * m.slots.size() + 1));
   if (!validate_view_change(cfg_, verifiers, m)) return;
+  // The PBFT engine's idle-cluster wedge (seed 39 there) exists here too: a
+  // sender whose stable checkpoint trails ours missed the execute proofs
+  // that made ours stable, and an idle cluster sends nothing that would
+  // catch it up, so its view change finds no one to join. Relay our
+  // pi-certified stable checkpoint (self-authenticating); receiving it mid
+  // view change starts the sender's state transfer.
+  if (m.ls < ls() && !silent()) {
+    const ExecCertificate& cert = runtime_.checkpoints().stable_cert();
+    send_to_replica(ctx, m.sender,
+                    make_message(FullExecuteProofMsg{cert.seq, cert.exec_digest(),
+                                                     cert.pi_sig}));
+  }
   vc_msgs_[m.next_view][m.sender] = m;
 
   // Join rule (§VII): f+1 distinct replicas ahead of us force our hand.

@@ -178,10 +178,11 @@ class SbftReplica final : public runtime::EngineShell {
   // --- primary --------------------------------------------------------------
   uint64_t active_window() const;
   uint32_t adaptive_batch_size() const;
-  void propose_block(Block block, sim::ActorContext& ctx);
+  void propose_block(SealedBlock block, sim::ActorContext& ctx);
 
   // --- commit paths ----------------------------------------------------------
-  void accept_pre_prepare(SeqNum s, ViewNum v, Block block, sim::ActorContext& ctx);
+  void accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
+                          sim::ActorContext& ctx);
   void collector_try_fast(SeqNum s, sim::ActorContext& ctx, bool from_stagger);
   void collector_try_prepare(SeqNum s, sim::ActorContext& ctx);
   void collector_try_slow_proof(SeqNum s, sim::ActorContext& ctx);

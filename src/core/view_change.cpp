@@ -116,7 +116,7 @@ SeqNum select_stable_seq(const ProtocolConfig& /*config*/,
   return best;
 }
 
-Block null_block() { return Block{}; }
+SealedBlock null_block() { return SealedBlock{}; }
 
 SafeValue compute_safe_value(const ProtocolConfig& config,
                              const ViewChangeVerifiers& verifiers, SeqNum j,
@@ -130,19 +130,16 @@ SafeValue compute_safe_value(const ProtocolConfig& config,
     const SlotEvidence* e;
   };
   std::vector<Entry> entries;
-  std::map<Digest, Block, std::less<>> blocks_by_digest;
+  std::map<Digest, SealedBlock, std::less<>> blocks_by_digest;
   for (const ViewChangeMsg& vc : proofs) {
     for (const SlotEvidence& e : vc.slots) {
       if (e.seq != j) continue;
       entries.push_back({vc.sender, &e});
-      if (e.block) {
-        Digest d = e.block->digest();
-        blocks_by_digest.emplace(d, *e.block);
-      }
+      if (e.block) blocks_by_digest.emplace(e.block->digest(), *e.block);
       break;
     }
   }
-  auto attach_block = [&](const Digest& d) -> std::optional<Block> {
+  auto attach_block = [&](const Digest& d) -> std::optional<SealedBlock> {
     auto it = blocks_by_digest.find(d);
     if (it == blocks_by_digest.end()) return std::nullopt;
     return it->second;

@@ -29,7 +29,7 @@ struct SafeValue {
   enum class Kind { kDecided, kAdopt, kNoop };
   Kind kind = Kind::kNoop;
   Digest block_digest{};        // meaningful for kDecided / kAdopt
-  std::optional<Block> block;   // attached if any usable evidence carried it
+  std::optional<SealedBlock> block;  // attached if any usable evidence carried it
   // For kDecided: the proof that allows immediate commit.
   Bytes decided_proof;          // sigma(h) or tau(tau(h))
   Bytes decided_inner;          // the inner tau(h) when decided via slow proof
@@ -62,6 +62,6 @@ SafeValue compute_safe_value(const ProtocolConfig& config,
                              const std::vector<ViewChangeMsg>& proofs);
 
 /// An empty decision block (the "null" no-op proposal).
-Block null_block();
+SealedBlock null_block();
 
 }  // namespace sbft::core

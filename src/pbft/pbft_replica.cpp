@@ -119,7 +119,7 @@ void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
   uint64_t in_flight_reqs = 0;
   for (auto it = slots_.upper_bound(le());
        it != slots_.end() && it->first < next_seq_; ++it) {
-    if (it->second.block) in_flight_reqs += it->second.block->requests.size();
+    if (it->second.block) in_flight_reqs += it->second.block->requests().size();
   }
   avg_pending_ = 0.8 * avg_pending_ +
                  0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
@@ -184,7 +184,7 @@ void PbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
   // worker lane; acceptance (WAL vote, prepare broadcast) continues serially.
   // The entry guards re-run in the completion.
   int64_t cost = ctx.costs().rsa_verify_us *
-                 static_cast<int64_t>(1 + m.block.requests.size());
+                 static_cast<int64_t>(1 + m.block.requests().size());
   ctx.offload(cost, [this, seq = m.seq, v = m.view,
                      block = m.block](sim::ActorContext& c) mutable {
     if (in_view_change_ || v != view_ || retired_) return;
@@ -194,7 +194,7 @@ void PbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
   });
 }
 
-void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
+void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
                                      sim::ActorContext& ctx) {
   if (retired_) return;
   // Only members of the slot's epoch vote (a joiner hears the enlarged
@@ -204,7 +204,7 @@ void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
   Digest digest = block.digest();
   // Shadow of the activation boundary: slots beyond a marker-bearing block
   // wait until the marker executes and stages.
-  note_reconfig_markers(s, block);
+  note_reconfig_markers(s, *block);
   // Write-ahead contract: the vote is durable before the prepare leaves.
   if (!record_vote(s, v, digest)) return;
   sl.has_pp = true;
@@ -308,8 +308,8 @@ void PbftReplica::try_execute(sim::ActorContext& ctx) {
     if (sl.commit_time > 0) h_commit_to_exec_->record(ctx.now() - sl.commit_time);
     trace_.end(ctx.now(), obs::Category::kSlot, obs::ev::kSlot,
                (sl.pp_view << 32) | s, s, sl.pp_view);
-    for (size_t l = 0; l < rec.block.requests.size(); ++l) {
-      const Request& req = rec.block.requests[l];
+    for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+      const Request& req = rec.block.requests()[l];
       ClientReplyMsg reply;
       reply.replica = opts_.id;
       reply.client = req.client;
@@ -653,6 +653,22 @@ void PbftReplica::handle_view_change(const PbftViewChangeMsg& m,
   if (m.next_view <= view_ || retired_) return;
   if (!epoch().contains(m.sender)) return;
   ctx.charge(ctx.costs().rsa_verify_us);
+  // A sender whose stable checkpoint trails ours missed the votes that made
+  // ours stable, and an idle cluster never sends them again: its view change
+  // finds no one to join and it stays behind for good. Relay the votes we
+  // hold for our stable checkpoint (each is signed by its voter, so relaying
+  // needs no trust); f+1 of them start its state transfer. Found by the
+  // schedule fuzzer (seed 39).
+  if (m.ls < ls()) {
+    if (auto it = checkpoint_votes_.find(ls()); it != checkpoint_votes_.end()) {
+      for (const auto& [digest, votes] : it->second) {
+        for (const auto& [replica, sig] : votes) {
+          send_to_replica(ctx, m.sender,
+                          make_message(PbftCheckpointMsg{ls(), digest, replica, sig}));
+        }
+      }
+    }
+  }
   vc_msgs_[m.next_view][m.sender] = m;
 
   if (vc_msgs_[m.next_view].size() >= cfg_.f + 1 && m.next_view > vc_target_) {
@@ -719,7 +735,7 @@ void PbftReplica::enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx
   for (SeqNum s = max_ls + 1; s <= max_seq; ++s) {
     if (s <= le()) continue;
     auto it = adopted.find(s);
-    Block block = it != adopted.end() ? it->second->block : Block{};
+    SealedBlock block = it != adopted.end() ? it->second->block : SealedBlock{};
     slots_[s] = Slot{};  // reset votes from the old view
     accept_pre_prepare(s, m.view, std::move(block), ctx);
   }

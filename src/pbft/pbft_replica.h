@@ -100,7 +100,7 @@ class PbftReplica final : public runtime::EngineShell {
     ViewNum pp_view = 0;
     Digest h{};
     Digest block_digest{};
-    std::optional<Block> block;
+    std::optional<SealedBlock> block;
     std::set<ReplicaId> prepares;  // matching h
     std::set<ReplicaId> commits;
     bool sent_prepare = false;
@@ -183,7 +183,8 @@ class PbftReplica final : public runtime::EngineShell {
   /// idle for latency, full blocks under load for amortized fixed costs).
   /// Returns the static config.max_batch when adaptive_batching is off.
   uint32_t adaptive_batch_size() const;
-  void accept_pre_prepare(SeqNum s, ViewNum v, Block block, sim::ActorContext& ctx);
+  void accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
+                          sim::ActorContext& ctx);
   void check_prepared(SeqNum s, sim::ActorContext& ctx);
   void check_committed(SeqNum s, sim::ActorContext& ctx);
   void start_view_change(ViewNum target, sim::ActorContext& ctx);

@@ -30,6 +30,12 @@ Digest Block::digest() const {
   return h.finish();
 }
 
+const Digest& SealedBlock::digest() const {
+  std::optional<Digest>& memo = body_->digest;
+  if (!memo) memo = body_->block.digest();
+  return *memo;
+}
+
 size_t Block::wire_size() const {
   size_t total = 4;
   for (const Request& r : requests) total += r.wire_size();
@@ -101,6 +107,32 @@ enum class Tag : uint8_t {
   kTxVote, kTxDecision, kTxResult,
 };
 
+/// Reads a count prefix for elements that each encode to at least
+/// `min_bytes`. A count the bytes left cannot hold fails the reader and reads
+/// as 0, so a forged count neither allocates nor decodes as a shorter value.
+uint32_t get_count(Reader& r, size_t min_bytes) {
+  uint32_t n = r.u32();
+  if (uint64_t{n} * min_bytes > r.remaining()) {
+    r.fail();
+    return 0;
+  }
+  return n;
+}
+
+// Smallest encodings of the count-prefixed elements (every byte string empty).
+constexpr size_t kMinRequestBytes = 4 + 8 + 4 + 4;
+constexpr size_t kMinCertBytes = 8 + 3 * 32 + 4;
+constexpr size_t kMinSlotEvidenceBytes =
+    8 + 1 + 8 + 32 + 4 + 4 + 1 + 8 + 32 + 4 + 1;
+constexpr size_t kMinViewChangeBytes = 4 + 8 + 8 + kMinCertBytes + 4;
+constexpr size_t kMinPbftCertBytes = 8 + 8 + 32 + 4;
+constexpr size_t kMinPbftViewChangeBytes = 4 + 8 + 8 + 4;
+constexpr size_t kMinTxVoteBytes = 4 + 1 + 4;
+constexpr size_t kMinTxGroupCertBytes = 4 + 1 + 4;
+constexpr size_t kMinTxShardOpsBytes = 4 + 4;
+constexpr size_t kMinCheckpointShareBytes = 4 + 4;
+constexpr size_t kMinReplicaInfoBytes = 4 + 4;
+
 void put(Writer& w, const Request& r) {
   w.u32(r.client);
   w.u64(r.timestamp);
@@ -122,10 +154,11 @@ void put(Writer& w, const Block& b) {
   for (const Request& r : b.requests) put(w, r);
 }
 
+void put(Writer& w, const SealedBlock& b) { put(w, *b); }
+
 Block get_block(Reader& r) {
   Block out;
-  uint32_t n = r.u32();
-  if (n > 1'000'000) return out;  // refuse absurd sizes
+  uint32_t n = get_count(r, kMinRequestBytes);
   out.requests.reserve(n);
   for (uint32_t i = 0; i < n && r.ok(); ++i) out.requests.push_back(get_request(r));
   return out;
@@ -195,8 +228,7 @@ ViewChangeMsg get_view_change(Reader& r) {
   m.next_view = r.u64();
   m.ls = r.u64();
   m.checkpoint = get_cert(r);
-  uint32_t n = r.u32();
-  if (n > 100'000) return m;
+  uint32_t n = get_count(r, kMinSlotEvidenceBytes);
   m.slots.reserve(n);
   for (uint32_t i = 0; i < n && r.ok(); ++i) m.slots.push_back(get_slot_evidence(r));
   return m;
@@ -216,16 +248,14 @@ void put(Writer& w, const ReconfigDelta& d) {
 
 ReconfigDelta get_reconfig_delta(Reader& r) {
   ReconfigDelta d;
-  uint32_t adds = r.u32();
-  if (adds > 100'000) return d;
+  uint32_t adds = get_count(r, kMinReplicaInfoBytes);
   for (uint32_t i = 0; i < adds && r.ok(); ++i) {
     ReplicaInfo info;
     info.id = r.u32();
     info.node = r.u32();
     d.adds.push_back(info);
   }
-  uint32_t removes = r.u32();
-  if (removes > 100'000) return d;
+  uint32_t removes = get_count(r, 4);
   for (uint32_t i = 0; i < removes && r.ok(); ++i) d.removes.push_back(r.u32());
   d.new_f = r.u32();
   d.new_c = r.u32();
@@ -247,13 +277,11 @@ ShardTx get_shard_tx(Reader& r) {
   ShardTx tx;
   tx.txid = r.u64();
   tx.coordinator = r.u32();
-  uint32_t shards = r.u32();
-  if (shards > 10'000) return tx;
+  uint32_t shards = get_count(r, kMinTxShardOpsBytes);
   for (uint32_t i = 0; i < shards && r.ok(); ++i) {
     TxShardOps s;
     s.group = r.u32();
-    uint32_t ops = r.u32();
-    if (ops > 1'000'000) return tx;
+    uint32_t ops = get_count(r, 4);
     for (uint32_t j = 0; j < ops && r.ok(); ++j) s.ops.push_back(r.bytes());
     tx.shards.push_back(std::move(s));
   }
@@ -275,8 +303,7 @@ TxGroupCert get_tx_group_cert(Reader& r) {
   TxGroupCert c;
   c.group = r.u32();
   c.commit = r.boolean();
-  uint32_t n = r.u32();
-  if (n > 100'000) return c;
+  uint32_t n = get_count(r, kMinTxVoteBytes);
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     TxVote v;
     v.replica = r.u32();
@@ -298,8 +325,7 @@ TxDecision get_tx_decision(Reader& r) {
   TxDecision d;
   d.txid = r.u64();
   d.commit = r.boolean();
-  uint32_t n = r.u32();
-  if (n > 10'000) return d;
+  uint32_t n = get_count(r, kMinTxGroupCertBytes);
   for (uint32_t i = 0; i < n && r.ok(); ++i) d.certs.push_back(get_tx_group_cert(r));
   return d;
 }
@@ -314,8 +340,7 @@ void put(Writer& w, const std::vector<CheckpointSigShare>& proof) {
 
 std::vector<CheckpointSigShare> get_checkpoint_proof(Reader& r) {
   std::vector<CheckpointSigShare> proof;
-  uint32_t n = r.u32();
-  if (n > 100'000) return proof;
+  uint32_t n = get_count(r, kMinCheckpointShareBytes);
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     CheckpointSigShare s;
     s.replica = r.u32();
@@ -329,6 +354,7 @@ void put(Writer& w, const merkle::BlockProof& p) { w.bytes(as_span(p.encode()));
 
 merkle::BlockProof get_block_proof(Reader& r) {
   auto p = merkle::BlockProof::decode(as_span(r.bytes()));
+  if (!p) r.fail();
   return p.value_or(merkle::BlockProof{});
 }
 
@@ -361,8 +387,7 @@ PbftViewChangeMsg get_pbft_view_change(Reader& r) {
   m.sender = r.u32();
   m.next_view = r.u64();
   m.ls = r.u64();
-  uint32_t n = r.u32();
-  if (n > 100'000) return m;
+  uint32_t n = get_count(r, kMinPbftCertBytes);
   for (uint32_t i = 0; i < n && r.ok(); ++i) m.prepared.push_back(get_pbft_cert(r));
   return m;
 }
@@ -706,8 +731,7 @@ std::optional<Message> decode_message(ByteSpan data) {
     case Tag::kNewView: {
       NewViewMsg m;
       m.view = r.u64();
-      uint32_t n = r.u32();
-      if (n > 100'000) return std::nullopt;
+      uint32_t n = get_count(r, kMinViewChangeBytes);
       for (uint32_t i = 0; i < n && r.ok(); ++i)
         m.proofs.push_back(get_view_change(r));
       out = m;
@@ -765,8 +789,7 @@ std::optional<Message> decode_message(ByteSpan data) {
       m.requester = r.u32();
       m.seq = r.u64();
       m.chunk_root = r.digest();
-      uint32_t n = r.u32();
-      if (n > 1'000'000) return std::nullopt;
+      uint32_t n = get_count(r, 4);
       m.indices.reserve(n);
       for (uint32_t i = 0; i < n && r.ok(); ++i) m.indices.push_back(r.u32());
       out = m;
@@ -818,8 +841,7 @@ std::optional<Message> decode_message(ByteSpan data) {
     case Tag::kPbftNewView: {
       PbftNewViewMsg m;
       m.view = r.u64();
-      uint32_t n = r.u32();
-      if (n > 100'000) return std::nullopt;
+      uint32_t n = get_count(r, kMinPbftViewChangeBytes);
       for (uint32_t i = 0; i < n && r.ok(); ++i)
         m.proofs.push_back(get_pbft_view_change(r));
       out = m;
@@ -846,8 +868,7 @@ std::optional<Message> decode_message(ByteSpan data) {
       TxDecisionMsg m;
       m.txid = r.u64();
       m.commit = r.boolean();
-      uint32_t n = r.u32();
-      if (n > 10'000) return std::nullopt;
+      uint32_t n = get_count(r, kMinTxGroupCertBytes);
       for (uint32_t i = 0; i < n && r.ok(); ++i)
         m.certs.push_back(get_tx_group_cert(r));
       out = m;

@@ -30,11 +30,42 @@ struct Request {
   size_t wire_size() const { return 16 + 8 + op.size() + client_sig.size(); }
 };
 
+/// Mutable builder of a decision block: primary batching, decoders, tests.
+/// Messages and replica state hold a SealedBlock instead.
 struct Block {
   std::vector<Request> requests;
 
   Digest digest() const;
   size_t wire_size() const;
+};
+
+/// A decision block sealed for sharing: an immutable, refcounted body that
+/// holds the block and its digest. Copies share the body, so the pre-prepare
+/// every replica receives, its slot, its execution record and its
+/// view-change evidence are one in-memory block, and its digest is computed
+/// once (on the first digest() call) for all of them. The digest cannot go
+/// stale or be supplied by a sender: it is a pure function of a body that is
+/// reachable only through const. The memo is unsynchronized, which relies on
+/// the simulator being single-threaded.
+class SealedBlock {
+ public:
+  SealedBlock() : SealedBlock(Block{}) {}
+  // Implicit: a built Block seals wherever a SealedBlock is expected.
+  SealedBlock(Block block)
+      : body_(std::make_shared<const Body>(std::move(block))) {}
+
+  const Block& operator*() const { return body_->block; }
+  const std::vector<Request>& requests() const { return body_->block.requests; }
+  const Digest& digest() const;
+  size_t wire_size() const { return body_->block.wire_size(); }
+
+ private:
+  struct Body {
+    explicit Body(Block b) : block(std::move(b)) {}
+    Block block;
+    mutable std::optional<Digest> digest;
+  };
+  std::shared_ptr<const Body> body_;
 };
 
 /// h = H(s || v || digest(block)) — the hash every path signs (§V-C).
@@ -81,7 +112,7 @@ struct ClientRequestMsg {
 struct PrePrepareMsg {
   SeqNum seq = 0;
   ViewNum view = 0;
-  Block block;
+  SealedBlock block;
 };
 
 struct SignShareMsg {  // replica -> C-collectors; carries sigma and tau shares
@@ -177,7 +208,7 @@ struct SlotEvidence {
   Digest fm_block_digest{};
   Bytes fm_sig;  // sigma_i(h) share for kVote; sigma(h) for kFullProof
 
-  std::optional<Block> block;  // payload matching the strongest evidence
+  std::optional<SealedBlock> block;  // payload matching the strongest evidence
 
   size_t wire_size() const;
 };
@@ -346,7 +377,7 @@ struct GetBlockRequestMsg {
 
 struct GetBlockReplyMsg {
   SeqNum seq = 0;
-  Block block;
+  SealedBlock block;
 };
 
 struct StateTransferRequestMsg {
@@ -460,7 +491,7 @@ struct PbftPreparedCert {
   SeqNum seq = 0;
   ViewNum view = 0;
   Digest h{};
-  Block block;
+  SealedBlock block;
 };
 
 struct PbftViewChangeMsg {

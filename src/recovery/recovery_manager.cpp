@@ -65,8 +65,8 @@ std::optional<RecoveredState> RecoveryManager::recover(
     rb.seq = s;
     rb.view = pp.view;
     rb.block = pp.block;
-    for (size_t l = 0; l < rb.block.requests.size(); ++l) {
-      const Request& req = rb.block.requests[l];
+    for (size_t l = 0; l < rb.block.requests().size(); ++l) {
+      const Request& req = rb.block.requests()[l];
       Bytes value;
       if (auto delta = decode_reconfig_request(req)) {
         // Reconfiguration marker: re-staged, never executed on the service —

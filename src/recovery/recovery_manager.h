@@ -43,7 +43,7 @@ namespace sbft::recovery {
 struct ReplayedBlock {
   SeqNum seq = 0;
   ViewNum view = 0;  // view of the persisted pre-prepare
-  Block block;
+  SealedBlock block;
   ExecCertificate cert;  // re-derived; pi_sig empty (not re-certified)
   std::vector<Bytes> values;
   std::vector<Digest> leaves;

@@ -6,7 +6,7 @@ namespace sbft::runtime {
 
 bool EvidenceStore::record_prepared(SeqNum s, ViewNum view,
                                     const Digest& digest, Bytes sig,
-                                    std::optional<Block> block) {
+                                    std::optional<SealedBlock> block) {
   SlotEvidenceRecord& rec = slots_[s];
   if (rec.has_prepared && rec.prepared_view > view) return false;
   rec.has_prepared = true;

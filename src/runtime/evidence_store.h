@@ -40,7 +40,7 @@ struct SlotEvidenceRecord {
   ViewNum prepared_view = 0;
   Digest prepared_digest{};
   Bytes prepared_sig;                   // SBFT: combined tau over slot_hash
-  std::optional<Block> prepared_block;  // PBFT: block the certificate binds
+  std::optional<SealedBlock> prepared_block;  // PBFT: block the certificate binds
 
   // Fast-path full proof (first wins).
   bool has_fast_proof = false;
@@ -62,7 +62,7 @@ class EvidenceStore {
   /// overwrites a newer one; an equal-or-newer view refreshes the record.
   /// Returns true when the record was stored.
   bool record_prepared(SeqNum s, ViewNum view, const Digest& digest, Bytes sig,
-                       std::optional<Block> block = std::nullopt);
+                       std::optional<SealedBlock> block = std::nullopt);
   /// Records the fast-path full proof for slot s; only the first is kept.
   /// Returns true when this call stored it.
   bool record_fast_proof(SeqNum s, ViewNum view, const Digest& digest,

@@ -99,14 +99,14 @@ std::optional<RecoveredProtocolState> ReplicaRuntime::recover() {
 // Execution pipeline
 
 ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
-                                               const Block& block,
+                                               const SealedBlock& block,
                                                sim::ActorContext& ctx) {
   SBFT_CHECK(s == le_ + 1);
   ExecutionRecord rec;
   rec.block = block;
   rec.pp_view = pp_view;
-  for (size_t l = 0; l < rec.block.requests.size(); ++l) {
-    const Request& req = rec.block.requests[l];
+  for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+    const Request& req = rec.block.requests()[l];
     Bytes value;
     if (auto delta = decode_reconfig_request(req)) {
       // Reconfiguration marker: staged in the membership manager instead of

@@ -131,7 +131,7 @@ struct RuntimeStats {
 /// Everything the runtime retains about an executed sequence.
 struct ExecutionRecord {
   ExecCertificate cert;  // pi_sig filled in by the E-collector (SBFT only)
-  Block block;
+  SealedBlock block;     // shared with the slot and the pre-prepare
   ViewNum pp_view = 0;
   std::vector<Bytes> values;
   std::vector<Digest> leaves;
@@ -176,7 +176,8 @@ class ReplicaRuntime {
   /// the reply cache, charges service costs, persists the decision block,
   /// extends the d_s chain, and captures the checkpoint snapshot when s is an
   /// interval multiple. Returns the retained record.
-  ExecutionRecord& execute_block(SeqNum s, ViewNum pp_view, const Block& block,
+  ExecutionRecord& execute_block(SeqNum s, ViewNum pp_view,
+                                 const SealedBlock& block,
                                  sim::ActorContext& ctx);
   SeqNum last_executed() const { return le_; }
   std::optional<Digest> exec_digest_of(SeqNum s) const;

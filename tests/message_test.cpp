@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/serde.h"
 #include "proto/message.h"
 
 namespace sbft {
@@ -232,6 +233,61 @@ TEST(Messages, DecodeRejectsTrailingBytes) {
   EXPECT_FALSE(decode_message(as_span(encoded)).has_value());
 }
 
+/// Overwrites the trailing u32 of `encoded` (a count prefix) with `count`.
+Bytes with_trailing_count(Bytes encoded, uint32_t count) {
+  for (size_t i = 0; i < 4; ++i) {
+    encoded[encoded.size() - 4 + i] = static_cast<uint8_t>(count >> (8 * i));
+  }
+  return encoded;
+}
+
+TEST(Messages, DecodeRejectsCountsTheBytesLeftCannotHold) {
+  // Every message here ends in a count prefix. Claiming more elements than
+  // the bytes left can hold fails the decode instead of truncating to an
+  // empty list (or reserving memory for the claimed count). The first is a
+  // 21-byte pre-prepare (tag, seq, view, request count), which claiming
+  // 2,000,000 requests used to decode as a valid empty block.
+  ASSERT_EQ(encode_message(Message(PrePrepareMsg{})).size(), 21u);
+  TxDecisionMsg cert_without_votes;
+  cert_without_votes.certs.push_back(TxGroupCert{});
+  const std::vector<Message> msgs = {
+      Message(PrePrepareMsg{}),      Message(GetBlockReplyMsg{}),
+      Message(ViewChangeMsg{}),      Message(NewViewMsg{}),
+      Message(PbftViewChangeMsg{}),  Message(PbftNewViewMsg{}),
+      Message(TxDecisionMsg{}),      Message(cert_without_votes),
+      Message(StateManifestMsg{}),   Message(StateChunkRequestMsg{}),
+  };
+  for (const Message& msg : msgs) {
+    Bytes encoded = encode_message(msg);
+    ASSERT_TRUE(decode_message(as_span(encoded)).has_value())
+        << message_type_name(msg);
+    for (uint32_t count : {1u, 200'000u, 2'000'000u, 0xffffffffu}) {
+      EXPECT_FALSE(
+          decode_message(as_span(with_trailing_count(encoded, count))).has_value())
+          << message_type_name(msg) << " claiming " << count;
+    }
+  }
+}
+
+TEST(Messages, DecodeRejectsMalformedBlockProof) {
+  // The Merkle proof is the last field of both messages: replace its bytes
+  // with 3 garbage bytes. An empty proof must not be substituted.
+  ExecuteAckMsg ack;
+  ack.client = 12;
+  ack.value = rng().bytes(8);
+  StateChunkMsg chunk;
+  chunk.data = rng().bytes(64);
+  for (const Message& msg : {Message(ack), Message(chunk)}) {
+    Bytes encoded = encode_message(msg);
+    encoded.resize(encoded.size() - 4 - merkle::BlockProof{}.encode().size());
+    Writer garbage;
+    garbage.bytes(Bytes{0x01, 0x02, 0x03});
+    encoded.insert(encoded.end(), garbage.data().begin(), garbage.data().end());
+    EXPECT_FALSE(decode_message(as_span(encoded)).has_value())
+        << message_type_name(msg);
+  }
+}
+
 TEST(Messages, BlockDigestDependsOnContent) {
   Block a = random_block(3);
   Block b = a;
@@ -242,6 +298,98 @@ TEST(Messages, BlockDigestDependsOnContent) {
   Block c = a;
   std::swap(c.requests[0], c.requests[1]);
   EXPECT_NE(a.digest(), c.digest());
+}
+
+// ---------------------------------------------------------------------------
+// Sealed blocks: one shared, immutable body per proposal (docs/performance.md)
+
+TEST(SealedBlocks, DigestEqualsTheBlocksDigest) {
+  Block b = random_block(4);
+  SealedBlock sealed = b;
+  EXPECT_EQ(sealed.digest(), b.digest());
+  EXPECT_EQ(sealed.wire_size(), b.wire_size());
+  ASSERT_EQ(sealed.requests().size(), 4u);
+  EXPECT_EQ(sealed.requests()[3].op, b.requests[3].op);
+  // Memoized: every call returns the one stored digest.
+  EXPECT_EQ(&sealed.digest(), &sealed.digest());
+  EXPECT_EQ(SealedBlock{}.digest(), Block{}.digest());
+}
+
+TEST(SealedBlocks, CopiesShareOneBody) {
+  SealedBlock a = random_block(3);
+  SealedBlock b = a;
+  PrePrepareMsg pp{1, 0, a};
+  SlotEvidence e;
+  e.block = a;
+  EXPECT_EQ(&b.requests(), &a.requests());
+  EXPECT_EQ(&pp.block.requests(), &a.requests());
+  EXPECT_EQ(&e.block->requests(), &a.requests());
+  EXPECT_EQ(&b.digest(), &a.digest());
+  // Sealing equal contents again makes a second body with an equal digest.
+  SealedBlock c = *a;
+  EXPECT_NE(&c.requests(), &a.requests());
+  EXPECT_EQ(c.digest(), a.digest());
+}
+
+TEST(SealedBlocks, ResealedAfterARequestSwapGetsItsOwnDigest) {
+  SealedBlock a = random_block(3);
+  const Digest before = a.digest();  // memoized before the copy is edited
+  Block alt = *a;
+  std::swap(alt.requests.front(), alt.requests.back());
+  SealedBlock b = std::move(alt);
+  EXPECT_NE(b.digest(), a.digest());
+  EXPECT_EQ(b.digest(), (*b).digest());
+  EXPECT_EQ(a.digest(), before);
+  EXPECT_EQ(a.digest(), (*a).digest());
+}
+
+template <typename T>
+T decode_as(const Message& msg) {
+  auto decoded = decode_message(as_span(encode_message(msg)));
+  if (!decoded || !std::holds_alternative<T>(*decoded)) {
+    ADD_FAILURE() << message_type_name(msg) << " did not decode";
+    return T{};
+  }
+  return std::get<T>(*decoded);
+}
+
+TEST(SealedBlocks, BlockCarryingMessagesRoundTrip) {
+  const SealedBlock block = random_block(3);
+
+  Message pp(PrePrepareMsg{7, 3, block});
+  expect_roundtrip(pp);
+  EXPECT_EQ(decode_as<PrePrepareMsg>(pp).block.digest(), block.digest());
+
+  Message reply(GetBlockReplyMsg{7, block});
+  expect_roundtrip(reply);
+  EXPECT_EQ(decode_as<GetBlockReplyMsg>(reply).block.digest(), block.digest());
+
+  ViewChangeMsg vc;
+  vc.sender = 1;
+  vc.next_view = 2;
+  SlotEvidence e;
+  e.seq = 7;
+  e.fm_kind = FastEvidence::kVote;
+  e.fm_block_digest = block.digest();
+  e.block = block;
+  vc.slots.push_back(e);
+  expect_roundtrip(Message(vc));
+  ViewChangeMsg vc_back = decode_as<ViewChangeMsg>(Message(vc));
+  ASSERT_EQ(vc_back.slots.size(), 1u);
+  ASSERT_TRUE(vc_back.slots[0].block.has_value());
+  EXPECT_EQ(vc_back.slots[0].block->digest(), block.digest());
+
+  PbftViewChangeMsg pvc;
+  pvc.sender = 1;
+  pvc.next_view = 2;
+  PbftPreparedCert cert;
+  cert.seq = 7;
+  cert.block = block;
+  pvc.prepared.push_back(cert);
+  expect_roundtrip(Message(pvc));
+  PbftViewChangeMsg pvc_back = decode_as<PbftViewChangeMsg>(Message(pvc));
+  ASSERT_EQ(pvc_back.prepared.size(), 1u);
+  EXPECT_EQ(pvc_back.prepared[0].block.digest(), block.digest());
 }
 
 TEST(Messages, SlotHashBindsAllInputs) {

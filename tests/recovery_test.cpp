@@ -258,7 +258,7 @@ TEST(RecoveryManagerTest, SnapshotPlusSuffixMatchesFullReplay) {
   auto service3 = factory();
   runtime::ReplyCache cache3;
   for (SeqNum s = 1; s <= 3; ++s) {
-    const Request& req = half->replayed[s - 1].block.requests[0];
+    const Request& req = half->replayed[s - 1].block.requests()[0];
     cache3.store(req.client, req.timestamp, s, 0,
                  service3->execute(as_span(req.op)));
   }
@@ -294,7 +294,7 @@ TEST(RecoveryManagerTest, BareWalSnapshotAbortsRecovery) {
   ASSERT_TRUE(half.has_value());
   auto service2 = factory();
   for (SeqNum s = 1; s <= 2; ++s) {
-    service2->execute(as_span(half->replayed[s - 1].block.requests[0].op));
+    service2->execute(as_span(half->replayed[s - 1].block.requests()[0].op));
   }
   auto wal = std::make_shared<MemoryWal>();
   wal->record_checkpoint(half->replayed[1].cert, as_span(service2->snapshot()));

@@ -1314,6 +1314,49 @@ INSTANTIATE_TEST_SUITE_P(Protocols, CrossProtocolRecovery,
                          });
 
 // ---------------------------------------------------------------------------
+// Sealed decision blocks (docs/performance.md): the pre-prepare every replica
+// receives, its slot and its execution record share one block body.
+
+class SharedDecisionBlocks : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(SharedDecisionBlocks, EveryReplicaRecordsOneBlockBody) {
+  ClusterOptions opts;
+  opts.kind = GetParam();
+  opts.f = 1;
+  opts.c = 0;
+  opts.num_clients = 2;
+  opts.requests_per_client = 20;
+  opts.topology = sim::lan_topology();
+  opts.seed = 3;
+  Cluster cluster(std::move(opts));
+  ASSERT_TRUE(cluster.run_until_done(600'000'000)) << "clients stalled";
+
+  SeqNum s = cluster.replica(1).last_executed();
+  for (ReplicaId r = 2; r <= cluster.num_replicas(); ++r) {
+    s = std::min(s, cluster.replica(r).last_executed());
+  }
+  ASSERT_GT(s, 0u);
+  const runtime::ExecutionRecord* first = cluster.replica(1).runtime().record(s);
+  ASSERT_NE(first, nullptr);
+  ASSERT_FALSE(first->block.requests().empty());
+  for (ReplicaId r = 2; r <= cluster.num_replicas(); ++r) {
+    const runtime::ExecutionRecord* rec = cluster.replica(r).runtime().record(s);
+    ASSERT_NE(rec, nullptr) << "replica " << r;
+    // The same request vector, not an equal copy: a per-replica deep copy of
+    // the block anywhere on the path fails this.
+    EXPECT_EQ(&rec->block.requests(), &first->block.requests()) << "replica " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, SharedDecisionBlocks,
+                         ::testing::Values(ProtocolKind::kSbft,
+                                           ProtocolKind::kPbft),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& info) {
+                           return info.param == ProtocolKind::kSbft ? "Sbft"
+                                                                    : "Pbft";
+                         });
+
+// ---------------------------------------------------------------------------
 // Chunked state transfer scenarios (docs/state_transfer.md describes the
 // exact message flow these exercise; docs/scenarios.md indexes them). All run
 // on both protocols through the identical Cluster API.
