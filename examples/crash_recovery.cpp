@@ -8,6 +8,11 @@
 // scenario runs twice — once on SBFT, once on the PBFT baseline — through
 // the identical Cluster API, because both ordering engines share the
 // replica runtime.
+//
+// Exits non-zero when, on either engine, the agreement audit fails, the WAL
+// restart recovers nothing (no recovery, or no ledger block replayed), or
+// replica 3 does not catch back up with the cluster after it.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -38,7 +43,20 @@ void print_state(Cluster& cluster, const char* label) {
   }
 }
 
-void run_scenario(ProtocolKind kind) {
+/// True when `r` has executed (within the blocks still in flight) as far as
+/// every other replica.
+bool caught_up(Cluster& cluster, ReplicaId r) {
+  SeqNum cluster_le = 0;
+  for (ReplicaId other = 1; other <= cluster.n(); ++other) {
+    if (other != r) {
+      cluster_le = std::max(cluster_le, cluster.replica(other).last_executed());
+    }
+  }
+  return cluster.replica(r).last_executed() + 2 >= cluster_le;
+}
+
+/// Runs the walkthrough on one engine; false when any of its checks failed.
+bool run_scenario(ProtocolKind kind) {
   std::printf("=== %s crash recovery: WAL + ledger replay, then disk loss + "
               "state transfer ===\n\n",
               protocol_name(kind));
@@ -76,6 +94,19 @@ void run_scenario(ProtocolKind kind) {
   cluster.run_for(4'000'000);
   print_state(cluster, "replica 3 recovered (note recoveries/replayed) and "
                        "rejoined");
+  bool ok = true;
+  const runtime::RuntimeStats& restarted = cluster.replica(3).runtime_stats();
+  if (restarted.recoveries == 0 || restarted.blocks_replayed == 0) {
+    std::printf("FAIL: the WAL restart recovered nothing (recoveries=%llu, "
+                "replayed=%llu)\n",
+                static_cast<unsigned long long>(restarted.recoveries),
+                static_cast<unsigned long long>(restarted.blocks_replayed));
+    ok = false;
+  }
+  if (!caught_up(cluster, 3)) {
+    std::printf("FAIL: replica 3 did not rejoin after the WAL restart\n");
+    ok = false;
+  }
 
   std::printf("\n>>> killing replica 3 again and wiping its disk\n");
   cluster.crash_replica(3);
@@ -105,16 +136,18 @@ void run_scenario(ProtocolKind kind) {
               static_cast<unsigned long long>(rt.delta_chunks_skipped),
               static_cast<unsigned long long>(rt.delta_bytes_saved));
 
+  bool agreed = cluster.check_agreement();
   std::printf("\nagreement audit: %s\n",
-              cluster.check_agreement() ? "OK (Theorem VI.1 holds)" : "VIOLATED");
+              agreed ? "OK (Theorem VI.1 holds)" : "VIOLATED");
   std::printf("total WAL bytes written across the cluster: %llu\n\n",
               static_cast<unsigned long long>(cluster.total_wal_bytes_written()));
+  return ok && agreed;
 }
 
 }  // namespace
 
 int main() {
-  run_scenario(ProtocolKind::kSbft);
-  run_scenario(ProtocolKind::kPbft);
-  return 0;
+  bool sbft_ok = run_scenario(ProtocolKind::kSbft);
+  bool pbft_ok = run_scenario(ProtocolKind::kPbft);
+  return sbft_ok && pbft_ok ? 0 : 1;
 }

@@ -187,30 +187,12 @@ Bytes KvService::snapshot() const {
 }
 
 bool KvService::restore(ByteSpan snapshot) {
-  if (snapshot.size() >= sizeof(kPagedMagic) &&
-      std::memcmp(snapshot.data(), kPagedMagic, sizeof(kPagedMagic)) == 0) {
-    return restore_paged(snapshot);
+  // Only the paged layout snapshot() emits decodes: anything without its
+  // magic is rejected, never guessed at.
+  if (snapshot.size() < sizeof(kPagedMagic) ||
+      std::memcmp(snapshot.data(), kPagedMagic, sizeof(kPagedMagic)) != 0) {
+    return false;
   }
-  return restore_flat(snapshot);
-}
-
-bool KvService::restore_flat(ByteSpan snapshot) {
-  Reader r(snapshot);
-  uint64_t count = r.u64();
-  std::map<Bytes, Bytes> data;
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    Bytes k = r.bytes();
-    Bytes v = r.bytes();
-    data[std::move(k)] = std::move(v);
-  }
-  if (!r.at_end()) return false;
-  data_.clear();
-  tree_ = merkle::SparseMerkleTree();
-  for (const auto& [k, v] : data) put(as_span(k), as_span(v));
-  return true;
-}
-
-bool KvService::restore_paged(ByteSpan snapshot) {
   Reader r(snapshot);
   r.skip(sizeof(kPagedMagic));
   uint32_t page = r.u32();

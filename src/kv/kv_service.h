@@ -10,8 +10,7 @@
 // a fanout mask), and each section is zero-padded to a multiple of the
 // snapshot chunk hint. A small mutation therefore perturbs only the pages of
 // its own section instead of shifting every byte after it — the property the
-// delta state-transfer path exploits. The pre-paged flat format is still
-// accepted by restore() (snapshots persisted in older WALs).
+// delta state-transfer path exploits. restore() decodes only this layout.
 #pragma once
 
 #include <map>
@@ -70,8 +69,6 @@ class KvService final : public IService {
 
  private:
   static Digest leaf_for(ByteSpan key, ByteSpan value);
-  bool restore_flat(ByteSpan snapshot);   // pre-paged legacy format
-  bool restore_paged(ByteSpan snapshot);  // key-ordered page-aligned sections
 
   std::map<Bytes, Bytes> data_;  // ordered so snapshots are canonical
   merkle::SparseMerkleTree tree_;

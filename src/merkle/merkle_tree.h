@@ -33,7 +33,6 @@ struct BlockProof {
 
   Bytes encode() const;
   static std::optional<BlockProof> decode(ByteSpan data);
-  size_t wire_size() const { return 16 + path.size() * 32; }
 };
 
 class BlockMerkleTree {
@@ -71,7 +70,6 @@ struct SmtProof {
 
   Bytes encode() const;
   static std::optional<SmtProof> decode(ByteSpan data);
-  size_t wire_size() const { return 16 + siblings.size() * 32; }
 };
 
 class SparseMerkleTree {

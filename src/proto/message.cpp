@@ -80,12 +80,6 @@ Digest exec_leaf(ClientId client, uint64_t timestamp, const Digest& value_digest
   return merkle::leaf_hash(as_span(w.data()));
 }
 
-size_t SlotEvidence::wire_size() const {
-  size_t total = 8 + 2 + 16 + 64 + 8 + lm_sig.size() + fm_sig.size() + 1;
-  if (block) total += block->wire_size();
-  return total;
-}
-
 // ---------------------------------------------------------------------------
 // Encoding helpers
 

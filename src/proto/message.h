@@ -82,7 +82,6 @@ struct ExecCertificate {
   Bytes pi_sig;              // pi threshold signature over exec_digest()
 
   Digest exec_digest() const;
-  size_t wire_size() const { return 8 + 3 * 32 + pi_sig.size(); }
 };
 
 /// d_0 of the chained execution digest (state before any block executed).
@@ -209,8 +208,6 @@ struct SlotEvidence {
   Bytes fm_sig;  // sigma_i(h) share for kVote; sigma(h) for kFullProof
 
   std::optional<SealedBlock> block;  // payload matching the strongest evidence
-
-  size_t wire_size() const;
 };
 
 struct ViewChangeMsg {
@@ -237,8 +234,6 @@ struct ReconfigDelta {
   std::vector<ReplicaId> removes;
   uint32_t new_f = 0;
   uint32_t new_c = 0;
-
-  size_t wire_size() const { return 8 + adds.size() * 8 + removes.size() * 4 + 8; }
 };
 
 Bytes encode_reconfig_delta(const ReconfigDelta& delta);

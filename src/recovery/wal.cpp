@@ -109,8 +109,7 @@ void MemoryWal::record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot
 // ---------------------------------------------------------------------------
 // FileWal
 
-FileWal::FileWal(const std::string& path, WalCompaction compaction)
-    : path_(path), compaction_(compaction) {
+FileWal::FileWal(const std::string& path) : path_(path) {
   file_ = std::fopen(path.c_str(), "ab+");
   if (!file_) throw std::runtime_error("FileWal: cannot open " + path);
   // Truncate a torn tail record (crash mid-append) so new appends land on a
@@ -166,14 +165,10 @@ void FileWal::record_vote(SeqNum seq, ViewNum view, const Digest& block_digest) 
 void FileWal::record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot) {
   Bytes payload = encode_checkpoint(cert, snapshot);
   apply_record(state_, kCheckpoint, as_span(payload));
-  if (compaction_ == WalCompaction::kFullRewrite) {
-    rewrite(state_);
-    return;
-  }
-  // Incremental: append the one record — loaders treat it as superseding
-  // earlier checkpoints and votes at or below its sequence — and rewrite
-  // only when dead records dominate the live state. Frame sizes are derived
-  // from the encoders so the threshold stays in sync with the format.
+  // Append the one record — loaders treat it as superseding earlier
+  // checkpoints and votes at or below its sequence — and rewrite only when
+  // dead records dominate the live state. Frame sizes are derived from the
+  // encoders so the threshold stays in sync with the format.
   append_record(kCheckpoint, payload);
   static const uint64_t kFrameHeader = 4 + 1;  // [u32 len][u8 type]
   static const uint64_t kViewFrame = kFrameHeader + encode_view(0).size();

@@ -10,13 +10,12 @@
 //     into equivocating about a slot it voted on pre-crash.
 //
 // On checkpoint the log compacts: votes at or below the stable sequence are
-// dropped and superseded checkpoints/views supersede in-place on load. The
-// default FileWal policy is *incremental* (RocksDB-style): a checkpoint
-// appends one record, and the file is only rewritten from scratch when the
-// dead-record ratio crosses a threshold — instead of rewriting the whole log
-// (snapshot + every surviving vote) at every checkpoint. The old behaviour is
-// kept as WalCompaction::kFullRewrite for comparison (recovery_bench asserts
-// the incremental policy writes fewer bytes).
+// dropped and superseded checkpoints/views supersede in-place on load.
+// FileWal compacts *incrementally* (RocksDB-style): a checkpoint appends one
+// record, and the file is only rewritten from scratch when the dead-record
+// ratio crosses a threshold — never the whole log (snapshot + every
+// surviving vote) at every checkpoint. recovery_bench asserts the file stays
+// within a small multiple of the live state.
 //
 // Two implementations: MemoryWal (simulation — the harness keeps the handle
 // alive across a simulated restart, standing in for the surviving disk) and
@@ -86,28 +85,18 @@ class MemoryWal final : public IReplicaWal {
   uint64_t bytes_written_ = 0;
 };
 
-/// Compaction policy for FileWal::record_checkpoint.
-enum class WalCompaction {
-  /// Append one checkpoint record; rewrite the file only when dead records
-  /// (superseded checkpoints/views, compacted votes) dominate the live state.
-  kIncremental,
-  /// Rewrite the whole file at every checkpoint (the pre-incremental
-  /// behaviour; kept for comparison benchmarks).
-  kFullRewrite,
-};
-
 /// Append-only file of framed records:
 ///   [8-byte magic "SBFTWAL" + version][records...]
 ///   record := [u32 len][u8 type][payload (len-1 bytes)]
 /// A torn tail record (partial write at crash) is ignored on load and
 /// truncated away by the next compaction. Later records supersede earlier
 /// ones on load (a checkpoint drops votes at or below its sequence), so
-/// appending is always safe; the incremental policy bounds the file to a
-/// small multiple of the live state.
+/// appending is always safe; a checkpoint rewrites the file only when dead
+/// records (superseded checkpoints/views, compacted votes) dominate, which
+/// bounds it to a small multiple of the live state.
 class FileWal final : public IReplicaWal {
  public:
-  explicit FileWal(const std::string& path,
-                   WalCompaction compaction = WalCompaction::kIncremental);
+  explicit FileWal(const std::string& path);
   ~FileWal() override;
 
   FileWal(const FileWal&) = delete;
@@ -132,10 +121,9 @@ class FileWal final : public IReplicaWal {
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  WalCompaction compaction_;
   // In-memory mirror of the logical state (what scan() of the file yields);
-  // keeps load() O(1) and lets the incremental policy size the live state
-  // without re-reading the file.
+  // keeps load() O(1) and lets compaction size the live state without
+  // re-reading the file.
   WalState state_;
   uint64_t bytes_written_ = 0;
   uint64_t file_bytes_ = 0;

@@ -16,14 +16,4 @@ void CheckpointManager::adopt(const ExecCertificate& cert, Bytes snapshot_envelo
   pending_ = {};
 }
 
-void CheckpointManager::restore(const ExecCertificate& cert, Bytes snapshot_envelope,
-                                SeqNum pending_seq, Bytes pending_envelope) {
-  ls_ = cert.seq;
-  stable_cert_ = cert;
-  snapshot_cert_ = cert;
-  snapshot_ = std::move(snapshot_envelope);
-  pending_seq_ = pending_seq;
-  pending_ = std::move(pending_envelope);
-}
-
 }  // namespace sbft::runtime

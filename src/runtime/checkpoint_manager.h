@@ -62,11 +62,9 @@ class CheckpointManager {
     return false;  // keep the previous consistent pair
   }
 
-  /// Adopts a verified checkpoint received via state transfer.
+  /// Adopts a verified checkpoint received via state transfer or installed
+  /// from the WAL at recovery.
   void adopt(const ExecCertificate& cert, Bytes snapshot_envelope);
-  /// Reinstalls recovered checkpoint state at boot.
-  void restore(const ExecCertificate& cert, Bytes snapshot_envelope,
-               SeqNum pending_seq, Bytes pending_envelope);
 
  private:
   uint64_t interval_;

@@ -6,8 +6,8 @@
 // transaction layer (src/shard) generalizes it: Prepare requests lock and
 // validate keys in a deterministic lock table, decision markers apply or
 // release them. This interface is the runtime-facing half of that contract —
-// the runtime (and recovery replay, which must mirror live execution
-// byte-for-byte) routes claimed requests here, and includes the executor's
+// the runtime's one execution core (shared by live execution and recovery
+// replay) routes claimed requests here, and includes the executor's
 // serialized state in every checkpoint snapshot envelope so lock state
 // survives state transfer exactly like the reply cache does.
 //
@@ -32,7 +32,7 @@ class IMarkerExecutor {
  public:
   virtual ~IMarkerExecutor() = default;
 
-  // --- execution half (ReplicaRuntime + recovery replay) ---------------------
+  // --- execution half (ReplicaRuntime: live execution and recovery replay) ---
 
   /// True when this executor owns `req` (reserved client id or magic-prefixed
   /// op). Claimed requests never reach IService::execute directly.

@@ -1,10 +1,10 @@
 #include "runtime/replica_runtime.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "crypto/sha256.h"
 #include "merkle/merkle_tree.h"
-#include "recovery/recovery_manager.h"
-#include "runtime/snapshot.h"
 
 namespace sbft::runtime {
 
@@ -43,55 +43,68 @@ void ReplicaRuntime::note_membership_change(bool was_member, sim::SimTime now) {
 }
 
 std::optional<RecoveredProtocolState> ReplicaRuntime::recover() {
-  if (!opts_.ledger && !opts_.wal) return std::nullopt;
-  recovery::RecoveryManager manager(opts_.ledger, opts_.wal,
-                                    opts_.checkpoint_interval,
-                                    opts_.state_transfer_chunk_size,
-                                    opts_.marker_executor);
-  auto recovered = manager.recover([this] { return service_->clone_empty(); });
-  if (!recovered) return std::nullopt;  // fresh storage, or snapshot corrupt
+  recovery::WalState wal = opts_.wal ? opts_.wal->load() : recovery::WalState{};
+  SeqNum ledger_last = opts_.ledger ? opts_.ledger->last_seq() : 0;
+  if (wal.empty() && ledger_last == 0) return std::nullopt;  // fresh boot
 
-  service_ = std::move(recovered->service);
-  service_->set_snapshot_chunk_hint(opts_.state_transfer_chunk_size);
-  // Membership as of the crash (checkpoint envelope + replayed markers); a
-  // pre-membership log leaves the bootstrap roster in place.
-  if (recovered->membership.configured()) {
-    membership_ = std::move(recovered->membership);
-    epoch_changed_ = membership_.active().epoch > 0;
-  }
-  le_ = recovered->last_executed;
-  replies_ = std::move(recovered->reply_cache);
-  exec_digests_ = std::move(recovered->exec_digests);
-  exec_digests_.emplace(0, genesis_exec_digest());
-  if (recovered->last_stable > 0) {
-    checkpoints_.restore(recovered->checkpoint, std::move(recovered->snapshot),
-                         recovered->snapshot_seq,
-                         std::move(recovered->snapshot_at));
-  } else if (recovered->snapshot_seq > 0) {
-    checkpoints_.capture_pending(recovered->snapshot_seq,
-                                 std::move(recovered->snapshot_at));
-  }
-
-  // Reinstall execution records for the replayed suffix so the replica serves
-  // retries and block fetches exactly as its previous incarnation would have.
-  for (recovery::ReplayedBlock& rb : recovered->replayed) {
-    ExecutionRecord rec;
-    rec.cert = rb.cert;
-    rec.pp_view = rb.view;
-    rec.block = std::move(rb.block);
-    rec.values = std::move(rb.values);
-    rec.leaves = std::move(rb.leaves);
-    records_.emplace(rb.seq, std::move(rec));
+  // 1. The stable checkpoint, if any.
+  if (wal.last_stable > 0) {
+    auto sections =
+        install_checkpoint_service(as_span(wal.snapshot), wal.checkpoint.state_root);
+    if (!sections) return std::nullopt;
+    replies_ = std::move(sections->replies);
+    // Membership as of the checkpoint (anything staged there and already past
+    // its boundary activated before the crash) replaces the bootstrap roster;
+    // a pre-membership log keeps the bootstrap roster.
+    MembershipManager restored;
+    restored.restore(as_span(sections->membership));
+    restored.activate_up_to(wal.last_stable);
+    if (restored.configured()) {
+      membership_ = std::move(restored);
+      epoch_changed_ = membership_.active().epoch > 0;
+    }
+    if (opts_.marker_executor != nullptr) {
+      opts_.marker_executor->restore(as_span(sections->marker));
+    }
+    le_ = wal.last_stable;
+    exec_digests_[le_] = wal.checkpoint.exec_digest();
+    checkpoints_.adopt(wal.checkpoint, std::move(wal.snapshot));
+  } else if (opts_.marker_executor != nullptr) {
+    // No checkpoint: the executor's pre-crash state was volatile; replay
+    // rebuilds it from the ledger.
+    opts_.marker_executor->restore({});
   }
 
-  stats_.recoveries = 1;
-  stats_.blocks_replayed = recovered->replayed.size();
-  if (opts_.wal) stats_.wal_bytes_written = opts_.wal->bytes_written();
-
+  // 2. Replay the contiguous ledger suffix. Blocks are persisted at execution
+  // time, so the ledger extends exactly to the pre-crash last-executed
+  // sequence (modulo a torn tail, which the ledger already truncated away);
+  // a gap ends the usable suffix. The cost model only prices the tally,
+  // which replay ignores.
   RecoveredProtocolState out;
-  out.view = recovered->view;
-  out.votes = std::move(recovered->votes);
-  out.replayed_bytes = recovered->replayed_bytes;
+  const sim::CostModel unpriced;
+  for (SeqNum s = le_ + 1; s <= ledger_last; ++s) {
+    auto encoded = opts_.ledger->read_block(s);
+    if (!encoded) break;
+    auto msg = decode_message(as_span(*encoded));
+    if (!msg || !std::holds_alternative<PrePrepareMsg>(*msg)) break;
+    const auto& pp = std::get<PrePrepareMsg>(*msg);
+    BlockTally ignored;
+    apply_block(s, pp.view, pp.block, unpriced, ignored);
+    out.replayed_bytes += encoded->size();
+    ++stats_.blocks_replayed;
+  }
+
+  // 3. The view and the votes for slots still in flight.
+  out.view = wal.view;
+  for (const recovery::WalVote& v : wal.votes) {
+    if (v.seq > le_) out.votes.push_back(v);
+  }
+  std::sort(out.votes.begin(), out.votes.end(),
+            [](const recovery::WalVote& a, const recovery::WalVote& b) {
+              return a.seq != b.seq ? a.seq < b.seq : a.view < b.view;
+            });
+  stats_.recoveries = 1;
+  if (opts_.wal) stats_.wal_bytes_written = opts_.wal->bytes_written();
   return out;
 }
 
@@ -101,6 +114,34 @@ std::optional<RecoveredProtocolState> ReplicaRuntime::recover() {
 ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
                                                const SealedBlock& block,
                                                sim::ActorContext& ctx) {
+  BlockTally tally;
+  ExecutionRecord& rec = apply_block(s, pp_view, block, ctx.costs(), tally);
+  stats_.requests_executed += tally.requests_executed;
+  stats_.reply_cache_hits += tally.cache_hits;
+  ++stats_.blocks_executed;
+
+  // Persist the decision block (§IX: transactions persist to disk).
+  ctx.charge(tally.exec_cost_us + ctx.costs().persist_us(rec.block.wire_size()));
+  if (opts_.ledger) {
+    opts_.ledger->append_block(
+        s, as_span(encode_message(Message(PrePrepareMsg{s, pp_view, rec.block}))));
+  }
+  trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kExecute, s, s,
+                 pp_view, "digest", obs::digest_prefix(exec_digests_[s].data()));
+  // The checkpoint snapshot is charged as a bulk hash.
+  if (tally.snapshot_bytes > 0) {
+    ctx.charge(ctx.costs().hash_us(tally.snapshot_bytes));
+    trace_.instant(ctx.now(), obs::Category::kCheckpoint,
+                   obs::ev::kCheckpointCaptured, 0, s);
+  }
+  rec.executed_at = ctx.now();
+  return rec;
+}
+
+ExecutionRecord& ReplicaRuntime::apply_block(SeqNum s, ViewNum pp_view,
+                                             const SealedBlock& block,
+                                             const sim::CostModel& costs,
+                                             BlockTally& tally) {
   SBFT_CHECK(s == le_ + 1);
   ExecutionRecord rec;
   rec.block = block;
@@ -128,29 +169,29 @@ ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
       if (opts_.marker_executor != nullptr &&
           opts_.marker_executor->claims(req)) {
         value = opts_.marker_executor->execute_marker(req, s, *service_);
-        ctx.charge(opts_.marker_executor->last_execute_cost_us(ctx.costs()));
-        ++stats_.requests_executed;
+        tally.exec_cost_us += opts_.marker_executor->last_execute_cost_us(costs);
+        ++tally.requests_executed;
       } else {
         value = to_bytes("TX-REJECTED");
       }
     } else if (const CachedReply* cached = replies_.find(req.client);
                cached != nullptr && req.timestamp <= cached->timestamp) {
       value = cached->value;  // duplicate: executed exactly once
-      ++stats_.reply_cache_hits;
+      ++tally.cache_hits;
     } else if (opts_.marker_executor != nullptr &&
                opts_.marker_executor->claims(req)) {
       // Transaction Prepare from a real client: executed by the marker
       // executor (lock/validate, never the service), but cached like any
       // client request so retries are served without re-locking.
       value = opts_.marker_executor->execute_marker(req, s, *service_);
-      ctx.charge(opts_.marker_executor->last_execute_cost_us(ctx.costs()));
+      tally.exec_cost_us += opts_.marker_executor->last_execute_cost_us(costs);
       replies_.store(req.client, req.timestamp, s, l, value);
-      ++stats_.requests_executed;
+      ++tally.requests_executed;
     } else {
       value = service_->execute(as_span(req.op));
-      ctx.charge(service_->last_execute_cost_us(ctx.costs()));
+      tally.exec_cost_us += service_->last_execute_cost_us(costs);
       replies_.store(req.client, req.timestamp, s, l, value);
-      ++stats_.requests_executed;
+      ++tally.requests_executed;
     }
     rec.leaves.push_back(
         exec_leaf(req.client, req.timestamp, crypto::sha256(as_span(value))));
@@ -165,30 +206,17 @@ ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
   cert.prev_exec_digest = exec_digests_[s - 1];
   exec_digests_[s] = cert.exec_digest();
   rec.cert = cert;
-
-  // Persist the decision block (§IX: transactions persist to disk).
-  ctx.charge(ctx.costs().persist_us(rec.block.wire_size()));
-  if (opts_.ledger) {
-    opts_.ledger->append_block(
-        s, as_span(encode_message(Message(PrePrepareMsg{s, pp_view, rec.block}))));
-  }
   le_ = s;
-  ++stats_.blocks_executed;
-  trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kExecute, s, s,
-                 pp_view, "digest", obs::digest_prefix(exec_digests_[s].data()));
 
   // Capture the checkpoint snapshot while the service state still equals the
   // state the certificate describes; the reply cache rides along so recovery
-  // suppresses pre-checkpoint duplicates (charged as a bulk hash).
+  // suppresses pre-checkpoint duplicates.
   if (opts_.checkpoint_interval > 0 && s % opts_.checkpoint_interval == 0) {
     Bytes envelope = snapshot_envelope();
-    ctx.charge(ctx.costs().hash_us(envelope.size()));
+    tally.snapshot_bytes = envelope.size();
     checkpoints_.capture_pending(s, std::move(envelope));
-    trace_.instant(ctx.now(), obs::Category::kCheckpoint,
-                   obs::ev::kCheckpointCaptured, 0, s);
   }
 
-  rec.executed_at = ctx.now();
   auto [it, inserted] = records_.emplace(s, std::move(rec));
   SBFT_CHECK(inserted);
   return it->second;
@@ -259,26 +287,21 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
                                       ByteSpan snapshot_envelope_bytes,
                                       sim::ActorContext& ctx) {
   if (cert.seq <= le_) return false;
-  auto fresh = service_->clone_empty();
-  fresh->set_snapshot_chunk_hint(opts_.state_transfer_chunk_size);
-  auto decoded = decode_checkpoint_snapshot(snapshot_envelope_bytes);
   ctx.charge(ctx.costs().hash_us(snapshot_envelope_bytes.size()));
-  if (!decoded) return false;  // corrupt envelope
-  if (!fresh->restore(as_span(decoded->service_state))) return false;
-  if (!(fresh->state_digest() == cert.state_root)) return false;  // forged
+  auto sections = install_checkpoint_service(snapshot_envelope_bytes, cert.state_root);
+  if (!sections) return false;  // corrupt envelope or forged snapshot
 
-  service_ = std::move(fresh);
   le_ = cert.seq;
   // Merge the snapshot's cache into ours, keeping our own entries where they
   // are newer.
-  replies_.absorb(std::move(decoded->replies));
+  replies_.absorb(std::move(sections->replies));
   // The membership section moves the roster forward (never back): a joining
   // replica learns the epoch that admitted it from the snapshot itself, and a
   // staged-but-unactivated reconfiguration survives the transfer.
   bool was_member = membership_.is_member(opts_.self);
   uint64_t epoch_before =
       membership_.configured() ? membership_.active().epoch : 0;
-  membership_.restore(as_span(decoded->membership));
+  membership_.restore(as_span(sections->membership));
   membership_.activate_up_to(cert.seq);
   if (membership_.configured() && membership_.active().epoch != epoch_before) {
     note_membership_change(was_member, ctx.now());
@@ -287,7 +310,7 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
   // the donors' view at this checkpoint, so later markers execute against the
   // same state on every replica of the group (docs/sharding.md).
   if (opts_.marker_executor != nullptr) {
-    opts_.marker_executor->restore(as_span(decoded->marker));
+    opts_.marker_executor->restore(as_span(sections->marker));
   }
   exec_digests_[cert.seq] = cert.exec_digest();
   checkpoints_.adopt(cert, to_bytes(snapshot_envelope_bytes));
@@ -302,6 +325,18 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
   }
   records_.erase(records_.begin(), records_.lower_bound(cert.seq));
   return true;
+}
+
+std::optional<CheckpointSnapshot> ReplicaRuntime::install_checkpoint_service(
+    ByteSpan envelope, const Digest& state_root) {
+  auto sections = decode_checkpoint_snapshot(envelope);
+  if (!sections) return std::nullopt;
+  auto fresh = service_->clone_empty();
+  fresh->set_snapshot_chunk_hint(opts_.state_transfer_chunk_size);
+  if (!fresh->restore(as_span(sections->service_state))) return std::nullopt;
+  if (!(fresh->state_digest() == state_root)) return std::nullopt;
+  service_ = std::move(fresh);
+  return sections;
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,17 @@
 //   * checkpointing through the CheckpointManager (snapshot capture at
 //     checkpoint-execution time, stable-certificate tracking, record GC),
 //   * durability: ledger persistence of decision blocks, the WAL hooks
-//     (views, votes, checkpoints), and boot-time recovery through the
-//     RecoveryManager (§VIII).
+//     (views, votes, checkpoints), and boot-time recovery (§VIII, recover()).
+//
+// One function decides what an ordered block does (apply_block): the
+// reconfiguration/reserved-client/shard-marker/duplicate/marker-executor/
+// service dispatch, the leaves, the certificate and d_s chain, last_executed,
+// and the pending checkpoint snapshot. Live execution
+// (execute_block) and crash-recovery replay (recover) both run it and differ
+// only in accounting: live execution charges CPU, appends to the ledger,
+// moves the counters and traces; replay does none of that. A replica rebuilt
+// from its disk therefore derives the very d_s chain it certified before
+// the crash.
 //
 // The runtime never sends messages and holds no view/quorum state — that is
 // the ordering engine's job. This split is what makes every crash/restart/
@@ -36,6 +45,7 @@
 #include "runtime/marker_executor.h"
 #include "runtime/membership.h"
 #include "runtime/reply_cache.h"
+#include "runtime/snapshot.h"
 #include "runtime/state_transfer.h"
 #include "sim/network.h"
 #include "storage/ledger_storage.h"
@@ -167,15 +177,28 @@ class ReplicaRuntime {
  public:
   ReplicaRuntime(RuntimeOptions options, std::unique_ptr<IService> service);
 
-  /// Rebuilds state from the attached storage (no-op when fresh or absent).
-  /// Call once, before the owning replica starts.
+  /// Rebuilds state from the attached storage (§VIII). Call once, before the
+  /// owning replica starts. The recovery sequence:
+  ///   1. load the WAL and install its stable checkpoint: the service part of
+  ///      the snapshot envelope is verified against the certificate's state
+  ///      root, and the reply cache, membership and marker-executor sections
+  ///      ride along,
+  ///   2. replay the ledger's contiguous blocks past the checkpoint through
+  ///      apply_block, so duplicates, d_s, the execution records and the
+  ///      pending checkpoint snapshot come out as live execution made them,
+  ///   3. hand back the view and the in-flight votes so the replica re-enters
+  ///      the protocol without equivocating on anything it signed pre-crash.
+  /// nullopt when storage is fresh or absent, or when the checkpoint snapshot
+  /// fails verification (nothing is installed; the replica boots fresh and
+  /// catches up through state transfer, as it does when its log is behind
+  /// the cluster's stable checkpoint).
   std::optional<RecoveredProtocolState> recover();
 
   // --- execution -------------------------------------------------------------
-  /// Executes the committed block at s == last_executed() + 1: dedups against
-  /// the reply cache, charges service costs, persists the decision block,
-  /// extends the d_s chain, and captures the checkpoint snapshot when s is an
-  /// interval multiple. Returns the retained record.
+  /// Executes the committed block at s == last_executed() + 1 through
+  /// apply_block, then does the live accounting: charges the execution,
+  /// persistence and snapshot costs, persists the decision block, moves the
+  /// counters, and traces. Returns the retained record.
   ExecutionRecord& execute_block(SeqNum s, ViewNum pp_view,
                                  const SealedBlock& block,
                                  sim::ActorContext& ctx);
@@ -246,6 +269,25 @@ class ReplicaRuntime {
   const RuntimeStats& stats() const { return stats_; }
 
  private:
+  /// What apply_block did that only live execution accounts for.
+  struct BlockTally {
+    int64_t exec_cost_us = 0;  // service/executor CPU under the cost model
+    uint64_t requests_executed = 0;
+    uint64_t cache_hits = 0;
+    size_t snapshot_bytes = 0;  // checkpoint envelope captured (0: none)
+  };
+  /// Decides what the ordered block at s == last_executed() + 1 does (see the
+  /// file comment) and retains its record. `costs` prices the execution into
+  /// `tally`; nothing here charges, persists or traces.
+  ExecutionRecord& apply_block(SeqNum s, ViewNum pp_view, const SealedBlock& block,
+                               const sim::CostModel& costs, BlockTally& tally);
+  /// Decodes a checkpoint snapshot envelope, restores its service part into a
+  /// fresh service and verifies it against `state_root`. On success the fresh
+  /// service replaces service_ and the envelope's other sections are returned
+  /// for the caller to install; nullopt (nothing changed) when the envelope
+  /// is corrupt or does not match the root.
+  std::optional<CheckpointSnapshot> install_checkpoint_service(
+      ByteSpan envelope, const Digest& state_root);
   Bytes snapshot_envelope() const;
   void wal_record_checkpoint();
   /// Folds a membership activation (or restore) into the stats and the

@@ -1,7 +1,9 @@
 // Durability & crash recovery (§VIII): WAL round-trips and compaction, torn
-// tail tolerance, ledger replay through RecoveryManager, and full simulated
-// kill-and-restart scenarios (within a view, across a view change, and with a
-// wiped disk forcing state transfer).
+// tail tolerance, ledger replay through ReplicaRuntime::recover() — which
+// runs the live execution core, so a rebuilt replica re-derives the d_s
+// chain it executed — and full simulated kill-and-restart scenarios (within
+// a view, across a view change, and with a wiped disk forcing state
+// transfer).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,9 +11,10 @@
 
 #include "harness/cluster.h"
 #include "harness/workload.h"
-#include "recovery/recovery_manager.h"
 #include "recovery/wal.h"
+#include "runtime/replica_runtime.h"
 #include "runtime/snapshot.h"
+#include "sim/network.h"
 #include "storage/ledger_storage.h"
 
 namespace sbft::recovery {
@@ -151,45 +154,42 @@ TEST(FileWalTest, CorruptMagicRestartsAsFreshLog) {
   EXPECT_EQ(state.votes[0].seq, 3u);
 }
 
-TEST(FileWalTest, IncrementalCompactionWritesFewerBytesAndConverges) {
-  // ROADMAP open item: compact only records below the stable checkpoint
-  // instead of rewriting the whole log (snapshot + every surviving vote) at
-  // every checkpoint. With a realistic in-flight window of votes ahead of
-  // the stable sequence, the full-rewrite policy re-writes all of them per
-  // checkpoint; the incremental policy appends one record and only rewrites
-  // when dead bytes dominate.
-  TempFile a, b;
-  FileWal inc(a.path(), WalCompaction::kIncremental);
-  FileWal full(b.path(), WalCompaction::kFullRewrite);
+TEST(FileWalTest, IncrementalCompactionConvergesAndStaysBounded) {
+  // A checkpoint appends one record instead of rewriting the whole log
+  // (snapshot + every surviving vote); the file is rewritten only when dead
+  // records dominate. With a realistic in-flight window of votes ahead of the
+  // stable sequence, the log must still load the same logical state as a
+  // MemoryWal fed the same records, and stay a small multiple of it on disk.
+  TempFile a;
+  FileWal wal(a.path());
+  MemoryWal reference;
   const Bytes snap(256, 0xab);
   for (SeqNum s = 1; s <= 512; ++s) {
-    inc.record_vote(s, 1, digest_of(0x10));
-    full.record_vote(s, 1, digest_of(0x10));
+    wal.record_vote(s, 1, digest_of(0x10));
+    reference.record_vote(s, 1, digest_of(0x10));
     if (s % 16 == 0 && s > 256) {
       // Checkpoint trails the vote head by a 256-deep in-flight window.
-      inc.record_checkpoint(make_cert(s - 256), as_span(snap));
-      full.record_checkpoint(make_cert(s - 256), as_span(snap));
+      wal.record_checkpoint(make_cert(s - 256), as_span(snap));
+      reference.record_checkpoint(make_cert(s - 256), as_span(snap));
     }
   }
-  EXPECT_LT(inc.bytes_written(), full.bytes_written());
-  // Same logical state under either policy.
-  WalState si = inc.load();
-  WalState sf = full.load();
-  EXPECT_EQ(si.last_stable, sf.last_stable);
-  EXPECT_EQ(si.snapshot, sf.snapshot);
-  EXPECT_EQ(si.votes.size(), sf.votes.size());
-  // The threshold rewrite bounds the incremental file to a small multiple of
-  // the live state (window of votes + one snapshot).
-  EXPECT_LT(inc.file_bytes(), 4 * (256 * 53 + snap.size() + 1024));
+  WalState si = wal.load();
+  WalState sr = reference.load();
+  EXPECT_EQ(si.last_stable, sr.last_stable);
+  EXPECT_EQ(si.snapshot, sr.snapshot);
+  EXPECT_EQ(si.votes.size(), sr.votes.size());
+  // The threshold rewrite bounds the file to a small multiple of the live
+  // state (window of votes + one snapshot).
+  EXPECT_LT(wal.file_bytes(), 4 * (256 * 53 + snap.size() + 1024));
   // A reopen of the incrementally-compacted log sees the same state.
-  inc.sync();
+  wal.sync();
   FileWal reopened(a.path());
   EXPECT_EQ(reopened.load().last_stable, si.last_stable);
   EXPECT_EQ(reopened.load().votes.size(), si.votes.size());
 }
 
 // ---------------------------------------------------------------------------
-// RecoveryManager ledger replay
+// Ledger replay through ReplicaRuntime::recover()
 
 Bytes encoded_block(SeqNum s, ViewNum v, ClientId client, uint64_t timestamp) {
   Block block;
@@ -201,85 +201,95 @@ Bytes encoded_block(SeqNum s, ViewNum v, ClientId client, uint64_t timestamp) {
   return encode_message(Message(PrePrepareMsg{s, v, std::move(block)}));
 }
 
-TEST(RecoveryManagerTest, FreshStorageRecoversNothing) {
-  RecoveryManager manager(std::make_shared<storage::MemoryLedgerStorage>(),
-                          std::make_shared<MemoryWal>());
-  auto recovered =
-      manager.recover([] { return std::make_unique<harness::FastKvService>(); });
-  EXPECT_FALSE(recovered.has_value());
+/// A runtime on a fresh FastKvService over `ledger` and `wal` (either may be
+/// null), as a restarted replica would build it before recover().
+std::unique_ptr<runtime::ReplicaRuntime> runtime_on(
+    std::shared_ptr<storage::ILedgerStorage> ledger,
+    std::shared_ptr<IReplicaWal> wal) {
+  runtime::RuntimeOptions opts;
+  opts.ledger = std::move(ledger);
+  opts.wal = std::move(wal);
+  return std::make_unique<runtime::ReplicaRuntime>(
+      std::move(opts), std::make_unique<harness::FastKvService>());
 }
 
-TEST(RecoveryManagerTest, ReplaysLedgerFromGenesis) {
+/// Blocks 1..last of `ledger`: the log of a replica that stopped at `last`.
+std::shared_ptr<storage::MemoryLedgerStorage> prefix_of(
+    const storage::MemoryLedgerStorage& ledger, SeqNum last) {
+  auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
+  for (SeqNum s = 1; s <= last; ++s) prefix->append_block(s, *ledger.read_block(s));
+  return prefix;
+}
+
+TEST(LedgerReplay, FreshStorageRecoversNothing) {
+  auto rt = runtime_on(std::make_shared<storage::MemoryLedgerStorage>(),
+                       std::make_shared<MemoryWal>());
+  EXPECT_FALSE(rt->recover().has_value());
+}
+
+TEST(LedgerReplay, ReplaysLedgerFromGenesis) {
   auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
   for (SeqNum s = 1; s <= 4; ++s) {
     ledger->append_block(s, as_span(encoded_block(s, 0, 100, s)));
   }
-  RecoveryManager manager(ledger, nullptr);
-  auto recovered =
-      manager.recover([] { return std::make_unique<harness::FastKvService>(); });
+  auto rt = runtime_on(ledger, nullptr);
+  auto recovered = rt->recover();
   ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->last_executed, 4u);
-  EXPECT_EQ(recovered->last_stable, 0u);
-  ASSERT_EQ(recovered->replayed.size(), 4u);
+  EXPECT_EQ(rt->last_executed(), 4u);
+  EXPECT_EQ(rt->last_stable(), 0u);
+  EXPECT_EQ(rt->stats().blocks_replayed, 4u);
   // The chained digest d_s links back to genesis.
-  EXPECT_EQ(recovered->replayed[0].cert.prev_exec_digest, genesis_exec_digest());
+  ASSERT_NE(rt->record(1), nullptr);
+  EXPECT_EQ(rt->record(1)->cert.prev_exec_digest, genesis_exec_digest());
   for (SeqNum s = 1; s <= 4; ++s) {
-    EXPECT_EQ(recovered->exec_digests.at(s), recovered->replayed[s - 1].cert.exec_digest());
+    ASSERT_NE(rt->record(s), nullptr);
+    EXPECT_EQ(rt->exec_digest_of(s).value(), rt->record(s)->cert.exec_digest());
     if (s > 1) {
-      EXPECT_EQ(recovered->replayed[s - 1].cert.prev_exec_digest,
-                recovered->exec_digests.at(s - 1));
+      EXPECT_EQ(rt->record(s)->cert.prev_exec_digest,
+                rt->exec_digest_of(s - 1).value());
     }
   }
   // Service state matches the final certificate's state root.
-  EXPECT_EQ(recovered->service->state_digest(), recovered->replayed.back().cert.state_root);
+  EXPECT_EQ(rt->service().state_digest(), rt->record(4)->cert.state_root);
   EXPECT_GT(recovered->replayed_bytes, 0u);
+  // Replay recovers; it does not count as live execution.
+  EXPECT_EQ(rt->stats().blocks_executed, 0u);
+  EXPECT_EQ(rt->stats().requests_executed, 0u);
 }
 
-TEST(RecoveryManagerTest, SnapshotPlusSuffixMatchesFullReplay) {
+TEST(LedgerReplay, SnapshotPlusSuffixMatchesFullReplay) {
   auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
   for (SeqNum s = 1; s <= 6; ++s) {
     ledger->append_block(s, as_span(encoded_block(s, 0, 7, s)));
   }
-  auto factory = [] { return std::make_unique<harness::FastKvService>(); };
 
   // Full replay to establish the reference chain.
-  RecoveryManager full(ledger, nullptr);
-  auto reference = full.recover(factory);
-  ASSERT_TRUE(reference.has_value());
+  auto reference = runtime_on(ledger, nullptr);
+  ASSERT_TRUE(reference->recover().has_value());
 
-  // Replay 1..3 once, checkpoint there, and recover from snapshot + suffix.
-  RecoveryManager prefix(ledger, nullptr);
-  auto half = prefix.recover(factory);
-  ASSERT_TRUE(half.has_value());
+  // Checkpoint at 3: a runtime that replayed only 1..3 holds the certificate,
+  // the service state and the reply cache that rides in the envelope.
+  auto at3 = runtime_on(prefix_of(*ledger, 3), nullptr);
+  ASSERT_TRUE(at3->recover().has_value());
   auto wal = std::make_shared<MemoryWal>();
-  ExecCertificate cp = half->replayed[2].cert;  // seq 3
-  // Rebuild the service up to seq 3 to snapshot it, cache riding along in
-  // the checkpoint envelope.
-  auto service3 = factory();
-  runtime::ReplyCache cache3;
-  for (SeqNum s = 1; s <= 3; ++s) {
-    const Request& req = half->replayed[s - 1].block.requests()[0];
-    cache3.store(req.client, req.timestamp, s, 0,
-                 service3->execute(as_span(req.op)));
-  }
-  wal->record_checkpoint(cp, as_span(runtime::encode_checkpoint_snapshot(
-                                 as_span(service3->snapshot()), cache3)));
+  wal->record_checkpoint(at3->record(3)->cert,
+                         as_span(runtime::encode_checkpoint_snapshot(
+                             as_span(at3->service().snapshot()), at3->replies())));
   wal->record_view(0);
 
-  RecoveryManager from_snapshot(ledger, wal);
-  auto recovered = from_snapshot.recover(factory);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->last_stable, 3u);
-  EXPECT_EQ(recovered->last_executed, 6u);
-  EXPECT_EQ(recovered->replayed.size(), 3u);  // only the suffix re-executed
-  EXPECT_EQ(recovered->exec_digests.at(6), reference->exec_digests.at(6));
-  EXPECT_EQ(recovered->service->state_digest(), reference->service->state_digest());
+  auto rt = runtime_on(ledger, wal);
+  ASSERT_TRUE(rt->recover().has_value());
+  EXPECT_EQ(rt->last_stable(), 3u);
+  EXPECT_EQ(rt->last_executed(), 6u);
+  EXPECT_EQ(rt->stats().blocks_replayed, 3u);  // only the suffix re-executed
+  EXPECT_EQ(rt->exec_digest_of(6).value(), reference->exec_digest_of(6).value());
+  EXPECT_EQ(rt->service().state_digest(), reference->service().state_digest());
   // The recovered reply cache spans checkpoint + suffix.
-  ASSERT_NE(recovered->reply_cache.find(7), nullptr);
-  EXPECT_EQ(recovered->reply_cache.find(7)->timestamp, 6u);
+  ASSERT_NE(rt->replies().find(7), nullptr);
+  EXPECT_EQ(rt->replies().find(7)->timestamp, 6u);
 }
 
-TEST(RecoveryManagerTest, BareWalSnapshotAbortsRecovery) {
+TEST(LedgerReplay, BareWalSnapshotAbortsRecovery) {
   // A WAL checkpoint carrying a raw service snapshot instead of the envelope
   // (no reply cache, no magic) is refused like a corrupt one, even though
   // its service state matches the certified root: the replica boots fresh
@@ -288,42 +298,96 @@ TEST(RecoveryManagerTest, BareWalSnapshotAbortsRecovery) {
   for (SeqNum s = 1; s <= 4; ++s) {
     ledger->append_block(s, as_span(encoded_block(s, 0, 9, s)));
   }
-  auto factory = [] { return std::make_unique<harness::FastKvService>(); };
-  RecoveryManager prefix(ledger, nullptr);
-  auto half = prefix.recover(factory);
-  ASSERT_TRUE(half.has_value());
-  auto service2 = factory();
-  for (SeqNum s = 1; s <= 2; ++s) {
-    service2->execute(as_span(half->replayed[s - 1].block.requests()[0].op));
-  }
+  auto at2 = runtime_on(prefix_of(*ledger, 2), nullptr);
+  ASSERT_TRUE(at2->recover().has_value());
   auto wal = std::make_shared<MemoryWal>();
-  wal->record_checkpoint(half->replayed[1].cert, as_span(service2->snapshot()));
+  wal->record_checkpoint(at2->record(2)->cert, as_span(at2->service().snapshot()));
 
-  RecoveryManager manager(ledger, wal);
-  EXPECT_FALSE(manager.recover(factory).has_value());
+  auto rt = runtime_on(ledger, wal);
+  EXPECT_FALSE(rt->recover().has_value());
+  EXPECT_EQ(rt->last_executed(), 0u);  // nothing was installed
 }
 
-TEST(RecoveryManagerTest, CorruptSnapshotAbortsRecovery) {
+TEST(LedgerReplay, CorruptSnapshotAbortsRecovery) {
   auto wal = std::make_shared<MemoryWal>();
   ExecCertificate cp = make_cert(4);  // state_root matches nothing
   wal->record_checkpoint(cp, as_span(to_bytes("not-a-snapshot")));
-  RecoveryManager manager(nullptr, wal);
-  auto recovered =
-      manager.recover([] { return std::make_unique<harness::FastKvService>(); });
-  EXPECT_FALSE(recovered.has_value());  // boot fresh, rely on state transfer
+  auto rt = runtime_on(nullptr, wal);
+  EXPECT_FALSE(rt->recover().has_value());  // boot fresh, rely on state transfer
 }
 
-TEST(RecoveryManagerTest, SurfacesInFlightVotes) {
+TEST(LedgerReplay, SurfacesInFlightVotes) {
   auto wal = std::make_shared<MemoryWal>();
   wal->record_view(1);
   wal->record_vote(2, 1, digest_of(0x02));
-  RecoveryManager manager(std::make_shared<storage::MemoryLedgerStorage>(), wal);
-  auto recovered =
-      manager.recover([] { return std::make_unique<harness::FastKvService>(); });
+  auto rt = runtime_on(std::make_shared<storage::MemoryLedgerStorage>(), wal);
+  auto recovered = rt->recover();
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ(recovered->view, 1u);
   ASSERT_EQ(recovered->votes.size(), 1u);
   EXPECT_EQ(recovered->votes[0].seq, 2u);
+}
+
+TEST(LedgerReplay, MatchesLiveExecutionAcrossReconfigMarker) {
+  // A replica executes a reconfiguration marker (seq 1) and a put (seq 2),
+  // then crashes before its first stable checkpoint. Replay must re-derive
+  // what live execution did: the marker is staged against the genesis
+  // roster, so the values, the d_s chain the cluster certified and the
+  // pending activation all match.
+  auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
+  auto wal = std::make_shared<MemoryWal>();
+  auto make_runtime = [&] {
+    runtime::RuntimeOptions opts;
+    opts.checkpoint_interval = 8;
+    opts.ledger = ledger;
+    opts.wal = wal;
+    opts.membership_f = 1;
+    for (ReplicaId r = 1; r <= 4; ++r) {
+      opts.bootstrap_members.push_back({r, static_cast<NodeId>(r - 1)});
+    }
+    opts.self = 1;
+    return std::make_unique<runtime::ReplicaRuntime>(
+        std::move(opts), std::make_unique<harness::FastKvService>());
+  };
+
+  ReconfigDelta delta;
+  for (ReplicaId r = 5; r <= 7; ++r) {
+    delta.adds.push_back({r, static_cast<NodeId>(r - 1)});
+  }
+  delta.new_f = 2;
+  Block marker_block;
+  marker_block.requests.push_back(make_reconfig_request(delta, /*nonce=*/1));
+  Block put_block;
+  Request put;
+  put.client = 100;
+  put.timestamp = 1;
+  put.op = to_bytes("put-after-marker");
+  put_block.requests.push_back(std::move(put));
+
+  auto live = make_runtime();
+  sim::Simulator simulator;
+  sim::Network net(simulator, sim::lan_topology(), sim::CostModel{});
+  struct Idle : sim::IActor {
+    void on_message(NodeId, const Message&, sim::ActorContext&) override {}
+  } idle;
+  NodeId node = net.add_node(&idle);
+  net.start();
+  net.offload(node, 0, [&](sim::ActorContext& ctx) {
+    live->execute_block(1, 0, marker_block, ctx);
+    live->execute_block(2, 0, put_block, ctx);
+  });
+  simulator.run_until_idle();
+  ASSERT_EQ(live->last_executed(), 2u);
+  ASSERT_EQ(live->record(1)->values[0], to_bytes("RECONF"));
+
+  auto recovered = make_runtime();
+  ASSERT_TRUE(recovered->recover().has_value());
+  ASSERT_EQ(recovered->last_executed(), 2u);
+  EXPECT_EQ(recovered->record(1)->values, live->record(1)->values);
+  EXPECT_EQ(recovered->exec_digest_of(1).value(), live->exec_digest_of(1).value());
+  EXPECT_EQ(recovered->exec_digest_of(2).value(), live->exec_digest_of(2).value());
+  EXPECT_EQ(recovered->membership().pending_activation(),
+            live->membership().pending_activation());
 }
 
 }  // namespace

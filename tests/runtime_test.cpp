@@ -17,7 +17,6 @@
 #include "harness/eth_workload.h"
 #include "harness/workload.h"
 #include "kv/kv_service.h"
-#include "recovery/recovery_manager.h"
 #include "recovery/wal.h"
 #include "runtime/checkpoint_manager.h"
 #include "runtime/evidence_store.h"
@@ -701,8 +700,8 @@ TEST(ChunkStableSnapshot, PagedRoundTripAndLegacyRestore) {
   EXPECT_EQ(b.state_digest(), a.state_digest());
   EXPECT_EQ(b.size(), 300u);
 
-  // The pre-paged flat format (u64 count + pairs) still restores: snapshots
-  // persisted by older WALs.
+  // Input without the paged magic is rejected: the pre-paged flat format
+  // (u64 count + pairs), and eight zero bytes (an empty store in that format).
   Writer w;
   w.u64(2);
   w.bytes(as_span(to_bytes("k1")));
@@ -710,8 +709,8 @@ TEST(ChunkStableSnapshot, PagedRoundTripAndLegacyRestore) {
   w.bytes(as_span(to_bytes("k2")));
   w.bytes(as_span(to_bytes("v2")));
   kv::KvService legacy;
-  ASSERT_TRUE(legacy.restore(as_span(w.data())));
-  EXPECT_EQ(legacy.get(as_span(to_bytes("k2"))), to_bytes("v2"));
+  EXPECT_FALSE(legacy.restore(as_span(w.data())));
+  EXPECT_FALSE(legacy.restore(as_span(Bytes(8, 0))));
 
   // Truncated paged input must be rejected.
   Bytes truncated(paged.begin(), paged.begin() + paged.size() - 512);
@@ -1091,8 +1090,28 @@ struct EvmLedgerFixture {
     return ledger;
   }
 
-  static std::function<std::unique_ptr<IService>()> factory() {
-    return [] { return std::make_unique<EvmLedgerService>(); };
+  /// A runtime on a fresh EVM ledger over `ledger` and `wal` (either may be
+  /// null), as a restarted replica would build it before recover().
+  static std::unique_ptr<runtime::ReplicaRuntime> runtime_on(
+      std::shared_ptr<storage::ILedgerStorage> ledger,
+      std::shared_ptr<IReplicaWal> wal) {
+    runtime::RuntimeOptions opts;
+    opts.ledger = std::move(ledger);
+    opts.wal = std::move(wal);
+    return std::make_unique<runtime::ReplicaRuntime>(
+        std::move(opts), std::make_unique<EvmLedgerService>());
+  }
+
+  /// Blocks 1 and 2 of the full ledger, replayed: the checkpoint at 2 with
+  /// its certificate, service state and reply cache.
+  std::unique_ptr<runtime::ReplicaRuntime> replayed_to_checkpoint() const {
+    auto full = full_ledger();
+    auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
+    prefix->append_block(1, *full->read_block(1));
+    prefix->append_block(2, *full->read_block(2));
+    auto at2 = runtime_on(prefix, nullptr);
+    if (!at2->recover()) return nullptr;
+    return at2;
   }
 };
 
@@ -1102,39 +1121,33 @@ TEST(ReplyCachePersistence, EvmTransferNotReExecutedAfterRecovery) {
 
   // Reference: contiguous replay from genesis. The reply cache built along
   // the way suppresses the duplicate transfer, so alice ends at 90.
-  RecoveryManager reference_manager(ledger, nullptr);
-  auto reference = reference_manager.recover(fx.factory());
-  ASSERT_TRUE(reference.has_value());
+  auto reference = fx.runtime_on(ledger, nullptr);
+  ASSERT_TRUE(reference->recover().has_value());
 
   // Checkpoint at 2: replay the prefix once to derive the certificate, the
   // service snapshot, and — the point of this test — the reply cache.
-  auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
-  prefix->append_block(1, *ledger->read_block(1));
-  prefix->append_block(2, *ledger->read_block(2));
-  RecoveryManager prefix_manager(prefix, nullptr);
-  auto at2 = prefix_manager.recover(fx.factory());
-  ASSERT_TRUE(at2.has_value());
-  ASSERT_EQ(at2->last_executed, 2u);
+  auto at2 = fx.replayed_to_checkpoint();
+  ASSERT_NE(at2, nullptr);
+  ASSERT_EQ(at2->last_executed(), 2u);
 
   auto wal = std::make_shared<MemoryWal>();
   wal->record_checkpoint(
-      at2->replayed[1].cert,
-      as_span(runtime::encode_checkpoint_snapshot(as_span(at2->service->snapshot()),
-                                                  at2->reply_cache)));
+      at2->record(2)->cert,
+      as_span(runtime::encode_checkpoint_snapshot(as_span(at2->service().snapshot()),
+                                                  at2->replies())));
 
   // Recover from checkpoint + suffix: the persisted cache must suppress the
   // pre-checkpoint duplicate in block 3 instead of re-executing the transfer.
-  RecoveryManager manager(ledger, wal);
-  auto recovered = manager.recover(fx.factory());
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->last_stable, 2u);
-  EXPECT_EQ(recovered->last_executed, 4u);
-  EXPECT_EQ(recovered->replayed.size(), 2u);  // only the suffix re-executed
-  EXPECT_EQ(recovered->service->state_digest(), reference->service->state_digest());
-  EXPECT_EQ(recovered->exec_digests.at(4), reference->exec_digests.at(4));
+  auto recovered = fx.runtime_on(ledger, wal);
+  ASSERT_TRUE(recovered->recover().has_value());
+  EXPECT_EQ(recovered->last_stable(), 2u);
+  EXPECT_EQ(recovered->last_executed(), 4u);
+  EXPECT_EQ(recovered->stats().blocks_replayed, 2u);  // only the suffix re-executed
+  EXPECT_EQ(recovered->service().state_digest(), reference->service().state_digest());
+  EXPECT_EQ(recovered->exec_digest_of(4).value(), reference->exec_digest_of(4).value());
   // The recovered cache serves retries of every pre-crash request.
-  ASSERT_NE(recovered->reply_cache.find(7), nullptr);
-  EXPECT_EQ(recovered->reply_cache.find(7)->timestamp, 5u);
+  ASSERT_NE(recovered->replies().find(7), nullptr);
+  EXPECT_EQ(recovered->replies().find(7)->timestamp, 5u);
 }
 
 TEST(ReplyCachePersistence, CachelessSnapshotIsRefused) {
@@ -1146,19 +1159,14 @@ TEST(ReplyCachePersistence, CachelessSnapshotIsRefused) {
   EvmLedgerFixture fx;
   auto ledger = fx.full_ledger();
 
-  auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
-  prefix->append_block(1, *ledger->read_block(1));
-  prefix->append_block(2, *ledger->read_block(2));
-  RecoveryManager prefix_manager(prefix, nullptr);
-  auto at2 = prefix_manager.recover(fx.factory());
-  ASSERT_TRUE(at2.has_value());
+  auto at2 = fx.replayed_to_checkpoint();
+  ASSERT_NE(at2, nullptr);
 
   auto wal = std::make_shared<MemoryWal>();
-  wal->record_checkpoint(at2->replayed[1].cert,
-                         as_span(at2->service->snapshot()));  // bare: no cache
+  wal->record_checkpoint(at2->record(2)->cert,
+                         as_span(at2->service().snapshot()));  // bare: no cache
 
-  RecoveryManager manager(ledger, wal);
-  EXPECT_FALSE(manager.recover(fx.factory()).has_value());
+  EXPECT_FALSE(fx.runtime_on(ledger, wal)->recover().has_value());
 }
 
 }  // namespace
