@@ -494,9 +494,28 @@ bool Cluster::dump_trace(const std::string& path) const {
 
 obs::CheckReport Cluster::check_trace() const {
   // The fast-quorum invariant only applies when a fast path exists; PBFT and
-  // Linear-PBFT commit through prepare/commit quorums exclusively.
-  obs::TraceChecker checker(config_.fast_path_enabled ? config_.fast_quorum()
-                                                      : 0);
+  // Linear-PBFT commit through prepare/commit quorums exclusively. A slot's
+  // fast quorum is that of the epoch ordering it, read from the longest
+  // membership history that has every epoch since genesis. Epoch ids rise
+  // strictly, so such a history ends at id size() - 1; one that skips an id
+  // belongs to a replica that state-transferred past that epoch's activation.
+  obs::TraceChecker::FastQuorum fast_quorum;
+  if (config_.fast_path_enabled) {
+    const runtime::MembershipManager* witness = nullptr;
+    for (const ReplicaHandle& h : replicas_) {
+      const runtime::MembershipManager& m = h.runtime().membership();
+      const size_t epochs = m.history().size();
+      if (epochs > 0 && m.active().epoch + 1 == epochs &&
+          (!witness || epochs > witness->history().size())) {
+        witness = &m;
+      }
+    }
+    SBFT_CHECK(witness != nullptr);
+    fast_quorum = [membership = *witness](uint64_t seq) {
+      return membership.epoch_for_seq(seq).fast_quorum();
+    };
+  }
+  obs::TraceChecker checker(std::move(fast_quorum));
   for (const ReplicaHandle& h : replicas_) {
     if (h.tracer()) {
       checker.add_replica(h.id(), h.tracer()->events(), h.tracer()->dropped());

@@ -32,6 +32,10 @@ struct BlockProof {
   std::vector<Digest> path;  // sibling hashes, leaf level first
 
   Bytes encode() const;
+  /// encode().size(), without building it.
+  size_t encoded_size() const {
+    return 8 + 8 + 4 + path.size() * sizeof(Digest);
+  }
   static std::optional<BlockProof> decode(ByteSpan data);
 };
 

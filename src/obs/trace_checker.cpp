@@ -139,16 +139,16 @@ CheckReport TraceChecker::run() const {
   }
 
   // Invariant 3: every fast-committed seq is backed by a collector proof
-  // formed from >= fast_quorum sign-shares. The collector is the only
+  // formed from >= fast_quorum(seq) sign-shares. The collector is the only
   // replica that sees the share count, so the proof event may come from a
   // different stream than the commit.
-  if (fast_quorum_ > 0) {
+  if (fast_quorum_) {
     std::set<uint64_t> justified;
     for (const auto& s : streams_) {
       for (const auto& e : s.events) {
         if (e.category == Category::kSlot &&
             std::string_view(ev::kFastProofFormed) == e.name &&
-            e.arg >= fast_quorum_) {
+            e.arg >= fast_quorum_(e.seq)) {
           justified.insert(e.seq);
         }
       }
@@ -162,7 +162,7 @@ CheckReport TraceChecker::run() const {
           report.violations.push_back(
               "seq " + std::to_string(e.seq) +
               ": fast-committed without a collector proof of >= " +
-              std::to_string(fast_quorum_) + " sign-shares");
+              std::to_string(fast_quorum_(e.seq)) + " sign-shares");
         }
       }
     }

@@ -10,7 +10,9 @@
 //      numbers are strictly increasing (gaps are fine — state transfer jumps
 //      a lagging replica forward — but re-execution is not).
 //   3. Fast-path justification: every fast-committed slot has a collector
-//      event showing a full fast quorum of sign-shares backing its proof.
+//      event showing a full fast quorum of sign-shares backing its proof —
+//      the fast quorum of the membership epoch that orders the slot, so a
+//      reconfiguration that changes f changes the bar from its boundary on.
 //   4. State-transfer sessions terminate: every session span that was opened
 //      is closed (adopt or stop) by the end of the run.
 //   5. View monotonicity: within one incarnation of a replica, the views it
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,9 +46,13 @@ struct CheckReport {
 
 class TraceChecker {
  public:
-  /// `fast_quorum` is the number of sign-shares a fast-commit proof needs
-  /// (3f+c+1 for SBFT); pass 0 to skip invariant 3 (e.g. PBFT, no fast path).
-  explicit TraceChecker(uint32_t fast_quorum = 0) : fast_quorum_(fast_quorum) {}
+  /// Number of sign-shares a fast-commit proof for slot `seq` needs: 3f+c+1
+  /// of the membership epoch that orders the slot.
+  using FastQuorum = std::function<uint32_t(uint64_t seq)>;
+
+  /// Leave `fast_quorum` empty to skip invariant 3 (e.g. PBFT, no fast path).
+  explicit TraceChecker(FastQuorum fast_quorum = {})
+      : fast_quorum_(std::move(fast_quorum)) {}
 
   void add_replica(uint32_t replica, std::vector<TraceEvent> events,
                    uint64_t dropped = 0);
@@ -63,7 +70,7 @@ class TraceChecker {
     uint64_t dropped;
   };
 
-  uint32_t fast_quorum_;
+  FastQuorum fast_quorum_;
   std::vector<Stream> streams_;
 };
 

@@ -28,8 +28,6 @@ struct ProtocolConfig {
   // --- windows / batching (§V-F, §VIII) -------------------------------------
   uint64_t win = 256;            // outstanding-block window
   uint64_t checkpoint_interval() const { return win / 2; }
-  // Fast-path participation restriction: only within le + win/4 (§V-F).
-  bool fast_path_restriction = true;
 
   uint32_t max_batch = 64;       // upper bound on requests per decision block
   bool adaptive_batching = true; // §VIII adaptive batch parameter

@@ -1,6 +1,11 @@
 #include "proto/message.h"
 
+#include <algorithm>
+#include <concepts>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/serde.h"
 #include "crypto/sha256.h"
@@ -81,7 +86,15 @@ Digest exec_leaf(ClientId client, uint64_t timestamp, const Digest& value_digest
 }
 
 // ---------------------------------------------------------------------------
-// Encoding helpers
+// Wire layouts
+//
+// fields() names the members of each wire type once, in wire order, and three
+// passes walk that one list: Encode writes it, Decode reads it back and Size
+// prices it without building the bytes. Scalars are
+// little-endian at their own width (bool and the evidence enums take one
+// byte), digests are 32 raw bytes, byte strings and lists carry a u32 count,
+// an optional carries a presence byte, a sealed block travels as its Block
+// and a Merkle proof as the byte string of BlockProof::encode().
 
 namespace {
 
@@ -101,931 +114,447 @@ enum class Tag : uint8_t {
   kTxVote, kTxDecision, kTxResult,
 };
 
-/// Reads a count prefix for elements that each encode to at least
-/// `min_bytes`. A count the bytes left cannot hold fails the reader and reads
-/// as 0, so a forged count neither allocates nor decodes as a shorter value.
-uint32_t get_count(Reader& r, size_t min_bytes) {
-  uint32_t n = r.u32();
-  if (uint64_t{n} * min_bytes > r.remaining()) {
-    r.fail();
-    return 0;
-  }
-  return n;
-}
+/// Wire tag and type name of each Message alternative, in variant order.
+struct WireType {
+  Tag tag;
+  const char* name;
+};
 
-// Smallest encodings of the count-prefixed elements (every byte string empty).
-constexpr size_t kMinRequestBytes = 4 + 8 + 4 + 4;
-constexpr size_t kMinCertBytes = 8 + 3 * 32 + 4;
-constexpr size_t kMinSlotEvidenceBytes =
-    8 + 1 + 8 + 32 + 4 + 4 + 1 + 8 + 32 + 4 + 1;
-constexpr size_t kMinViewChangeBytes = 4 + 8 + 8 + kMinCertBytes + 4;
-constexpr size_t kMinPbftCertBytes = 8 + 8 + 32 + 4;
-constexpr size_t kMinPbftViewChangeBytes = 4 + 8 + 8 + 4;
-constexpr size_t kMinTxVoteBytes = 4 + 1 + 4;
-constexpr size_t kMinTxGroupCertBytes = 4 + 1 + 4;
-constexpr size_t kMinTxShardOpsBytes = 4 + 4;
-constexpr size_t kMinCheckpointShareBytes = 4 + 4;
-constexpr size_t kMinReplicaInfoBytes = 4 + 4;
+constexpr WireType kWireTypes[] = {
+    {Tag::kClientRequest, "client-request"},
+    {Tag::kPrePrepare, "pre-prepare"},
+    {Tag::kSignShare, "sign-share"},
+    {Tag::kFullCommitProof, "full-commit-proof"},
+    {Tag::kPrepare, "prepare"},
+    {Tag::kCommitShare, "commit"},
+    {Tag::kFullCommitProofSlow, "full-commit-proof-slow"},
+    {Tag::kSignState, "sign-state"},
+    {Tag::kFullExecuteProof, "full-execute-proof"},
+    {Tag::kExecuteAck, "execute-ack"},
+    {Tag::kClientReply, "client-reply"},
+    {Tag::kViewChange, "view-change"},
+    {Tag::kNewView, "new-view"},
+    {Tag::kGetBlockRequest, "get-block-request"},
+    {Tag::kGetBlockReply, "get-block-reply"},
+    {Tag::kStateTransferRequest, "state-transfer-request"},
+    {Tag::kStateManifest, "state-manifest"},
+    {Tag::kStateChunkRequest, "state-chunk-request"},
+    {Tag::kStateChunk, "state-chunk"},
+    {Tag::kPbftPrepare, "pbft-prepare"},
+    {Tag::kPbftCommit, "pbft-commit"},
+    {Tag::kPbftCheckpoint, "pbft-checkpoint"},
+    {Tag::kPbftViewChange, "pbft-view-change"},
+    {Tag::kPbftNewView, "pbft-new-view"},
+    {Tag::kReconfigBlock, "reconfig-block"},
+    {Tag::kTxVote, "tx-vote"},
+    {Tag::kTxDecision, "tx-decision"},
+    {Tag::kTxResult, "tx-result"},
+};
+static_assert(std::size(kWireTypes) == std::variant_size_v<Message>);
 
-void put(Writer& w, const Request& r) {
-  w.u32(r.client);
-  w.u64(r.timestamp);
-  w.bytes(as_span(r.op));
-  w.bytes(as_span(r.client_sig));
-}
+/// T is one of Ts.
+template <class T, class... Ts>
+concept Is = (std::same_as<T, Ts> || ...);
 
-Request get_request(Reader& r) {
-  Request out;
-  out.client = r.u32();
-  out.timestamp = r.u64();
-  out.op = r.bytes();
-  out.client_sig = r.bytes();
-  return out;
-}
+/// Fixed-width fields: integers, bool and the one-byte evidence enums.
+template <class T>
+concept Scalar = std::integral<T> || std::is_enum_v<T>;
 
-void put(Writer& w, const Block& b) {
-  w.u32(static_cast<uint32_t>(b.requests.size()));
-  for (const Request& r : b.requests) put(w, r);
-}
+/// A count-prefixed list whose count the decoder also caps at `max`.
+template <class List>
+struct AtMost {
+  List& list;
+  uint32_t max;
+};
 
-void put(Writer& w, const SealedBlock& b) { put(w, *b); }
-
-Block get_block(Reader& r) {
-  Block out;
-  uint32_t n = get_count(r, kMinRequestBytes);
-  out.requests.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) out.requests.push_back(get_request(r));
-  return out;
-}
-
-void put(Writer& w, const ExecCertificate& c) {
-  w.u64(c.seq);
-  w.digest(c.state_root);
-  w.digest(c.ops_root);
-  w.digest(c.prev_exec_digest);
-  w.bytes(as_span(c.pi_sig));
-}
-
-ExecCertificate get_cert(Reader& r) {
-  ExecCertificate c;
-  c.seq = r.u64();
-  c.state_root = r.digest();
-  c.ops_root = r.digest();
-  c.prev_exec_digest = r.digest();
-  c.pi_sig = r.bytes();
-  return c;
-}
-
-void put(Writer& w, const SlotEvidence& e) {
-  w.u64(e.seq);
-  w.u8(static_cast<uint8_t>(e.lm_kind));
-  w.u64(e.lm_view);
-  w.digest(e.lm_block_digest);
-  w.bytes(as_span(e.lm_sig));
-  w.bytes(as_span(e.lm_inner_sig));
-  w.u8(static_cast<uint8_t>(e.fm_kind));
-  w.u64(e.fm_view);
-  w.digest(e.fm_block_digest);
-  w.bytes(as_span(e.fm_sig));
-  w.boolean(e.block.has_value());
-  if (e.block) put(w, *e.block);
-}
-
-SlotEvidence get_slot_evidence(Reader& r) {
-  SlotEvidence e;
-  e.seq = r.u64();
-  e.lm_kind = static_cast<SlowEvidence>(r.u8());
-  e.lm_view = r.u64();
-  e.lm_block_digest = r.digest();
-  e.lm_sig = r.bytes();
-  e.lm_inner_sig = r.bytes();
-  e.fm_kind = static_cast<FastEvidence>(r.u8());
-  e.fm_view = r.u64();
-  e.fm_block_digest = r.digest();
-  e.fm_sig = r.bytes();
-  if (r.boolean()) e.block = get_block(r);
-  return e;
-}
-
-void put(Writer& w, const ViewChangeMsg& m) {
-  w.u32(m.sender);
-  w.u64(m.next_view);
-  w.u64(m.ls);
-  put(w, m.checkpoint);
-  w.u32(static_cast<uint32_t>(m.slots.size()));
-  for (const SlotEvidence& e : m.slots) put(w, e);
-}
-
-ViewChangeMsg get_view_change(Reader& r) {
-  ViewChangeMsg m;
-  m.sender = r.u32();
-  m.next_view = r.u64();
-  m.ls = r.u64();
-  m.checkpoint = get_cert(r);
-  uint32_t n = get_count(r, kMinSlotEvidenceBytes);
-  m.slots.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) m.slots.push_back(get_slot_evidence(r));
-  return m;
-}
-
-void put(Writer& w, const ReconfigDelta& d) {
-  w.u32(static_cast<uint32_t>(d.adds.size()));
-  for (const ReplicaInfo& info : d.adds) {
-    w.u32(info.id);
-    w.u32(info.node);
-  }
-  w.u32(static_cast<uint32_t>(d.removes.size()));
-  for (ReplicaId r : d.removes) w.u32(r);
-  w.u32(d.new_f);
-  w.u32(d.new_c);
-}
-
-ReconfigDelta get_reconfig_delta(Reader& r) {
-  ReconfigDelta d;
-  uint32_t adds = get_count(r, kMinReplicaInfoBytes);
-  for (uint32_t i = 0; i < adds && r.ok(); ++i) {
-    ReplicaInfo info;
-    info.id = r.u32();
-    info.node = r.u32();
-    d.adds.push_back(info);
-  }
-  uint32_t removes = get_count(r, 4);
-  for (uint32_t i = 0; i < removes && r.ok(); ++i) d.removes.push_back(r.u32());
-  d.new_f = r.u32();
-  d.new_c = r.u32();
-  return d;
-}
-
-void put(Writer& w, const ShardTx& tx) {
-  w.u64(tx.txid);
-  w.u32(tx.coordinator);
-  w.u32(static_cast<uint32_t>(tx.shards.size()));
-  for (const TxShardOps& s : tx.shards) {
-    w.u32(s.group);
-    w.u32(static_cast<uint32_t>(s.ops.size()));
-    for (const Bytes& op : s.ops) w.bytes(as_span(op));
+/// The wire layout of every message and nested wire type: hands `m`'s
+/// members, in wire order, to the pass `io`. `m` is const when encoding or
+/// sizing and mutable when decoding.
+template <class Io, class M>
+void fields(Io& io, M& m) {
+  using T = std::remove_const_t<M>;
+  if constexpr (Is<T, Request>) {
+    io(m.client, m.timestamp, m.op, m.client_sig);
+  } else if constexpr (Is<T, Block>) {
+    io(m.requests);
+  } else if constexpr (Is<T, ExecCertificate>) {
+    io(m.seq, m.state_root, m.ops_root, m.prev_exec_digest, m.pi_sig);
+  } else if constexpr (Is<T, SlotEvidence>) {
+    io(m.seq, m.lm_kind, m.lm_view, m.lm_block_digest, m.lm_sig,
+       m.lm_inner_sig, m.fm_kind, m.fm_view, m.fm_block_digest, m.fm_sig,
+       m.block);
+  } else if constexpr (Is<T, ReplicaInfo>) {
+    io(m.id, m.node);
+  } else if constexpr (Is<T, ReconfigDelta>) {
+    io(m.adds, m.removes, m.new_f, m.new_c);
+  } else if constexpr (Is<T, TxShardOps>) {
+    io(m.group, m.ops);
+  } else if constexpr (Is<T, ShardTx>) {
+    io(m.txid, m.coordinator, m.shards);
+  } else if constexpr (Is<T, TxVote>) {
+    io(m.replica, m.commit, m.sig);
+  } else if constexpr (Is<T, TxGroupCert>) {
+    io(m.group, m.commit, m.votes);
+  } else if constexpr (Is<T, TxDecision, TxDecisionMsg>) {
+    io(m.txid, m.commit, m.certs);
+  } else if constexpr (Is<T, CheckpointSigShare>) {
+    io(m.replica, m.sig);
+  } else if constexpr (Is<T, PbftPreparedCert>) {
+    io(m.seq, m.view, m.h, m.block);
+  } else if constexpr (Is<T, ClientRequestMsg>) {  // the messages
+    io(m.request);
+  } else if constexpr (Is<T, PrePrepareMsg>) {
+    io(m.seq, m.view, m.block);
+  } else if constexpr (Is<T, SignShareMsg>) {
+    io(m.seq, m.view, m.block_digest, m.h, m.replica, m.sigma_share,
+       m.tau_share);
+  } else if constexpr (Is<T, FullCommitProofMsg>) {
+    io(m.seq, m.view, m.block_digest, m.sigma_sig);
+  } else if constexpr (Is<T, PrepareMsg>) {
+    io(m.seq, m.view, m.block_digest, m.tau_sig);
+  } else if constexpr (Is<T, CommitShareMsg>) {
+    io(m.seq, m.view, m.commit_digest, m.replica, m.tau_share);
+  } else if constexpr (Is<T, FullCommitProofSlowMsg>) {
+    io(m.seq, m.view, m.block_digest, m.tau_sig, m.tau_tau_sig);
+  } else if constexpr (Is<T, SignStateMsg>) {
+    io(m.seq, m.replica, m.exec_digest, m.pi_share);
+  } else if constexpr (Is<T, FullExecuteProofMsg>) {
+    io(m.seq, m.exec_digest, m.pi_sig);
+  } else if constexpr (Is<T, ExecuteAckMsg>) {
+    io(m.client, m.timestamp, m.index, m.value, m.cert, m.proof);
+  } else if constexpr (Is<T, ClientReplyMsg>) {
+    io(m.replica, m.client, m.timestamp, m.seq, m.value);
+  } else if constexpr (Is<T, ViewChangeMsg>) {
+    io(m.sender, m.next_view, m.ls, m.checkpoint, m.slots);
+  } else if constexpr (Is<T, NewViewMsg, PbftNewViewMsg>) {
+    io(m.view, m.proofs);
+  } else if constexpr (Is<T, GetBlockRequestMsg>) {
+    io(m.requester, m.seq, m.block_digest);
+  } else if constexpr (Is<T, GetBlockReplyMsg>) {
+    io(m.seq, m.block);
+  } else if constexpr (Is<T, StateTransferRequestMsg>) {
+    io(m.requester, m.have_seq, m.base_seq, m.base_root);
+  } else if constexpr (Is<T, StateManifestMsg>) {
+    // base_map must admit one entry per chunk up to the manager's chunk-count
+    // bound (1u << 20), or an honest mostly-unchanged delta manifest for a
+    // huge snapshot would be undecodable.
+    io(m.donor, m.seq, m.cert, m.chunk_root, m.chunk_count, m.chunk_size,
+       m.total_bytes, m.base_seq, m.delta_bitmap, AtMost{m.base_map, 1u << 20},
+       m.checkpoint_proof);
+  } else if constexpr (Is<T, StateChunkRequestMsg>) {
+    io(m.requester, m.seq, m.chunk_root, m.indices);
+  } else if constexpr (Is<T, StateChunkMsg>) {
+    io(m.donor, m.seq, m.chunk_root, m.index, m.chunk_count, m.data, m.proof);
+  } else if constexpr (Is<T, PbftPrepareMsg, PbftCommitMsg>) {
+    io(m.seq, m.view, m.h, m.replica);
+  } else if constexpr (Is<T, PbftCheckpointMsg>) {
+    io(m.seq, m.state_digest, m.replica, m.sig);
+  } else if constexpr (Is<T, PbftViewChangeMsg>) {
+    io(m.sender, m.next_view, m.ls, m.prepared);
+  } else if constexpr (Is<T, ReconfigBlockMsg>) {
+    io(m.delta, m.nonce);
+  } else if constexpr (Is<T, TxVoteMsg>) {
+    io(m.txid, m.group, m.replica, m.commit, m.sig);
+  } else {
+    static_assert(Is<T, TxResultMsg>, "type has no wire layout");
+    io(m.txid, m.group, m.replica, m.committed);
   }
 }
 
-ShardTx get_shard_tx(Reader& r) {
-  ShardTx tx;
-  tx.txid = r.u64();
-  tx.coordinator = r.u32();
-  uint32_t shards = get_count(r, kMinTxShardOpsBytes);
-  for (uint32_t i = 0; i < shards && r.ok(); ++i) {
-    TxShardOps s;
-    s.group = r.u32();
-    uint32_t ops = get_count(r, 4);
-    for (uint32_t j = 0; j < ops && r.ok(); ++j) s.ops.push_back(r.bytes());
-    tx.shards.push_back(std::move(s));
-  }
-  return tx;
-}
+// --- the passes ----------------------------------------------------------------
 
-void put(Writer& w, const TxGroupCert& c) {
-  w.u32(c.group);
-  w.boolean(c.commit);
-  w.u32(static_cast<uint32_t>(c.votes.size()));
-  for (const TxVote& v : c.votes) {
-    w.u32(v.replica);
-    w.boolean(v.commit);
-    w.bytes(as_span(v.sig));
-  }
-}
+/// Prices a field list: the size of its encoding, without building it.
+struct Size {
+  size_t n = 0;
 
-TxGroupCert get_tx_group_cert(Reader& r) {
-  TxGroupCert c;
-  c.group = r.u32();
-  c.commit = r.boolean();
-  uint32_t n = get_count(r, kMinTxVoteBytes);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    TxVote v;
-    v.replica = r.u32();
-    v.commit = r.boolean();
-    v.sig = r.bytes();
-    c.votes.push_back(std::move(v));
+  template <class... Fs>
+  void operator()(const Fs&... fs) {
+    (add(fs), ...);
   }
-  return c;
-}
 
-void put(Writer& w, const TxDecision& d) {
-  w.u64(d.txid);
-  w.boolean(d.commit);
-  w.u32(static_cast<uint32_t>(d.certs.size()));
-  for (const TxGroupCert& c : d.certs) put(w, c);
-}
-
-TxDecision get_tx_decision(Reader& r) {
-  TxDecision d;
-  d.txid = r.u64();
-  d.commit = r.boolean();
-  uint32_t n = get_count(r, kMinTxGroupCertBytes);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) d.certs.push_back(get_tx_group_cert(r));
-  return d;
-}
-
-void put(Writer& w, const std::vector<CheckpointSigShare>& proof) {
-  w.u32(static_cast<uint32_t>(proof.size()));
-  for (const CheckpointSigShare& s : proof) {
-    w.u32(s.replica);
-    w.bytes(as_span(s.sig));
+  template <Scalar T>
+  void add(const T&) {
+    n += sizeof(T);
   }
-}
-
-std::vector<CheckpointSigShare> get_checkpoint_proof(Reader& r) {
-  std::vector<CheckpointSigShare> proof;
-  uint32_t n = get_count(r, kMinCheckpointShareBytes);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    CheckpointSigShare s;
-    s.replica = r.u32();
-    s.sig = r.bytes();
-    proof.push_back(std::move(s));
+  void add(const Digest&) { n += sizeof(Digest); }
+  void add(const Bytes& b) { n += 4 + b.size(); }
+  void add(const SealedBlock& b) { add(*b); }
+  void add(const merkle::BlockProof& p) { n += 4 + p.encoded_size(); }
+  template <class T>
+  void add(const std::vector<T>& list) {
+    n += 4;
+    for (const T& e : list) add(e);
   }
-  return proof;
-}
-
-void put(Writer& w, const merkle::BlockProof& p) { w.bytes(as_span(p.encode())); }
-
-merkle::BlockProof get_block_proof(Reader& r) {
-  auto p = merkle::BlockProof::decode(as_span(r.bytes()));
-  if (!p) r.fail();
-  return p.value_or(merkle::BlockProof{});
-}
-
-void put(Writer& w, const PbftPreparedCert& c) {
-  w.u64(c.seq);
-  w.u64(c.view);
-  w.digest(c.h);
-  put(w, c.block);
-}
-
-PbftPreparedCert get_pbft_cert(Reader& r) {
-  PbftPreparedCert c;
-  c.seq = r.u64();
-  c.view = r.u64();
-  c.h = r.digest();
-  c.block = get_block(r);
-  return c;
-}
-
-void put(Writer& w, const PbftViewChangeMsg& m) {
-  w.u32(m.sender);
-  w.u64(m.next_view);
-  w.u64(m.ls);
-  w.u32(static_cast<uint32_t>(m.prepared.size()));
-  for (const auto& c : m.prepared) put(w, c);
-}
-
-PbftViewChangeMsg get_pbft_view_change(Reader& r) {
-  PbftViewChangeMsg m;
-  m.sender = r.u32();
-  m.next_view = r.u64();
-  m.ls = r.u64();
-  uint32_t n = get_count(r, kMinPbftCertBytes);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) m.prepared.push_back(get_pbft_cert(r));
-  return m;
-}
-
-struct Encoder {
-  Writer& w;
-
-  void operator()(const ClientRequestMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kClientRequest));
-    put(w, m.request);
+  template <class T>
+  void add(const std::optional<T>& v) {
+    n += 1;
+    if (v) add(*v);
   }
-  void operator()(const PrePrepareMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kPrePrepare));
-    w.u64(m.seq);
-    w.u64(m.view);
-    put(w, m.block);
+  template <class List>
+  void add(const AtMost<List>& capped) {
+    add(capped.list);
   }
-  void operator()(const SignShareMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kSignShare));
-    w.u64(m.seq);
-    w.u64(m.view);
-    w.digest(m.block_digest);
-    w.digest(m.h);
-    w.u32(m.replica);
-    w.bytes(as_span(m.sigma_share));
-    w.bytes(as_span(m.tau_share));
-  }
-  void operator()(const FullCommitProofMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kFullCommitProof));
-    w.u64(m.seq);
-    w.u64(m.view);
-    w.digest(m.block_digest);
-    w.bytes(as_span(m.sigma_sig));
-  }
-  void operator()(const PrepareMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kPrepare));
-    w.u64(m.seq);
-    w.u64(m.view);
-    w.digest(m.block_digest);
-    w.bytes(as_span(m.tau_sig));
-  }
-  void operator()(const CommitShareMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kCommitShare));
-    w.u64(m.seq);
-    w.u64(m.view);
-    w.digest(m.commit_digest);
-    w.u32(m.replica);
-    w.bytes(as_span(m.tau_share));
-  }
-  void operator()(const FullCommitProofSlowMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kFullCommitProofSlow));
-    w.u64(m.seq);
-    w.u64(m.view);
-    w.digest(m.block_digest);
-    w.bytes(as_span(m.tau_sig));
-    w.bytes(as_span(m.tau_tau_sig));
-  }
-  void operator()(const SignStateMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kSignState));
-    w.u64(m.seq);
-    w.u32(m.replica);
-    w.digest(m.exec_digest);
-    w.bytes(as_span(m.pi_share));
-  }
-  void operator()(const FullExecuteProofMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kFullExecuteProof));
-    w.u64(m.seq);
-    w.digest(m.exec_digest);
-    w.bytes(as_span(m.pi_sig));
-  }
-  void operator()(const ExecuteAckMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kExecuteAck));
-    w.u32(m.client);
-    w.u64(m.timestamp);
-    w.u64(m.index);
-    w.bytes(as_span(m.value));
-    put(w, m.cert);
-    put(w, m.proof);
-  }
-  void operator()(const ClientReplyMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kClientReply));
-    w.u32(m.replica);
-    w.u32(m.client);
-    w.u64(m.timestamp);
-    w.u64(m.seq);
-    w.bytes(as_span(m.value));
-  }
-  void operator()(const ViewChangeMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kViewChange));
-    put(w, m);
-  }
-  void operator()(const NewViewMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kNewView));
-    w.u64(m.view);
-    w.u32(static_cast<uint32_t>(m.proofs.size()));
-    for (const auto& p : m.proofs) put(w, p);
-  }
-  void operator()(const GetBlockRequestMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kGetBlockRequest));
-    w.u32(m.requester);
-    w.u64(m.seq);
-    w.digest(m.block_digest);
-  }
-  void operator()(const GetBlockReplyMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kGetBlockReply));
-    w.u64(m.seq);
-    put(w, m.block);
-  }
-  void operator()(const StateTransferRequestMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kStateTransferRequest));
-    w.u32(m.requester);
-    w.u64(m.have_seq);
-    w.u64(m.base_seq);
-    w.digest(m.base_root);
-  }
-  void operator()(const StateManifestMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kStateManifest));
-    w.u32(m.donor);
-    w.u64(m.seq);
-    put(w, m.cert);
-    w.digest(m.chunk_root);
-    w.u32(m.chunk_count);
-    w.u32(m.chunk_size);
-    w.u64(m.total_bytes);
-    w.u64(m.base_seq);
-    w.bytes(as_span(m.delta_bitmap));
-    w.u32(static_cast<uint32_t>(m.base_map.size()));
-    for (uint32_t j : m.base_map) w.u32(j);
-    put(w, m.checkpoint_proof);
-  }
-  void operator()(const StateChunkRequestMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kStateChunkRequest));
-    w.u32(m.requester);
-    w.u64(m.seq);
-    w.digest(m.chunk_root);
-    w.u32(static_cast<uint32_t>(m.indices.size()));
-    for (uint32_t i : m.indices) w.u32(i);
-  }
-  void operator()(const StateChunkMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kStateChunk));
-    w.u32(m.donor);
-    w.u64(m.seq);
-    w.digest(m.chunk_root);
-    w.u32(m.index);
-    w.u32(m.chunk_count);
-    w.bytes(as_span(m.data));
-    put(w, m.proof);
-  }
-  void operator()(const PbftPrepareMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kPbftPrepare));
-    w.u64(m.seq);
-    w.u64(m.view);
-    w.digest(m.h);
-    w.u32(m.replica);
-  }
-  void operator()(const PbftCommitMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kPbftCommit));
-    w.u64(m.seq);
-    w.u64(m.view);
-    w.digest(m.h);
-    w.u32(m.replica);
-  }
-  void operator()(const PbftCheckpointMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kPbftCheckpoint));
-    w.u64(m.seq);
-    w.digest(m.state_digest);
-    w.u32(m.replica);
-    w.bytes(as_span(m.sig));
-  }
-  void operator()(const PbftViewChangeMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kPbftViewChange));
-    put(w, m);
-  }
-  void operator()(const PbftNewViewMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kPbftNewView));
-    w.u64(m.view);
-    w.u32(static_cast<uint32_t>(m.proofs.size()));
-    for (const auto& p : m.proofs) put(w, p);
-  }
-  void operator()(const ReconfigBlockMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kReconfigBlock));
-    put(w, m.delta);
-    w.u64(m.nonce);
-  }
-  void operator()(const TxVoteMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kTxVote));
-    w.u64(m.txid);
-    w.u32(m.group);
-    w.u32(m.replica);
-    w.boolean(m.commit);
-    w.bytes(as_span(m.sig));
-  }
-  void operator()(const TxDecisionMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kTxDecision));
-    w.u64(m.txid);
-    w.boolean(m.commit);
-    w.u32(static_cast<uint32_t>(m.certs.size()));
-    for (const TxGroupCert& c : m.certs) put(w, c);
-  }
-  void operator()(const TxResultMsg& m) {
-    w.u8(static_cast<uint8_t>(Tag::kTxResult));
-    w.u64(m.txid);
-    w.u32(m.group);
-    w.u32(m.replica);
-    w.boolean(m.committed);
+  template <class T>
+  void add(const T& m) {
+    fields(*this, m);
   }
 };
 
-}  // namespace
+/// Writes a field list.
+struct Encode {
+  Writer& w;
 
-Bytes encode_exec_certificate(const ExecCertificate& cert) {
+  template <class... Fs>
+  void operator()(const Fs&... fs) {
+    (put(fs), ...);
+  }
+
+  template <Scalar T>
+  void put(const T& v) {
+    if constexpr (sizeof(T) == 1) {
+      w.u8(static_cast<uint8_t>(v));
+    } else if constexpr (sizeof(T) == 4) {
+      w.u32(static_cast<uint32_t>(v));
+    } else {
+      static_assert(sizeof(T) == 8);
+      w.u64(static_cast<uint64_t>(v));
+    }
+  }
+  void put(const Digest& d) { w.digest(d); }
+  void put(const Bytes& b) { w.bytes(as_span(b)); }
+  void put(const SealedBlock& b) { put(*b); }
+  void put(const merkle::BlockProof& p) { put(p.encode()); }
+  template <class T>
+  void put(const std::vector<T>& list) {
+    put(static_cast<uint32_t>(list.size()));
+    for (const T& e : list) put(e);
+  }
+  template <class T>
+  void put(const std::optional<T>& v) {
+    put(v.has_value());
+    if (v) put(*v);
+  }
+  template <class List>
+  void put(const AtMost<List>& capped) {
+    put(capped.list);
+  }
+  template <class T>
+  void put(const T& m) {
+    fields(*this, m);
+  }
+};
+
+/// Encoded size of a default T: the fewest bytes any T occupies on the wire.
+template <class T>
+size_t smallest() {
+  static const size_t bytes = [] {
+    Size size;
+    size(T{});
+    return size.n;
+  }();
+  return bytes;
+}
+
+/// Reads a field list back. A count prefix the bytes left cannot hold fails
+/// the reader, so a forged count neither allocates nor decodes as a shorter
+/// list; so does a malformed Merkle proof.
+struct Decode {
+  Reader& r;
+
+  template <class... Fs>
+  void operator()(Fs&&... fs) {
+    (get(fs), ...);
+  }
+
+  template <Scalar T>
+  void get(T& v) {
+    if constexpr (sizeof(T) == 1) {
+      v = static_cast<T>(r.u8());
+    } else if constexpr (sizeof(T) == 4) {
+      v = static_cast<T>(r.u32());
+    } else {
+      v = static_cast<T>(r.u64());
+    }
+  }
+  void get(Digest& d) { d = r.digest(); }
+  void get(Bytes& b) { b = r.bytes(); }
+  void get(SealedBlock& b) {
+    Block block;
+    get(block);
+    b = std::move(block);
+  }
+  void get(merkle::BlockProof& p) {
+    auto proof = merkle::BlockProof::decode(as_span(r.bytes()));
+    if (proof) {
+      p = std::move(*proof);
+    } else {
+      r.fail();
+    }
+  }
+  template <class T>
+  void get(std::vector<T>& list, uint32_t max = UINT32_MAX) {
+    const uint32_t n = r.u32();
+    if (n > max || uint64_t{n} * smallest<T>() > r.remaining()) {
+      r.fail();
+      return;
+    }
+    list.resize(n);
+    for (T& e : list) get(e);
+  }
+  template <class T>
+  void get(std::optional<T>& v) {
+    if (r.u8() != 0) get(v.emplace());
+  }
+  template <class List>
+  void get(AtMost<List>& capped) {
+    get(capped.list, capped.max);
+  }
+  template <class T>
+  void get(T& m) {
+    fields(*this, m);
+  }
+};
+
+template <class T>
+Bytes encode_fields(const T& value) {
   Writer w;
-  put(w, cert);
+  Encode{w}(value);
   return std::move(w).take();
 }
 
-std::optional<ExecCertificate> decode_exec_certificate(ByteSpan data) {
+/// Decodes a T that spans all of `data`.
+template <class T>
+std::optional<T> decode_fields(ByteSpan data) {
   Reader r(data);
-  ExecCertificate cert = get_cert(r);
+  T value;
+  Decode{r}(value);
   if (!r.at_end()) return std::nullopt;
-  return cert;
+  return value;
 }
+
+/// Default instance of Message alternative `index`.
+template <size_t... I>
+Message blank_message(size_t index, std::index_sequence<I...>) {
+  Message msg;
+  ((index == I ? void(msg.emplace<I>()) : void()), ...);
+  return msg;
+}
+
+}  // namespace
 
 Bytes encode_message(const Message& msg) {
   Writer w;
-  std::visit(Encoder{w}, msg);
+  std::visit([&](const auto& m) { Encode{w}(kWireTypes[msg.index()].tag, m); },
+             msg);
   return std::move(w).take();
 }
 
 std::optional<Message> decode_message(ByteSpan data) {
   Reader r(data);
-  Tag tag = static_cast<Tag>(r.u8());
-  std::optional<Message> out;
-  switch (tag) {
-    case Tag::kClientRequest: {
-      ClientRequestMsg m;
-      m.request = get_request(r);
-      out = m;
-      break;
-    }
-    case Tag::kPrePrepare: {
-      PrePrepareMsg m;
-      m.seq = r.u64();
-      m.view = r.u64();
-      m.block = get_block(r);
-      out = m;
-      break;
-    }
-    case Tag::kSignShare: {
-      SignShareMsg m;
-      m.seq = r.u64();
-      m.view = r.u64();
-      m.block_digest = r.digest();
-      m.h = r.digest();
-      m.replica = r.u32();
-      m.sigma_share = r.bytes();
-      m.tau_share = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kFullCommitProof: {
-      FullCommitProofMsg m;
-      m.seq = r.u64();
-      m.view = r.u64();
-      m.block_digest = r.digest();
-      m.sigma_sig = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kPrepare: {
-      PrepareMsg m;
-      m.seq = r.u64();
-      m.view = r.u64();
-      m.block_digest = r.digest();
-      m.tau_sig = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kCommitShare: {
-      CommitShareMsg m;
-      m.seq = r.u64();
-      m.view = r.u64();
-      m.commit_digest = r.digest();
-      m.replica = r.u32();
-      m.tau_share = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kFullCommitProofSlow: {
-      FullCommitProofSlowMsg m;
-      m.seq = r.u64();
-      m.view = r.u64();
-      m.block_digest = r.digest();
-      m.tau_sig = r.bytes();
-      m.tau_tau_sig = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kSignState: {
-      SignStateMsg m;
-      m.seq = r.u64();
-      m.replica = r.u32();
-      m.exec_digest = r.digest();
-      m.pi_share = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kFullExecuteProof: {
-      FullExecuteProofMsg m;
-      m.seq = r.u64();
-      m.exec_digest = r.digest();
-      m.pi_sig = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kExecuteAck: {
-      ExecuteAckMsg m;
-      m.client = r.u32();
-      m.timestamp = r.u64();
-      m.index = r.u64();
-      m.value = r.bytes();
-      m.cert = get_cert(r);
-      m.proof = get_block_proof(r);
-      out = m;
-      break;
-    }
-    case Tag::kClientReply: {
-      ClientReplyMsg m;
-      m.replica = r.u32();
-      m.client = r.u32();
-      m.timestamp = r.u64();
-      m.seq = r.u64();
-      m.value = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kViewChange: {
-      out = get_view_change(r);
-      break;
-    }
-    case Tag::kNewView: {
-      NewViewMsg m;
-      m.view = r.u64();
-      uint32_t n = get_count(r, kMinViewChangeBytes);
-      for (uint32_t i = 0; i < n && r.ok(); ++i)
-        m.proofs.push_back(get_view_change(r));
-      out = m;
-      break;
-    }
-    case Tag::kGetBlockRequest: {
-      GetBlockRequestMsg m;
-      m.requester = r.u32();
-      m.seq = r.u64();
-      m.block_digest = r.digest();
-      out = m;
-      break;
-    }
-    case Tag::kGetBlockReply: {
-      GetBlockReplyMsg m;
-      m.seq = r.u64();
-      m.block = get_block(r);
-      out = m;
-      break;
-    }
-    case Tag::kStateTransferRequest: {
-      StateTransferRequestMsg m;
-      m.requester = r.u32();
-      m.have_seq = r.u64();
-      m.base_seq = r.u64();
-      m.base_root = r.digest();
-      out = m;
-      break;
-    }
-    case Tag::kStateManifest: {
-      StateManifestMsg m;
-      m.donor = r.u32();
-      m.seq = r.u64();
-      m.cert = get_cert(r);
-      m.chunk_root = r.digest();
-      m.chunk_count = r.u32();
-      m.chunk_size = r.u32();
-      m.total_bytes = r.u64();
-      m.base_seq = r.u64();
-      m.delta_bitmap = r.bytes();
-      uint32_t n = r.u32();
-      // Must admit one entry per chunk up to the manager's chunk-count bound
-      // (1u << 20), or an honest mostly-unchanged delta manifest for a huge
-      // snapshot would be undecodable. Bound by the bytes actually present
-      // before reserving — a forged count must not allocate megabytes.
-      if (n > (1u << 20) || uint64_t{n} * 4 > r.remaining()) return std::nullopt;
-      m.base_map.reserve(n);
-      for (uint32_t i = 0; i < n && r.ok(); ++i) m.base_map.push_back(r.u32());
-      m.checkpoint_proof = get_checkpoint_proof(r);
-      out = m;
-      break;
-    }
-    case Tag::kStateChunkRequest: {
-      StateChunkRequestMsg m;
-      m.requester = r.u32();
-      m.seq = r.u64();
-      m.chunk_root = r.digest();
-      uint32_t n = get_count(r, 4);
-      m.indices.reserve(n);
-      for (uint32_t i = 0; i < n && r.ok(); ++i) m.indices.push_back(r.u32());
-      out = m;
-      break;
-    }
-    case Tag::kStateChunk: {
-      StateChunkMsg m;
-      m.donor = r.u32();
-      m.seq = r.u64();
-      m.chunk_root = r.digest();
-      m.index = r.u32();
-      m.chunk_count = r.u32();
-      m.data = r.bytes();
-      m.proof = get_block_proof(r);
-      out = m;
-      break;
-    }
-    case Tag::kPbftPrepare: {
-      PbftPrepareMsg m;
-      m.seq = r.u64();
-      m.view = r.u64();
-      m.h = r.digest();
-      m.replica = r.u32();
-      out = m;
-      break;
-    }
-    case Tag::kPbftCommit: {
-      PbftCommitMsg m;
-      m.seq = r.u64();
-      m.view = r.u64();
-      m.h = r.digest();
-      m.replica = r.u32();
-      out = m;
-      break;
-    }
-    case Tag::kPbftCheckpoint: {
-      PbftCheckpointMsg m;
-      m.seq = r.u64();
-      m.state_digest = r.digest();
-      m.replica = r.u32();
-      m.sig = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kPbftViewChange: {
-      out = get_pbft_view_change(r);
-      break;
-    }
-    case Tag::kPbftNewView: {
-      PbftNewViewMsg m;
-      m.view = r.u64();
-      uint32_t n = get_count(r, kMinPbftViewChangeBytes);
-      for (uint32_t i = 0; i < n && r.ok(); ++i)
-        m.proofs.push_back(get_pbft_view_change(r));
-      out = m;
-      break;
-    }
-    case Tag::kReconfigBlock: {
-      ReconfigBlockMsg m;
-      m.delta = get_reconfig_delta(r);
-      m.nonce = r.u64();
-      out = m;
-      break;
-    }
-    case Tag::kTxVote: {
-      TxVoteMsg m;
-      m.txid = r.u64();
-      m.group = r.u32();
-      m.replica = r.u32();
-      m.commit = r.boolean();
-      m.sig = r.bytes();
-      out = m;
-      break;
-    }
-    case Tag::kTxDecision: {
-      TxDecisionMsg m;
-      m.txid = r.u64();
-      m.commit = r.boolean();
-      uint32_t n = get_count(r, kMinTxGroupCertBytes);
-      for (uint32_t i = 0; i < n && r.ok(); ++i)
-        m.certs.push_back(get_tx_group_cert(r));
-      out = m;
-      break;
-    }
-    case Tag::kTxResult: {
-      TxResultMsg m;
-      m.txid = r.u64();
-      m.group = r.u32();
-      m.replica = r.u32();
-      m.committed = r.boolean();
-      out = m;
-      break;
-    }
-    default:
-      return std::nullopt;
-  }
+  const Tag tag{r.u8()};
+  const auto* type =
+      std::find_if(std::begin(kWireTypes), std::end(kWireTypes),
+                   [&](const WireType& t) { return t.tag == tag; });
+  if (type == std::end(kWireTypes)) return std::nullopt;
+  Message msg = blank_message(type - std::begin(kWireTypes),
+                              std::make_index_sequence<std::size(kWireTypes)>{});
+  std::visit(Decode{r}, msg);
   if (!r.at_end()) return std::nullopt;
-  return out;
+  return msg;
 }
 
-size_t message_wire_size(const Message& msg) { return encode_message(msg).size(); }
+size_t message_wire_size(const Message& msg) {
+  Size size;
+  std::visit([&](const auto& m) { size(kWireTypes[msg.index()].tag, m); }, msg);
+  return size.n;
+}
 
 const char* message_type_name(const Message& msg) {
-  struct Namer {
-    const char* operator()(const ClientRequestMsg&) { return "client-request"; }
-    const char* operator()(const PrePrepareMsg&) { return "pre-prepare"; }
-    const char* operator()(const SignShareMsg&) { return "sign-share"; }
-    const char* operator()(const FullCommitProofMsg&) { return "full-commit-proof"; }
-    const char* operator()(const PrepareMsg&) { return "prepare"; }
-    const char* operator()(const CommitShareMsg&) { return "commit"; }
-    const char* operator()(const FullCommitProofSlowMsg&) { return "full-commit-proof-slow"; }
-    const char* operator()(const SignStateMsg&) { return "sign-state"; }
-    const char* operator()(const FullExecuteProofMsg&) { return "full-execute-proof"; }
-    const char* operator()(const ExecuteAckMsg&) { return "execute-ack"; }
-    const char* operator()(const ClientReplyMsg&) { return "client-reply"; }
-    const char* operator()(const ViewChangeMsg&) { return "view-change"; }
-    const char* operator()(const NewViewMsg&) { return "new-view"; }
-    const char* operator()(const GetBlockRequestMsg&) { return "get-block-request"; }
-    const char* operator()(const GetBlockReplyMsg&) { return "get-block-reply"; }
-    const char* operator()(const StateTransferRequestMsg&) { return "state-transfer-request"; }
-    const char* operator()(const StateManifestMsg&) { return "state-manifest"; }
-    const char* operator()(const StateChunkRequestMsg&) { return "state-chunk-request"; }
-    const char* operator()(const StateChunkMsg&) { return "state-chunk"; }
-    const char* operator()(const PbftPrepareMsg&) { return "pbft-prepare"; }
-    const char* operator()(const PbftCommitMsg&) { return "pbft-commit"; }
-    const char* operator()(const PbftCheckpointMsg&) { return "pbft-checkpoint"; }
-    const char* operator()(const PbftViewChangeMsg&) { return "pbft-view-change"; }
-    const char* operator()(const PbftNewViewMsg&) { return "pbft-new-view"; }
-    const char* operator()(const ReconfigBlockMsg&) { return "reconfig-block"; }
-    const char* operator()(const TxVoteMsg&) { return "tx-vote"; }
-    const char* operator()(const TxDecisionMsg&) { return "tx-decision"; }
-    const char* operator()(const TxResultMsg&) { return "tx-result"; }
-  };
-  return std::visit(Namer{}, msg);
+  return kWireTypes[msg.index()].name;
 }
 
-// ---------------------------------------------------------------------------
-// Reconfiguration marker requests (docs/reconfiguration.md)
+Bytes encode_exec_certificate(const ExecCertificate& cert) {
+  return encode_fields(cert);
+}
 
-namespace {
-constexpr char kReconfigOpMagic[8] = {'S', 'B', 'F', 'T', 'R', 'C', 'F', 'G'};
-}  // namespace
+std::optional<ExecCertificate> decode_exec_certificate(ByteSpan data) {
+  return decode_fields<ExecCertificate>(data);
+}
 
 Bytes encode_reconfig_delta(const ReconfigDelta& delta) {
-  Writer w;
-  put(w, delta);
-  return std::move(w).take();
+  return encode_fields(delta);
 }
 
 std::optional<ReconfigDelta> decode_reconfig_delta(ByteSpan data) {
-  Reader r(data);
-  ReconfigDelta d = get_reconfig_delta(r);
-  if (!r.at_end()) return std::nullopt;
-  return d;
+  return decode_fields<ReconfigDelta>(data);
 }
 
-Request make_reconfig_request(const ReconfigDelta& delta, uint64_t nonce) {
-  Request req;
-  req.client = kReconfigClient;
-  req.timestamp = nonce;
+Bytes encode_shard_tx(const ShardTx& tx) { return encode_fields(tx); }
+
+std::optional<ShardTx> decode_shard_tx(ByteSpan data) {
+  return decode_fields<ShardTx>(data);
+}
+
+// ---------------------------------------------------------------------------
+// Marker requests (docs/reconfiguration.md, docs/sharding.md): the op is a
+// reserved 8-byte magic followed by the payload's field list.
+
+namespace {
+
+using Magic = char[8];
+constexpr Magic kReconfigOpMagic = {'S', 'B', 'F', 'T', 'R', 'C', 'F', 'G'};
+constexpr Magic kTxPrepareMagic = {'S', 'B', 'F', 'T', 'T', 'X', 'P', 'R'};
+constexpr Magic kTxDecisionMagic = {'S', 'B', 'F', 'T', 'T', 'X', 'D', 'C'};
+
+template <class T>
+Request marker_request(ClientId client, uint64_t timestamp, const Magic& magic,
+                       const T& payload) {
   Writer w;
-  w.raw(ByteSpan{reinterpret_cast<const uint8_t*>(kReconfigOpMagic),
-                 sizeof(kReconfigOpMagic)});
-  put(w, delta);
-  req.op = std::move(w).take();
-  return req;
+  w.raw(as_span(std::string_view(magic, sizeof(Magic))));
+  Encode{w}(payload);
+  return Request{client, timestamp, std::move(w).take(), {}};
+}
+
+/// The payload of a marker op carrying `magic`; nullopt for any other op.
+template <class T>
+std::optional<T> decode_marker(const Request& req, const Magic& magic) {
+  if (req.op.size() < sizeof(Magic) ||
+      std::memcmp(req.op.data(), magic, sizeof(Magic)) != 0) {
+    return std::nullopt;
+  }
+  return decode_fields<T>(as_span(req.op).subspan(sizeof(Magic)));
+}
+
+}  // namespace
+
+Request make_reconfig_request(const ReconfigDelta& delta, uint64_t nonce) {
+  return marker_request(kReconfigClient, nonce, kReconfigOpMagic, delta);
 }
 
 std::optional<ReconfigDelta> decode_reconfig_request(const Request& req) {
   if (req.client != kReconfigClient) return std::nullopt;
-  if (req.op.size() < sizeof(kReconfigOpMagic) ||
-      std::memcmp(req.op.data(), kReconfigOpMagic, sizeof(kReconfigOpMagic)) != 0) {
-    return std::nullopt;
-  }
-  return decode_reconfig_delta(
-      as_span(req.op).subspan(sizeof(kReconfigOpMagic)));
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard transaction marker requests (docs/sharding.md)
-
-namespace {
-constexpr char kTxPrepareMagic[8] = {'S', 'B', 'F', 'T', 'T', 'X', 'P', 'R'};
-constexpr char kTxDecisionMagic[8] = {'S', 'B', 'F', 'T', 'T', 'X', 'D', 'C'};
-
-bool has_magic(const Bytes& op, const char (&magic)[8]) {
-  return op.size() >= sizeof(magic) &&
-         std::memcmp(op.data(), magic, sizeof(magic)) == 0;
-}
-}  // namespace
-
-Bytes encode_shard_tx(const ShardTx& tx) {
-  Writer w;
-  put(w, tx);
-  return std::move(w).take();
-}
-
-std::optional<ShardTx> decode_shard_tx(ByteSpan data) {
-  Reader r(data);
-  ShardTx tx = get_shard_tx(r);
-  if (!r.at_end()) return std::nullopt;
-  return tx;
+  return decode_marker<ReconfigDelta>(req, kReconfigOpMagic);
 }
 
 Request make_tx_prepare_request(const ShardTx& tx, ClientId client,
                                 uint64_t timestamp) {
-  Request req;
-  req.client = client;
-  req.timestamp = timestamp;
-  Writer w;
-  w.raw(ByteSpan{reinterpret_cast<const uint8_t*>(kTxPrepareMagic),
-                 sizeof(kTxPrepareMagic)});
-  put(w, tx);
-  req.op = std::move(w).take();
-  return req;
+  return marker_request(client, timestamp, kTxPrepareMagic, tx);
 }
 
 std::optional<ShardTx> decode_tx_prepare_request(const Request& req) {
-  if (!has_magic(req.op, kTxPrepareMagic)) return std::nullopt;
-  return decode_shard_tx(as_span(req.op).subspan(sizeof(kTxPrepareMagic)));
+  return decode_marker<ShardTx>(req, kTxPrepareMagic);
 }
 
 Request make_tx_decision_request(const TxDecision& decision) {
-  Request req;
-  req.client = kShardTxClient;
-  req.timestamp = decision.txid;  // txids are unique, not monotone: the
-                                  // execution path bypasses the reply cache
-  Writer w;
-  w.raw(ByteSpan{reinterpret_cast<const uint8_t*>(kTxDecisionMagic),
-                 sizeof(kTxDecisionMagic)});
-  put(w, decision);
-  req.op = std::move(w).take();
-  return req;
+  // txids are unique, not monotone: the execution path bypasses the reply
+  // cache.
+  return marker_request(kShardTxClient, decision.txid, kTxDecisionMagic,
+                        decision);
 }
 
 std::optional<TxDecision> decode_tx_decision_request(const Request& req) {
   if (req.client != kShardTxClient) return std::nullopt;
-  if (!has_magic(req.op, kTxDecisionMagic)) return std::nullopt;
-  Reader r(as_span(req.op).subspan(sizeof(kTxDecisionMagic)));
-  TxDecision d = get_tx_decision(r);
-  if (!r.at_end()) return std::nullopt;
-  return d;
+  return decode_marker<TxDecision>(req, kTxDecisionMagic);
 }
 
 }  // namespace sbft

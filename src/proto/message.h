@@ -1,9 +1,11 @@
 // Protocol messages for SBFT (§V) and the scale-optimized PBFT baseline (§IX).
 //
-// Messages are passed by shared_ptr inside the simulator; encode()/decode()
-// define the canonical wire format used for size accounting (network
-// transmission cost) and for the serde round-trip tests. Threshold signature
-// payloads are opaque byte strings produced by src/crypto/threshold.h.
+// Messages are passed by shared_ptr inside the simulator. Their canonical wire
+// format prices network transmission (message_wire_size) and is pinned by the
+// serde tests. Every message and nested wire type has one layout, its field
+// list in message.cpp, and the encoder, the decoder and the sizer all walk
+// that list, so they agree by construction. Threshold signature payloads are
+// opaque byte strings produced by src/crypto/threshold.h.
 #pragma once
 
 #include <memory>

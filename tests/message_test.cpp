@@ -2,6 +2,7 @@
 
 #include "common/rng.h"
 #include "common/serde.h"
+#include "crypto/sha256.h"
 #include "proto/message.h"
 
 namespace sbft {
@@ -267,6 +268,19 @@ TEST(Messages, DecodeRejectsCountsTheBytesLeftCannotHold) {
           << message_type_name(msg) << " claiming " << count;
     }
   }
+}
+
+TEST(Messages, DecodeCapsManifestBaseMapAtTheChunkBound) {
+  // One base_map entry per chunk, up to the state-transfer chunk-count bound
+  // of 1 << 20; a longer map is rejected even when the bytes are present.
+  StateManifestMsg manifest;
+  manifest.base_map.assign(1u << 20, 7);
+  Bytes at_cap = encode_message(Message(manifest));
+  EXPECT_TRUE(decode_message(as_span(at_cap)).has_value());
+  manifest.base_map.push_back(7);
+  Bytes over_cap = encode_message(Message(manifest));
+  EXPECT_EQ(over_cap.size(), message_wire_size(Message(manifest)));
+  EXPECT_FALSE(decode_message(as_span(over_cap)).has_value());
 }
 
 TEST(Messages, DecodeRejectsMalformedBlockProof) {
@@ -551,6 +565,229 @@ TEST(Messages, TypeNamesDistinct) {
   EXPECT_STREQ(message_type_name(Message(SignShareMsg{})), "sign-share");
   EXPECT_STREQ(message_type_name(Message(NewViewMsg{})), "new-view");
   EXPECT_STREQ(message_type_name(Message(ReconfigBlockMsg{})), "reconfig-block");
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire format. Round trips pass for any layout the encoder and decoder
+// agree on, so a field list reordered the same way in both directions, or two
+// swapped tags, would slip through them. These pins fix the exact bytes (as
+// length plus SHA-256) of one fixed, fully populated instance of every wire
+// type: changing a literal below is changing the wire format.
+
+/// `n` bytes counting up from `start`.
+Bytes fill(size_t n, uint8_t start) {
+  Bytes out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(start + i);
+  return out;
+}
+
+Digest fixed_digest(uint8_t start) {
+  Digest d;
+  for (size_t i = 0; i < d.size(); ++i) d[i] = static_cast<uint8_t>(start + i);
+  return d;
+}
+
+Request fixed_request(uint8_t k) {
+  return Request{100u + k, 1000u + k, fill(5u + k, k), fill(3, 0x80 + k)};
+}
+
+SealedBlock fixed_block() {
+  Block b;
+  b.requests = {fixed_request(1), fixed_request(2)};
+  return b;
+}
+
+ExecCertificate fixed_cert() {
+  return ExecCertificate{0x1122334455667788, fixed_digest(0x10),
+                         fixed_digest(0x30), fixed_digest(0x50), fill(4, 0x70)};
+}
+
+merkle::BlockProof fixed_proof() {
+  merkle::BlockProof p;
+  p.index = 1;
+  p.leaf_count = 3;
+  p.path = {fixed_digest(0x90), fixed_digest(0xb0)};
+  return p;
+}
+
+ViewChangeMsg fixed_view_change() {
+  SlotEvidence e;
+  e.seq = 129;
+  e.lm_kind = SlowEvidence::kFullProof;
+  e.lm_view = 4;
+  e.lm_block_digest = fixed_digest(0x01);
+  e.lm_sig = fill(3, 0xa0);
+  e.lm_inner_sig = fill(2, 0xb0);
+  e.fm_kind = FastEvidence::kVote;
+  e.fm_view = 5;
+  e.fm_block_digest = fixed_digest(0x02);
+  e.fm_sig = fill(4, 0xc0);
+  e.block = fixed_block();
+  SlotEvidence bare;
+  bare.seq = 130;
+  bare.lm_kind = SlowEvidence::kPrepareCert;
+  bare.lm_view = 6;
+  bare.lm_block_digest = fixed_digest(0x03);
+  bare.lm_sig = fill(1, 0xd0);
+  return ViewChangeMsg{2, 7, 128, fixed_cert(), {e, bare}};
+}
+
+ReconfigDelta fixed_delta() {
+  return ReconfigDelta{{{5, 6}, {7, 8}}, {2, 3}, 2, 1};
+}
+
+ShardTx fixed_shard_tx() {
+  return ShardTx{0xabcdef0123, 1,
+                 {TxShardOps{1, {fill(3, 1), fill(2, 9)}},
+                  TxShardOps{3, {fill(4, 5)}}}};
+}
+
+TxGroupCert fixed_group_cert(uint32_t group) {
+  return TxGroupCert{
+      group, true, {{1, true, fill(3, 0x21)}, {2, true, fill(3, 0x31)}}};
+}
+
+PbftViewChangeMsg fixed_pbft_view_change() {
+  PbftPreparedCert cert{40, 3, fixed_digest(0x44), fixed_block()};
+  PbftPreparedCert other{41, 3, fixed_digest(0x45), Block{{fixed_request(3)}}};
+  return PbftViewChangeMsg{4, 5, 32, {cert, other}};
+}
+
+/// One fully populated instance per Message alternative, in variant order.
+std::vector<Message> golden_messages() {
+  StateManifestMsg manifest{3,
+                            128,
+                            fixed_cert(),
+                            fixed_digest(0x60),
+                            17,
+                            4096,
+                            16 * 4096 + 123,
+                            112,
+                            Bytes{0x03, 0x80, 0x01},
+                            {2, 3, 4},
+                            {{1, fill(2, 0x11)}, {4, fill(3, 0x12)}}};
+  return {
+      Message(ClientRequestMsg{fixed_request(0)}),
+      Message(PrePrepareMsg{7, 3, fixed_block()}),
+      Message(SignShareMsg{9, 2, fixed_digest(0x04), fixed_digest(0x05), 4,
+                           fill(3, 0x40), fill(2, 0x50)}),
+      Message(FullCommitProofMsg{1, 2, fixed_digest(0x06), fill(5, 0x41)}),
+      Message(PrepareMsg{3, 4, fixed_digest(0x07), fill(4, 0x42)}),
+      Message(CommitShareMsg{5, 6, fixed_digest(0x08), 7, fill(3, 0x43)}),
+      Message(FullCommitProofSlowMsg{8, 9, fixed_digest(0x09), fill(2, 0x44),
+                                     fill(3, 0x45)}),
+      Message(SignStateMsg{10, 3, fixed_digest(0x0a), fill(3, 0x46)}),
+      Message(FullExecuteProofMsg{11, fixed_digest(0x0b), fill(4, 0x47)}),
+      Message(ExecuteAckMsg{12, 34, 1, fill(6, 0x48), fixed_cert(),
+                            fixed_proof()}),
+      Message(ClientReplyMsg{3, 12, 34, 11, fill(5, 0x49)}),
+      Message(fixed_view_change()),
+      Message(NewViewMsg{8, {fixed_view_change(), fixed_view_change()}}),
+      Message(GetBlockRequestMsg{1, 2, fixed_digest(0x0c)}),
+      Message(GetBlockReplyMsg{2, fixed_block()}),
+      Message(StateTransferRequestMsg{4, 48, 32, fixed_digest(0x0d)}),
+      Message(manifest),
+      Message(StateChunkRequestMsg{2, 128, fixed_digest(0x0e), {0, 5, 16}}),
+      Message(StateChunkMsg{3, 128, fixed_digest(0x0f), 5, 17, fill(9, 0x4a),
+                            fixed_proof()}),
+      Message(PbftPrepareMsg{1, 2, fixed_digest(0x1a), 3}),
+      Message(PbftCommitMsg{4, 5, fixed_digest(0x1b), 6}),
+      Message(PbftCheckpointMsg{128, fixed_digest(0x1c), 7, fill(4, 0x4b)}),
+      Message(fixed_pbft_view_change()),
+      Message(PbftNewViewMsg{
+          5, {fixed_pbft_view_change(), fixed_pbft_view_change()}}),
+      Message(ReconfigBlockMsg{fixed_delta(), 3}),
+      Message(TxVoteMsg{0xabcdef0123, 3, 2, true, fill(4, 0x4c)}),
+      Message(TxDecisionMsg{0xabcdef0123, true,
+                            {fixed_group_cert(1), fixed_group_cert(3)}}),
+      Message(TxResultMsg{0xabcdef0123, 2, 1, true}),
+  };
+}
+
+/// Every pinned encoding: the messages above, the standalone codecs, and the
+/// three marker requests (as the client-request message that carries them).
+std::vector<std::pair<std::string, Bytes>> golden_encodings() {
+  std::vector<std::pair<std::string, Bytes>> out;
+  for (const Message& msg : golden_messages()) {
+    out.emplace_back(message_type_name(msg), encode_message(msg));
+  }
+  TxDecision decision{0xabcdef0123, true,
+                      {fixed_group_cert(1), fixed_group_cert(3)}};
+  auto marker = [](const Request& req) {
+    return encode_message(Message(ClientRequestMsg{req}));
+  };
+  out.emplace_back("exec-certificate", encode_exec_certificate(fixed_cert()));
+  out.emplace_back("reconfig-delta", encode_reconfig_delta(fixed_delta()));
+  out.emplace_back("shard-tx", encode_shard_tx(fixed_shard_tx()));
+  out.emplace_back("reconfig-marker",
+                   marker(make_reconfig_request(fixed_delta(), 9)));
+  out.emplace_back("tx-prepare-marker",
+                   marker(make_tx_prepare_request(fixed_shard_tx(), 42, 9)));
+  out.emplace_back("tx-decision-marker",
+                   marker(make_tx_decision_request(decision)));
+  return out;
+}
+
+struct GoldenWire {
+  const char* name;
+  size_t size;
+  const char* sha256;  // hex
+};
+
+constexpr GoldenWire kGoldenWire[] = {
+    {"client-request", 29, "61d85d17610c4393b3023c0007ae5800e5e9024cd2f23cc7a1e170a1a0d6201a"},
+    {"pre-prepare", 80, "dbd6f8f4e2167f46fe09019f32a10dde4dba2329e558912f82c03a0f79cf3068"},
+    {"sign-share", 98, "fe178764155069addaa93134896705b046cc3f2126564c7e2912615e6c214c04"},
+    {"full-commit-proof", 58, "0d6cc779cde9f6457fe72e623c1ff3949b53cd280b33dd129ce22d5c79605acd"},
+    {"prepare", 57, "15698d785f3551579666a1a54315db61b3a9f5af95e229ceffbcdb2e909ed02b"},
+    {"commit", 60, "478b05703f9a29e70a30c2dac2e8895341af2c3dfec25901731b93e48574b3db"},
+    {"full-commit-proof-slow", 62, "52f2770401e874916a924e8132abf1e5064a938c20803ee57defee9ccccd2301"},
+    {"sign-state", 52, "14e616c022f5d0c0400df030bbb159230c01240fd1e6d3b4ec2aa59b79e2eff2"},
+    {"full-execute-proof", 49, "7cdf219d2b0ba501d786de92586a71fdcedf1573f14792f379024920521d35b6"},
+    {"execute-ack", 231, "67136f35d208c0851cd5d6576f15288fa080ebf62d488530f9138b9e8cf83924"},
+    {"client-reply", 34, "b3a344dbad26955ee1d18c41fac19067ced05de55aa618c61560adcf5bb434ef"},
+    {"view-change", 416, "d11e2f29f3a2904f16c4acdafee7bb3773e4fdc69b25541012387a20a8d3fb98"},
+    {"new-view", 843, "431b5c1f2bfdb2fee7de1c215067ca14fad8194a572624c7834989625a1697ac"},
+    {"get-block-request", 45, "8a8ddc8e32f103c199854c21ccc2b6219a14b57ab0aced4e1cf503393ebc9525"},
+    {"get-block-reply", 72, "6fe58b2fb41020587f1f50c4d96c0f90add535079efc751f15b4ef3d0114ded9"},
+    {"state-transfer-request", 53, "913750681e88fbae656e273b0b420817b0dd65f0ccf401725904eb29dd197d77"},
+    {"state-manifest", 229, "2a927847b8ae40d250a69ecb81851b9f07a84e3fb72fca038dc4d6547322886b"},
+    {"state-chunk-request", 61, "7e814ef93cecfe795ae153d0536caa0fa984074be84e998a59e1da2042be792b"},
+    {"state-chunk", 154, "8b10c56053886b551dac63c74663befd55b7bcfd4b64096eee841a0128178860"},
+    {"pbft-prepare", 53, "56961b13483dc5d39838e962e41a41b5d8780b9746d9fb95d037d6914441228e"},
+    {"pbft-commit", 53, "619a2da1e15eccacf084e82930801a289228760e1756365fa9bf5e5ab982c460"},
+    {"pbft-checkpoint", 53, "114b93a698d6b43c7cc0cb0f65b93d9593937ef8089a50dafbf167f27b743f31"},
+    {"pbft-view-change", 219, "399bf053320b3b0bd7ee86b521abadccc230e0eab4c0a44be7c9f637bf274070"},
+    {"pbft-new-view", 449, "ada58f321ed65368d1ccc8ae2173a983e5eaf7c7b681355e3ed82238d8190d07"},
+    {"reconfig-block", 49, "db45e742d5304642df7c55c4453c94dabad5bf53ceca0e81b3a197f14862f751"},
+    {"tx-vote", 26, "b8d6aefa79c11a02f826f9687e4649645428ca4ad9d8396c83baf940fcd658d0"},
+    {"tx-decision", 80, "0a809a7a1d817d36fd005d62565cbd3cff52fa83c4e08c9f23e8e52b6c97e659"},
+    {"tx-result", 18, "4aa91037548497d9a34c4dc96e123ff18d5a6e90f55e1cbcb3c59ed92a741dce"},
+    {"exec-certificate", 112, "1140dba7faf3c6e69decc17339f1f5dc9824e27564b89b7f791410360e0930ec"},
+    {"reconfig-delta", 40, "080a714f7bffcde1bfbc2e97542cef8f16156f4e6ef1948917a069a6c7d3051f"},
+    {"shard-tx", 53, "85a48b2124c0b2900e7638a86e7f37da2b0b7ca745e3787717b7d27a6f3cb55a"},
+    {"reconfig-marker", 69, "b733e6cf786b35df9e9f6365c694791f374f89dc9f4ed3ac51bdee8ccc7ff08d"},
+    {"tx-prepare-marker", 82, "65f8c30e3768c24abae6aa8917af7ccc30e3881f6b5ae82479a335003b419332"},
+    {"tx-decision-marker", 108, "a4484cd041fc65ec6de329123a8330c33d537e5923af24d10ca6fa2b22e4b4e2"},
+};
+
+TEST(WireFormat, GoldenEncodingsArePinned) {
+  const std::vector<Message> msgs = golden_messages();
+  ASSERT_EQ(msgs.size(), std::variant_size_v<Message>);
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(msgs[i].index(), i) << message_type_name(msgs[i]);
+    expect_roundtrip(msgs[i]);
+  }
+  const auto actual = golden_encodings();
+  ASSERT_EQ(actual.size(), std::size(kGoldenWire));
+  for (size_t i = 0; i < actual.size(); ++i) {
+    const auto& [name, bytes] = actual[i];
+    const std::string sha = to_hex(as_span(crypto::sha256(as_span(bytes))));
+    EXPECT_EQ(name, kGoldenWire[i].name);
+    EXPECT_EQ(bytes.size(), kGoldenWire[i].size) << name;
+    EXPECT_EQ(sha, kGoldenWire[i].sha256)
+        << "    {\"" << name << "\", " << bytes.size() << ", \"" << sha << "\"},";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "obs/trace_checker.h"
 #include "obs/trace_export.h"
+#include "runtime/membership.h"
 
 namespace sbft {
 namespace {
@@ -171,7 +172,7 @@ TEST(TraceChecker, DoubleExecutionFlaggedButRestartResetsCursor) {
 TEST(TraceChecker, FastCommitNeedsQuorumProof) {
   // The proof event may live in a different stream (the collector's) than
   // the commit; 3 shares do not justify a fast quorum of 4.
-  obs::TraceChecker checker(/*fast_quorum=*/4);
+  obs::TraceChecker checker([](uint64_t) { return 4u; });
   checker.add_replica(
       1, {named_event(obs::Category::kSlot, obs::ev::kFastProofFormed, 1, 4),
           named_event(obs::Category::kSlot, obs::ev::kFastProofFormed, 2, 3)});
@@ -181,6 +182,34 @@ TEST(TraceChecker, FastCommitNeedsQuorumProof) {
   obs::CheckReport report = checker.run();
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_NE(report.violations[0].find("seq 2"), std::string::npos);
+}
+
+TEST(TraceChecker, FastQuorumFollowsTheSlotsEpoch) {
+  // A 7 -> 4 shrink (f 2 -> 1) staged at seq 20 activates at checkpoint 32:
+  // slot 32 still belongs to the f=2 epoch (7 sign-shares), slot 33 to the
+  // f=1 epoch (4). The same 4-share proof justifies only the latter.
+  runtime::MembershipManager membership;
+  membership.init_genesis(
+      2, 0, {{1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 4}, {6, 5}, {7, 6}});
+  ReconfigDelta shrink;
+  shrink.removes = {5, 6, 7};
+  shrink.new_f = 1;
+  ASSERT_TRUE(membership.stage(shrink, /*exec_seq=*/20, /*interval=*/16));
+  ASSERT_TRUE(membership.activate_up_to(32));
+  obs::TraceChecker checker([membership](uint64_t seq) {
+    return membership.epoch_for_seq(seq).fast_quorum();
+  });
+  checker.add_replica(
+      1, {named_event(obs::Category::kSlot, obs::ev::kFastProofFormed, 32, 4),
+          named_event(obs::Category::kSlot, obs::ev::kFastProofFormed, 33, 4)});
+  checker.add_replica(
+      2, {named_event(obs::Category::kSlot, obs::ev::kCommitFast, 32),
+          named_event(obs::Category::kSlot, obs::ev::kCommitFast, 33)});
+  obs::CheckReport report = checker.run();
+  ASSERT_EQ(report.violations.size(), 1u) << report.summary();
+  EXPECT_NE(report.violations[0].find("seq 32: fast-committed without a "
+                                      "collector proof of >= 7"),
+            std::string::npos);
 }
 
 TEST(TraceChecker, UnterminatedStateTransferSessionFlagged) {
