@@ -48,8 +48,17 @@ ReplicaCrypto ReplicaCrypto::verifier_only(const ClusterKeys& keys) {
 
 namespace {
 
-std::vector<ReplicaId> draw_collectors(std::vector<ReplicaId> pool, uint32_t count,
-                                       SeqNum s, ViewNum v, std::string_view domain) {
+std::vector<ReplicaId> pick_collectors(const runtime::MembershipEpoch& epoch,
+                                       SeqNum s, ViewNum v,
+                                       std::string_view domain) {
+  const ReplicaId primary = epoch.primary_of(v);
+  const uint32_t count = std::min(epoch.num_collectors(), epoch.n() - 1);
+  std::vector<ReplicaId> pool;
+  pool.reserve(epoch.n() - 1);
+  for (const ReplicaInfo& m : epoch.members) {  // id-sorted: 1..n at genesis
+    if (m.id != primary) pool.push_back(m.id);
+  }
+
   // Deterministic pseudo-random draw seeded by (domain, s, v).
   Writer w;
   w.str(domain);
@@ -69,55 +78,7 @@ std::vector<ReplicaId> draw_collectors(std::vector<ReplicaId> pool, uint32_t cou
   return out;
 }
 
-std::vector<ReplicaId> pick_collectors(const ProtocolConfig& config, SeqNum s,
-                                       ViewNum v, std::string_view domain) {
-  const uint32_t n = config.n();
-  const ReplicaId primary = config.primary_of(v);
-  const uint32_t count = std::min(config.num_collectors(), n - 1);
-  std::vector<ReplicaId> pool;
-  pool.reserve(n - 1);
-  for (ReplicaId r = 1; r <= n; ++r) {
-    if (r != primary) pool.push_back(r);
-  }
-  return draw_collectors(std::move(pool), count, s, v, domain);
-}
-
-std::vector<ReplicaId> pick_collectors(const runtime::MembershipEpoch& epoch,
-                                       SeqNum s, ViewNum v,
-                                       std::string_view domain) {
-  const ReplicaId primary = epoch.primary_of(v);
-  const uint32_t count = std::min(epoch.num_collectors(), epoch.n() - 1);
-  std::vector<ReplicaId> pool;
-  pool.reserve(epoch.n() - 1);
-  for (const ReplicaInfo& m : epoch.members) {  // id-sorted: 1..n at genesis
-    if (m.id != primary) pool.push_back(m.id);
-  }
-  return draw_collectors(std::move(pool), count, s, v, domain);
-}
-
 }  // namespace
-
-std::vector<ReplicaId> c_collectors(const ProtocolConfig& config, SeqNum s, ViewNum v) {
-  return pick_collectors(config, s, v, "sbft.c-collector");
-}
-
-std::vector<ReplicaId> e_collectors(const ProtocolConfig& config, SeqNum s, ViewNum v) {
-  return pick_collectors(config, s, v, "sbft.e-collector");
-}
-
-std::vector<ReplicaId> commit_collectors(const ProtocolConfig& config, SeqNum s,
-                                         ViewNum v) {
-  std::vector<ReplicaId> out = c_collectors(config, s, v);
-  out.push_back(config.primary_of(v));
-  return out;
-}
-
-std::vector<ReplicaId> fallback_e_collectors(const ProtocolConfig& config, SeqNum s,
-                                             ViewNum v) {
-  std::vector<ReplicaId> out = e_collectors(config, s, v);
-  out.push_back(config.primary_of(v));
-  return out;
-}
 
 std::vector<ReplicaId> c_collectors(const runtime::MembershipEpoch& epoch, SeqNum s,
                                     ViewNum v) {

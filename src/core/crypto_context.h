@@ -72,49 +72,40 @@ struct ReplicaCrypto {
   static ReplicaCrypto verifier_only(const ClusterKeys& keys);
 };
 
-/// Verifier bundle used by the pure view-change functions. When `epoch` is
-/// set, sender membership and share-signer indices are resolved against it
-/// (member rank + 1); null keeps the genesis identity mapping (ids 1..n).
-/// `verify_checkpoint`, when set, replaces the plain pi verification of
-/// view-change checkpoint certificates — a certificate sealed just before an
-/// epoch boundary carries the *previous* epoch's pi signature, so the engine
-/// supplies a seq-aware verifier (SbftReplica::verify_cert_pi).
+/// Verifier bundle used by the pure view-change functions; every member is
+/// required. Sender membership and share-signer indices (member rank + 1)
+/// resolve against `epoch`, the epoch the view change runs in.
+/// `verify_checkpoint` checks the pi signature of a view-change checkpoint
+/// certificate: one sealed just before an epoch boundary carries the
+/// *previous* epoch's pi signature, so the engine supplies a seq-aware
+/// verifier (SbftReplica::verify_cert_pi).
 struct ViewChangeVerifiers {
   const crypto::IThresholdVerifier* sigma = nullptr;
   const crypto::IThresholdVerifier* tau = nullptr;
-  const crypto::IThresholdVerifier* pi = nullptr;
   const runtime::MembershipEpoch* epoch = nullptr;
   std::function<bool(const ExecCertificate&)> verify_checkpoint;
 };
 
-/// Commit collectors for (s, v): c+1 pseudo-random non-primary replicas,
-/// ordered by stagger rank (entry 0 activates first).
-std::vector<ReplicaId> c_collectors(const ProtocolConfig& config, SeqNum s, ViewNum v);
+/// Commit collectors for (s, v): c+1 pseudo-random non-primary members of
+/// the epoch, ordered by stagger rank (entry 0 activates first). The draw
+/// walks the id-sorted member list, so it holds across non-contiguous ids
+/// after a removal.
+std::vector<ReplicaId> c_collectors(const runtime::MembershipEpoch& epoch, SeqNum s,
+                                    ViewNum v);
 
 /// Execution collectors for (s, v): same construction, different draw.
-std::vector<ReplicaId> e_collectors(const ProtocolConfig& config, SeqNum s, ViewNum v);
+std::vector<ReplicaId> e_collectors(const runtime::MembershipEpoch& epoch, SeqNum s,
+                                    ViewNum v);
 
 /// Collectors for the fallback (Linear-PBFT) commit-share stage: the c+1
 /// C-collectors with the primary appended as the always-last staggered
 /// collector (§V-E: "the c+1st collector to activate is always the primary").
-std::vector<ReplicaId> commit_collectors(const ProtocolConfig& config, SeqNum s,
-                                         ViewNum v);
+std::vector<ReplicaId> commit_collectors(const runtime::MembershipEpoch& epoch,
+                                         SeqNum s, ViewNum v);
 
 /// E-collectors with the primary appended as the last fallback collector
 /// (replicas re-send their pi shares to the primary when a slot's execution
 /// certificate stalls).
-std::vector<ReplicaId> fallback_e_collectors(const ProtocolConfig& config, SeqNum s,
-                                             ViewNum v);
-
-/// Epoch-roster variants: identical deterministic draws over the epoch's
-/// member list (non-contiguous ids after a removal). For the genesis epoch
-/// (members 1..n, node r-1) they reduce to exactly the config-based draws.
-std::vector<ReplicaId> c_collectors(const runtime::MembershipEpoch& epoch, SeqNum s,
-                                    ViewNum v);
-std::vector<ReplicaId> e_collectors(const runtime::MembershipEpoch& epoch, SeqNum s,
-                                    ViewNum v);
-std::vector<ReplicaId> commit_collectors(const runtime::MembershipEpoch& epoch,
-                                         SeqNum s, ViewNum v);
 std::vector<ReplicaId> fallback_e_collectors(const runtime::MembershipEpoch& epoch,
                                              SeqNum s, ViewNum v);
 

@@ -1,10 +1,20 @@
 #include "core/replica.h"
 
 #include <algorithm>
+#include <array>
 
 #include "crypto/sha256.h"
 
 namespace sbft::core {
+
+namespace {
+
+// Collector staggering (§V: "in most executions just one collector is active
+// and the others just monitor in idle"): the collector of stagger rank k
+// takes its turn k steps after the first.
+constexpr int64_t kCollectorStaggerUs = 25'000;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Per-slot state
@@ -24,7 +34,6 @@ struct SbftReplica::Slot {
   bool sent_commit_share = false;
 
   bool committed = false;
-  bool committed_fast = false;
   Digest committed_digest{};
   sim::SimTime pp_time = -1;
   sim::SimTime commit_time = -1;
@@ -34,40 +43,28 @@ struct SbftReplica::Slot {
   Digest awaiting_digest{};
   bool awaiting_is_commit = false;  // true: commit on arrival; false: adopt
 
-  // --- C-collector state (valid for coll_view) ------------------------------
-  struct Shares {
-    Bytes sigma;
-    Bytes tau;
+  // --- Collector state --------------------------------------------------------
+  // Shares of one proof over one signed digest.
+  struct Quorum {
+    std::map<ReplicaId, Bytes> shares;
+    // A batch-verify + combine of this quorum is in flight on a worker lane;
+    // cleared by the completion callback.
+    bool verifying = false;
   };
+  // Per proof, quorums keyed by the digest the shares sign: h for fast and
+  // prepare (an equivocating primary splits the sign-shares by h), the commit
+  // digest of coll_tau for slow, our own execution digest for exec. The
+  // C-proofs (fast, prepare, slow) are valid for coll_view.
+  std::array<std::map<Digest, Quorum>, kNumProofs> quorums;
+  std::array<bool, kNumProofs> sent{};       // this collector sent the proof
+  std::array<bool, kNumProofs> staggered{};  // the backup stagger timer is armed
   ViewNum coll_view = 0;
   bool coll_active = false;
-  // sign-shares grouped by h (an equivocating primary splits the quorum).
-  std::map<Digest, std::map<ReplicaId, Shares>> coll_shares;
-  std::map<Digest, Digest> coll_digest_of_h;  // h -> block digest
   bool coll_fast_timer_set = false;
-  bool coll_sent_fast = false;
-  bool coll_sent_prepare = false;
-  bool coll_sent_slow = false;
-  bool coll_stagger_fast_set = false;
-  bool coll_stagger_prepare_set = false;
-  bool coll_stagger_slow_set = false;
+  std::map<Digest, Digest> coll_digest_of_h;  // h -> block digest
   Bytes coll_tau;            // tau(h) built or observed via Prepare
-  Digest coll_h{};           // h the certificate refers to
   Digest coll_block_digest{};
-  std::map<ReplicaId, Bytes> coll_commit_shares;  // shares over d2
-  // Batch-verify + combine offloads in flight on a worker lane, keyed by the
-  // h being combined. Guards against re-offloading the same quorum while its
-  // verification runs; cleared by the completion callback.
-  std::set<Digest> coll_fast_verifying;
-  std::set<Digest> coll_prepare_verifying;
-  bool coll_slow_verifying = false;
-
-  // --- E-collector state -----------------------------------------------------
-  std::map<ReplicaId, Bytes> pi_shares;  // shares matching our own exec digest
-  std::vector<std::pair<ReplicaId, Bytes>> buffered_pi;  // arrived pre-execution
-  bool e_sent = false;
-  bool e_stagger_set = false;
-  bool e_verifying = false;
+  std::vector<std::pair<ReplicaId, Bytes>> buffered_pi;  // pi shares, pre-execution
 };
 
 // ---------------------------------------------------------------------------
@@ -77,7 +74,6 @@ SbftReplica::SbftReplica(ReplicaOptions options, std::unique_ptr<IService> servi
     : EngineShell(std::move(options), std::move(service)),
       crypto_(std::move(options.crypto)),
       behavior_(options.behavior),
-      collector_stagger_us_(options.collector_stagger_us),
       epoch_keys_(std::move(options.epoch_keys)),
       h_pending_wait_(&metrics_->histogram("stage.pending_wait_us")),
       h_exec_to_ack_(&metrics_->histogram("stage.exec_to_ack_us")) {}
@@ -128,7 +124,6 @@ ViewChangeVerifiers SbftReplica::view_change_verifiers() const {
   ViewChangeVerifiers verifiers;
   verifiers.sigma = crypto.sigma_verifier.get();
   verifiers.tau = crypto.tau_verifier.get();
-  verifiers.pi = crypto.pi_verifier.get();
   verifiers.epoch = &epoch();
   verifiers.verify_checkpoint = [this](const ExecCertificate& cert) {
     return verify_cert_pi(cert);
@@ -208,37 +203,24 @@ void SbftReplica::on_engine_message(NodeId from, const Message& msg,
 }
 
 void SbftReplica::on_engine_timer(uint64_t kind, SeqNum s, sim::ActorContext& ctx) {
+  if (kind >= kStagger && kind < kShareFallback) {
+    // A backup collector's turn: it stays idle if a faster collector's
+    // C-proof already reached it (an E-collector finds pi(d) in its record).
+    auto p = static_cast<Proof>(kind - kStagger);
+    Slot* sl = find_slot(s);
+    const auto* ev = runtime_.evidence().find(s);
+    bool proven = ev && (p == kFast      ? ev->has_fast_proof
+                         : p == kPrepare ? ev->has_prepared
+                                         : ev->has_slow_proof);
+    if (p == kExec || (sl && sl->coll_active && !sl->committed && !proven)) {
+      collect(s, p, ctx);
+    }
+    return;
+  }
   switch (kind) {
-    case kFastPathTimer: {
+    case kFastPathTimer: {  // no fast proof in time: fall back to tau(h) (§V-E)
       Slot* sl = find_slot(s);
-      if (!sl || sl->committed || !sl->coll_active) break;
-      if (!sl->coll_sent_fast && !sl->coll_sent_prepare) collector_try_prepare(s, ctx);
-      break;
-    }
-    case kStaggerFast: {
-      Slot* sl = find_slot(s);
-      const auto* ev = runtime_.evidence().find(s);
-      if (sl && sl->coll_active && !(ev && ev->has_fast_proof) && !sl->committed)
-        collector_try_fast(s, ctx, /*from_stagger=*/true);
-      break;
-    }
-    case kStaggerPrepare: {
-      Slot* sl = find_slot(s);
-      const auto* ev = runtime_.evidence().find(s);
-      if (sl && sl->coll_active && !(ev && ev->has_prepared) && !sl->committed &&
-          !sl->coll_sent_prepare)
-        collector_try_prepare(s, ctx);
-      break;
-    }
-    case kStaggerSlow: {
-      Slot* sl = find_slot(s);
-      const auto* ev = runtime_.evidence().find(s);
-      if (sl && sl->coll_active && !(ev && ev->has_slow_proof) && !sl->committed)
-        collector_try_slow_proof(s, ctx);
-      break;
-    }
-    case kStaggerExec: {
-      ecollector_try_proof(s, ctx, /*from_stagger=*/true);
+      if (sl && !sl->committed && sl->coll_active) collect(s, kPrepare, ctx);
       break;
     }
     case kProgressTimer: {
@@ -508,152 +490,176 @@ void SbftReplica::handle_sign_share(const SignShareMsg& m, sim::ActorContext& ct
   if (sl.coll_view != m.view || !sl.coll_active) {
     sl.coll_view = m.view;
     sl.coll_active = true;
-    sl.coll_shares.clear();
-    sl.coll_commit_shares.clear();
-    sl.coll_sent_fast = sl.coll_sent_prepare = sl.coll_sent_slow = false;
+    for (Proof p : {kFast, kPrepare, kSlow}) {
+      sl.quorums[p].clear();
+      sl.sent[p] = false;
+    }
   }
-  sl.coll_shares[m.h].emplace(m.replica, Slot::Shares{m.sigma_share, m.tau_share});
+  sl.quorums[kFast][m.h].shares.emplace(m.replica, m.sigma_share);
+  sl.quorums[kPrepare][m.h].shares.emplace(m.replica, m.tau_share);
   sl.coll_digest_of_h[m.h] = m.block_digest;
 
   // Arm the fast->slow fallback timer on first contact (§V-E trigger).
   if (!sl.coll_fast_timer_set) {
     sl.coll_fast_timer_set = true;
-    int64_t delay = opts_.config.fast_path_enabled
-                        ? opts_.config.fast_path_timeout_us +
-                              rank * collector_stagger_us_
-                        : 0;  // fast path disabled: prepare as soon as possible
     if (opts_.config.fast_path_enabled) {
-      ctx.set_timer(delay, timer_id(kFastPathTimer, m.seq));
+      ctx.set_timer(opts_.config.fast_path_timeout_us + rank * kCollectorStaggerUs,
+                    timer_id(kFastPathTimer, m.seq));
     }
   }
+  // Fast path disabled: prepare as soon as a slow quorum signed.
+  maybe_collect(sl, m.seq, opts_.config.fast_path_enabled ? kFast : kPrepare, m.h,
+                rank, ctx);
+}
 
-  size_t count = sl.coll_shares[m.h].size();
-  if (opts_.config.fast_path_enabled &&
-      count >= epoch_for_seq(m.seq).fast_quorum() &&
-      !sl.coll_sent_fast) {
-    if (rank == 0) {
-      collector_try_fast(m.seq, ctx, false);
-    } else if (!sl.coll_stagger_fast_set) {
-      sl.coll_stagger_fast_set = true;
-      ctx.set_timer(rank * collector_stagger_us_, timer_id(kStaggerFast, m.seq));
-    }
-  }
-  if (!opts_.config.fast_path_enabled &&
-      count >= epoch_for_seq(m.seq).slow_quorum() &&
-      !sl.coll_sent_prepare) {
-    if (rank == 0) {
-      collector_try_prepare(m.seq, ctx);
-    } else if (!sl.coll_stagger_prepare_set) {
-      sl.coll_stagger_prepare_set = true;
-      ctx.set_timer(rank * collector_stagger_us_,
-                    timer_id(kStaggerPrepare, m.seq));
+// ---------------------------------------------------------------------------
+// Collectors (§V-B): one routine turns the shares of any proof into its
+// threshold signature
+
+uint32_t SbftReplica::quorum_of(const runtime::MembershipEpoch& e, Proof p) {
+  return p == kFast ? e.fast_quorum() : p == kExec ? e.exec_quorum() : e.slow_quorum();
+}
+
+bool SbftReplica::proof_open(const Slot& sl, SeqNum s, Proof p) const {
+  if (sl.sent[p]) return false;
+  switch (p) {
+    case kFast:
+      return true;
+    case kPrepare:
+      return !sl.sent[kFast];
+    case kSlow:
+      return !sl.coll_tau.empty();
+    default: {  // kExec: another E-collector may already have certified s
+      const runtime::ExecutionRecord* rec = runtime_.record(s);
+      return rec != nullptr && rec->cert.pi_sig.empty();
     }
   }
 }
 
-void SbftReplica::collector_try_fast(SeqNum s, sim::ActorContext& ctx,
-                                     bool /*from_stagger*/) {
+void SbftReplica::maybe_collect(Slot& sl, SeqNum s, Proof p, const Digest& digest,
+                                int rank, sim::ActorContext& ctx) {
+  if (sl.sent[p] ||
+      sl.quorums[p][digest].shares.size() < quorum_of(epoch_for_seq(s), p)) {
+    return;
+  }
+  if (rank == 0) {
+    collect(s, p, ctx);
+  } else if (!sl.staggered[p]) {
+    // Staggered backups — the primary is always the last to activate
+    // (§V-E); they act only if the faster collectors stayed silent.
+    sl.staggered[p] = true;
+    ctx.set_timer(rank * kCollectorStaggerUs, timer_id(kStagger + uint64_t{p}, s));
+  }
+}
+
+void SbftReplica::collect(SeqNum s, Proof p, sim::ActorContext& ctx) {
   Slot* slp = find_slot(s);
-  if (!slp || slp->coll_sent_fast) return;
+  if (!slp) return;
   Slot& sl = *slp;
-  for (auto& [h, shares] : sl.coll_shares) {
-    if (sl.coll_sent_fast) break;  // an inline completion already proved s
-    if (shares.size() < epoch_for_seq(s).fast_quorum()) continue;
-    if (sl.coll_fast_verifying.count(h)) continue;  // combine already queued
-    std::vector<crypto::SignatureShare> sigma_shares;
-    sigma_shares.reserve(shares.size());
-    for (auto& [replica, pair] : shares)
-      sigma_shares.push_back({signer_of(replica, s), pair.sigma});
+  const runtime::MembershipEpoch& e = epoch_for_seq(s);
+  const uint32_t quorum = quorum_of(e, p);
+  for (auto& [digest, q] : sl.quorums[p]) {
+    if (!proof_open(sl, s, p)) break;  // an inline completion already proved s
+    if (q.shares.size() < quorum || q.verifying) continue;
+    std::vector<crypto::SignatureShare> shares;
+    shares.reserve(q.shares.size());
+    for (auto& [replica, share] : q.shares)
+      shares.push_back({signer_of(replica, s), share});
     // Batch-verify then combine, on a worker lane — combining slot s overlaps
-    // collecting s+1..s+w. Group-signature mode (n-out-of-n) applies when
-    // every replica contributed (§VIII).
-    bool group_mode = shares.size() == epoch_for_seq(s).n();
-    int64_t cost = ctx.costs().batch_verify_us(sigma_shares.size()) +
-                   ctx.costs().combine_us(epoch_for_seq(s).fast_quorum(), group_mode);
-    sl.coll_fast_verifying.insert(h);
-    ViewNum cv = sl.coll_view;
-    ctx.offload(cost, [this, s, h, cv, sigma_shares = std::move(sigma_shares)](
-                          sim::ActorContext& c) {
+    // collecting s+1..s+w. Group-signature mode (n-out-of-n) applies to the
+    // fast proof when every replica contributed (§VIII).
+    bool group_mode = p == kFast && shares.size() == e.n();
+    int64_t cost = ctx.costs().batch_verify_us(shares.size()) +
+                   ctx.costs().combine_us(quorum, group_mode);
+    q.verifying = true;
+    ctx.offload(cost, [this, s, p, digest, cv = sl.coll_view,
+                       shares = std::move(shares)](sim::ActorContext& c) {
       Slot* sp = find_slot(s);
       if (!sp) return;  // checkpoint retired the slot mid-verification
-      sp->coll_fast_verifying.erase(h);
-      if (sp->coll_sent_fast || !sp->coll_active || sp->coll_view != cv) return;
-      auto sig = crypto_for_seq(s).sigma_verifier->combine(h, sigma_shares);
+      auto it = sp->quorums[p].find(digest);
+      if (it != sp->quorums[p].end()) it->second.verifying = false;
+      if (!proof_open(*sp, s, p)) return;
+      if (p == kExec) {
+        if (!(runtime_.record(s)->cert.exec_digest() == digest)) return;
+      } else if (!sp->coll_active || sp->coll_view != cv) {
+        return;  // a new view reset the C-proofs
+      }
+      const ReplicaCrypto& crypto = crypto_for_seq(s);
+      const crypto::IThresholdVerifier& verifier =
+          p == kFast ? *crypto.sigma_verifier
+          : p == kExec ? *crypto.pi_verifier
+                       : *crypto.tau_verifier;
+      auto sig = verifier.combine(digest, shares);
       if (!sig) {
         ++stats_.invalid_shares_seen;
         // Shares that arrived while this combine was in flight were skipped
-        // by the inflight guard; if the quorum grew, retry with the larger
+        // by the verifying guard; if the quorum grew, retry with the larger
         // set. (Inline completions run synchronously — the set cannot have
         // grown, so this never recurses at one lane.)
-        auto it = sp->coll_shares.find(h);
-        if (it != sp->coll_shares.end() && it->second.size() > sigma_shares.size())
-          collector_try_fast(s, c, false);
+        if (it != sp->quorums[p].end() && it->second.shares.size() > shares.size())
+          collect(s, p, c);
         return;  // invalid shares filtered; wait for more
       }
-      sp->coll_sent_fast = true;
-      trace_.instant(c.now(), obs::Category::kSlot, obs::ev::kFastProofFormed,
-                     0, s, sp->coll_view, "shares", sigma_shares.size());
+      sp->sent[p] = true;
+      send_proof(*sp, s, p, digest, std::move(*sig), shares.size(), c);
+    });
+  }
+}
+
+void SbftReplica::send_proof(Slot& sl, SeqNum s, Proof p, const Digest& digest,
+                             Bytes sig, size_t shares, sim::ActorContext& ctx) {
+  switch (p) {
+    case kFast: {
+      trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kFastProofFormed, 0,
+                     s, sl.coll_view, "shares", shares);
       FullCommitProofMsg proof;
       proof.seq = s;
-      proof.view = sp->coll_view;
-      proof.block_digest = sp->coll_digest_of_h[h];
-      proof.sigma_sig = std::move(*sig);
-      broadcast_replicas(c, make_message(std::move(proof)));
-    });
+      proof.view = sl.coll_view;
+      proof.block_digest = sl.coll_digest_of_h[digest];
+      proof.sigma_sig = std::move(sig);
+      broadcast_replicas(ctx, make_message(std::move(proof)));
+      break;
+    }
+    case kPrepare: {
+      trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kPrepareFormed, 0,
+                     s, sl.coll_view, "shares", shares);
+      sl.coll_tau = sig;
+      sl.coll_block_digest = sl.coll_digest_of_h[digest];
+      PrepareMsg prep;
+      prep.seq = s;
+      prep.view = sl.coll_view;
+      prep.block_digest = sl.coll_block_digest;
+      prep.tau_sig = std::move(sig);
+      broadcast_replicas(ctx, make_message(std::move(prep)));
+      break;
+    }
+    case kSlow: {
+      trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kSlowProofFormed, 0,
+                     s, sl.coll_view, "shares", shares);
+      FullCommitProofSlowMsg proof;
+      proof.seq = s;
+      proof.view = sl.coll_view;
+      proof.block_digest = sl.coll_block_digest;
+      proof.tau_sig = sl.coll_tau;
+      proof.tau_tau_sig = std::move(sig);
+      broadcast_replicas(ctx, make_message(std::move(proof)));
+      break;
+    }
+    default: {  // kExec
+      runtime_.record(s)->cert.pi_sig = sig;
+      FullExecuteProofMsg proof;
+      proof.seq = s;
+      proof.exec_digest = digest;
+      proof.pi_sig = std::move(sig);
+      broadcast_replicas(ctx, make_message(std::move(proof)));
+      if (opts_.config.execution_collector) send_execute_acks(s, ctx);
+      break;
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Linear-PBFT slow path (§V-E)
-
-void SbftReplica::collector_try_prepare(SeqNum s, sim::ActorContext& ctx) {
-  Slot* slp = find_slot(s);
-  if (!slp || slp->coll_sent_prepare || slp->coll_sent_fast) return;
-  Slot& sl = *slp;
-  for (auto& [h, shares] : sl.coll_shares) {
-    if (sl.coll_sent_prepare || sl.coll_sent_fast) break;
-    if (shares.size() < epoch_for_seq(s).slow_quorum()) continue;
-    if (sl.coll_prepare_verifying.count(h)) continue;
-    std::vector<crypto::SignatureShare> tau_shares;
-    tau_shares.reserve(shares.size());
-    for (auto& [replica, pair] : shares)
-      tau_shares.push_back({signer_of(replica, s), pair.tau});
-    int64_t cost = ctx.costs().batch_verify_us(tau_shares.size()) +
-                   ctx.costs().combine_us(epoch_for_seq(s).slow_quorum(), false);
-    sl.coll_prepare_verifying.insert(h);
-    ViewNum cv = sl.coll_view;
-    ctx.offload(cost, [this, s, h, cv, tau_shares = std::move(tau_shares)](
-                          sim::ActorContext& c) {
-      Slot* sp = find_slot(s);
-      if (!sp) return;
-      sp->coll_prepare_verifying.erase(h);
-      if (sp->coll_sent_prepare || sp->coll_sent_fast || !sp->coll_active ||
-          sp->coll_view != cv) {
-        return;
-      }
-      auto sig = crypto_for_seq(s).tau_verifier->combine(h, tau_shares);
-      if (!sig) {
-        ++stats_.invalid_shares_seen;
-        auto it = sp->coll_shares.find(h);
-        if (it != sp->coll_shares.end() && it->second.size() > tau_shares.size())
-          collector_try_prepare(s, c);
-        return;
-      }
-      sp->coll_sent_prepare = true;
-      trace_.instant(c.now(), obs::Category::kSlot, obs::ev::kPrepareFormed, 0,
-                     s, sp->coll_view, "shares", tau_shares.size());
-      sp->coll_tau = *sig;
-      sp->coll_h = h;
-      sp->coll_block_digest = sp->coll_digest_of_h[h];
-      PrepareMsg prep;
-      prep.seq = s;
-      prep.view = sp->coll_view;
-      prep.block_digest = sp->coll_block_digest;
-      prep.tau_sig = std::move(*sig);
-      broadcast_replicas(c, make_message(std::move(prep)));
-    });
-  }
-}
 
 void SbftReplica::handle_prepare(const PrepareMsg& m, sim::ActorContext& ctx) {
   if (m.view < view_ || (in_view_change_ && m.view == view_) || retired_) return;
@@ -691,7 +697,6 @@ void SbftReplica::handle_prepare(const PrepareMsg& m, sim::ActorContext& ctx) {
       sl.coll_view = m.view;
       sl.coll_active = true;
       sl.coll_tau = m.tau_sig;
-      sl.coll_h = h;
       sl.coll_block_digest = m.block_digest;
     }
 
@@ -719,64 +724,12 @@ void SbftReplica::handle_commit_share(const CommitShareMsg& m, sim::ActorContext
   int rank = collector_rank(collectors, opts_.id);
   if (rank < 0) return;
   Slot* slp = find_slot(m.seq);
-  if (!slp || slp->coll_tau.empty() || slp->coll_sent_slow) return;
-  Slot& sl = *slp;
+  if (!slp || slp->coll_tau.empty() || slp->sent[kSlow]) return;
   // Only shares over the commit digest of our certificate count.
-  Digest expected = commit_hash(crypto::sha256(as_span(sl.coll_tau)));
+  Digest expected = commit_hash(crypto::sha256(as_span(slp->coll_tau)));
   if (!(m.commit_digest == expected)) return;
-  sl.coll_commit_shares.emplace(m.replica, m.tau_share);
-
-  if (sl.coll_commit_shares.size() >= epoch_for_seq(m.seq).slow_quorum()) {
-    if (rank == 0) {
-      collector_try_slow_proof(m.seq, ctx);
-    } else if (!sl.coll_stagger_slow_set) {
-      // Staggered backups — the primary is always the last to activate
-      // (§V-E); they act only if the faster collectors stayed silent.
-      sl.coll_stagger_slow_set = true;
-      ctx.set_timer(rank * collector_stagger_us_, timer_id(kStaggerSlow, m.seq));
-    }
-  }
-}
-
-void SbftReplica::collector_try_slow_proof(SeqNum s, sim::ActorContext& ctx) {
-  Slot* slp = find_slot(s);
-  if (!slp || slp->coll_sent_slow || slp->coll_tau.empty()) return;
-  Slot& sl = *slp;
-  if (sl.coll_slow_verifying) return;
-  if (sl.coll_commit_shares.size() < epoch_for_seq(s).slow_quorum()) return;
-  Digest d2 = commit_hash(crypto::sha256(as_span(sl.coll_tau)));
-  std::vector<crypto::SignatureShare> shares;
-  shares.reserve(sl.coll_commit_shares.size());
-  for (auto& [replica, share] : sl.coll_commit_shares)
-    shares.push_back({signer_of(replica, s), share});
-  int64_t cost = ctx.costs().batch_verify_us(shares.size()) +
-                 ctx.costs().combine_us(epoch_for_seq(s).slow_quorum(), false);
-  sl.coll_slow_verifying = true;
-  ViewNum cv = sl.coll_view;
-  ctx.offload(cost, [this, s, cv, d2,
-                     shares = std::move(shares)](sim::ActorContext& c) {
-    Slot* sp = find_slot(s);
-    if (!sp) return;
-    sp->coll_slow_verifying = false;
-    if (sp->coll_sent_slow || sp->coll_view != cv || sp->coll_tau.empty()) return;
-    auto sig = crypto_for_seq(s).tau_verifier->combine(d2, shares);
-    if (!sig) {
-      ++stats_.invalid_shares_seen;
-      if (sp->coll_commit_shares.size() > shares.size())
-        collector_try_slow_proof(s, c);
-      return;
-    }
-    sp->coll_sent_slow = true;
-    trace_.instant(c.now(), obs::Category::kSlot, obs::ev::kSlowProofFormed, 0,
-                   s, sp->coll_view, "shares", shares.size());
-    FullCommitProofSlowMsg proof;
-    proof.seq = s;
-    proof.view = sp->coll_view;
-    proof.block_digest = sp->coll_block_digest;
-    proof.tau_sig = sp->coll_tau;
-    proof.tau_tau_sig = std::move(*sig);
-    broadcast_replicas(c, make_message(std::move(proof)));
-  });
+  slp->quorums[kSlow][expected].shares.emplace(m.replica, m.tau_share);
+  maybe_collect(*slp, m.seq, kSlow, expected, rank, ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -826,7 +779,6 @@ void SbftReplica::commit(SeqNum s, const Digest& block_digest, bool fast,
   Slot& sl = slot(s);
   if (sl.committed) return;
   sl.committed = true;
-  sl.committed_fast = fast;
   sl.committed_digest = block_digest;
   sl.commit_time = ctx.now();
   if (sl.pp_time >= 0) {
@@ -952,7 +904,7 @@ void SbftReplica::handle_sign_state(const SignStateMsg& m, sim::ActorContext& ct
     return;
   }
   const runtime::ExecutionRecord* rec = runtime_.record(m.seq);
-  if (rec == nullptr || sl.e_sent) return;
+  if (rec == nullptr || sl.sent[kExec]) return;
   Digest d = rec->cert.exec_digest();
   // Only shares over our own executed digest can combine (robust filtering;
   // the CPU cost is charged as a batch verification at combine time, §III).
@@ -961,58 +913,8 @@ void SbftReplica::handle_sign_state(const SignStateMsg& m, sim::ActorContext& ct
     ++stats_.invalid_shares_seen;
     return;
   }
-  sl.pi_shares.emplace(m.replica, m.pi_share);
-  if (sl.pi_shares.size() >= epoch_for_seq(m.seq).exec_quorum()) {
-    if (rank == 0) {
-      ecollector_try_proof(m.seq, ctx, false);
-    } else if (!sl.e_stagger_set) {
-      sl.e_stagger_set = true;
-      ctx.set_timer(rank * collector_stagger_us_, timer_id(kStaggerExec, m.seq));
-    }
-  }
-}
-
-void SbftReplica::ecollector_try_proof(SeqNum s, sim::ActorContext& ctx,
-                                       bool /*from_stagger*/) {
-  Slot* slp = find_slot(s);
-  runtime::ExecutionRecord* rec = runtime_.record(s);
-  if (!slp || rec == nullptr || slp->e_sent) return;
-  // Another collector already certified this sequence?
-  if (!rec->cert.pi_sig.empty()) return;
-  Slot& sl = *slp;
-  if (sl.e_verifying) return;
-  if (sl.pi_shares.size() < epoch_for_seq(s).exec_quorum()) return;
-  Digest d = rec->cert.exec_digest();
-  std::vector<crypto::SignatureShare> shares;
-  shares.reserve(sl.pi_shares.size());
-  for (auto& [replica, share] : sl.pi_shares)
-    shares.push_back({signer_of(replica, s), share});
-  int64_t cost = ctx.costs().batch_verify_us(shares.size()) +
-                 ctx.costs().combine_us(epoch_for_seq(s).exec_quorum(), false);
-  sl.e_verifying = true;
-  ctx.offload(cost, [this, s, d, shares = std::move(shares)](sim::ActorContext& c) {
-    Slot* sp = find_slot(s);
-    if (!sp) return;
-    sp->e_verifying = false;
-    runtime::ExecutionRecord* rec2 = runtime_.record(s);
-    if (rec2 == nullptr || sp->e_sent || !rec2->cert.pi_sig.empty()) return;
-    if (!(rec2->cert.exec_digest() == d)) return;  // re-executed differently
-    auto sig = crypto_for_seq(s).pi_verifier->combine(d, shares);
-    if (!sig) {
-      ++stats_.invalid_shares_seen;
-      if (sp->pi_shares.size() > shares.size())
-        ecollector_try_proof(s, c, false);
-      return;
-    }
-    sp->e_sent = true;
-    rec2->cert.pi_sig = *sig;
-    FullExecuteProofMsg proof;
-    proof.seq = s;
-    proof.exec_digest = d;
-    proof.pi_sig = std::move(*sig);
-    broadcast_replicas(c, make_message(std::move(proof)));
-    if (opts_.config.execution_collector) send_execute_acks(s, c);
-  });
+  sl.quorums[kExec][d].shares.emplace(m.replica, m.pi_share);
+  maybe_collect(sl, m.seq, kExec, d, rank, ctx);
 }
 
 void SbftReplica::send_execute_acks(SeqNum s, sim::ActorContext& ctx) {

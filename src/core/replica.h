@@ -36,9 +36,6 @@ enum class ReplicaBehavior {
 struct ReplicaOptions : runtime::EngineOptions {
   ReplicaCrypto crypto;
   ReplicaBehavior behavior = ReplicaBehavior::kHonest;
-  // Collector staggering (§V: "in most executions just one collector is
-  // active and the others just monitor in idle").
-  int64_t collector_stagger_us = 25'000;
   // Per-epoch threshold key material (trusted-dealer re-keying); epoch 0
   // always uses `crypto`. Required before any epoch > 0 activates.
   std::shared_ptr<const EpochKeyTable> epoch_keys;
@@ -101,14 +98,15 @@ class SbftReplica final : public runtime::EngineShell {
  private:
   struct Slot;
 
+  /// The threshold proofs a collector combines: sigma(h) (fast path), tau(h)
+  /// and tau(tau(h)) (Linear-PBFT, §V-E), pi(d) (execution, §V-D).
+  enum Proof : uint64_t { kFast, kPrepare, kSlow, kExec, kNumProofs };
+
   // Engine timer kinds (the shell owns the lower ones).
   enum TimerKind : uint64_t {
     kFastPathTimer = kFirstEngineTimer,
-    kStaggerFast,
-    kStaggerPrepare,
-    kStaggerSlow,
-    kStaggerExec,
-    kShareFallback,  // re-send sign-share to the primary (stalled slot)
+    kStagger,  // kStagger + p: a backup collector of proof p takes its turn
+    kShareFallback = kStagger + kNumProofs,  // re-send sign-share (stalled slot)
     kStateFallback,  // re-send sign-state to the primary (stalled cert)
   };
 
@@ -183,14 +181,26 @@ class SbftReplica final : public runtime::EngineShell {
   // --- commit paths ----------------------------------------------------------
   void accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
                           sim::ActorContext& ctx);
-  void collector_try_fast(SeqNum s, sim::ActorContext& ctx, bool from_stagger);
-  void collector_try_prepare(SeqNum s, sim::ActorContext& ctx);
-  void collector_try_slow_proof(SeqNum s, sim::ActorContext& ctx);
   void commit(SeqNum s, const Digest& block_digest, bool fast, sim::ActorContext& ctx);
+
+  // --- collectors (§V-B, redundant and staggered per §V-E) ---------------------
+  /// Shares proof p needs: 3f+c+1 (sigma), 2f+c+1 (tau), f+1 (pi).
+  static uint32_t quorum_of(const runtime::MembershipEpoch& e, Proof p);
+  /// True while this collector still owes slot s proof p.
+  bool proof_open(const Slot& sl, SeqNum s, Proof p) const;
+  /// At quorum over `digest`, the rank-0 collector combines now; a backup of
+  /// stagger rank k arms one kStagger + p timer, k stagger steps out.
+  void maybe_collect(Slot& sl, SeqNum s, Proof p, const Digest& digest, int rank,
+                     sim::ActorContext& ctx);
+  /// The only code that combines threshold shares: batch-verifies and combines
+  /// every full quorum of proof p on a worker lane, and retries a failed
+  /// combine once its quorum has grown.
+  void collect(SeqNum s, Proof p, sim::ActorContext& ctx);
+  void send_proof(Slot& sl, SeqNum s, Proof p, const Digest& digest, Bytes sig,
+                  size_t shares, sim::ActorContext& ctx);
 
   // --- execution (§V-D) -------------------------------------------------------
   void execute_block(SeqNum s, sim::ActorContext& ctx);
-  void ecollector_try_proof(SeqNum s, sim::ActorContext& ctx, bool from_stagger);
   void send_execute_acks(SeqNum s, sim::ActorContext& ctx);
   void advance_checkpoint(SeqNum s, sim::ActorContext& ctx);
 
@@ -215,7 +225,6 @@ class SbftReplica final : public runtime::EngineShell {
 
   ReplicaCrypto crypto_;
   ReplicaBehavior behavior_;
-  int64_t collector_stagger_us_;
   std::shared_ptr<const EpochKeyTable> epoch_keys_;
 
   obs::Histogram* h_pending_wait_;

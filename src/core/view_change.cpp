@@ -16,11 +16,9 @@ Digest slow_round_digest(const Bytes& tau_sig) {
   return commit_hash(crypto::sha256(as_span(tau_sig)));
 }
 
-/// Threshold-signer index of `sender`: its epoch rank + 1 when the verifiers
-/// carry an epoch (per-epoch schemes index members by rank), its id under the
-/// genesis identity mapping. 0 = not a member (evidence invalid).
+/// Threshold-signer index of `sender`: its epoch rank + 1 (per-epoch schemes
+/// index members by rank). 0 = not a member (evidence invalid).
 uint32_t signer_index(const ViewChangeVerifiers& verifiers, ReplicaId sender) {
-  if (!verifiers.epoch) return sender;
   int rank = verifiers.epoch->rank_of(sender);
   return rank < 0 ? 0 : static_cast<uint32_t>(rank) + 1;
 }
@@ -70,8 +68,7 @@ bool validate_checkpoint(const ViewChangeVerifiers& verifiers, SeqNum ls,
                          const ExecCertificate& cert) {
   if (ls == 0) return true;  // genesis needs no proof
   if (cert.seq != ls) return false;
-  if (verifiers.verify_checkpoint) return verifiers.verify_checkpoint(cert);
-  return verifiers.pi->verify(cert.exec_digest(), as_span(cert.pi_sig));
+  return verifiers.verify_checkpoint(cert);
 }
 
 }  // namespace
@@ -79,10 +76,7 @@ bool validate_checkpoint(const ViewChangeVerifiers& verifiers, SeqNum ls,
 bool validate_view_change(const ProtocolConfig& config,
                           const ViewChangeVerifiers& verifiers,
                           const ViewChangeMsg& msg) {
-  if (verifiers.epoch ? !verifiers.epoch->contains(msg.sender)
-                      : (msg.sender == 0 || msg.sender > config.n())) {
-    return false;
-  }
+  if (!verifiers.epoch->contains(msg.sender)) return false;
   if (!validate_checkpoint(verifiers, msg.ls, msg.checkpoint)) return false;
   std::set<SeqNum> seen;
   for (const SlotEvidence& e : msg.slots) {

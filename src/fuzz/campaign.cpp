@@ -35,6 +35,7 @@ void log_run(std::ostream* log, uint64_t seed, const Schedule& schedule,
        << ",\"executed\":" << result.max_executed
        << ",\"view_changes\":" << result.view_changes
        << ",\"recoveries\":" << result.recoveries
+       << ",\"trace\":\"" << result.trace_hex() << "\""
        << ",\"events\":" << schedule.events.size() << ",\"schedule\":\""
        << json_escape(schedule.summary()) << "\"";
   if (!result.ok()) {

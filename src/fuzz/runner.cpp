@@ -1,11 +1,14 @@
 #include "fuzz/runner.h"
 
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <sstream>
 
+#include "crypto/sha256.h"
 #include "harness/cluster.h"
 #include "kv/kv_service.h"
+#include "obs/trace.h"
 
 namespace sbft::fuzz {
 
@@ -141,12 +144,19 @@ void apply_event(RunState& st, const FaultEvent& e) {
 
 }  // namespace
 
+std::string FuzzResult::trace_hex() const {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(trace_digest));
+  return hex;
+}
+
 std::string FuzzResult::summary() const {
   std::ostringstream out;
   out << (ok() ? "OK" : "FAIL") << " executed=" << max_executed
       << " view_changes=" << view_changes << " recoveries=" << recoveries
       << " completed=" << (completed ? "yes" : "no") << " sim_end="
-      << sim_end_us / 1000 << "ms";
+      << sim_end_us / 1000 << "ms trace=" << trace_hex();
   for (const std::string& v : violations) out << "\n  " << v;
   return out.str();
 }
@@ -203,6 +213,8 @@ FuzzResult run_schedule(const Schedule& schedule) {
   result.view_changes = cluster.total_view_changes();
   result.recoveries = cluster.total_recoveries();
   result.sim_end_us = cluster.simulator().now();
+  result.trace_digest =
+      obs::digest_prefix(crypto::sha256(cluster.trace_json()).data());
 
   if (!result.completed) {
     uint64_t unfinished = 0;

@@ -33,8 +33,13 @@ struct FuzzResult {
   uint64_t view_changes = 0;
   uint64_t recoveries = 0;
   int64_t sim_end_us = 0;
+  /// First 8 bytes of SHA-256 over the run's Cluster::trace_json(): two runs
+  /// with equal digests took the same path, event for event.
+  uint64_t trace_digest = 0;
 
   bool ok() const { return violations.empty(); }
+  /// trace_digest as 16 hex digits.
+  std::string trace_hex() const;
   std::string summary() const;
 };
 

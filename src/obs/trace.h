@@ -60,7 +60,7 @@ inline constexpr const char* kSlowProofFormed = "slowproof.formed";  // arg = sh
 inline constexpr const char* kCommitFast = "commit.fast";    // arg = digest prefix
 inline constexpr const char* kCommitSlow = "commit.slow";    // arg = digest prefix
 inline constexpr const char* kExecute = "execute";           // arg = exec digest prefix
-inline constexpr const char* kExecAcks = "exec.acks";        // arg = pi shares
+inline constexpr const char* kExecAcks = "exec.acks";        // arg = requests
 // Lifecycle markers the harness emits (Category::kSlot, seq 0). A restart
 // resets the checker's per-replica execution cursor: a wiped replica
 // legitimately re-executes sequences its previous incarnation already ran

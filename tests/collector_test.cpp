@@ -16,6 +16,17 @@ ProtocolConfig make_config(uint32_t f, uint32_t c) {
   return config;
 }
 
+/// The genesis epoch of an (f, c) cluster: replicas 1..n on nodes 0..n-1.
+runtime::MembershipEpoch genesis(uint32_t f, uint32_t c) {
+  runtime::MembershipEpoch epoch;
+  epoch.f = f;
+  epoch.c = c;
+  for (ReplicaId r = 1; r <= make_config(f, c).n(); ++r) {
+    epoch.members.push_back({r, r - 1});
+  }
+  return epoch;
+}
+
 TEST(Config, ClusterSizing) {
   EXPECT_EQ(make_config(1, 0).n(), 4u);
   EXPECT_EQ(make_config(1, 1).n(), 6u);
@@ -61,44 +72,44 @@ TEST(Config, PrimaryRotatesRoundRobin) {
 }
 
 TEST(Collectors, CorrectCountAndNoPrimary) {
-  ProtocolConfig config = make_config(4, 2);  // n = 17, c+1 = 3 collectors
+  runtime::MembershipEpoch epoch = genesis(4, 2);  // n = 17, c+1 = 3 collectors
   for (SeqNum s = 1; s <= 50; ++s) {
-    auto collectors = c_collectors(config, s, 0);
+    auto collectors = c_collectors(epoch, s, 0);
     ASSERT_EQ(collectors.size(), 3u);
     std::set<ReplicaId> unique(collectors.begin(), collectors.end());
     EXPECT_EQ(unique.size(), collectors.size()) << "duplicates at s=" << s;
     for (ReplicaId r : collectors) {
-      EXPECT_NE(r, config.primary_of(0)) << "primary drafted as C-collector";
+      EXPECT_NE(r, epoch.primary_of(0)) << "primary drafted as C-collector";
       EXPECT_GE(r, 1u);
-      EXPECT_LE(r, config.n());
+      EXPECT_LE(r, epoch.n());
     }
   }
 }
 
 TEST(Collectors, DeterministicAcrossCalls) {
-  ProtocolConfig config = make_config(8, 1);
-  EXPECT_EQ(c_collectors(config, 42, 3), c_collectors(config, 42, 3));
-  EXPECT_EQ(e_collectors(config, 42, 3), e_collectors(config, 42, 3));
+  runtime::MembershipEpoch epoch = genesis(8, 1);
+  EXPECT_EQ(c_collectors(epoch, 42, 3), c_collectors(epoch, 42, 3));
+  EXPECT_EQ(e_collectors(epoch, 42, 3), e_collectors(epoch, 42, 3));
 }
 
 TEST(Collectors, VaryWithSequenceAndView) {
-  ProtocolConfig config = make_config(8, 2);
+  runtime::MembershipEpoch epoch = genesis(8, 2);
   // Across a window of sequence numbers the sets must differ somewhere
   // (load balancing, §V: "By choosing a different C-collector group for each
   // decision block, we balance the load over all replicas").
   bool seq_varies = false, view_varies = false;
-  auto base = c_collectors(config, 1, 0);
-  for (SeqNum s = 2; s <= 20; ++s) seq_varies |= c_collectors(config, s, 0) != base;
-  for (ViewNum v = 1; v <= 20; ++v) view_varies |= c_collectors(config, 1, v) != base;
+  auto base = c_collectors(epoch, 1, 0);
+  for (SeqNum s = 2; s <= 20; ++s) seq_varies |= c_collectors(epoch, s, 0) != base;
+  for (ViewNum v = 1; v <= 20; ++v) view_varies |= c_collectors(epoch, 1, v) != base;
   EXPECT_TRUE(seq_varies);
   EXPECT_TRUE(view_varies);
 }
 
 TEST(Collectors, CDrawsDifferFromEDraws) {
-  ProtocolConfig config = make_config(8, 2);
+  runtime::MembershipEpoch epoch = genesis(8, 2);
   bool differ = false;
   for (SeqNum s = 1; s <= 20; ++s) {
-    differ |= c_collectors(config, s, 0) != e_collectors(config, s, 0);
+    differ |= c_collectors(epoch, s, 0) != e_collectors(epoch, s, 0);
   }
   EXPECT_TRUE(differ);  // independent pseudo-random draws
 }
@@ -106,15 +117,15 @@ TEST(Collectors, CDrawsDifferFromEDraws) {
 TEST(Collectors, LoadSpreadsAcrossReplicas) {
   // Over many sequence numbers every non-primary replica should serve as a
   // collector a comparable number of times.
-  ProtocolConfig config = make_config(4, 1);  // n = 15, 2 collectors per slot
+  runtime::MembershipEpoch epoch = genesis(4, 1);  // n = 15, 2 collectors per slot
   std::map<ReplicaId, int> load;
   const int kSlots = 3000;
   for (SeqNum s = 1; s <= kSlots; ++s) {
-    for (ReplicaId r : c_collectors(config, s, 0)) ++load[r];
+    for (ReplicaId r : c_collectors(epoch, s, 0)) ++load[r];
   }
-  double expected = 2.0 * kSlots / (config.n() - 1);
-  for (ReplicaId r = 1; r <= config.n(); ++r) {
-    if (r == config.primary_of(0)) {
+  double expected = 2.0 * kSlots / (epoch.n() - 1);
+  for (ReplicaId r = 1; r <= epoch.n(); ++r) {
+    if (r == epoch.primary_of(0)) {
       EXPECT_EQ(load.count(r), 0u);
       continue;
     }
@@ -124,13 +135,31 @@ TEST(Collectors, LoadSpreadsAcrossReplicas) {
 }
 
 TEST(Collectors, CommitCollectorsAppendPrimaryLast) {
-  ProtocolConfig config = make_config(4, 2);
+  runtime::MembershipEpoch epoch = genesis(4, 2);
   for (ViewNum v : {0ull, 1ull, 7ull}) {
-    auto collectors = commit_collectors(config, 5, v);
-    ASSERT_EQ(collectors.size(), config.num_collectors() + 1);
-    EXPECT_EQ(collectors.back(), config.primary_of(v));  // §V-E: primary last
-    auto fallback_e = fallback_e_collectors(config, 5, v);
-    EXPECT_EQ(fallback_e.back(), config.primary_of(v));
+    auto collectors = commit_collectors(epoch, 5, v);
+    ASSERT_EQ(collectors.size(), epoch.num_collectors() + 1);
+    EXPECT_EQ(collectors.back(), epoch.primary_of(v));  // §V-E: primary last
+    auto fallback_e = fallback_e_collectors(epoch, 5, v);
+    EXPECT_EQ(fallback_e.back(), epoch.primary_of(v));
+  }
+}
+
+TEST(Collectors, DrawOnlyMembersOfASparseRoster) {
+  // After removals the member ids are no longer 1..n; the draw walks the
+  // epoch's member list and never drafts the view's primary.
+  runtime::MembershipEpoch epoch = genesis(1, 1);
+  epoch.members = {{2, 1}, {3, 2}, {5, 4}, {6, 5}, {8, 7}, {9, 8}};
+  for (SeqNum s = 1; s <= 50; ++s) {
+    for (ViewNum v = 0; v < epoch.n(); ++v) {
+      auto collectors = commit_collectors(epoch, s, v);
+      ASSERT_EQ(collectors.size(), epoch.num_collectors() + 1);
+      EXPECT_EQ(collectors.back(), epoch.primary_of(v));
+      for (size_t i = 0; i + 1 < collectors.size(); ++i) {
+        EXPECT_TRUE(epoch.contains(collectors[i])) << collectors[i];
+        EXPECT_NE(collectors[i], epoch.primary_of(v));
+      }
+    }
   }
 }
 
@@ -144,8 +173,8 @@ TEST(Collectors, RankLookup) {
 
 TEST(Collectors, SmallClusterClamp) {
   // c+1 collectors must clamp to the available non-primary replicas.
-  ProtocolConfig config = make_config(1, 1);  // n = 6, c+1 = 2 of 5 backups
-  auto collectors = c_collectors(config, 1, 0);
+  runtime::MembershipEpoch epoch = genesis(1, 1);  // n = 6, c+1 = 2 of 5 backups
+  auto collectors = c_collectors(epoch, 1, 0);
   EXPECT_EQ(collectors.size(), 2u);
 }
 

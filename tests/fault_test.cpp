@@ -65,19 +65,44 @@ TEST(Faults, StragglersToleratedWithRedundantCollectors) {
 
 TEST(Faults, CorruptSharesAreFilteredNotFatal) {
   // A Byzantine replica emits corrupted threshold shares; collectors filter
-  // them and quorums still form from the remaining honest replicas (with
-  // c = 1 the fast quorum survives one bad signer).
-  auto opts = base(ProtocolKind::kSbft, 1, 1);
-  opts.byzantine_behavior = core::ReplicaBehavior::kCorruptShares;
-  opts.byzantine_replicas = 1;
-  Cluster cluster(std::move(opts));
-  ASSERT_TRUE(cluster.run_until_done(240'000'000));
-  EXPECT_TRUE(cluster.check_agreement());
-  uint64_t invalid = 0;
-  for (ReplicaId r = 1; r <= cluster.n(); ++r) {
-    invalid += cluster.sbft_replica(r)->stats().invalid_shares_seen;
+  // them and every proof still forms from the honest shares: sigma(h) and
+  // pi(d) under SBFT (c = 1 keeps the fast quorum within reach), tau(h) and
+  // tau(tau(h)) under Linear-PBFT (c = 0). On four cores the combines run on
+  // worker lanes, where a quorum can grow while its combine is in flight: the
+  // collector must retry with the grown quorum rather than wait for a backup
+  // collector's stagger or a view change.
+  for (ProtocolKind kind : {ProtocolKind::kSbft, ProtocolKind::kLinearPbft}) {
+    for (uint32_t cores : {1u, 4u}) {
+      SCOPED_TRACE(std::string(protocol_name(kind)) + ", " +
+                   std::to_string(cores) + " core(s)");
+      auto opts = base(kind, 1, 1);
+      opts.cores_per_replica = cores;
+      Cluster honest(opts);
+      ASSERT_TRUE(honest.run_until_done(240'000'000));
+      opts.byzantine_behavior = core::ReplicaBehavior::kCorruptShares;
+      opts.byzantine_replicas = 1;
+      Cluster cluster(std::move(opts));
+      ASSERT_TRUE(cluster.run_until_done(240'000'000));
+      EXPECT_TRUE(cluster.check_agreement());
+      uint64_t invalid = 0;
+      uint64_t acked_blocks = 0;
+      for (ReplicaId r = 1; r <= cluster.n(); ++r) {
+        invalid += cluster.sbft_replica(r)->stats().invalid_shares_seen;
+        acked_blocks += cluster.sbft_replica(r)->stats().acked_blocks;
+      }
+      EXPECT_GT(invalid, 0u);  // corruption was actually detected
+      if (kind == ProtocolKind::kSbft) {
+        EXPECT_GT(cluster.total_fast_commits(), 0u);
+        EXPECT_GT(acked_blocks, 0u);  // pi(d) formed and acked the clients
+      } else {
+        EXPECT_GT(cluster.total_slow_commits(), 0u);
+      }
+      // Filtering costs no timeout: no view change, and the clients finish
+      // within two 50 ms run steps of the honest cluster.
+      EXPECT_EQ(cluster.total_view_changes(), 0u);
+      EXPECT_LE(cluster.simulator().now(), honest.simulator().now() + 100'000);
+    }
   }
-  EXPECT_GT(invalid, 0u);  // corruption was actually detected
 }
 
 TEST(Faults, SilentReplicaWithinQuorums) {

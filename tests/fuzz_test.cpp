@@ -321,6 +321,19 @@ TEST(FuzzSmoke, FixedSeedCampaignIsClean) {
                               "bench_fuzz_campaign --seeds 100 to triage";
 }
 
+TEST(FuzzSmoke, TraceDigestFingerprintsTheRun) {
+  // The digest a behaviour-preserving change compares against its parent
+  // (docs/fuzzing.md): a pure function of the schedule, and seed-sensitive.
+  ScheduleFuzzer fuzzer;
+  Schedule schedule = fuzzer.generate(3);
+  fuzz::FuzzResult first = fuzz::run_schedule(schedule);
+  fuzz::FuzzResult again = fuzz::run_schedule(schedule);
+  EXPECT_NE(first.trace_digest, 0u);
+  EXPECT_EQ(first.trace_digest, again.trace_digest);
+  EXPECT_NE(fuzz::run_schedule(fuzzer.generate(4)).trace_digest,
+            first.trace_digest);
+}
+
 TEST(FuzzSmoke, RunnerReportsInjectedLivenessFailure) {
   // True-positive check for the end-to-end oracle: a schedule that crashes
   // f+1 replicas and never restarts them (the horizon restart is the only

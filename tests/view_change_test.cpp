@@ -16,8 +16,15 @@ class ViewChangeFixture : public ::testing::Test {
     config_.c = 0;  // n = 4; fast quorum 4, slow quorum 3, f+c+1 = 2
     Rng rng(2024);
     keys_ = ClusterKeys::generate(rng, config_);
-    verifiers_ = {keys_.sigma.verifier.get(), keys_.tau.verifier.get(),
-                  keys_.pi.verifier.get()};
+    // The genesis roster: replica r on node r-1, signer index r.
+    for (ReplicaId r = 1; r <= config_.n(); ++r) epoch_.members.push_back({r, r - 1});
+    epoch_.f = config_.f;
+    epoch_.c = config_.c;
+    verifiers_ = {keys_.sigma.verifier.get(), keys_.tau.verifier.get(), &epoch_,
+                  [this](const ExecCertificate& cert) {
+                    return keys_.pi.verifier->verify(cert.exec_digest(),
+                                                     as_span(cert.pi_sig));
+                  }};
   }
 
   Block make_block(const std::string& tag) {
@@ -96,6 +103,7 @@ class ViewChangeFixture : public ::testing::Test {
 
   ProtocolConfig config_;
   ClusterKeys keys_;
+  runtime::MembershipEpoch epoch_;
   ViewChangeVerifiers verifiers_;
 };
 
@@ -234,6 +242,7 @@ TEST_F(ViewChangeFixture, ValidateViewChangeRejectsBadEvidence) {
   EXPECT_FALSE(validate_view_change(config_, verifiers_, m));
   ViewChangeMsg ok = vc(2, {e});
   EXPECT_TRUE(validate_view_change(config_, verifiers_, ok));
+  EXPECT_FALSE(validate_view_change(config_, verifiers_, vc(5, {})));  // not a member
 }
 
 TEST_F(ViewChangeFixture, ValidateViewChangeRejectsDuplicateSlots) {
