@@ -72,7 +72,7 @@ ReplayResult measure_replay(uint64_t blocks, bool with_snapshot) {
     // and the reply cache that rides in the snapshot envelope.
     SeqNum half = blocks / 2;
     auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
-    for (SeqNum s = 1; s <= half; ++s) prefix->append_block(s, *ledger->read_block(s));
+    for (SeqNum s = 1; s <= half; ++s) prefix->append_block(s, ledger->read_block(s));
     auto at_half = runtime_on(prefix, nullptr);
     at_half->recover();
     wal->record_checkpoint(

@@ -41,6 +41,17 @@ const Digest& SealedBlock::digest() const {
   return *memo;
 }
 
+std::shared_ptr<const Bytes> SealedBlock::ledger_record(SeqNum s, ViewNum v) const {
+  const Body& body = *body_;
+  if (!body.record || body.record_seq != s || body.record_view != v) {
+    body.record = std::make_shared<const Bytes>(
+        encode_message(Message(PrePrepareMsg{s, v, *this})));
+    body.record_seq = s;
+    body.record_view = v;
+  }
+  return body.record;
+}
+
 size_t Block::wire_size() const {
   size_t total = 4;
   for (const Request& r : requests) total += r.wire_size();

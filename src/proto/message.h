@@ -43,12 +43,12 @@ struct Block {
 
 /// A decision block sealed for sharing: an immutable, refcounted body that
 /// holds the block and its digest. Copies share the body, so the pre-prepare
-/// every replica receives, its slot, its execution record and its
-/// view-change evidence are one in-memory block, and its digest is computed
-/// once (on the first digest() call) for all of them. The digest cannot go
-/// stale or be supplied by a sender: it is a pure function of a body that is
-/// reachable only through const. The memo is unsynchronized, which relies on
-/// the simulator being single-threaded.
+/// every replica receives, its slot, its execution record, its view-change
+/// evidence and its ledger record are one in-memory block, and its digest
+/// and ledger record are computed once (on first use) for all of them.
+/// Neither can go stale or be supplied by a sender: each is a pure function
+/// of a body that is reachable only through const. The memos are
+/// unsynchronized, which relies on the simulator being single-threaded.
 class SealedBlock {
  public:
   SealedBlock() : SealedBlock(Block{}) {}
@@ -60,12 +60,20 @@ class SealedBlock {
   const std::vector<Request>& requests() const { return body_->block.requests; }
   const Digest& digest() const;
   size_t wire_size() const { return body_->block.wire_size(); }
+  /// The ledger record of this block ordered at (s, v): the encoded
+  /// PrePrepareMsg{s, v, block}, an immutable buffer every replica that
+  /// executes the block at (s, v) stores by reference. The memo keeps the
+  /// last (s, v) asked for; a re-proposal at another (s, v) is re-encoded.
+  std::shared_ptr<const Bytes> ledger_record(SeqNum s, ViewNum v) const;
 
  private:
   struct Body {
     explicit Body(Block b) : block(std::move(b)) {}
     Block block;
     mutable std::optional<Digest> digest;
+    mutable SeqNum record_seq = 0;
+    mutable ViewNum record_view = 0;
+    mutable std::shared_ptr<const Bytes> record;
   };
   std::shared_ptr<const Body> body_;
 };

@@ -123,8 +123,7 @@ ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
   // Persist the decision block (§IX: transactions persist to disk).
   ctx.charge(tally.exec_cost_us + ctx.costs().persist_us(rec.block.wire_size()));
   if (opts_.ledger) {
-    opts_.ledger->append_block(
-        s, as_span(encode_message(Message(PrePrepareMsg{s, pp_view, rec.block}))));
+    opts_.ledger->append_block(s, rec.block.ledger_record(s, pp_view));
   }
   trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kExecute, s, s,
                  pp_view, "digest", obs::digest_prefix(exec_digests_[s].data()));

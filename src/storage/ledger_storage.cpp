@@ -8,14 +8,19 @@
 
 namespace sbft::storage {
 
-void MemoryLedgerStorage::append_block(SeqNum s, ByteSpan encoded) {
-  blocks_.emplace(s, to_bytes(encoded));
+void ILedgerStorage::append_block(SeqNum s, ByteSpan encoded) {
+  append_block(s, std::make_shared<const Bytes>(to_bytes(encoded)));
 }
 
-std::optional<Bytes> MemoryLedgerStorage::read_block(SeqNum s) const {
+void MemoryLedgerStorage::append_block(SeqNum s,
+                                       std::shared_ptr<const Bytes> record) {
+  SBFT_CHECK(record != nullptr);
+  blocks_.emplace(s, std::move(record));
+}
+
+std::shared_ptr<const Bytes> MemoryLedgerStorage::read_block(SeqNum s) const {
   auto it = blocks_.find(s);
-  if (it == blocks_.end()) return std::nullopt;
-  return it->second;
+  return it == blocks_.end() ? nullptr : it->second;
 }
 
 SeqNum MemoryLedgerStorage::last_seq() const {
@@ -67,8 +72,11 @@ void FileLedgerStorage::load_index() {
   std::fseek(file_, good_end, SEEK_SET);
 }
 
-void FileLedgerStorage::append_block(SeqNum s, ByteSpan encoded) {
+void FileLedgerStorage::append_block(SeqNum s,
+                                     std::shared_ptr<const Bytes> record) {
+  SBFT_CHECK(record != nullptr);
   if (index_.count(s)) return;  // immutable records: duplicate appends ignored
+  const Bytes& encoded = *record;
   std::fseek(file_, 0, SEEK_END);
   long offset = std::ftell(file_);
   uint8_t header[12];
@@ -81,17 +89,17 @@ void FileLedgerStorage::append_block(SeqNum s, ByteSpan encoded) {
   index_[s] = {offset + 12, len};
 }
 
-std::optional<Bytes> FileLedgerStorage::read_block(SeqNum s) const {
+std::shared_ptr<const Bytes> FileLedgerStorage::read_block(SeqNum s) const {
   auto it = index_.find(s);
-  if (it == index_.end()) return std::nullopt;
+  if (it == index_.end()) return nullptr;
   std::FILE* f = file_;
   std::fflush(f);
-  if (std::fseek(f, it->second.first, SEEK_SET) != 0) return std::nullopt;
+  if (std::fseek(f, it->second.first, SEEK_SET) != 0) return nullptr;
   Bytes out(it->second.second);
   if (!out.empty() && std::fread(out.data(), 1, out.size(), f) != out.size())
-    return std::nullopt;
+    return nullptr;
   std::fseek(f, 0, SEEK_END);
-  return out;
+  return std::make_shared<const Bytes>(std::move(out));
 }
 
 SeqNum FileLedgerStorage::last_seq() const {

@@ -4,12 +4,17 @@
 // committed decision block; the file-backed implementation exercises a real
 // disk path in examples/tests, while the simulator charges persistence cost
 // through the cost model.
+//
+// A record is an immutable, refcounted buffer. The memory ledger keeps the
+// appended record by reference, so the replicas of one simulated cluster
+// that execute the same block store one buffer (SealedBlock::ledger_record)
+// between them, each in its own ledger object. The file ledger writes the
+// record's bytes.
 #pragma once
 
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/bytes.h"
@@ -21,9 +26,13 @@ using SeqNum = uint64_t;
 class ILedgerStorage {
  public:
   virtual ~ILedgerStorage() = default;
-  /// Persists the encoded decision block at sequence `s` (idempotent).
-  virtual void append_block(SeqNum s, ByteSpan encoded) = 0;
-  virtual std::optional<Bytes> read_block(SeqNum s) const = 0;
+  /// Persists the record (the encoded decision block) at sequence `s`
+  /// (idempotent: records are immutable once stored).
+  virtual void append_block(SeqNum s, std::shared_ptr<const Bytes> record) = 0;
+  /// Copies `encoded` into a fresh record and appends it.
+  void append_block(SeqNum s, ByteSpan encoded);
+  /// The record stored at `s`, or null.
+  virtual std::shared_ptr<const Bytes> read_block(SeqNum s) const = 0;
   /// Highest sequence number stored, or 0 if empty.
   virtual SeqNum last_seq() const = 0;
   virtual uint64_t block_count() const = 0;
@@ -33,13 +42,14 @@ class ILedgerStorage {
 
 class MemoryLedgerStorage final : public ILedgerStorage {
  public:
-  void append_block(SeqNum s, ByteSpan encoded) override;
-  std::optional<Bytes> read_block(SeqNum s) const override;
+  using ILedgerStorage::append_block;
+  void append_block(SeqNum s, std::shared_ptr<const Bytes> record) override;
+  std::shared_ptr<const Bytes> read_block(SeqNum s) const override;
   SeqNum last_seq() const override;
   uint64_t block_count() const override { return blocks_.size(); }
 
  private:
-  std::map<SeqNum, Bytes> blocks_;
+  std::map<SeqNum, std::shared_ptr<const Bytes>> blocks_;
 };
 
 /// Append-only file of [u64 seq][u32 len][payload] records with an in-memory
@@ -53,8 +63,9 @@ class FileLedgerStorage final : public ILedgerStorage {
   FileLedgerStorage(const FileLedgerStorage&) = delete;
   FileLedgerStorage& operator=(const FileLedgerStorage&) = delete;
 
-  void append_block(SeqNum s, ByteSpan encoded) override;
-  std::optional<Bytes> read_block(SeqNum s) const override;
+  using ILedgerStorage::append_block;
+  void append_block(SeqNum s, std::shared_ptr<const Bytes> record) override;
+  std::shared_ptr<const Bytes> read_block(SeqNum s) const override;
   SeqNum last_seq() const override;
   uint64_t block_count() const override { return index_.size(); }
   void sync() override;

@@ -357,6 +357,31 @@ TEST(SealedBlocks, ResealedAfterARequestSwapGetsItsOwnDigest) {
   EXPECT_EQ(a.digest(), (*a).digest());
 }
 
+TEST(SealedBlocks, LedgerRecordIsTheEncodedPrePrepareSharedByCopies) {
+  const SealedBlock a = random_block(3);
+  const auto encoding = [&](SeqNum s, ViewNum v) {
+    return encode_message(Message(PrePrepareMsg{s, v, a}));
+  };
+  const auto record = a.ledger_record(7, 2);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(*record, encoding(7, 2));
+  // Memoized: a repeat call, or one through a copy, returns the same buffer.
+  EXPECT_EQ(a.ledger_record(7, 2), record);
+  const SealedBlock b = a;
+  EXPECT_EQ(b.ledger_record(7, 2), record);
+  // Another view or seq gets that (s, v)'s encoding, never the stale one.
+  EXPECT_EQ(*b.ledger_record(7, 3), encoding(7, 3));
+  EXPECT_EQ(*a.ledger_record(8, 3), encoding(8, 3));
+  EXPECT_EQ(*a.ledger_record(8, 2), encoding(8, 2));
+  EXPECT_EQ(*b.ledger_record(7, 2), encoding(7, 2));
+  // A record handed out earlier keeps its bytes when the memo moves on.
+  EXPECT_EQ(*record, encoding(7, 2));
+  // Sealing equal contents again makes a second buffer with equal bytes.
+  const SealedBlock c = *a;
+  EXPECT_NE(c.ledger_record(7, 2), a.ledger_record(7, 2));
+  EXPECT_EQ(*c.ledger_record(7, 2), *record);
+}
+
 template <typename T>
 T decode_as(const Message& msg) {
   auto decoded = decode_message(as_span(encode_message(msg)));

@@ -217,7 +217,7 @@ std::unique_ptr<runtime::ReplicaRuntime> runtime_on(
 std::shared_ptr<storage::MemoryLedgerStorage> prefix_of(
     const storage::MemoryLedgerStorage& ledger, SeqNum last) {
   auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
-  for (SeqNum s = 1; s <= last; ++s) prefix->append_block(s, *ledger.read_block(s));
+  for (SeqNum s = 1; s <= last; ++s) prefix->append_block(s, ledger.read_block(s));
   return prefix;
 }
 

@@ -1107,8 +1107,8 @@ struct EvmLedgerFixture {
   std::unique_ptr<runtime::ReplicaRuntime> replayed_to_checkpoint() const {
     auto full = full_ledger();
     auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
-    prefix->append_block(1, *full->read_block(1));
-    prefix->append_block(2, *full->read_block(2));
+    prefix->append_block(1, full->read_block(1));
+    prefix->append_block(2, full->read_block(2));
     auto at2 = runtime_on(prefix, nullptr);
     if (!at2->recover()) return nullptr;
     return at2;
@@ -1323,26 +1323,43 @@ INSTANTIATE_TEST_SUITE_P(Protocols, CrossProtocolRecovery,
 
 // ---------------------------------------------------------------------------
 // Sealed decision blocks (docs/performance.md): the pre-prepare every replica
-// receives, its slot and its execution record share one block body.
+// receives, its slot, its execution record and its ledger record share one
+// block body.
 
-class SharedDecisionBlocks : public ::testing::TestWithParam<ProtocolKind> {};
+class SharedDecisionBlocks : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  /// A small cluster of the parameter's protocol, run until its clients
+  /// finish. The window holds every slot, so no execution record is gc'd.
+  std::unique_ptr<Cluster> finished_cluster() const {
+    ClusterOptions opts;
+    opts.kind = GetParam();
+    opts.f = 1;
+    opts.c = 0;
+    opts.num_clients = 2;
+    opts.requests_per_client = 20;
+    opts.topology = sim::lan_topology();
+    opts.seed = 3;
+    auto cluster = std::make_unique<Cluster>(std::move(opts));
+    if (!cluster->run_until_done(600'000'000)) return nullptr;
+    return cluster;
+  }
+
+  /// The highest sequence number every replica executed.
+  static SeqNum executed_by_all(Cluster& cluster) {
+    SeqNum s = cluster.replica(1).last_executed();
+    for (ReplicaId r = 2; r <= cluster.num_replicas(); ++r) {
+      s = std::min(s, cluster.replica(r).last_executed());
+    }
+    return s;
+  }
+};
 
 TEST_P(SharedDecisionBlocks, EveryReplicaRecordsOneBlockBody) {
-  ClusterOptions opts;
-  opts.kind = GetParam();
-  opts.f = 1;
-  opts.c = 0;
-  opts.num_clients = 2;
-  opts.requests_per_client = 20;
-  opts.topology = sim::lan_topology();
-  opts.seed = 3;
-  Cluster cluster(std::move(opts));
-  ASSERT_TRUE(cluster.run_until_done(600'000'000)) << "clients stalled";
+  auto run = finished_cluster();
+  ASSERT_NE(run, nullptr) << "clients stalled";
+  Cluster& cluster = *run;
 
-  SeqNum s = cluster.replica(1).last_executed();
-  for (ReplicaId r = 2; r <= cluster.num_replicas(); ++r) {
-    s = std::min(s, cluster.replica(r).last_executed());
-  }
+  const SeqNum s = executed_by_all(cluster);
   ASSERT_GT(s, 0u);
   const runtime::ExecutionRecord* first = cluster.replica(1).runtime().record(s);
   ASSERT_NE(first, nullptr);
@@ -1353,6 +1370,32 @@ TEST_P(SharedDecisionBlocks, EveryReplicaRecordsOneBlockBody) {
     // The same request vector, not an equal copy: a per-replica deep copy of
     // the block anywhere on the path fails this.
     EXPECT_EQ(&rec->block.requests(), &first->block.requests()) << "replica " << r;
+  }
+}
+
+TEST_P(SharedDecisionBlocks, EveryReplicaLedgersOneRecord) {
+  auto run = finished_cluster();
+  ASSERT_NE(run, nullptr) << "clients stalled";
+  Cluster& cluster = *run;
+
+  const SeqNum last = executed_by_all(cluster);
+  ASSERT_GT(last, 0u);
+  for (SeqNum s = 1; s <= last; ++s) {
+    auto first = cluster.replica_ledger(1)->read_block(s);
+    ASSERT_NE(first, nullptr) << "seq " << s;
+    for (ReplicaId r = 2; r <= cluster.num_replicas(); ++r) {
+      // The same buffer, not an equal copy: a per-replica encoding of the
+      // record fails this.
+      EXPECT_EQ(cluster.replica_ledger(r)->read_block(s), first)
+          << "replica " << r << " seq " << s;
+    }
+    auto msg = decode_message(as_span(*first));
+    ASSERT_TRUE(msg && std::holds_alternative<PrePrepareMsg>(*msg)) << "seq " << s;
+    const auto& pp = std::get<PrePrepareMsg>(*msg);
+    EXPECT_EQ(pp.seq, s);
+    const runtime::ExecutionRecord* rec = cluster.replica(1).runtime().record(s);
+    ASSERT_NE(rec, nullptr) << "seq " << s;
+    EXPECT_EQ(pp.block.digest(), rec->block.digest()) << "seq " << s;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "storage/ledger_storage.h"
 
@@ -24,14 +25,44 @@ class TempFile {
   std::string path_;
 };
 
+/// The bytes of the record stored at `s`, or nullopt when there is none.
+std::optional<Bytes> stored(const ILedgerStorage& ledger, SeqNum s) {
+  auto record = ledger.read_block(s);
+  if (!record) return std::nullopt;
+  return *record;
+}
+
 TEST(MemoryLedger, AppendAndRead) {
   MemoryLedgerStorage ledger;
   ledger.append_block(1, as_span(to_bytes("block-1")));
   ledger.append_block(2, as_span(to_bytes("block-2")));
   EXPECT_EQ(ledger.block_count(), 2u);
   EXPECT_EQ(ledger.last_seq(), 2u);
-  EXPECT_EQ(ledger.read_block(1), to_bytes("block-1"));
-  EXPECT_FALSE(ledger.read_block(3).has_value());
+  EXPECT_EQ(stored(ledger, 1), to_bytes("block-1"));
+  EXPECT_EQ(ledger.read_block(3), nullptr);
+}
+
+TEST(MemoryLedger, DuplicateAppendIgnored) {
+  MemoryLedgerStorage ledger;
+  ledger.append_block(1, as_span(to_bytes("original")));
+  ledger.append_block(1, as_span(to_bytes("overwrite-attempt")));
+  EXPECT_EQ(stored(ledger, 1), to_bytes("original"));
+  EXPECT_EQ(ledger.block_count(), 1u);
+}
+
+TEST(MemoryLedger, KeepsAppendedRecordByReference) {
+  MemoryLedgerStorage ledger;
+  auto record = std::make_shared<const Bytes>(to_bytes("shared"));
+  ledger.append_block(1, record);
+  // The same buffer, not an equal copy.
+  EXPECT_EQ(ledger.read_block(1), record);
+  // A plain span is copied into a fresh record.
+  const Bytes plain = to_bytes("plain");
+  ledger.append_block(2, as_span(plain));
+  auto copied = ledger.read_block(2);
+  ASSERT_NE(copied, nullptr);
+  EXPECT_NE(copied->data(), plain.data());
+  EXPECT_EQ(*copied, plain);
 }
 
 TEST(MemoryLedger, EmptyState) {
@@ -45,8 +76,8 @@ TEST(FileLedger, AppendAndRead) {
   FileLedgerStorage ledger(tmp.path());
   ledger.append_block(1, as_span(to_bytes("alpha")));
   ledger.append_block(5, as_span(to_bytes("beta")));
-  EXPECT_EQ(ledger.read_block(1), to_bytes("alpha"));
-  EXPECT_EQ(ledger.read_block(5), to_bytes("beta"));
+  EXPECT_EQ(stored(ledger, 1), to_bytes("alpha"));
+  EXPECT_EQ(stored(ledger, 5), to_bytes("beta"));
   EXPECT_EQ(ledger.last_seq(), 5u);
 }
 
@@ -55,7 +86,7 @@ TEST(FileLedger, DuplicateAppendIgnored) {
   FileLedgerStorage ledger(tmp.path());
   ledger.append_block(1, as_span(to_bytes("original")));
   ledger.append_block(1, as_span(to_bytes("overwrite-attempt")));
-  EXPECT_EQ(ledger.read_block(1), to_bytes("original"));
+  EXPECT_EQ(stored(ledger, 1), to_bytes("original"));
   EXPECT_EQ(ledger.block_count(), 1u);
 }
 
@@ -69,8 +100,8 @@ TEST(FileLedger, SurvivesReopen) {
   }
   FileLedgerStorage reopened(tmp.path());
   EXPECT_EQ(reopened.block_count(), 2u);
-  EXPECT_EQ(reopened.read_block(1), to_bytes("persisted"));
-  EXPECT_EQ(reopened.read_block(2), to_bytes("also persisted"));
+  EXPECT_EQ(stored(reopened, 1), to_bytes("persisted"));
+  EXPECT_EQ(stored(reopened, 2), to_bytes("also persisted"));
 }
 
 TEST(FileLedger, EmptyPayloadAllowed) {
@@ -78,7 +109,7 @@ TEST(FileLedger, EmptyPayloadAllowed) {
   FileLedgerStorage ledger(tmp.path());
   ledger.append_block(3, ByteSpan{});
   auto blk = ledger.read_block(3);
-  ASSERT_TRUE(blk.has_value());
+  ASSERT_NE(blk, nullptr);
   EXPECT_TRUE(blk->empty());
 }
 
@@ -101,13 +132,13 @@ TEST(FileLedger, TruncatedTailHeaderIsDiscarded) {
   FileLedgerStorage reopened(tmp.path());
   EXPECT_EQ(reopened.block_count(), 2u);
   EXPECT_EQ(reopened.last_seq(), 2u);
-  EXPECT_EQ(reopened.read_block(1), to_bytes("one"));
+  EXPECT_EQ(stored(reopened, 1), to_bytes("one"));
   // Appends after the truncation parse cleanly on the next open.
   reopened.append_block(3, as_span(to_bytes("three")));
   reopened.sync();
   FileLedgerStorage again(tmp.path());
   EXPECT_EQ(again.block_count(), 3u);
-  EXPECT_EQ(again.read_block(3), to_bytes("three"));
+  EXPECT_EQ(stored(again, 3), to_bytes("three"));
 }
 
 TEST(FileLedger, TruncatedTailPayloadIsDiscarded) {
@@ -125,14 +156,14 @@ TEST(FileLedger, TruncatedTailPayloadIsDiscarded) {
   FileLedgerStorage reopened(tmp.path());
   EXPECT_EQ(reopened.block_count(), 1u);
   EXPECT_EQ(reopened.last_seq(), 1u);
-  EXPECT_EQ(reopened.read_block(1), to_bytes("complete"));
-  EXPECT_FALSE(reopened.read_block(2).has_value());
+  EXPECT_EQ(stored(reopened, 1), to_bytes("complete"));
+  EXPECT_EQ(reopened.read_block(2), nullptr);
   // Re-appending sequence 2 works and survives another reopen.
   reopened.append_block(2, as_span(to_bytes("rewritten")));
   reopened.sync();
   FileLedgerStorage again(tmp.path());
   EXPECT_EQ(again.block_count(), 2u);
-  EXPECT_EQ(again.read_block(2), to_bytes("rewritten"));
+  EXPECT_EQ(stored(again, 2), to_bytes("rewritten"));
 }
 
 TEST(FileLedger, LargeBlock) {
@@ -140,7 +171,7 @@ TEST(FileLedger, LargeBlock) {
   FileLedgerStorage ledger(tmp.path());
   Bytes big(1 << 18, 0x5a);
   ledger.append_block(7, as_span(big));
-  EXPECT_EQ(ledger.read_block(7), big);
+  EXPECT_EQ(stored(ledger, 7), big);
 }
 
 }  // namespace
