@@ -75,7 +75,6 @@ SbftReplica::SbftReplica(ReplicaOptions options, std::unique_ptr<IService> servi
       crypto_(std::move(options.crypto)),
       behavior_(options.behavior),
       epoch_keys_(std::move(options.epoch_keys)),
-      h_pending_wait_(&metrics_->histogram("stage.pending_wait_us")),
       h_exec_to_ack_(&metrics_->histogram("stage.exec_to_ack_us")) {}
 
 const ReplicaCrypto& SbftReplica::crypto_for_epoch(
@@ -136,6 +135,8 @@ SbftReplica::~SbftReplica() = default;
 ReplicaStats SbftReplica::stats() const {
   ReplicaStats merged = stats_;
   static_cast<runtime::RuntimeStats&>(merged) = runtime_.stats();
+  merged.view_changes = view_changes_;
+  merged.noop_fill_blocks = noop_fill_blocks_;
   return merged;
 }
 
@@ -223,24 +224,6 @@ void SbftReplica::on_engine_timer(uint64_t kind, SeqNum s, sim::ActorContext& ct
       if (sl && !sl->committed && sl->coll_active) collect(s, kPrepare, ctx);
       break;
     }
-    case kProgressTimer: {
-      progress_timer_armed_ = false;
-      bool outstanding = !pending_.empty() || forwarded_waiting_ ||
-                         (!slots_.empty() && slots_.rbegin()->first > le()) ||
-                         in_view_change_;
-      if (le() > progress_marker_) {
-        // Progress was made; assume forwarded requests were served (if not,
-        // the client's retry re-raises the flag).
-        progress_marker_ = le();
-        forwarded_waiting_ = false;
-        if (outstanding) arm_progress_timer(ctx);
-        break;
-      }
-      if (outstanding) {
-        start_view_change(std::max(view_, vc_target_) + 1, ctx);
-      }
-      break;
-    }
     case kShareFallback: {
       Slot* sl = find_slot(s);
       if (!sl || sl->committed || !sl->has_pp || sl->pp_view != view_ ||
@@ -284,88 +267,27 @@ void SbftReplica::on_engine_timer(uint64_t kind, SeqNum s, sim::ActorContext& ct
 // ---------------------------------------------------------------------------
 // Primary proposal
 
-uint64_t SbftReplica::active_window() const {
+uint64_t SbftReplica::proposal_window() const {
   uint64_t by_collectors = (epoch().n() - 1) / epoch().num_collectors();  // §VIII
-  return std::max<uint64_t>(1, std::min(by_collectors, opts_.config.win / 4));
+  return std::min(by_collectors, opts_.config.win / 4);
 }
 
-uint32_t SbftReplica::adaptive_batch_size() const {
-  if (!opts_.config.adaptive_batching) return opts_.config.max_batch;
-  // §VIII: an adaptive controller keyed off outstanding demand. We track an
-  // EWMA of the requests the primary currently owes (queued + proposed but
-  // not yet executed — the closed-loop client population) and size blocks to
-  // absorb it across a couple of concurrent blocks: small batches (low
-  // latency) when idle, full batches (amortized fixed costs) under load.
-  uint64_t size = static_cast<uint64_t>(avg_pending_ / 2.0) + 1;
-  return static_cast<uint32_t>(
-      std::clamp<uint64_t>(size, 1, opts_.config.max_batch));
-}
-
-void SbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
-  if (!is_primary() || in_view_change_ || retired_) return;
-  // Demand sample: queued requests plus requests in unexecuted blocks. The
-  // in-flight scan is bounded by the window and recomputed from the slots so
-  // it self-corrects across view changes and state transfer.
-  uint64_t in_flight_reqs = 0;
+uint64_t SbftReplica::in_flight_requests() const {
+  uint64_t requests = 0;
   for (auto it = slots_.upper_bound(le());
        it != slots_.end() && it->first < next_seq_; ++it) {
-    if (it->second.block) in_flight_reqs += it->second.block->requests().size();
+    if (it->second.block) requests += it->second.block->requests().size();
   }
-  avg_pending_ = 0.8 * avg_pending_ +
-                 0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
-  while (!pending_.empty()) {
-    // Drop requests already executed (e.g. committed via an earlier view).
-    const Request& head = pending_.front().first;
-    if (runtime_.replies().is_duplicate(head.client, head.timestamp)) {
-      pending_keys_.erase({head.client, head.timestamp});
-      pending_.pop_front();
-      continue;
-    }
-    uint64_t in_flight = next_seq_ - 1 - le();
-    if (in_flight >= active_window()) return;
-    if (next_seq_ > ls() + opts_.config.win) return;
-    // Reconfiguration wedge: no slot beyond a pending activation boundary may
-    // be ordered under the old epoch's keys/quorums — proposals resume from
-    // the boundary once the checkpoint is stable and the epoch active.
-    if (SeqNum gate = reconfig_gate(); gate > 0 && next_seq_ > gate) return;
-
-    // The adaptive `batch` value is the *minimum* operations per block
-    // (§VIII); partial blocks only leave on the batch timer.
-    uint32_t want = adaptive_batch_size();
-    if (pending_.size() < want && !flush_partial) return;
-
-    Block block;
-    while (!pending_.empty() && block.requests.size() < want) {
-      auto [r, arrived] = std::move(pending_.front());
-      pending_.pop_front();
-      pending_keys_.erase({r.client, r.timestamp});
-      h_pending_wait_->record(ctx.now() - arrived);
-      ++stats_.proposed_requests;
-      block.requests.push_back(std::move(r));
-    }
-    if (block.requests.empty()) return;
-    propose_block(std::move(block), ctx);
-  }
-
-  // Primary-driven no-op fill (docs/reconfiguration.md): a staged
-  // reconfiguration only activates when the checkpoint at its boundary
-  // becomes stable, and checkpoints only form when slots commit. With no
-  // client traffic the cluster would idle forever short of the boundary —
-  // so on batch-timer ticks the primary fills the gap with empty blocks.
-  if (flush_partial && pending_.empty()) {
-    SeqNum gate = reconfig_gate();
-    while (gate > 0 && next_seq_ <= gate &&
-           next_seq_ - 1 - le() < active_window() &&
-           next_seq_ <= ls() + opts_.config.win) {
-      ++stats_.noop_fill_blocks;
-      propose_block(null_block(), ctx);
-    }
-  }
+  return requests;
 }
 
-void SbftReplica::propose_block(SealedBlock block, sim::ActorContext& ctx) {
-  SeqNum s = next_seq_++;
+SeqNum SbftReplica::highest_slot() const {
+  return slots_.empty() ? 0 : slots_.rbegin()->first;
+}
+
+void SbftReplica::propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) {
   ctx.charge(ctx.costs().hash_us(block.wire_size()));
+  stats_.proposed_requests += block.requests().size();
 
   if (behavior_ == ReplicaBehavior::kEquivocate && block.requests().size() >= 2) {
     // Send conflicting blocks to the two halves of the cluster: same
@@ -846,16 +768,10 @@ void SbftReplica::execute_block(SeqNum s, sim::ActorContext& ctx) {
   // Without the execution collector (Linear-PBFT variants), every replica
   // replies to every client directly — the f+1-messages-per-client cost that
   // ingredient 3 removes.
-  if (!opts_.config.execution_collector && !silent()) {
+  if (!opts_.config.execution_collector) {
     for (size_t l = 0; l < rec.block.requests().size(); ++l) {
       const Request& req = rec.block.requests()[l];
-      ClientReplyMsg reply;
-      reply.replica = opts_.id;
-      reply.client = req.client;
-      reply.timestamp = req.timestamp;
-      reply.seq = s;
-      reply.value = rec.values[l];
-      ctx.send(req.client, make_message(std::move(reply)));
+      send_reply(ctx, req.client, req.timestamp, s, rec.values[l]);
     }
   }
 
@@ -1027,39 +943,18 @@ void SbftReplica::adopt_verified_view(ViewNum v, sim::ActorContext& ctx) {
   // will never be re-sent. Replicas that are mid-view-change keep the normal
   // NewViewMsg path (it adopts the in-flight slots).
   if (v <= view_ || in_view_change_) return;
-  view_ = v;
   trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kViewAdopted,
                  0, 0, v);
-  vc_target_ = v;
-  vc_attempts_ = 0;
-  new_view_sent_ = false;
+  install_view(v);
   vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(v));
   progress_marker_ = le();
-  runtime_.wal_record_view(v);
   if (is_primary()) {
     ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
   }
 }
 
 void SbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
-  if (target <= view_ || retired_) return;
-  if (in_view_change_ && target <= vc_target_) return;
-  in_view_change_ = true;
-  vc_target_ = target;
-  ++vc_attempts_;
-  ++stats_.view_changes;
-  // One session span per target view; escalating to a higher target closes
-  // the superseded session and opens the next.
-  if (vc_span_ != 0 && vc_span_ != target) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, vc_span_, "superseded", 1);
-  }
-  if (vc_span_ != target) {
-    vc_span_ = target;
-    trace_.begin(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-                 target, 0, target);
-  }
-
+  if (!begin_view_change(target, ctx)) return;
   ViewChangeMsg msg = build_view_change(target);
   vc_msgs_[target][opts_.id] = msg;
   broadcast_replicas(ctx, make_message(ViewChangeMsg(msg)));
@@ -1186,23 +1081,8 @@ void SbftReplica::handle_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
 void SbftReplica::enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
   if (m.view < view_ || (m.view == view_ && !in_view_change_) || retired_) return;
   ViewChangeVerifiers verifiers = view_change_verifiers();
-
-  view_ = m.view;
-  in_view_change_ = false;
-  if (vc_span_ != 0) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, vc_span_, "entered_view", m.view);
-    vc_span_ = 0;
-  } else {
-    // Entered on the strength of a NewView alone (never locally timed out).
-    trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kViewEntered,
-                   0, 0, m.view);
-  }
-  vc_target_ = m.view;
-  vc_attempts_ = 0;
-  new_view_sent_ = false;
+  close_view_change(m.view, ctx);
   vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(m.view));
-  runtime_.wal_record_view(m.view);
 
   SeqNum stable = select_stable_seq(cfg_, verifiers, m.proofs);
   if (stable > le()) request_state_transfer(ctx);
@@ -1267,12 +1147,7 @@ void SbftReplica::enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
   }
 
   next_seq_ = std::max<SeqNum>(max_evidence + 1, stable + 1);
-  progress_marker_ = le();
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-    try_propose(ctx);
-  }
-  arm_progress_timer(ctx);
+  resume_view(ctx);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // SBFT ordering engine (§V): fast path, Linear-PBFT fallback, execution
 // acknowledgement with E-collectors, and the dual-mode view change.
 // Everything protocol-independent — the execution pipeline, reply cache,
-// checkpointing, WAL/recovery in runtime::ReplicaRuntime; admission, chunked
-// state transfer and reconfiguration glue in runtime::EngineShell — is shared
-// with the PBFT baseline; this class decides *which* block commits at each
+// checkpointing, WAL/recovery in runtime::ReplicaRuntime; admission, the
+// proposal pipeline, the stall timer, the view-change session, chunked state
+// transfer and reconfiguration glue in runtime::EngineShell — is shared with
+// the PBFT baseline; this class decides *which* block commits at each
 // sequence number.
 //
 // The replica is a simulator actor: all sends/timers go through the
@@ -57,9 +58,7 @@ struct ReplicaStats : runtime::RuntimeStats {
   uint64_t proposed_requests = 0;  // primary: requests batched into blocks
   uint64_t acked_blocks = 0;       // E-collector: blocks acked to clients
   uint64_t buffered_pi_shares = 0;
-  // Primary: empty blocks proposed to drive an idle cluster across a pending
-  // reconfiguration's activation checkpoint boundary.
-  uint64_t noop_fill_blocks = 0;
+  uint64_t noop_fill_blocks = 0;  // primary: empty blocks (runtime::EngineShell)
 
   /// Invokes fn(name, value) for every counter, runtime fields included.
   template <typename Fn>
@@ -90,7 +89,6 @@ class SbftReplica final : public runtime::EngineShell {
     return runtime_.exec_digest_of(s);
   }
   std::optional<Digest> committed_digest_of(SeqNum s) const override;
-  uint64_t view_changes() const override { return stats_.view_changes; }
   void for_each_stat(const StatVisitor& fn) const override {
     stats().for_each(fn);
   }
@@ -115,8 +113,16 @@ class SbftReplica final : public runtime::EngineShell {
                          sim::ActorContext& ctx) override;
   void on_engine_timer(uint64_t kind, uint64_t payload,
                        sim::ActorContext& ctx) override;
-  void try_propose(sim::ActorContext& ctx, bool flush_partial = false) override;
   void try_execute(sim::ActorContext& ctx) override;
+  /// §VIII: at most (n-1)/(c+1) slots in flight, so each collector serves
+  /// one slot at a time (capped at win/4).
+  uint64_t proposal_window() const override;
+  uint32_t demand_split() const override { return 2; }
+  uint64_t in_flight_requests() const override;
+  SeqNum highest_slot() const override;
+  /// Charges the block hash; the equivocation fault splits the broadcast.
+  void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) override;
+  void start_view_change(ViewNum target, sim::ActorContext& ctx) override;
   /// Checks the manifest certificate's pi signature, seq-aware with the
   /// provisioned-epoch fallback: a joiner fetches checkpoints certified under
   /// epochs it has not installed yet.
@@ -173,11 +179,6 @@ class SbftReplica final : public runtime::EngineShell {
   /// Active epoch's verifier bundle for the pure view-change functions.
   ViewChangeVerifiers view_change_verifiers() const;
 
-  // --- primary --------------------------------------------------------------
-  uint64_t active_window() const;
-  uint32_t adaptive_batch_size() const;
-  void propose_block(SealedBlock block, sim::ActorContext& ctx);
-
   // --- commit paths ----------------------------------------------------------
   void accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
                           sim::ActorContext& ctx);
@@ -212,7 +213,6 @@ class SbftReplica final : public runtime::EngineShell {
   void adopt_verified_view(ViewNum v, sim::ActorContext& ctx);
 
   // --- view change (§V-G) -----------------------------------------------------
-  void start_view_change(ViewNum target, sim::ActorContext& ctx);
   ViewChangeMsg build_view_change(ViewNum target) const;
   void maybe_send_new_view(ViewNum target, sim::ActorContext& ctx);
   void enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx);
@@ -227,10 +227,7 @@ class SbftReplica final : public runtime::EngineShell {
   ReplicaBehavior behavior_;
   std::shared_ptr<const EpochKeyTable> epoch_keys_;
 
-  obs::Histogram* h_pending_wait_;
   obs::Histogram* h_exec_to_ack_;
-  // Open view-change session span (0 = none).
-  ViewNum vc_span_ = 0;
 
   // Memoized per-epoch ReplicaCrypto resolved from the EpochKeyTable.
   mutable std::map<uint64_t, ReplicaCrypto> epoch_crypto_;
@@ -239,7 +236,6 @@ class SbftReplica final : public runtime::EngineShell {
 
   // View-change messages collected per target view.
   std::map<ViewNum, std::map<ReplicaId, ViewChangeMsg>> vc_msgs_;
-  bool new_view_sent_ = false;
 
   ReplicaStats stats_;  // protocol-level counters; runtime fields merged in stats()
 };

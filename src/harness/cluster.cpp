@@ -133,7 +133,7 @@ void Cluster::build() {
   Rng key_rng(opts_.seed ^ 0x5bf7u);
   keys_ = opts_.use_real_threshold_crypto
               ? core::ClusterKeys::generate_rsa(key_rng, config_,
-                                                opts_.threshold_rsa_bits)
+                                                /*modulus_bits=*/384)
               : core::ClusterKeys::generate(key_rng, config_);
   epoch_keys_ = std::make_shared<core::EpochKeyTable>();
   checkpoint_auth_ = std::make_shared<pbft::CheckpointAuth>(
@@ -178,10 +178,9 @@ void Cluster::build() {
   for (ReplicaId r = 1; r <= n; ++r) {
     ReplicaHandle& handle = replicas_[r - 1];
     handle.id_ = r;
-    if (opts_.durability) {
-      handle.ledger_ = std::make_shared<storage::MemoryLedgerStorage>();
-      handle.wal_ = std::make_shared<recovery::MemoryWal>();
-    }
+    // The memory ledger and WAL stand in for the disk that survives a crash.
+    handle.ledger_ = std::make_shared<storage::MemoryLedgerStorage>();
+    handle.wal_ = std::make_shared<recovery::MemoryWal>();
     handle.metrics_ = std::make_shared<obs::MetricsRegistry>();
     if (opts_.tracing) {
       handle.tracer_ = std::make_shared<obs::Tracer>(r, opts_.trace_capacity);
@@ -193,7 +192,7 @@ void Cluster::build() {
     build_replica(handle, behavior[r], /*recovering=*/false);
     handle.node_ = net_->add_node(handle.actor());
     SBFT_CHECK(handle.node_ == node_base_ + r - 1);  // replicas are added first
-    net_->set_cores(handle.node_, cores_for(r));
+    net_->set_cores(handle.node_, replica_lanes());
   }
 
   // Clients occupy the node ids after the replica block; ClientId == NodeId
@@ -240,10 +239,7 @@ void Cluster::build() {
   }
 }
 
-uint32_t Cluster::cores_for(ReplicaId r) const {
-  if (auto it = opts_.replica_cores.find(r); it != opts_.replica_cores.end()) {
-    return std::max<uint32_t>(1, it->second);
-  }
+uint32_t Cluster::replica_lanes() const {
   if (opts_.cores_per_replica > 0) return opts_.cores_per_replica;
   return std::max<uint32_t>(1, opts_.costs.cores_per_replica);
 }
@@ -251,10 +247,8 @@ uint32_t Cluster::cores_for(ReplicaId r) const {
 ReplicaId Cluster::add_replica() {
   ReplicaHandle handle;
   handle.id_ = static_cast<ReplicaId>(replicas_.size() + 1);
-  if (opts_.durability) {
-    handle.ledger_ = std::make_shared<storage::MemoryLedgerStorage>();
-    handle.wal_ = std::make_shared<recovery::MemoryWal>();
-  }
+  handle.ledger_ = std::make_shared<storage::MemoryLedgerStorage>();
+  handle.wal_ = std::make_shared<recovery::MemoryWal>();
   handle.metrics_ = std::make_shared<obs::MetricsRegistry>();
   if (opts_.tracing) {
     handle.tracer_ =
@@ -270,7 +264,7 @@ ReplicaId Cluster::add_replica() {
   // admitting it activates and arrives via state transfer.
   build_replica(handle, core::ReplicaBehavior::kHonest, /*recovering=*/true);
   handle.node_ = net_->add_node(handle.actor());
-  net_->set_cores(handle.node_, cores_for(handle.id_));
+  net_->set_cores(handle.node_, replica_lanes());
   ReplicaId id = handle.id_;
   replicas_.push_back(std::move(handle));
   if (started_) net_->start_node(replicas_.back().node_);
@@ -339,10 +333,8 @@ void Cluster::crash_replica(ReplicaId r) {
 void Cluster::restart_replica(ReplicaId r, bool wipe_storage) {
   ReplicaHandle& handle = replica(r);
   SBFT_CHECK(net_->crashed(handle.node()));
-  if (wipe_storage || !handle.ledger_) {
+  if (wipe_storage) {
     handle.ledger_ = std::make_shared<storage::MemoryLedgerStorage>();
-  }
-  if (wipe_storage || !handle.wal_) {
     handle.wal_ = std::make_shared<recovery::MemoryWal>();
   }
   // The tracer and registry survive the restart like the disk does: the new
@@ -466,9 +458,7 @@ uint64_t Cluster::total_wal_bytes_written() const {
   // Sum over the durable handles, not the replica stats: the handle's counter
   // spans every incarnation of the replica.
   uint64_t total = 0;
-  for (const ReplicaHandle& h : replicas_) {
-    if (h.wal()) total += h.wal()->bytes_written();
-  }
+  for (const ReplicaHandle& h : replicas_) total += h.wal()->bytes_written();
   return total;
 }
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -52,10 +51,8 @@ struct ClusterOptions {
   // CPU lanes per replica node (docs/performance.md): lane 0 runs the serial
   // handler path, extra lanes absorb offloaded signature verification.
   // 0 = use costs.cores_per_replica (default 1, the classic serial node).
-  // Clients always keep one lane. replica_cores overrides individual
-  // replicas (e.g. one under-provisioned straggler in a multi-core fleet).
+  // Clients always keep one lane.
   uint32_t cores_per_replica = 0;
-  std::map<ReplicaId, uint32_t> replica_cores;
 
   /// Service run by every replica; defaults to FastKvService.
   std::function<std::unique_ptr<IService>()> service_factory;
@@ -80,11 +77,6 @@ struct ClusterOptions {
   // checkpoint certificate fetchers always verify).
   std::vector<ReplicaId> fabricate_checkpoint_replicas;
 
-  // Durability: give every replica a memory-backed ledger + WAL owned by its
-  // handle, so a replica can be killed and restarted (the handles stand in
-  // for the disk that survives the process). No effect on simulated cost.
-  bool durability = true;
-
   /// Scheduled kill-and-restart fault scenario (any protocol). Chain several
   /// events for rolling restarts; set wipe_storage to model disk loss (the
   /// replica comes back empty and must state-transfer).
@@ -102,11 +94,11 @@ struct ClusterOptions {
   bool tracing = false;
   size_t trace_capacity = 65536;  // events retained per replica (ring buffer)
 
-  // Use real Shoup threshold-RSA keys instead of the simulated-BLS scheme.
-  // Slower (real modular exponentiation per share); meant for small-n tests
-  // that exercise the protocol with genuine cryptography.
+  // Use real Shoup threshold-RSA keys (384-bit moduli) instead of the
+  // simulated-BLS scheme. Slower (real modular exponentiation per share);
+  // meant for small-n tests that exercise the protocol with genuine
+  // cryptography.
   bool use_real_threshold_crypto = false;
-  int threshold_rsa_bits = 384;
 
   // Optional overrides applied to the derived ProtocolConfig.
   std::function<void(ProtocolConfig&)> tweak_config;
@@ -247,9 +239,9 @@ class Cluster {
   void build();
   void build_replica(ReplicaHandle& handle, core::ReplicaBehavior behavior,
                      bool recovering);
-  /// CPU lanes for replica r: replica_cores override, else cores_per_replica,
-  /// else the cost model's default (min 1).
-  uint32_t cores_for(ReplicaId r) const;
+  /// CPU lanes of every replica: cores_per_replica, else the cost model's
+  /// default (min 1).
+  uint32_t replica_lanes() const;
 
   ClusterOptions opts_;
   ProtocolConfig config_;

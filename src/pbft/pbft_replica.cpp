@@ -42,6 +42,8 @@ PbftStats PbftReplica::stats() const {
   // The protocol-agnostic counters live in the runtime; the base subobject of
   // stats_ stays zero, so slicing the runtime's copy in is a plain overwrite.
   static_cast<runtime::RuntimeStats&>(merged) = runtime_.stats();
+  merged.view_changes = view_changes_;
+  merged.noop_fill_blocks = noop_fill_blocks_;
   return merged;
 }
 
@@ -76,97 +78,28 @@ void PbftReplica::on_engine_message(NodeId from, const Message& msg,
       msg);
 }
 
-void PbftReplica::on_engine_timer(uint64_t kind, uint64_t /*payload*/,
-                                  sim::ActorContext& ctx) {
-  if (kind != kProgressTimer) return;
-  progress_timer_armed_ = false;
-  bool outstanding = !pending_.empty() || forwarded_waiting_ ||
-                     (!slots_.empty() && slots_.rbegin()->first > le()) ||
-                     in_view_change_;
-  if (le() > progress_marker_) {
-    progress_marker_ = le();
-    forwarded_waiting_ = false;
-    if (outstanding) arm_progress_timer(ctx);
-    return;
-  }
-  // If f+1 checkpoint votes prove the cluster executed past us, the stall is
-  // not the primary's fault — we missed (or are dropping, if a view change
-  // is pending) the traffic for slots a quorum already garbage-collected.
-  // Fetch the checkpoint; escalating the view change alone cannot recover
-  // the gap (schedule fuzzer, seed 91).
-  if (outstanding && checkpoint_evidence_frontier() > le()) {
-    request_state_transfer(ctx);
-  }
-  if (outstanding) start_view_change(std::max(view_, vc_target_) + 1, ctx);
+void PbftReplica::on_stall(sim::ActorContext& ctx) {
+  // We missed (or are dropping, if a view change is pending) the traffic for
+  // slots a quorum already garbage-collected; escalating the view change
+  // alone cannot recover the gap (schedule fuzzer, seed 91).
+  if (checkpoint_evidence_frontier() > le()) request_state_transfer(ctx);
 }
 
 // ---------------------------------------------------------------------------
 // Normal case
 
-uint32_t PbftReplica::adaptive_batch_size() const {
-  if (!opts_.config.adaptive_batching) return opts_.config.max_batch;
-  // Same controller as SBFT (§VIII): EWMA of outstanding demand (queued +
-  // proposed-but-unexecuted requests). Unlike SBFT, blocks absorb the whole
-  // estimate: PBFT pays O(n^2) messages per block, so fuller-but-fewer
-  // blocks beat pipelining two half-size ones.
-  uint64_t size = static_cast<uint64_t>(avg_pending_) + 1;
-  return static_cast<uint32_t>(
-      std::clamp<uint64_t>(size, 1, opts_.config.max_batch));
-}
-
-void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
-  if (!is_primary() || in_view_change_ || retired_) return;
-  uint64_t in_flight_reqs = 0;
+uint64_t PbftReplica::in_flight_requests() const {
+  uint64_t requests = 0;
   for (auto it = slots_.upper_bound(le());
        it != slots_.end() && it->first < next_seq_; ++it) {
-    if (it->second.block) in_flight_reqs += it->second.block->requests().size();
+    if (it->second.block) requests += it->second.block->requests().size();
   }
-  avg_pending_ = 0.8 * avg_pending_ +
-                 0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
-  const uint64_t window = std::max<uint64_t>(1, opts_.config.win / 4);
-  while (!pending_.empty()) {
-    const Request& head = pending_.front().first;
-    if (runtime_.replies().is_duplicate(head.client, head.timestamp)) {
-      pending_keys_.erase({head.client, head.timestamp});
-      pending_.pop_front();
-      continue;
-    }
-    if (next_seq_ - 1 - le() >= window) return;
-    if (next_seq_ > ls() + opts_.config.win) return;
-    // Reconfiguration wedge: slots beyond a pending activation boundary wait
-    // for the new epoch (docs/reconfiguration.md).
-    if (SeqNum gate = reconfig_gate(); gate > 0 && next_seq_ > gate) return;
-    // Batching: the adaptive `batch` value is the *minimum* operations per
-    // block (§VIII); partial blocks only leave on the batch timer.
-    const uint32_t want = adaptive_batch_size();
-    if (pending_.size() < want && !flush_partial) return;
-    Block block;
-    while (!pending_.empty() && block.requests.size() < want) {
-      Request r = std::move(pending_.front().first);
-      pending_.pop_front();
-      pending_keys_.erase({r.client, r.timestamp});
-      block.requests.push_back(std::move(r));
-    }
-    SeqNum s = next_seq_++;
-    ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
-    broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
-  }
+  return requests;
+}
 
-  // Primary-driven no-op fill (docs/reconfiguration.md): a staged
-  // reconfiguration activates only when the checkpoint at its boundary
-  // becomes stable, which needs the boundary slot to commit. With no client
-  // traffic the batch timer fills the remaining slots with empty blocks.
-  if (flush_partial && pending_.empty()) {
-    SeqNum gate = reconfig_gate();
-    while (gate > 0 && next_seq_ <= gate && next_seq_ - 1 - le() < window &&
-           next_seq_ <= ls() + opts_.config.win) {
-      Block block;
-      SeqNum s = next_seq_++;
-      ++stats_.noop_fill_blocks;
-      ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
-      broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
-    }
-  }
+void PbftReplica::propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) {
+  ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
+  broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
 }
 
 void PbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
@@ -310,14 +243,8 @@ void PbftReplica::try_execute(sim::ActorContext& ctx) {
                (sl.pp_view << 32) | s, s, sl.pp_view);
     for (size_t l = 0; l < rec.block.requests().size(); ++l) {
       const Request& req = rec.block.requests()[l];
-      ClientReplyMsg reply;
-      reply.replica = opts_.id;
-      reply.client = req.client;
-      reply.timestamp = req.timestamp;
-      reply.seq = s;
-      reply.value = rec.values[l];
       ctx.charge(ctx.costs().rsa_sign_us / 4);  // replies signed, amortized batch
-      ctx.send(req.client, make_message(std::move(reply)));
+      send_reply(ctx, req.client, req.timestamp, s, rec.values[l]);
     }
 
     // Quadratic PBFT checkpoint protocol (§V-F contrasts against this). The
@@ -608,25 +535,7 @@ void PbftReplica::on_checkpoint_adopted(SeqNum seq) {
 // View change
 
 void PbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
-  if (target <= view_ || retired_) return;
-  if (in_view_change_ && target <= vc_target_) return;
-  in_view_change_ = true;
-  vc_target_ = target;
-  ++vc_attempts_;
-  ++stats_.view_changes;
-  // One span per view-change session; escalating the target supersedes the
-  // open span (see the SBFT engine).
-  if (vc_span_ != 0 && vc_span_ != target) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, vc_span_, "superseded", 1);
-    vc_span_ = 0;
-  }
-  if (vc_span_ == 0) {
-    vc_span_ = target;
-    trace_.begin(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-                 target, 0, target);
-  }
-
+  if (!begin_view_change(target, ctx)) return;
   PbftViewChangeMsg msg;
   msg.sender = opts_.id;
   msg.next_view = target;
@@ -684,7 +593,7 @@ void PbftReplica::handle_view_change(const PbftViewChangeMsg& m,
     }
     new_view_sent_ = true;
     trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
-                   vc_span_, 0, m.next_view);
+                   view_change_span(), 0, m.next_view);
     ctx.charge(ctx.costs().rsa_sign_us);
     broadcast_replicas(ctx, make_message(PbftNewViewMsg(nv)));
     enter_new_view(nv, ctx);
@@ -702,22 +611,8 @@ void PbftReplica::handle_new_view(NodeId from, const PbftNewViewMsg& m,
 }
 
 void PbftReplica::enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx) {
-  view_ = m.view;
-  in_view_change_ = false;
-  vc_target_ = m.view;
-  vc_attempts_ = 0;
-  new_view_sent_ = false;
-  if (vc_span_ != 0) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, m.view, "entered_view", m.view);
-    vc_span_ = 0;
-  } else {
-    // Entered without a local view-change session (caught up via new-view).
-    trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kViewEntered,
-                   0, 0, m.view);
-  }
+  close_view_change(m.view, ctx);
   vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(m.view));
-  runtime_.wal_record_view(m.view);
 
   // Re-propose the highest-view prepared certificate per slot; no-op gaps.
   SeqNum max_ls = ls();
@@ -740,12 +635,7 @@ void PbftReplica::enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx
     accept_pre_prepare(s, m.view, std::move(block), ctx);
   }
   next_seq_ = std::max(next_seq_, max_seq + 1);
-  progress_marker_ = le();
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-    try_propose(ctx);
-  }
-  arm_progress_timer(ctx);
+  resume_view(ctx);
 }
 
 }  // namespace sbft::pbft

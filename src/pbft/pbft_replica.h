@@ -12,8 +12,9 @@
 // The ordering engine sits on the same runtime::ReplicaRuntime and
 // runtime::EngineShell as SBFT, so the baseline gets the identical execution
 // pipeline, reply cache, checkpointing, WAL durability, crash recovery,
-// admission, and chunked state transfer — every crash/restart/disk-wipe
-// harness scenario runs on both protocols through the same Cluster API.
+// admission, proposal pipeline, stall timer, view-change session and chunked
+// state transfer — every crash/restart/disk-wipe harness scenario runs on
+// both protocols through the same Cluster API.
 // State-transfer certificates carry no pi threshold signature here (PBFT has
 // no threshold keys): a weak checkpoint certificate (f+1 CheckpointSigShares)
 // vouches for them instead, and the snapshot is verified against the
@@ -68,9 +69,7 @@ struct PbftStats : runtime::RuntimeStats {
   // State-transfer manifests/replies rejected for missing or invalid quorum
   // checkpoint certificates (the malicious-donor defense).
   uint64_t checkpoint_certs_rejected = 0;
-  // Primary: empty blocks proposed to drive an idle cluster across a pending
-  // reconfiguration's activation checkpoint boundary.
-  uint64_t noop_fill_blocks = 0;
+  uint64_t noop_fill_blocks = 0;  // primary: empty blocks (runtime::EngineShell)
 
   /// Visits every counter as (name, value) — runtime base first.
   template <typename Fn>
@@ -89,7 +88,6 @@ class PbftReplica final : public runtime::EngineShell {
   /// Protocol stats merged with the runtime's protocol-agnostic stats.
   PbftStats stats() const;
   std::optional<Digest> committed_digest_of(SeqNum s) const override;
-  uint64_t view_changes() const override { return stats_.view_changes; }
   void for_each_stat(const StatVisitor& fn) const override {
     stats().for_each(fn);
   }
@@ -114,10 +112,22 @@ class PbftReplica final : public runtime::EngineShell {
   // --- engine hooks (runtime::EngineShell) ------------------------------------
   void on_engine_message(NodeId from, const Message& msg,
                          sim::ActorContext& ctx) override;
-  void on_engine_timer(uint64_t kind, uint64_t payload,
-                       sim::ActorContext& ctx) override;
-  void try_propose(sim::ActorContext& ctx, bool flush_partial = false) override;
   void try_execute(sim::ActorContext& ctx) override;
+  /// A quarter of the watermark window: no collector bound applies.
+  uint64_t proposal_window() const override { return opts_.config.win / 4; }
+  /// Blocks absorb the whole demand estimate: PBFT pays O(n^2) messages per
+  /// block, so fuller-but-fewer blocks beat pipelining two half-size ones.
+  uint32_t demand_split() const override { return 1; }
+  uint64_t in_flight_requests() const override;
+  SeqNum highest_slot() const override {
+    return slots_.empty() ? 0 : slots_.rbegin()->first;
+  }
+  /// Charges the block hash and the primary's RSA signature.
+  void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) override;
+  void start_view_change(ViewNum target, sim::ActorContext& ctx) override;
+  /// If f+1 checkpoint votes prove the cluster executed past us, the stall is
+  /// not the primary's fault: fetch the checkpoint as well (fuzz seed 91).
+  void on_stall(sim::ActorContext& ctx) override;
   /// Weak checkpoint certificate: f+1 distinct signed checkpoint digests (at
   /// least one honest voucher) must back the manifest's certificate, so a
   /// single faulty donor cannot feed a fabricated-but-root-consistent
@@ -139,8 +149,6 @@ class PbftReplica final : public runtime::EngineShell {
            (!retired_ && !runtime_.membership().is_member(opts_.id));
   }
   void on_checkpoint_adopted(SeqNum seq) override;
-  /// PBFT traces cached replies outside any view.
-  ViewNum cached_reply_trace_view() const override { return 0; }
   /// The fabricated-checkpoint fault answers every probe with its invented
   /// checkpoint, and serves the chunks of that checkpoint.
   bool fabricated_manifest(NodeId from, const StateTransferRequestMsg& m,
@@ -178,16 +186,10 @@ class PbftReplica final : public runtime::EngineShell {
   std::optional<StateManifestMsg> fabricate_manifest(
       const StateTransferRequestMsg& probe, sim::ActorContext& ctx);
 
-  /// §VIII adaptive batch parameter, mirroring SBFT's controller: sizes the
-  /// minimum block off an EWMA of the pending backlog (small blocks when
-  /// idle for latency, full blocks under load for amortized fixed costs).
-  /// Returns the static config.max_batch when adaptive_batching is off.
-  uint32_t adaptive_batch_size() const;
   void accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
                           sim::ActorContext& ctx);
   void check_prepared(SeqNum s, sim::ActorContext& ctx);
   void check_committed(SeqNum s, sim::ActorContext& ctx);
-  void start_view_change(ViewNum target, sim::ActorContext& ctx);
   void enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx);
   bool execution_gap() const;
   /// Highest sequence for which f+1 distinct checkpoint votes on one digest
@@ -196,9 +198,6 @@ class PbftReplica final : public runtime::EngineShell {
 
   bool fabricate_checkpoint_;
   std::shared_ptr<const CheckpointAuth> checkpoint_auth_;
-
-  // Open view-change session span (0 = none); see the SBFT engine.
-  ViewNum vc_span_ = 0;
 
   std::map<SeqNum, Slot> slots_;
 
@@ -223,7 +222,6 @@ class PbftReplica final : public runtime::EngineShell {
   ExecCertificate fake_cert_;
 
   std::map<ViewNum, std::map<ReplicaId, PbftViewChangeMsg>> vc_msgs_;
-  bool new_view_sent_ = false;
 
   PbftStats stats_;  // protocol-level counters; runtime fields merged in stats()
 };

@@ -43,7 +43,8 @@ EngineShell::EngineShell(EngineOptions options, std::unique_ptr<IService> servic
                              : std::make_shared<obs::MetricsRegistry>()),
       h_pp_to_commit_(&metrics_->histogram("stage.pp_to_commit_us")),
       h_commit_to_exec_(&metrics_->histogram("stage.commit_to_exec_us")),
-      cfg_(opts_.config) {
+      cfg_(opts_.config),
+      h_pending_wait_(&metrics_->histogram("stage.pending_wait_us")) {
   opts_.config.validate();
   // With an explicit roster the id may exceed the genesis n (a joiner added
   // by a later epoch); the genesis mapping requires id in 1..n.
@@ -143,6 +144,9 @@ void EngineShell::on_timer(uint64_t id, sim::ActorContext& ctx) {
       if (is_primary()) {
         ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
       }
+      break;
+    case kProgressTimer:
+      on_progress_timer(ctx);
       break;
     case kStateTransferTimer:
       on_state_transfer_tick(ctx);
@@ -263,6 +267,159 @@ void EngineShell::arm_progress_timer(sim::ActorContext& ctx) {
   ctx.set_timer(backoff, timer_id(kProgressTimer, 0));
 }
 
+void EngineShell::send_reply(sim::ActorContext& ctx, ClientId client,
+                             uint64_t timestamp, SeqNum seq, const Bytes& value) {
+  if (silent()) return;
+  ClientReplyMsg reply;
+  reply.replica = opts_.id;
+  reply.client = client;
+  reply.timestamp = timestamp;
+  reply.seq = seq;
+  reply.value = value;
+  ctx.send(client, make_message(std::move(reply)));
+}
+
+// ---------------------------------------------------------------------------
+// Proposals (§VIII)
+
+uint32_t EngineShell::adaptive_batch_size() const {
+  if (!opts_.config.adaptive_batching) return opts_.config.max_batch;
+  // §VIII: an adaptive controller keyed off outstanding demand. avg_pending_
+  // tracks the requests the primary currently owes (queued + proposed but
+  // not yet executed — the closed-loop client population); blocks absorb it
+  // across demand_split() concurrent blocks: small batches (low latency)
+  // when idle, full batches (amortized fixed costs) under load.
+  uint64_t size = static_cast<uint64_t>(avg_pending_ / demand_split()) + 1;
+  return static_cast<uint32_t>(
+      std::clamp<uint64_t>(size, 1, opts_.config.max_batch));
+}
+
+void EngineShell::try_propose(sim::ActorContext& ctx, bool flush_partial) {
+  if (!is_primary() || in_view_change_ || retired_) return;
+  // Demand sample: queued requests plus requests in unexecuted blocks,
+  // recounted from the engine's slots so it self-corrects across view
+  // changes and state transfer.
+  avg_pending_ = 0.8 * avg_pending_ +
+                 0.2 * static_cast<double>(pending_.size() + in_flight_requests());
+  const uint64_t window = std::max<uint64_t>(1, proposal_window());
+  while (!pending_.empty()) {
+    // Drop requests already executed (e.g. committed via an earlier view).
+    const Request& head = pending_.front().first;
+    if (runtime_.replies().is_duplicate(head.client, head.timestamp)) {
+      pending_keys_.erase({head.client, head.timestamp});
+      pending_.pop_front();
+      continue;
+    }
+    if (next_seq_ - 1 - le() >= window) return;
+    if (next_seq_ > ls() + opts_.config.win) return;
+    // Reconfiguration wedge: no slot beyond a pending activation boundary may
+    // be ordered under the old epoch's keys/quorums — proposals resume from
+    // the boundary once the checkpoint is stable and the epoch active.
+    if (SeqNum gate = reconfig_gate(); gate > 0 && next_seq_ > gate) return;
+
+    // The adaptive `batch` value is the *minimum* operations per block
+    // (§VIII); partial blocks only leave on the batch timer.
+    uint32_t want = adaptive_batch_size();
+    if (pending_.size() < want && !flush_partial) return;
+
+    Block block;
+    while (!pending_.empty() && block.requests.size() < want) {
+      auto [r, arrived] = std::move(pending_.front());
+      pending_.pop_front();
+      pending_keys_.erase({r.client, r.timestamp});
+      h_pending_wait_->record(ctx.now() - arrived);
+      block.requests.push_back(std::move(r));
+    }
+    propose_block(next_seq_++, std::move(block), ctx);
+  }
+
+  // Primary-driven no-op fill (docs/reconfiguration.md): a staged
+  // reconfiguration only activates when the checkpoint at its boundary
+  // becomes stable, and checkpoints only form when slots commit. With no
+  // client traffic the cluster would idle forever short of the boundary —
+  // so on batch-timer ticks the primary fills the gap with empty blocks.
+  if (flush_partial && pending_.empty()) {
+    SeqNum gate = reconfig_gate();
+    while (gate > 0 && next_seq_ <= gate && next_seq_ - 1 - le() < window &&
+           next_seq_ <= ls() + opts_.config.win) {
+      ++noop_fill_blocks_;
+      propose_block(next_seq_++, Block{}, ctx);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Stall policy and view-change session (§V-G)
+
+void EngineShell::on_progress_timer(sim::ActorContext& ctx) {
+  progress_timer_armed_ = false;
+  bool outstanding = !pending_.empty() || forwarded_waiting_ ||
+                     highest_slot() > le() || in_view_change_;
+  if (le() > progress_marker_) {
+    // Progress was made; assume forwarded requests were served (if not, the
+    // client's retry re-raises the flag).
+    progress_marker_ = le();
+    forwarded_waiting_ = false;
+    if (outstanding) arm_progress_timer(ctx);
+    return;
+  }
+  if (!outstanding) return;
+  on_stall(ctx);
+  start_view_change(std::max(view_, vc_target_) + 1, ctx);
+}
+
+bool EngineShell::begin_view_change(ViewNum target, sim::ActorContext& ctx) {
+  if (target <= view_ || retired_) return false;
+  if (in_view_change_ && target <= vc_target_) return false;
+  in_view_change_ = true;
+  vc_target_ = target;
+  ++vc_attempts_;
+  ++view_changes_;
+  // One session span per target view; escalating to a higher target closes
+  // the superseded session and opens the next.
+  if (vc_span_ != 0 && vc_span_ != target) {
+    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
+               vc_span_, 0, vc_span_, "superseded", 1);
+  }
+  if (vc_span_ != target) {
+    vc_span_ = target;
+    trace_.begin(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
+                 target, 0, target);
+  }
+  return true;
+}
+
+void EngineShell::install_view(ViewNum v) {
+  view_ = v;
+  vc_target_ = v;
+  vc_attempts_ = 0;
+  new_view_sent_ = false;
+  runtime_.wal_record_view(v);
+}
+
+void EngineShell::close_view_change(ViewNum v, sim::ActorContext& ctx) {
+  in_view_change_ = false;
+  if (vc_span_ != 0) {
+    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
+               vc_span_, 0, vc_span_, "entered_view", v);
+    vc_span_ = 0;
+  } else {
+    // Entered on the strength of a new view alone (never locally timed out).
+    trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kViewEntered,
+                   0, 0, v);
+  }
+  install_view(v);
+}
+
+void EngineShell::resume_view(sim::ActorContext& ctx) {
+  progress_marker_ = le();
+  if (is_primary()) {
+    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
+    try_propose(ctx);
+  }
+  arm_progress_timer(ctx);
+}
+
 // ---------------------------------------------------------------------------
 // Admission
 
@@ -285,15 +442,9 @@ void EngineShell::admit_client_request(NodeId from, const Request& req,
                                        sim::ActorContext& ctx) {
   if (const CachedReply* cached = runtime_.cached_reply(req.client, req.timestamp)) {
     // Already executed: serve the cached reply (client retry path, §V-A).
-    ClientReplyMsg reply;
-    reply.replica = opts_.id;
-    reply.client = req.client;
-    reply.timestamp = cached->timestamp;
-    reply.seq = cached->seq;
-    reply.value = cached->value;
-    if (!silent()) ctx.send(req.client, make_message(std::move(reply)));
+    send_reply(ctx, req.client, cached->timestamp, cached->seq, cached->value);
     trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kReplyCached, 0,
-                   cached->seq, cached_reply_trace_view(), "client", req.client);
+                   cached->seq, view_, "client", req.client);
     return;
   }
   if (retired_) return;  // drained: serves caches only, never orders

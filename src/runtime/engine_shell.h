@@ -1,22 +1,30 @@
 // Protocol-agnostic replica shell shared by both ordering engines.
 //
 // SBFT (src/core/replica.h) and the PBFT baseline (src/pbft/pbft_replica.h)
-// differ in how a block gets ordered: their slots, commit paths, view changes
-// and checkpoint certificates. Everything around that is the same replica
-// plumbing, and lives here exactly once:
+// differ in how a block gets ordered: their slots, commit paths, view-change
+// evidence and checkpoint certificates. Everything around that is the same
+// replica plumbing, and lives here exactly once:
 //   * construction and lifecycle: the ReplicaRuntime, boot-time recovery, the
 //     epoch/retirement tail of the constructor, on_start;
 //   * membership: node_of, the reconfiguration gate, epoch refresh;
 //   * admission: client requests, reconfiguration blocks and cross-shard
 //     marker requests feed the primary's pending queue;
+//   * the proposal pipeline: the demand estimate, the adaptive minimum batch,
+//     the window, watermark and reconfiguration guards, and the no-op fill;
+//   * the stall policy: the progress timer that escalates to a view change;
+//   * the view-change session: opening and escalating it, its trace span,
+//     the backoff, installing the new view and resuming in it;
+//   * direct client replies, cached or fresh;
 //   * chunked state transfer, fetcher and donor side (docs/state_transfer.md);
 //   * the batch, progress, state-transfer, donor-tick and shard-tick timers.
 //
-// An engine derives from EngineShell and supplies the hooks below: how a
-// manifest's checkpoint certificate is checked and prepared, when the replica
-// is behind, what to drop once a checkpoint is adopted, how to propose and
-// execute, and whether it is silent. Messages and timers the shell does not
-// own reach the engine through on_engine_message / on_engine_timer.
+// An engine derives from EngineShell and supplies the hooks below: its
+// proposal window and demand split, its in-flight slots, how a proposal and a
+// view-change message go out, how a manifest's checkpoint certificate is
+// checked and prepared, when the replica is behind, what to drop once a
+// checkpoint is adopted, how to execute, and whether it is silent. Messages
+// and timers the shell does not own reach the engine through
+// on_engine_message / on_engine_timer.
 #pragma once
 
 #include <deque>
@@ -98,7 +106,7 @@ class EngineShell : public sim::IActor {
   const ReplicaRuntime& runtime() const { return runtime_; }
   /// Digest of the decision block committed at s (nullopt if not committed).
   virtual std::optional<Digest> committed_digest_of(SeqNum s) const = 0;
-  virtual uint64_t view_changes() const = 0;
+  uint64_t view_changes() const { return view_changes_; }
   /// Visits every protocol + runtime counter as (name, value).
   virtual void for_each_stat(const StatVisitor& fn) const = 0;
 
@@ -108,7 +116,7 @@ class EngineShell : public sim::IActor {
   // Timer kinds the shell owns; engines number theirs from kFirstEngineTimer.
   enum ShellTimer : uint64_t {
     kBatchTimer = 1,
-    kProgressTimer,       // armed here, handled by the engine (stall policy)
+    kProgressTimer,       // stall policy: escalate to a view change
     kStateTransferTimer,  // chunked fetch retry tick
     kDonorTickTimer,      // drain chunk serves the donor rate limiter deferred
     kShardTickTimer,      // marker executor retry cadence (docs/sharding.md)
@@ -122,12 +130,27 @@ class EngineShell : public sim::IActor {
   // --- engine hooks -----------------------------------------------------------
   virtual void on_engine_message(NodeId from, const Message& msg,
                                  sim::ActorContext& ctx) = 0;
-  /// Every timer whose kind the shell does not handle (kProgressTimer and the
-  /// engine's own kinds); `payload` is the low 48 bits of the id.
-  virtual void on_engine_timer(uint64_t kind, uint64_t payload,
-                               sim::ActorContext& ctx) = 0;
-  virtual void try_propose(sim::ActorContext& ctx, bool flush_partial = false) = 0;
+  /// Every timer whose kind the shell does not handle (the engine's own
+  /// kinds); `payload` is the low 48 bits of the id.
+  virtual void on_engine_timer(uint64_t /*kind*/, uint64_t /*payload*/,
+                               sim::ActorContext& /*ctx*/) {}
   virtual void try_execute(sim::ActorContext& ctx) = 0;
+  /// Most slots the primary keeps proposed but unexecuted (floored at 1).
+  virtual uint64_t proposal_window() const = 0;
+  /// Concurrent blocks the demand estimate is spread over when sizing the
+  /// adaptive minimum batch.
+  virtual uint32_t demand_split() const = 0;
+  /// Requests in the proposed-but-unexecuted slots (le(), next_seq_).
+  virtual uint64_t in_flight_requests() const = 0;
+  /// Highest slot the engine holds (0: none).
+  virtual SeqNum highest_slot() const = 0;
+  /// Sends the primary's pre-prepare of `block` at slot s in view_.
+  virtual void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) = 0;
+  /// Opens or escalates a view change to `target`: begin_view_change, then
+  /// the engine's view-change message.
+  virtual void start_view_change(ViewNum target, sim::ActorContext& ctx) = 0;
+  /// A stalled replica is about to escalate to a view change.
+  virtual void on_stall(sim::ActorContext& /*ctx*/) {}
   /// Fetcher: is the manifest's checkpoint certificate valid? Charges its
   /// verification cost. SBFT checks the pi signature, PBFT the weak f+1
   /// checkpoint certificate shipped with the manifest.
@@ -145,8 +168,6 @@ class EngineShell : public sim::IActor {
   virtual bool silent() const { return false; }
   /// A censoring primary drops the request at admission.
   virtual bool censors(const Request& /*req*/) const { return false; }
-  /// View stamped on the trace event of a reply served from the cache.
-  virtual ViewNum cached_reply_trace_view() const { return view_; }
   /// Donor fault injection (PBFT's fabricated checkpoint): answer a probe or
   /// a chunk request with forged state instead; true when it did.
   virtual bool fabricated_manifest(NodeId /*from*/,
@@ -191,6 +212,33 @@ class EngineShell : public sim::IActor {
   /// Fetches a newer checkpoint: opens the session span, broadcasts the
   /// probe, and arms the retry tick.
   void request_state_transfer(sim::ActorContext& ctx);
+  /// Direct reply to a client (a cached reply, PBFT's execution replies,
+  /// SBFT's replies without the execution collector); silent replicas skip it.
+  void send_reply(sim::ActorContext& ctx, ClientId client, uint64_t timestamp,
+                  SeqNum seq, const Bytes& value);
+
+  // --- proposals (§VIII) ---------------------------------------------------------
+  /// Primary: cuts blocks from the pending queue while the window, the
+  /// watermark and the reconfiguration gate allow, each at least the adaptive
+  /// minimum batch (any size when `flush_partial`); on a flush with nothing
+  /// pending, fills empty blocks up to a pending activation boundary.
+  void try_propose(sim::ActorContext& ctx, bool flush_partial = false);
+
+  // --- view-change session (§V-G) -----------------------------------------------
+  /// Opens a view change to `target` or escalates the open one: backoff
+  /// attempt, view_changes count, session span. False, changing nothing, for
+  /// a retired replica or a target not past the view (or the open target).
+  bool begin_view_change(ViewNum target, sim::ActorContext& ctx);
+  /// Moves to view v: target and backoff reset, view recorded in the WAL.
+  void install_view(ViewNum v);
+  /// Ends the view-change session on entering view v (the span, or a
+  /// view.entered instant when none was open) and installs v.
+  void close_view_change(ViewNum v, sim::ActorContext& ctx);
+  /// Resumes normal operation in the view just entered: progress marker,
+  /// batch timer and proposals (primary), progress timer.
+  void resume_view(sim::ActorContext& ctx);
+  /// Target of the open view-change session span (0: none).
+  ViewNum view_change_span() const { return vc_span_; }
 
   EngineOptions opts_;
   ReplicaRuntime runtime_;
@@ -218,27 +266,32 @@ class EngineShell : public sim::IActor {
   ViewNum view_ = 0;
   bool in_view_change_ = false;
   ViewNum vc_target_ = 0;
-  uint32_t vc_attempts_ = 0;
+  bool new_view_sent_ = false;  // this primary broadcast the new view for vc_target_
   SeqNum next_seq_ = 1;  // primary: next sequence to propose
-
-  // Primary request queue: request and admission time.
-  std::deque<std::pair<Request, sim::SimTime>> pending_;
-  std::set<std::pair<ClientId, uint64_t>> pending_keys_;
-  double avg_pending_ = 0;  // EWMA demand estimate for adaptive batching
-
-  // Progress tracking for the view-change timer.
+  // Progress marker of the stall timer: le() when it last saw progress.
   SeqNum progress_marker_ = 0;
-  bool progress_timer_armed_ = false;
-  bool forwarded_waiting_ = false;  // forwarded a client request to the primary
 
   // Current state-transfer session (0 = none yet); its id tags every
   // state-transfer trace event.
   uint64_t st_session_ = 0;
 
+  // Counters the engines' stats() copy in.
+  uint64_t view_changes_ = 0;
+  // Primary: empty blocks proposed to drive an idle cluster across a pending
+  // reconfiguration's activation checkpoint boundary.
+  uint64_t noop_fill_blocks_ = 0;
+
  private:
   /// Rebuilds state from WAL + ledger at construction time (no-op when the
   /// attached storage is fresh or absent).
   void recover_from_storage();
+
+  /// §VIII adaptive batch parameter: the minimum requests per block, sized
+  /// from the demand estimate; config.max_batch when adaptive batching is off.
+  uint32_t adaptive_batch_size() const;
+  /// kProgressTimer: re-arms while progress is made; a replica that owes
+  /// progress and made none escalates to a view change.
+  void on_progress_timer(sim::ActorContext& ctx);
 
   // --- admission ----------------------------------------------------------------
   void handle_client_request(NodeId from, const ClientRequestMsg& m,
@@ -273,6 +326,18 @@ class EngineShell : public sim::IActor {
   /// All chunks received: assemble, adopt, and clean up (or restart the fetch
   /// when the assembled envelope fails the certified state-root check).
   void complete_chunked_transfer(sim::ActorContext& ctx);
+
+  obs::Histogram* h_pending_wait_;  // admission -> cut into a block
+
+  // Primary request queue: request and admission time.
+  std::deque<std::pair<Request, sim::SimTime>> pending_;
+  std::set<std::pair<ClientId, uint64_t>> pending_keys_;
+  double avg_pending_ = 0;  // EWMA demand estimate for adaptive batching
+
+  uint32_t vc_attempts_ = 0;  // backoff exponent of the progress timer
+  ViewNum vc_span_ = 0;       // open view-change session span (0: none)
+  bool progress_timer_armed_ = false;
+  bool forwarded_waiting_ = false;  // forwarded a client request to the primary
 
   // Votes persisted by a previous incarnation for slots still in flight:
   // seq -> (highest voted view, block digest); see record_vote.

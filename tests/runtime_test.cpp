@@ -1,13 +1,15 @@
 // Protocol-agnostic replica runtime: reply-cache persistence across
 // checkpoints (including the non-idempotent EVM-transfer re-execution
-// hazard), the checkpoint snapshot envelope, seed-bug regressions, and the
-// cross-protocol crash→recover→rejoin scenario family — every simulated
-// scenario here runs on both SBFT and the PBFT baseline through the
-// identical Cluster API.
+// hazard), the checkpoint snapshot envelope, seed-bug regressions, the
+// shared proposer's per-engine windows, and the cross-protocol
+// crash→recover→rejoin scenario family — every simulated scenario here runs
+// on both SBFT and the PBFT baseline through the identical Cluster API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
+#include <string_view>
 
 #include "common/serde.h"
 #include "crypto/sha256.h"
@@ -1400,6 +1402,95 @@ TEST_P(SharedDecisionBlocks, EveryReplicaLedgersOneRecord) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, SharedDecisionBlocks,
+                         ::testing::Values(ProtocolKind::kSbft,
+                                           ProtocolKind::kPbft),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& info) {
+                           return info.param == ProtocolKind::kSbft ? "Sbft"
+                                                                    : "Pbft";
+                         });
+
+// ---------------------------------------------------------------------------
+// One proposer (runtime::EngineShell::try_propose): both engines cut blocks
+// through the shell's pipeline, and each keeps its own proposal window —
+// SBFT (n-1)/(c+1) slots in flight (§VIII), PBFT a quarter of the watermark
+// window.
+
+class SharedProposer : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  struct Pipeline {
+    size_t peak_open_slots = 0;  // the primary's concurrently open slot spans
+    SeqNum blocks = 0;
+    uint64_t requests = 0;
+    uint64_t pending_wait_samples = 0;  // primary's stage.pending_wait_us
+  };
+
+  /// Runs f=1 with `clients` closed-loop clients of 50 requests each and
+  /// reads the view-0 primary's slot spans and registry.
+  Pipeline run(uint32_t clients) const {
+    ClusterOptions opts;
+    opts.kind = GetParam();
+    opts.f = 1;
+    opts.c = 0;
+    opts.num_clients = clients;
+    opts.requests_per_client = 50;
+    opts.topology = sim::lan_topology();
+    opts.seed = 3;
+    opts.tracing = true;
+    Cluster cluster(std::move(opts));
+    EXPECT_TRUE(cluster.run_until_done(600'000'000)) << "clients stalled";
+    EXPECT_EQ(cluster.total_view_changes(), 0u);
+    EXPECT_TRUE(cluster.check_agreement());
+
+    const ReplicaHandle& primary = cluster.replica(1);
+    EXPECT_EQ(primary.tracer()->dropped(), 0u) << "trace ring wrapped";
+    Pipeline p;
+    std::set<uint64_t> open;
+    for (const obs::TraceEvent& e : primary.tracer()->events()) {
+      if (e.category != obs::Category::kSlot ||
+          std::string_view(e.name) != obs::ev::kSlot) {
+        continue;
+      }
+      if (e.phase == obs::EventPhase::kBegin) open.insert(e.span);
+      if (e.phase == obs::EventPhase::kEnd) open.erase(e.span);
+      p.peak_open_slots = std::max(p.peak_open_slots, open.size());
+    }
+    p.blocks = primary.last_executed();
+    p.requests = primary.runtime_stats().requests_executed;
+    if (const obs::Histogram* h =
+            primary.metrics()->find_histogram("stage.pending_wait_us")) {
+      p.pending_wait_samples = h->count();
+    }
+    return p;
+  }
+};
+
+TEST_P(SharedProposer, OneClientGetsOneRequestPerBlock) {
+  Pipeline p = run(1);
+  EXPECT_EQ(p.peak_open_slots, 1u);
+  EXPECT_EQ(p.requests, 50u);
+  EXPECT_EQ(p.blocks, 50u);
+  EXPECT_GT(p.pending_wait_samples, 0u);
+}
+
+TEST_P(SharedProposer, EachEngineKeepsItsOwnWindow) {
+  // f=1, c=0: n=4, so SBFT's collector window is (4-1)/(0+1) = 3 slots;
+  // PBFT's is win/4 = 64 (default win 256).
+  constexpr size_t kSbftWindow = 3;
+  constexpr size_t kPbftWindow = 256 / 4;
+  for (uint32_t clients : {32u, 128u}) {
+    Pipeline p = run(clients);
+    EXPECT_EQ(p.requests, 50u * clients) << clients << " clients";
+    EXPECT_GT(p.pending_wait_samples, 0u) << clients << " clients";
+    if (GetParam() == ProtocolKind::kSbft) {
+      EXPECT_EQ(p.peak_open_slots, kSbftWindow) << clients << " clients";
+    } else {
+      EXPECT_GT(p.peak_open_slots, kSbftWindow) << clients << " clients";
+      EXPECT_LE(p.peak_open_slots, kPbftWindow) << clients << " clients";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, SharedProposer,
                          ::testing::Values(ProtocolKind::kSbft,
                                            ProtocolKind::kPbft),
                          [](const ::testing::TestParamInfo<ProtocolKind>& info) {
