@@ -198,18 +198,13 @@ void Cluster::build() {
   // Clients occupy the node ids after the replica block; ClientId == NodeId
   // (globally unique across a deployment's groups — reply caches and exec
   // leaves key on the client id).
+  const core::GroupView view = group_view();
   for (uint32_t i = 0; i < opts_.num_clients; ++i) {
     core::ClientOptions co;
-    co.config = config_;
-    co.retry_timeout_us = config_.client_retry_timeout_us;
-    co.crypto = core::ReplicaCrypto::verifier_only(keys_);
-    co.epoch_keys = epoch_keys_;
     const ClientId cid = node_base_ + n + i;
-    co.num_requests = opts_.requests_per_client;
     co.id = cid;
-    for (const ReplicaInfo& m : current_members_) {
-      co.replica_nodes.push_back(m.node);
-    }
+    co.group = view;
+    co.num_requests = opts_.requests_per_client;
     co.op_factory = opts_.per_client_op_factory ? opts_.per_client_op_factory(cid)
                                                 : opts_.op_factory;
     auto client = std::make_unique<core::SbftClient>(std::move(co));
@@ -240,8 +235,18 @@ void Cluster::build() {
 }
 
 uint32_t Cluster::replica_lanes() const {
-  if (opts_.cores_per_replica > 0) return opts_.cores_per_replica;
-  return std::max<uint32_t>(1, opts_.costs.cores_per_replica);
+  return std::max<uint32_t>(1, opts_.cores_per_replica);
+}
+
+core::GroupView Cluster::group_view() const {
+  core::GroupView view;
+  view.config = config_;
+  view.crypto = core::ReplicaCrypto::verifier_only(keys_);
+  view.epoch_keys = epoch_keys_;
+  for (ReplicaId r = 1; r <= config_.n(); ++r) {
+    view.replica_nodes.push_back(replica(r).node());
+  }
+  return view;
 }
 
 ReplicaId Cluster::add_replica() {

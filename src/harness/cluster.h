@@ -50,8 +50,7 @@ struct ClusterOptions {
 
   // CPU lanes per replica node (docs/performance.md): lane 0 runs the serial
   // handler path, extra lanes absorb offloaded signature verification.
-  // 0 = use costs.cores_per_replica (default 1, the classic serial node).
-  // Clients always keep one lane.
+  // 0 or 1 = one lane, the classic serial node. Clients always keep one lane.
   uint32_t cores_per_replica = 0;
 
   /// Service run by every replica; defaults to FastKvService.
@@ -144,14 +143,10 @@ class Cluster {
   const ProtocolConfig& config() const { return config_; }
 
   uint32_t n() const { return config_.n(); }
-  /// Verifier-only view of this group's keys — what a deployment-level shard
-  /// client needs to check execute-acks coming from this group.
-  core::ReplicaCrypto verifier_crypto() const {
-    return core::ReplicaCrypto::verifier_only(keys_);
-  }
-  std::shared_ptr<const core::EpochKeyTable> epoch_keys() const {
-    return epoch_keys_;
-  }
+  /// What a client needs to talk to this group: the genesis config and
+  /// roster, verifier-only keys and the epoch key table. The cluster's own
+  /// clients and a deployment's shard clients are built from it.
+  core::GroupView group_view() const;
   core::SbftClient& client(size_t i) { return *clients_[i]; }
   size_t num_clients() const { return clients_.size(); }
 
@@ -239,8 +234,7 @@ class Cluster {
   void build();
   void build_replica(ReplicaHandle& handle, core::ReplicaBehavior behavior,
                      bool recovering);
-  /// CPU lanes of every replica: cores_per_replica, else the cost model's
-  /// default (min 1).
+  /// CPU lanes of every replica: cores_per_replica, at least 1.
   uint32_t replica_lanes() const;
 
   ClusterOptions opts_;

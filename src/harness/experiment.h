@@ -16,7 +16,7 @@ struct ExperimentPoint {
   uint32_t c = 0;
   uint32_t num_clients = 4;
   uint32_t ops_per_request = 1;   // 64 = the paper's batching mode
-  uint32_t cores = 0;      // CPU lanes per replica; 0 = cost-model default (1)
+  uint32_t cores = 0;      // CPU lanes per replica; 0 = one lane
   uint64_t window = 0;     // ProtocolConfig::win override; 0 = keep default
   uint32_t max_batch = 0;  // ProtocolConfig::max_batch override; 0 = default
   // ProtocolConfig::adaptive_batching override: -1 = keep default, 0 = force
@@ -43,7 +43,8 @@ ExperimentResult run_point(const ExperimentPoint& point);
 /// reduced default grid.
 bool bench_full_mode();
 
-/// Reduced/full client-count grid for fig2/fig3 (paper: 4..256).
+/// Reduced/full client-count grid for fig2's panels, which also report the
+/// Figure 3 latencies (paper: 4..256).
 std::vector<uint32_t> bench_client_grid();
 
 }  // namespace sbft::harness

@@ -3,7 +3,7 @@
 // operations. Also provides FastKvService, a deterministic lightweight state
 // machine used by the large protocol sweeps (docs/architecture.md, paper
 // substitution 5: the authenticated KV store is exercised by
-// tests/examples/smart-contract runs; the fig2/fig3 sweeps use this
+// tests/examples/smart-contract runs; the fig2 sweeps use this
 // O(1)-digest service so a laptop can simulate 209 replicas).
 #pragma once
 

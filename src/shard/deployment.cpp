@@ -43,14 +43,8 @@ Deployment::Deployment(DeploymentOptions options) : opts_(std::move(options)) {
     SBFT_CHECK(groups_.back()->node_base() == g * n);
   }
 
-  std::vector<ShardGroupView> views;
-  for (uint32_t g = 0; g < opts_.num_groups; ++g) {
-    ShardGroupView v;
-    v.config = groups_[g]->config();
-    v.crypto = groups_[g]->verifier_crypto();
-    v.replica_nodes = directory_->replica_nodes(g);
-    views.push_back(std::move(v));
-  }
+  std::vector<core::GroupView> views;
+  for (const auto& group : groups_) views.push_back(group->group_view());
   for (uint32_t i = 0; i < opts_.num_clients; ++i) {
     ShardClientOptions so;
     so.id = net_->num_nodes();  // next node id — asserted below
@@ -59,7 +53,6 @@ Deployment::Deployment(DeploymentOptions options) : opts_(std::move(options)) {
     so.groups = views;
     so.cross_shard_every = opts_.cross_shard_every;
     so.keyspace = opts_.keyspace;
-    so.retry_timeout_us = gcfg.client_retry_timeout_us;
     auto client = std::make_unique<ShardClient>(std::move(so));
     NodeId node = net_->add_node(client.get());
     SBFT_CHECK(node == opts_.num_groups * n + i);

@@ -7,14 +7,17 @@
 
 namespace sbft::shard {
 
+namespace {
+const char* outcome_value(bool committed) {
+  return committed ? "TX-COMMITTED" : "TX-ABORTED";
+}
+}  // namespace
+
 ShardClient::ShardClient(ShardClientOptions options) : opts_(std::move(options)) {
   SBFT_CHECK(opts_.router != nullptr);
   SBFT_CHECK(opts_.groups.size() == opts_.router->num_groups());
   SBFT_CHECK(!opts_.groups.empty());
-  for (const ShardGroupView& g : opts_.groups) {
-    SBFT_CHECK(!g.replica_nodes.empty());
-  }
-  hints_.assign(opts_.groups.size(), 0);
+  for (core::GroupView& g : opts_.groups) sessions_.emplace_back(std::move(g));
 }
 
 void ShardClient::on_start(sim::ActorContext& ctx) { send_next(ctx); }
@@ -24,15 +27,14 @@ void ShardClient::send_next(sim::ActorContext& ctx) {
   ++timestamp_;
   outstanding_ = true;
   sent_at_ = ctx.now();
-  reply_tally_.clear();
-  tx_tally_.clear();
-  tx_groups_.clear();
+  groups_.clear();
 
   const uint64_t index = completed();
   auto make_key = [&] {
     return to_bytes("key-" + std::to_string(ctx.rng().below(opts_.keyspace)));
   };
-  cross_shard_ = opts_.cross_shard_every != 0 && opts_.groups.size() > 1 &&
+  Request req;
+  cross_shard_ = opts_.cross_shard_every != 0 && sessions_.size() > 1 &&
                  (index + 1) % opts_.cross_shard_every == 0;
   if (cross_shard_) {
     // A two-key transfer across distinct groups; a bounded draw, falling back
@@ -53,55 +55,29 @@ void ShardClient::send_next(sim::ActorContext& ctx) {
       std::map<uint32_t, std::vector<Bytes>> slices;
       slices[g1].push_back(kv::encode_put(as_span(k1), as_span(tag)));
       slices[g2].push_back(kv::encode_put(as_span(k2), as_span(tag)));
-      current_tx_ = ShardTx{};
-      current_tx_.txid = (static_cast<uint64_t>(opts_.id) << 32) | timestamp_;
+      ShardTx tx;
+      tx.txid = (static_cast<uint64_t>(opts_.id) << 32) | timestamp_;
       for (auto& [g, ops] : slices) {  // std::map: groups come out ascending
-        current_tx_.shards.push_back({g, std::move(ops)});
-        tx_groups_.push_back(g);
+        tx.shards.push_back({g, std::move(ops)});
+        groups_.push_back(g);
       }
-      current_tx_.coordinator = current_tx_.shards.front().group;
+      tx.coordinator = tx.shards.front().group;
+      txid_ = tx.txid;
+      req = make_tx_prepare_request(tx, opts_.id, timestamp_);
     }
   }
   if (!cross_shard_) {
     Bytes key = make_key();
-    target_group_ = opts_.router->group_of(as_span(key));
+    groups_.push_back(opts_.router->group_of(as_span(key)));
     const Bytes value = to_bytes("v" + std::to_string(index));
-    current_op_ = kv::encode_put(as_span(key), as_span(value));
+    req = {opts_.id, timestamp_, kv::encode_put(as_span(key), as_span(value)), {}};
   }
 
-  ctx.charge(ctx.costs().rsa_sign_us);
-  send_current(/*broadcast=*/false, ctx);
-  ctx.set_timer(opts_.retry_timeout_us, ++timer_gen_);
-}
-
-void ShardClient::send_current(bool broadcast, sim::ActorContext& ctx) {
-  if (cross_shard_) {
-    Request req = make_tx_prepare_request(current_tx_, opts_.id, timestamp_);
-    req.client_sig = Bytes(opts_.signature_size, 0xab);
-    auto msg = make_message(ClientRequestMsg{std::move(req)});
-    // Every participant group orders its own copy of the Prepare.
-    for (uint32_t g : tx_groups_) {
-      const ShardGroupView& view = opts_.groups[g];
-      if (broadcast) {
-        for (NodeId node : view.replica_nodes) ctx.send(node, msg);
-      } else {
-        ctx.send(view.replica_nodes[hints_[g]], msg);
-      }
-    }
-    return;
-  }
-  Request req;
-  req.client = opts_.id;
-  req.timestamp = timestamp_;
-  req.op = current_op_;
-  req.client_sig = Bytes(opts_.signature_size, 0xab);
-  auto msg = make_message(ClientRequestMsg{std::move(req)});
-  const ShardGroupView& view = opts_.groups[target_group_];
-  if (broadcast) {
-    for (NodeId node : view.replica_nodes) ctx.send(node, msg);
-  } else {
-    ctx.send(view.replica_nodes[hints_[target_group_]], msg);
-  }
+  request_ = core::sign_request(std::move(req), ctx);
+  // The owning group orders a single-shard request; every participant group
+  // orders its own copy of a Prepare.
+  for (uint32_t g : groups_) sessions_[g].send(request_, ctx);
+  ctx.set_timer(sessions_[groups_.front()].retry_timeout_us(), ++timer_gen_);
 }
 
 void ShardClient::complete(bool committed, sim::ActorContext& ctx) {
@@ -116,34 +92,14 @@ void ShardClient::complete(bool committed, sim::ActorContext& ctx) {
   send_next(ctx);
 }
 
-std::optional<uint32_t> ShardClient::group_of_node(NodeId node) const {
-  for (uint32_t g = 0; g < opts_.groups.size(); ++g) {
-    const auto& nodes = opts_.groups[g].replica_nodes;
-    if (std::find(nodes.begin(), nodes.end(), node) != nodes.end()) return g;
-  }
-  return std::nullopt;
-}
-
-void ShardClient::tally_tx_result(uint32_t group, ReplicaId replica,
-                                  bool committed, sim::ActorContext& ctx) {
-  if (std::find(tx_groups_.begin(), tx_groups_.end(), group) == tx_groups_.end()) {
-    return;
-  }
-  tx_tally_[group][replica] = committed;
-  // Complete once every participant group reached f+1 matching outcomes.
+void ShardClient::tally_outcome(uint32_t group, ReplicaId replica,
+                                bool committed, sim::ActorContext& ctx) {
+  sessions_[group].tally(replica, crypto::sha256(outcome_value(committed)));
   bool all_committed = true;
-  for (uint32_t g : tx_groups_) {
-    const uint32_t quorum = opts_.groups[g].config.f + 1;
-    uint32_t yes = 0;
-    uint32_t no = 0;
-    if (auto it = tx_tally_.find(g); it != tx_tally_.end()) {
-      for (const auto& [r, c] : it->second) c ? ++yes : ++no;
-    }
-    if (no >= quorum) {
-      all_committed = false;
-    } else if (yes < quorum) {
-      return;  // this group has not certified an outcome yet
-    }
+  for (uint32_t g : groups_) {
+    const std::optional<Digest> decided = sessions_[g].accepted();
+    if (!decided) return;  // this group has not certified an outcome yet
+    if (*decided != crypto::sha256(outcome_value(true))) all_committed = false;
   }
   complete(all_committed, ctx);
 }
@@ -154,69 +110,47 @@ void ShardClient::on_message(NodeId from, const Message& msg,
   if (const auto* ack = std::get_if<ExecuteAckMsg>(&msg)) {
     if (cross_shard_) return;  // prepare acks do not decide a transaction
     if (ack->client != opts_.id || ack->timestamp != timestamp_) return;
-    ctx.charge(ctx.costs().hash_us(512));
-    ctx.charge(ctx.costs().bls_verify_combined_us);
-    if (!core::verify_execute_ack(opts_.groups[target_group_].crypto, opts_.id,
-                                  *ack)) {
-      return;
+    if (sessions_[groups_.front()].verify_ack(opts_.id, *ack, ctx)) {
+      complete(/*committed=*/true, ctx);
     }
-    complete(/*committed=*/true, ctx);
     return;
   }
   if (const auto* reply = std::get_if<ClientReplyMsg>(&msg)) {
     if (reply->client != opts_.id || reply->timestamp != timestamp_) return;
-    auto g = group_of_node(from);
-    if (!g) return;
-    ctx.charge(ctx.costs().rsa_verify_us);
-    if (cross_shard_) {
-      // A retransmitted Prepare executed after the decision replies with the
-      // outcome from the group's cache — as good as a TxResultMsg.
-      if (reply->value == to_bytes("TX-COMMITTED")) {
-        tally_tx_result(*g, reply->replica, true, ctx);
-      } else if (reply->value == to_bytes("TX-ABORTED")) {
-        tally_tx_result(*g, reply->replica, false, ctx);
+    if (!cross_shard_) {
+      if (sessions_[groups_.front()].accept_reply(from, *reply, ctx)) {
+        complete(/*committed=*/true, ctx);
       }
       return;
     }
-    if (*g != target_group_) return;
-    const ShardGroupView& view = opts_.groups[target_group_];
-    if (reply->replica == 0 || reply->replica > view.config.n()) return;
-    reply_tally_[reply->replica] = crypto::sha256(as_span(reply->value));
-    std::map<Digest, uint32_t> counts;
-    for (const auto& [replica, digest] : reply_tally_) ++counts[digest];
-    for (const auto& [digest, count] : counts) {
-      if (count >= view.config.f + 1) {
-        complete(/*committed=*/true, ctx);
-        return;
+    for (uint32_t g : groups_) {
+      if (!sessions_[g].admit(from, *reply, ctx)) continue;
+      // A retransmitted Prepare executed after the decision replies with the
+      // outcome from the group's cache — as good as a TxResultMsg.
+      if (reply->value == to_bytes(outcome_value(true))) {
+        tally_outcome(g, reply->replica, true, ctx);
+      } else if (reply->value == to_bytes(outcome_value(false))) {
+        tally_outcome(g, reply->replica, false, ctx);
       }
+      return;
     }
     return;
   }
   if (const auto* res = std::get_if<TxResultMsg>(&msg)) {
-    if (!cross_shard_ || res->txid != current_tx_.txid) return;
-    if (res->group >= opts_.groups.size()) return;
-    const ShardGroupView& view = opts_.groups[res->group];
-    if (res->replica == 0 || res->replica > view.replica_nodes.size()) return;
-    // Channel authentication: the sender node must be the claimed replica.
-    if (view.replica_nodes[res->replica - 1] != from) return;
-    tally_tx_result(res->group, res->replica, res->committed, ctx);
-    return;
+    if (!cross_shard_ || res->txid != txid_) return;
+    if (std::find(groups_.begin(), groups_.end(), res->group) == groups_.end()) {
+      return;
+    }
+    if (!sessions_[res->group].sent_by(from, res->replica)) return;
+    tally_outcome(res->group, res->replica, res->committed, ctx);
   }
 }
 
 void ShardClient::on_timer(uint64_t id, sim::ActorContext& ctx) {
   if (!outstanding_ || id != timer_gen_) return;
   ++retries_;
-  if (cross_shard_) {
-    for (uint32_t g : tx_groups_) {
-      hints_[g] = (hints_[g] + 1) % opts_.groups[g].replica_nodes.size();
-    }
-  } else {
-    hints_[target_group_] =
-        (hints_[target_group_] + 1) % opts_.groups[target_group_].replica_nodes.size();
-  }
-  send_current(/*broadcast=*/true, ctx);
-  ctx.set_timer(opts_.retry_timeout_us, ++timer_gen_);
+  for (uint32_t g : groups_) sessions_[g].retry(request_, ctx);
+  ctx.set_timer(sessions_[groups_.front()].retry_timeout_us(), ++timer_gen_);
 }
 
 }  // namespace sbft::shard

@@ -1,7 +1,10 @@
 // Deployment-level client: multiplexes per-group sessions over the router.
 //
 // A ShardClient runs the closed-loop workload of a sharded deployment
-// (docs/sharding.md). Each request is routed by key:
+// (docs/sharding.md). It talks to each group through one core::GroupSession,
+// the same send, retry and acceptance code a cluster's SbftClient runs, so
+// every report counts only from the replica that sent it. Each request is
+// routed by key:
 //
 //   single-shard (the common case) — the request goes to exactly the owning
 //   group and completes through that group's ordinary client protocol: SBFT
@@ -20,7 +23,6 @@
 // clients: reply caches and execution leaves key on the client id.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -29,25 +31,16 @@
 
 namespace sbft::shard {
 
-/// What the client must know about one group to talk to it.
-struct ShardGroupView {
-  ProtocolConfig config;
-  core::ReplicaCrypto crypto;  // verifier-only view of the group's keys
-  std::vector<NodeId> replica_nodes;  // replica-id order
-};
-
 struct ShardClientOptions {
   ClientId id = 0;  // must equal the client's simulator node id
   uint64_t num_requests = 1000;
   std::shared_ptr<const Router> router;
-  std::vector<ShardGroupView> groups;  // index == group id
+  std::vector<core::GroupView> groups;  // index == group id
   /// Every Nth request (1-based) is a two-key cross-shard transfer;
   /// 0 disables cross-shard traffic entirely.
   uint32_t cross_shard_every = 0;
   /// Distinct keys the workload draws from (smaller => more lock conflicts).
   uint32_t keyspace = 100'000;
-  size_t signature_size = 256;
-  int64_t retry_timeout_us = 4'000'000;
 };
 
 struct ShardClientRecord {
@@ -76,17 +69,14 @@ class ShardClient final : public sim::IActor {
 
  private:
   void send_next(sim::ActorContext& ctx);
-  void send_current(bool broadcast, sim::ActorContext& ctx);
   void complete(bool committed, sim::ActorContext& ctx);
-  /// Group whose replica block contains `node`; nullopt for foreign nodes.
-  std::optional<uint32_t> group_of_node(NodeId node) const;
-  /// Records one cross-shard outcome report and completes when every
-  /// participant group reached its f+1 threshold.
-  void tally_tx_result(uint32_t group, ReplicaId replica, bool committed,
-                       sim::ActorContext& ctx);
+  /// Records one participant replica's cross-shard outcome and completes
+  /// once every participant group certified one.
+  void tally_outcome(uint32_t group, ReplicaId replica, bool committed,
+                     sim::ActorContext& ctx);
 
   ShardClientOptions opts_;
-  std::vector<size_t> hints_;  // per-group believed-primary index
+  std::vector<core::GroupSession> sessions_;  // index == group id
   uint64_t timestamp_ = 0;
   bool outstanding_ = false;
   sim::SimTime sent_at_ = 0;
@@ -95,15 +85,9 @@ class ShardClient final : public sim::IActor {
 
   // Current request (kept for retransmission).
   bool cross_shard_ = false;
-  uint32_t target_group_ = 0;          // single-shard: owning group
-  Bytes current_op_;                   // single-shard: encoded KV op
-  ShardTx current_tx_;                 // cross-shard: the full transaction
-  std::vector<uint32_t> tx_groups_;    // cross-shard: participant groups
-
-  // Single-shard f+1 fallback tally: replica -> value digest.
-  std::map<ReplicaId, Digest> reply_tally_;
-  // Cross-shard tally: group -> replica -> reported outcome.
-  std::map<uint32_t, std::map<ReplicaId, bool>> tx_tally_;
+  MessagePtr request_;
+  uint64_t txid_ = 0;            // cross-shard: the transaction id
+  std::vector<uint32_t> groups_;  // the owning group, or the participants
 
   uint64_t cross_commits_ = 0;
   uint64_t cross_aborts_ = 0;

@@ -47,12 +47,6 @@ struct CostModel {
   // the authenticated TLS channel).
   int64_t msg_overhead_us = 15;
 
-  // CPU lanes per node. Lane 0 runs handlers serially; extra lanes absorb
-  // offloaded signature verification/combination, modelling the paper's
-  // parallelized crypto across a replica's cores (§VIII). 1 = the classic
-  // fully-serial node; harness options can override per replica.
-  uint32_t cores_per_replica = 1;
-
   int64_t hash_us(uint64_t bytes) const {
     return static_cast<int64_t>(hash_base_us + hash_per_byte_us * static_cast<double>(bytes));
   }

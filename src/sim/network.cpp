@@ -124,9 +124,6 @@ NodeId Network::add_node(IActor* actor, uint32_t region) {
   state.actor = actor;
   state.region = region;
   state.rng = link_rng_.fork();
-  uint32_t lanes = std::max<uint32_t>(1, costs_.cores_per_replica);
-  state.lane_busy.assign(lanes, 0);
-  state.lane_used_us.assign(lanes, 0);
   nodes_.push_back(std::move(state));
   return static_cast<NodeId>(nodes_.size() - 1);
 }

@@ -146,8 +146,8 @@ class Network {
   /// Straggler: multiplies the node's CPU costs on every lane (1.0 = nominal).
   void set_cpu_factor(NodeId node, double factor);
   /// Resizes the node's CPU to `k` lanes (k >= 1). Lane 0 stays the serial
-  /// handler lane; lanes 1..k-1 serve offload() work. New nodes default to
-  /// CostModel::cores_per_replica lanes.
+  /// handler lane; lanes 1..k-1 serve offload() work. New nodes start with
+  /// one lane.
   void set_cores(NodeId node, uint32_t k);
   uint32_t cores(NodeId node) const {
     return static_cast<uint32_t>(nodes_[node].lane_busy.size());

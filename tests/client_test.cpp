@@ -134,17 +134,18 @@ class ClientActorFixture : public ::testing::Test {
   ClientActorFixture() : net_(sim_, sim::lan_topology(), sim::CostModel{}) {
     config_.f = 1;
     config_.c = 0;
+    config_.client_retry_timeout_us = 300'000;
     Rng rng(9);
     keys_ = ClusterKeys::generate(rng, config_);
 
     ClientOptions opts;
-    opts.config = config_;
-    opts.crypto = ReplicaCrypto::verifier_only(keys_);
+    opts.group.config = config_;
+    opts.group.crypto = ReplicaCrypto::verifier_only(keys_);
+    opts.group.replica_nodes = {0, 1, 2, 3};
     opts.num_requests = 3;
     opts.op_factory = [](uint64_t i, Rng&) {
       return to_bytes("op-" + std::to_string(i));
     };
-    opts.retry_timeout_us = 300'000;
     opts.id = 4;  // node id n
 
     for (auto& replica : replicas_) net_.add_node(&replica);
@@ -191,6 +192,29 @@ TEST_F(ClientActorFixture, RepeatedRetriesKeepRotatingAndRearming) {
   EXPECT_GE(client_->retries(), 3u);
   // Still zero completions — no valid acknowledgements were ever sent.
   EXPECT_EQ(client_->completed(), 0u);
+}
+
+// A reply for the first request (timestamp 1) claiming to come from `replica`.
+MessagePtr reply_as(ReplicaId replica) {
+  return make_message(ClientReplyMsg{replica, 4, 1, 1, to_bytes("made-up")});
+}
+
+TEST_F(ClientActorFixture, OneNodeCannotReplyAsTwoReplicas) {
+  // Node 0 is replica 1; its second reply claims replica 2. At f=1 the two
+  // would be the f+1 matching replies a request needs, were claims trusted.
+  net_.inject(0, 4, reply_as(1));
+  net_.inject(0, 4, reply_as(2));
+  sim_.run_until(400'000);  // past the retry timeout
+  EXPECT_EQ(client_->completed(), 0u);
+  EXPECT_GE(client_->retries(), 1u);
+}
+
+TEST_F(ClientActorFixture, FPlusOneRepliesFromTheirOwnSendersComplete) {
+  net_.inject(0, 4, reply_as(1));
+  net_.inject(1, 4, reply_as(2));
+  sim_.run_until(200'000);
+  ASSERT_EQ(client_->completed(), 1u);
+  EXPECT_FALSE(client_->records()[0].via_fast_ack);
 }
 
 }  // namespace

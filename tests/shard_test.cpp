@@ -171,6 +171,98 @@ TEST(TxManager, SnapshotRoundTripsByteIdentically) {
   EXPECT_EQ(other.snapshot(), TxManager{}.snapshot());
 }
 
+// --- shard client acceptance ------------------------------------------------
+
+struct FakeReplica : sim::IActor {
+  std::vector<Request> requests;
+  void on_message(NodeId /*from*/, const Message& msg, sim::ActorContext&) override {
+    if (const auto* req = std::get_if<ClientRequestMsg>(&msg)) {
+      requests.push_back(req->request);
+    }
+  }
+};
+
+// A ShardClient (node 8) over two 4-replica groups of fake replicas: group g's
+// replica r sits at node 4g + r - 1. Nothing ever answers unless a test
+// injects it.
+class ShardClientAcceptance : public ::testing::Test {
+ protected:
+  static constexpr NodeId kClient = 8;
+
+  void start(uint32_t cross_shard_every) {
+    ProtocolConfig config;
+    config.f = 1;
+    Rng rng(9);
+    const core::ClusterKeys keys = core::ClusterKeys::generate(rng, config);
+    ShardClientOptions opts;
+    opts.id = kClient;
+    opts.num_requests = 3;
+    opts.router = std::make_shared<Router>(2);
+    opts.cross_shard_every = cross_shard_every;
+    for (NodeId base : {0u, 4u}) {
+      core::GroupView view;
+      view.config = config;
+      view.crypto = core::ReplicaCrypto::verifier_only(keys);
+      view.replica_nodes = {base, base + 1, base + 2, base + 3};
+      opts.groups.push_back(std::move(view));
+    }
+    for (auto& replica : replicas_) net_.add_node(&replica);
+    client_ = std::make_unique<ShardClient>(std::move(opts));
+    SBFT_CHECK(net_.add_node(client_.get()) == kClient);
+    net_.start();
+    sim_.run_until(10'000);
+  }
+
+  /// Node `from` sends f+1 = 2 replies to the first request, claiming
+  /// replicas 1 and 2 of its group.
+  void forge_replies(NodeId from, const Bytes& value) {
+    for (ReplicaId claimed : {1u, 2u}) {
+      net_.inject(from, kClient,
+                  make_message(ClientReplyMsg{claimed, kClient, 1, 1, value}));
+    }
+  }
+
+  sim::Simulator sim_;
+  sim::Network net_{sim_, sim::lan_topology(), sim::CostModel{}};
+  FakeReplica replicas_[8];
+  std::unique_ptr<ShardClient> client_;
+};
+
+TEST_F(ShardClientAcceptance, ForgedSingleShardRepliesDoNotComplete) {
+  start(/*cross_shard_every=*/0);
+  forge_replies(0, to_bytes("made-up"));
+  forge_replies(4, to_bytes("made-up"));
+  sim_.run_until(200'000);
+  EXPECT_EQ(client_->completed(), 0u);
+}
+
+TEST_F(ShardClientAcceptance, ForgedOutcomeRepliesDoNotCompleteATransaction) {
+  start(/*cross_shard_every=*/1);
+  forge_replies(0, to_bytes("TX-COMMITTED"));
+  forge_replies(4, to_bytes("TX-COMMITTED"));
+  sim_.run_until(200'000);
+  EXPECT_EQ(client_->completed(), 0u);
+}
+
+TEST_F(ShardClientAcceptance, OutcomesFromFPlusOneReplicasPerGroupComplete) {
+  start(/*cross_shard_every=*/1);
+  // The Prepare went to each group's first replica.
+  ASSERT_EQ(replicas_[0].requests.size(), 1u);
+  ASSERT_EQ(replicas_[4].requests.size(), 1u);
+  const auto tx = decode_tx_prepare_request(replicas_[0].requests[0]);
+  ASSERT_TRUE(tx.has_value());
+  for (uint32_t g : {0u, 1u}) {
+    for (ReplicaId r : {1u, 2u}) {
+      net_.inject(4 * g + r - 1, kClient,
+                  make_message(TxResultMsg{tx->txid, g, r, true}));
+    }
+  }
+  sim_.run_until(200'000);
+  ASSERT_EQ(client_->completed(), 1u);
+  EXPECT_TRUE(client_->records()[0].cross_shard);
+  EXPECT_EQ(client_->cross_shard_commits(), 1u);
+}
+
 // --- deployment scenarios --------------------------------------------------
 
 DeploymentOptions small_deployment(harness::ProtocolKind kind, uint32_t groups) {
