@@ -101,16 +101,14 @@ Sha256& Sha256::update(ByteSpan data) {
 
 Digest Sha256::finish() {
   uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  update(ByteSpan{&pad, 1});
-  uint8_t zero = 0;
-  while (buf_len_ != 56) update(ByteSpan{&zero, 1});
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  // Bypass total_len_ bookkeeping for the length field itself.
-  std::memcpy(buf_ + 56, len_be, 8);
-  compress(buf_);
-  buf_len_ = 0;
+  // 0x80, zeros up to 56 mod 64, then the big-endian bit length: one update
+  // that ends exactly on a block boundary.
+  uint8_t pad[72] = {0x80};
+  size_t zeros_end = (buf_len_ < 56 ? 56 : 120) - buf_len_;
+  for (int i = 0; i < 8; ++i) {
+    pad[zeros_end + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  update(ByteSpan{pad, zeros_end + 8});
   Digest out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<uint8_t>(h_[i] >> 24);

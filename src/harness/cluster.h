@@ -194,8 +194,8 @@ class Cluster {
   /// Isolates `side` from every other node (replicas and clients): cuts each
   /// pair link crossing the boundary. Composes with earlier partitions.
   void partition(const std::vector<ReplicaId>& side);
-  /// Clears every link-level fault (pair cuts, directional blocks, per-link
-  /// delays, reordering, drop probability) in one stroke.
+  /// Clears every link-level fault (pair cuts, directional blocks,
+  /// reordering, drop probability) in one stroke.
   void heal_partitions();
 
   SeqNum min_executed() const;

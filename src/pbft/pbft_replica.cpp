@@ -64,9 +64,9 @@ void PbftReplica::on_engine_message(NodeId from, const Message& msg,
         if constexpr (std::is_same_v<T, PrePrepareMsg>) {
           handle_pre_prepare(from, m, ctx);
         } else if constexpr (std::is_same_v<T, PbftPrepareMsg>) {
-          handle_prepare(m, ctx);
+          handle_prepare(from, m, ctx);
         } else if constexpr (std::is_same_v<T, PbftCommitMsg>) {
-          handle_commit(m, ctx);
+          handle_commit(from, m, ctx);
         } else if constexpr (std::is_same_v<T, PbftCheckpointMsg>) {
           handle_checkpoint(m, ctx);
         } else if constexpr (std::is_same_v<T, PbftViewChangeMsg>) {
@@ -162,10 +162,12 @@ void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
   check_prepared(s, ctx);
 }
 
-void PbftReplica::handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx) {
+void PbftReplica::handle_prepare(NodeId from, const PbftPrepareMsg& m,
+                                 sim::ActorContext& ctx) {
   if (in_view_change_ || m.view != view_ || retired_) return;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
   if (!epoch_for_seq(m.seq).contains(m.replica)) return;
+  if (!from_replica(from, m.replica)) return;
   // The all-to-all quadratic verification cost — the offload is what lets a
   // multi-core PBFT replica absorb 3f+1 prepares per slot in parallel.
   ctx.offload(ctx.costs().rsa_verify_us, [this, m](sim::ActorContext& c) {
@@ -199,10 +201,12 @@ void PbftReplica::check_prepared(SeqNum s, sim::ActorContext& ctx) {
   check_committed(s, ctx);
 }
 
-void PbftReplica::handle_commit(const PbftCommitMsg& m, sim::ActorContext& ctx) {
+void PbftReplica::handle_commit(NodeId from, const PbftCommitMsg& m,
+                                sim::ActorContext& ctx) {
   if (in_view_change_ || m.view != view_ || retired_) return;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
   if (!epoch_for_seq(m.seq).contains(m.replica)) return;
+  if (!from_replica(from, m.replica)) return;
   ctx.offload(ctx.costs().rsa_verify_us, [this, m](sim::ActorContext& c) {
     if (in_view_change_ || m.view != view_ || retired_) return;
     if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;

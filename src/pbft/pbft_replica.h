@@ -26,7 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <vector>
 
 #include "runtime/engine_shell.h"
 
@@ -93,14 +93,32 @@ class PbftReplica final : public runtime::EngineShell {
   }
 
  private:
+  /// Distinct voters of one round: a bit per replica id and a count.
+  class VoteTally {
+   public:
+    void insert(ReplicaId r) {
+      size_t word = r / 64;
+      if (word >= bits_.size()) bits_.resize(word + 1, 0);
+      uint64_t bit = uint64_t{1} << (r % 64);
+      if (bits_[word] & bit) return;
+      bits_[word] |= bit;
+      ++count_;
+    }
+    uint32_t size() const { return count_; }
+
+   private:
+    std::vector<uint64_t> bits_;
+    uint32_t count_ = 0;
+  };
+
   struct Slot {
     bool has_pp = false;
     ViewNum pp_view = 0;
     Digest h{};
     Digest block_digest{};
     std::optional<SealedBlock> block;
-    std::set<ReplicaId> prepares;  // matching h
-    std::set<ReplicaId> commits;
+    VoteTally prepares;  // matching h
+    VoteTally commits;
     bool sent_prepare = false;
     bool sent_commit = false;
     bool prepared = false;
@@ -157,8 +175,9 @@ class PbftReplica final : public runtime::EngineShell {
                          sim::ActorContext& ctx) override;
 
   void handle_pre_prepare(NodeId from, const PrePrepareMsg& m, sim::ActorContext& ctx);
-  void handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx);
-  void handle_commit(const PbftCommitMsg& m, sim::ActorContext& ctx);
+  /// Votes count under the replica id of the node that sent them.
+  void handle_prepare(NodeId from, const PbftPrepareMsg& m, sim::ActorContext& ctx);
+  void handle_commit(NodeId from, const PbftCommitMsg& m, sim::ActorContext& ctx);
   void handle_checkpoint(const PbftCheckpointMsg& m, sim::ActorContext& ctx);
   /// Continuation of handle_checkpoint once the vote signature cost has been
   /// paid (possibly on a worker lane).

@@ -9,10 +9,12 @@
 namespace sbft::runtime {
 
 int MembershipEpoch::rank_of(ReplicaId r) const {
-  for (size_t i = 0; i < members.size(); ++i) {
-    if (members[i].id == r) return static_cast<int>(i);
-  }
-  return -1;
+  // Binary search: PBFT checks every vote's claimed id against the roster.
+  auto it = std::lower_bound(
+      members.begin(), members.end(), r,
+      [](const ReplicaInfo& m, ReplicaId id) { return m.id < id; });
+  if (it == members.end() || it->id != r) return -1;
+  return static_cast<int>(it - members.begin());
 }
 
 NodeId MembershipEpoch::node_of(ReplicaId r) const {

@@ -89,12 +89,7 @@ Topology world_topology() {
 const CostModel& ActorContext::costs() const { return net_.costs(); }
 Rng& ActorContext::rng() { return net_.node_rng(self_); }
 
-void ActorContext::multicast(const std::vector<NodeId>& to, MessagePtr msg) {
-  for (NodeId t : to) send(t, msg);
-}
-
-void ActorContext::offload(int64_t cost_us,
-                           std::function<void(ActorContext&)> done) {
+void ActorContext::offload(int64_t cost_us, Handler done) {
   if (net_.cores(self_) <= 1) {
     // Single lane: the "offloaded" work runs right here, serially, exactly
     // as the pre-lane model charged it.
@@ -105,7 +100,11 @@ void ActorContext::offload(int64_t cost_us,
   }
   // Buffered like sends/timers: the work starts when this handler's charged
   // CPU completes, on the earliest-free worker lane (see Network::flush).
-  offloads_.push_back({cost_us, std::move(done)});
+  if (!first_offload_) {
+    first_offload_.emplace(PendingOffload{cost_us, std::move(done)});
+  } else {
+    more_offloads_.push_back({cost_us, std::move(done)});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -182,15 +181,14 @@ int64_t Network::cpu_used_us(NodeId node) const {
   return total;
 }
 
-void Network::offload(NodeId node, int64_t cost_us,
-                      std::function<void(ActorContext&)> done) {
+void Network::offload(NodeId node, int64_t cost_us, Handler done) {
   NodeState& state = nodes_[node];
   if (state.crashed) return;
   if (state.lane_busy.size() <= 1) {
     // Single lane: queue the work as an ordinary serial handler.
     ++state.offloads_run;
     run_handler(node, sim_.now(),
-                [cost_us, done = std::move(done)](ActorContext& ctx) {
+                [cost_us, done = std::move(done)](ActorContext& ctx) mutable {
                   ctx.charge(cost_us);
                   done(ctx);
                 });
@@ -215,12 +213,14 @@ void Network::dispatch_offload(NodeId node, int64_t cost_us, Handler done,
   state.lane_used_us[lane] += scaled;
   ++state.offloads_run;
   uint64_t inc = state.incarnation;
-  sim_.schedule(finish, [this, node, inc, done = std::move(done)]() mutable {
+  auto complete = [this, node, inc, done = std::move(done)]() mutable {
     // The completion continues the protocol state machine, so it re-enters
     // the serial lane — and dies if the incarnation that queued it did.
     if (nodes_[node].crashed || nodes_[node].incarnation != inc) return;
     run_handler(node, sim_.now(), std::move(done));
-  });
+  };
+  static_assert(Event::stores_inline<decltype(complete)>());
+  sim_.schedule(finish, std::move(complete));
 }
 
 void Network::set_extra_latency(NodeId node, int64_t us) {
@@ -243,14 +243,6 @@ void Network::unblock_link(NodeId from, NodeId to) {
   blocked_links_.erase({from, to});
 }
 
-void Network::set_link_extra_delay(NodeId from, NodeId to, int64_t us) {
-  if (us <= 0) {
-    link_extra_delay_.erase({from, to});
-  } else {
-    link_extra_delay_[{from, to}] = us;
-  }
-}
-
 void Network::set_reorder(double probability, int64_t max_extra_us) {
   reorder_probability_ = probability;
   reorder_max_extra_us_ = max_extra_us;
@@ -259,7 +251,6 @@ void Network::set_reorder(double probability, int64_t max_extra_us) {
 void Network::clear_link_faults() {
   cut_links_.clear();
   blocked_links_.clear();
-  link_extra_delay_.clear();
   reorder_probability_ = 0.0;
   reorder_max_extra_us_ = 0;
   drop_probability_ = 0.0;
@@ -296,7 +287,7 @@ void Network::run_handler(NodeId node, SimTime at, Handler fn) {
   execute_handler(node, at, fn);
 }
 
-void Network::execute_handler(NodeId node, SimTime at, const Handler& fn) {
+void Network::execute_handler(NodeId node, SimTime at, Handler& fn) {
   ActorContext ctx(*this, node, at);
   fn(ctx);
   flush(node, ctx);
@@ -338,7 +329,11 @@ void Network::flush(NodeId node, ActorContext& ctx) {
   // Offloaded work starts when the handler that requested it completes —
   // the handler "hands off" to a worker lane at its end, like sends depart
   // at `done`.
-  for (auto& o : ctx.offloads_) {
+  if (ctx.first_offload_) {
+    dispatch_offload(node, ctx.first_offload_->cost_us,
+                     std::move(ctx.first_offload_->done), done);
+  }
+  for (auto& o : ctx.more_offloads_) {
     dispatch_offload(node, o.cost_us, std::move(o.done), done);
   }
 
@@ -396,11 +391,6 @@ void Network::transmit(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
                     src.extra_latency_us + dst.extra_latency_us +
                     static_cast<int64_t>(link_rng_.below(
                         static_cast<uint64_t>(std::max<int64_t>(topology_.jitter_us, 1))));
-  if (!link_extra_delay_.empty()) {
-    if (auto it = link_extra_delay_.find({from, to}); it != link_extra_delay_.end()) {
-      latency += it->second;
-    }
-  }
   if (reorder_probability_ > 0 && link_rng_.chance(reorder_probability_)) {
     latency += static_cast<int64_t>(link_rng_.below(
         static_cast<uint64_t>(std::max<int64_t>(reorder_max_extra_us_, 1))));
@@ -410,7 +400,7 @@ void Network::transmit(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
 
 void Network::deliver(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
                       SimTime arrival) {
-  sim_.schedule(arrival, [this, from, to, msg = std::move(msg), wire_size] {
+  sim_.schedule(arrival, [this, from, to, msg = std::move(msg), wire_size]() mutable {
     NodeState& dst = nodes_[to];
     if (dst.crashed) return;
     // Downlink serialization at the receiver.
@@ -419,13 +409,14 @@ void Network::deliver(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
                                       topology_.bandwidth_bytes_per_us);
     SimTime ready = rx_start + rx;
     dst.downlink_busy = ready;
-    sim_.schedule(ready, [this, from, to, msg] {
-      // msg captured by value: run_handler may re-schedule the closure if the
-      // target CPU is busy, so the payload must outlive this event.
-      run_handler(to, sim_.now(), [this, from, to, msg](ActorContext& ctx) {
-        ctx.charge(costs_.msg_overhead_us);
-        nodes_[to].actor->on_message(from, *msg, ctx);
-      });
+    sim_.schedule(ready, [this, from, to, msg = std::move(msg)]() mutable {
+      // The handler owns the payload: run_handler may queue it if the
+      // target CPU is busy, so it must outlive this event.
+      run_handler(to, sim_.now(),
+                  [this, from, to, msg = std::move(msg)](ActorContext& ctx) {
+                    ctx.charge(costs_.msg_overhead_us);
+                    nodes_[to].actor->on_message(from, *msg, ctx);
+                  });
     });
   });
 }

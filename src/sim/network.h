@@ -17,9 +17,8 @@
 
 #include <array>
 #include <deque>
-#include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "common/rng.h"
 #include "proto/message.h"
 #include "sim/cost_model.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace sbft::sim {
@@ -49,6 +49,12 @@ Topology continent_topology();
 Topology world_topology();
 
 class Network;
+class ActorContext;
+
+/// A lane-0 handler or offload continuation. 80 bytes hold the engines' hot
+/// offload closures: `[this, m]` over a PBFT prepare or commit or an SBFT
+/// full-commit proof, and the shell's `[this, from, req]` client request.
+using Handler = InlineFunction<void(ActorContext&), 80>;
 
 /// Handler-scoped context: buffers sends and timers so that everything a
 /// handler emits departs when its charged CPU time completes.
@@ -68,10 +74,9 @@ class ActorContext {
   /// inline, so engine code restructured around offload() is byte-identical
   /// to the serial model at cores=1. Completions are incarnation-gated: a
   /// callback queued before a crash+restart never fires.
-  void offload(int64_t cost_us, std::function<void(ActorContext&)> done);
+  void offload(int64_t cost_us, Handler done);
 
   void send(NodeId to, MessagePtr msg) { sends_.push_back({to, std::move(msg)}); }
-  void multicast(const std::vector<NodeId>& to, MessagePtr msg);
   /// Schedules on_timer(id) `delay` after this handler completes.
   void set_timer(int64_t delay_us, uint64_t id) { timers_.push_back({delay_us, id}); }
 
@@ -90,7 +95,7 @@ class ActorContext {
   };
   struct PendingOffload {
     int64_t cost_us;
-    std::function<void(ActorContext&)> done;
+    Handler done;
   };
 
   Network& net_;
@@ -99,7 +104,11 @@ class ActorContext {
   int64_t charged_ = 0;
   std::vector<PendingSend> sends_;
   std::vector<PendingTimer> timers_;
-  std::vector<PendingOffload> offloads_;
+  // A handler rarely offloads more than once (one signature check per
+  // vote), so the first pending offload is held here and costs no
+  // allocation; later ones queue behind it in `more_offloads_`.
+  std::optional<PendingOffload> first_offload_;
+  std::vector<PendingOffload> more_offloads_;
 };
 
 class IActor {
@@ -157,8 +166,7 @@ class Network {
   /// On a single-lane node the work runs (and is charged) on lane 0. Engines
   /// should prefer ActorContext::offload — this entry point exists for tests
   /// and for work initiated outside a handler.
-  void offload(NodeId node, int64_t cost_us,
-               std::function<void(ActorContext&)> done);
+  void offload(NodeId node, int64_t cost_us, Handler done);
   /// Extra one-way latency for all messages to/from this node.
   void set_extra_latency(NodeId node, int64_t us);
   /// Uniform message drop probability (applies to every link).
@@ -171,10 +179,6 @@ class Network {
   /// network-level censorship — e.g. a primary that never hears one client.
   void block_link(NodeId from, NodeId to);
   void unblock_link(NodeId from, NodeId to);
-  /// Extra one-way propagation delay on the directed link `from -> to`
-  /// (0 removes the entry). Composes with region latency and per-node
-  /// extra latency.
-  void set_link_extra_delay(NodeId from, NodeId to, int64_t us);
   /// Random reordering: each transmitted message independently receives, with
   /// `probability`, an extra uniform delay in [0, max_extra_us) — enough to
   /// overtake later traffic on the same link. probability 0 disables the
@@ -182,7 +186,7 @@ class Network {
   /// byte-identical to the pre-knob model.
   void set_reorder(double probability, int64_t max_extra_us);
   /// Clears every link-level fault in one stroke: pair cuts, directional
-  /// blocks, per-link delays, the reorder knob, and the drop probability.
+  /// blocks, the reorder knob, and the drop probability.
   /// Per-node faults (crash, cpu factor, extra latency) are untouched.
   void clear_link_faults();
 
@@ -220,9 +224,12 @@ class Network {
  private:
   friend class ActorContext;
 
-  using Handler = std::function<void(ActorContext&)>;
-
   struct NodeState {
+    // Move-only (the handler queue is): nodes_ moves its elements as it grows.
+    NodeState() = default;
+    NodeState(NodeState&&) = default;
+    NodeState(const NodeState&) = delete;
+
     IActor* actor = nullptr;
     uint32_t region = 0;
     bool crashed = false;
@@ -249,7 +256,7 @@ class Network {
   void deliver(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
                SimTime arrival);
   void run_handler(NodeId node, SimTime at, Handler fn);
-  void execute_handler(NodeId node, SimTime at, const Handler& fn);
+  void execute_handler(NodeId node, SimTime at, Handler& fn);
   void dispatch_offload(NodeId node, int64_t cost_us, Handler done,
                         SimTime earliest);
   void schedule_drain(NodeId node, SimTime at);
@@ -262,7 +269,6 @@ class Network {
   std::vector<NodeState> nodes_;
   std::set<std::pair<NodeId, NodeId>> cut_links_;
   std::set<std::pair<NodeId, NodeId>> blocked_links_;  // directional
-  std::map<std::pair<NodeId, NodeId>, int64_t> link_extra_delay_;
   double reorder_probability_ = 0.0;
   int64_t reorder_max_extra_us_ = 0;
   double drop_probability_ = 0.0;

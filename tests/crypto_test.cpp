@@ -51,6 +51,34 @@ TEST(Sha256, ExactBlockBoundary) {
   EXPECT_EQ(h.finish(), a);
 }
 
+TEST(Sha256, PaddingLengthsKnownAnswers) {
+  // "a" * len around the padding boundaries: 55 and 119 bytes leave room for
+  // the length field in the last block, 56 and 120 need one more block.
+  // Digests from Python's hashlib.
+  const std::pair<size_t, const char*> cases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [len, hex] : cases) {
+    EXPECT_EQ(to_hex(as_span(sha256(std::string(len, 'a')))), hex) << "length " << len;
+  }
+}
+
+TEST(Sha256, ByteAtATimeMatchesOneShotAtEveryLength) {
+  Bytes data;
+  for (size_t len = 0; len <= 300; ++len) {
+    Sha256 h;
+    for (uint8_t byte : data) h.update(ByteSpan{&byte, 1});
+    EXPECT_EQ(h.finish(), sha256(as_span(data))) << "length " << len;
+    data.push_back(static_cast<uint8_t>(len * 131 + 7));
+  }
+}
+
 TEST(Sha256, ConcatHelper) {
   Bytes a = to_bytes("foo");
   Bytes b = to_bytes("bar");

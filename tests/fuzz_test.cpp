@@ -334,6 +334,29 @@ TEST(FuzzSmoke, TraceDigestFingerprintsTheRun) {
             first.trace_digest);
 }
 
+TEST(FuzzSmoke, TraceDigestsArePinned) {
+  // Fixed seeds whose trace digests must not move under a change that claims
+  // to preserve behaviour. Between them: SBFT, PBFT and Linear-PBFT, single-
+  // and multi-lane nodes, crash and restart, reorder, delay, drop, censor,
+  // partition and reconfiguration faults. A change that alters behaviour on
+  // purpose re-pins these from `bench_fuzz_campaign --seeds 100 --seed-base 1
+  // --no-minimize` and says why.
+  const std::pair<uint64_t, const char*> pinned[] = {
+      {3, "2661b883d34f12ac"},   // sbft c=1, 2 lanes: reorder, censor, restart
+      {5, "779325544a6dd33e"},   // pbft, 2 lanes: delay, reconfig, restart
+      {7, "d581f460b14439eb"},   // linear_pbft, 2 lanes, equivocating replica
+      {11, "14874ef81d5ba614"},  // sbft, 1 lane: delay, reorder, drop, restart
+      {63, "d6437bfa1182c034"},  // pbft, 2 lanes: reorder, drop, restart
+      {100, "8398cdfe794bcfa5"}, // pbft, 2 lanes: reorder, reconfig, restart
+  };
+  ScheduleFuzzer fuzzer;
+  for (const auto& [seed, digest] : pinned) {
+    fuzz::FuzzResult result = fuzz::run_schedule(fuzzer.generate(seed));
+    EXPECT_TRUE(result.ok()) << "seed " << seed << ": " << result.summary();
+    EXPECT_EQ(result.trace_hex(), digest) << "seed " << seed;
+  }
+}
+
 TEST(FuzzSmoke, RunnerReportsInjectedLivenessFailure) {
   // True-positive check for the end-to-end oracle: a schedule that crashes
   // f+1 replicas and never restarts them (the horizon restart is the only

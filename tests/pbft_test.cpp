@@ -61,6 +61,39 @@ TEST(Pbft, PrimaryCrashTriggersViewChange) {
   EXPECT_TRUE(cluster.check_agreement());
 }
 
+TEST(Pbft, VotesClaimingAnotherReplicasIdDoNotCount) {
+  // f = 1 with replicas 3 and 4 crashed: only two replicas can vote, one
+  // short of a 2f+1 round. The primary's node sends replica 2 a pre-prepare
+  // and then prepares and commits that claim to come from replicas 3 and 4.
+  // Each vote counts only under the id of the replica that sent it, so the
+  // slot never commits.
+  ClusterOptions opts = pbft_cluster();
+  opts.num_clients = 0;
+  Cluster cluster(std::move(opts));
+  cluster.crash_replica(3);
+  cluster.crash_replica(4);
+  cluster.run_for(10'000);
+
+  sim::Network& net = cluster.network();
+  NodeId forger = cluster.node_base();  // replica 1, view 0's primary
+  NodeId target = forger + 1;           // replica 2
+  SealedBlock block{Block{}};
+  Digest h = slot_hash(/*s=*/1, /*v=*/0, block.digest());
+  net.inject(forger, target, make_message(PrePrepareMsg{1, 0, block}));
+  cluster.run_for(50'000);
+  for (ReplicaId claimed : {3u, 4u}) {
+    net.inject(forger, target, make_message(PbftPrepareMsg{1, 0, h, claimed}));
+  }
+  cluster.run_for(50'000);
+  for (ReplicaId claimed : {3u, 4u}) {
+    net.inject(forger, target, make_message(PbftCommitMsg{1, 0, h, claimed}));
+  }
+  cluster.run_for(50'000);
+
+  EXPECT_FALSE(cluster.pbft_replica(2)->committed_digest_of(1).has_value());
+  EXPECT_EQ(cluster.pbft_replica(2)->last_executed(), 0u);
+}
+
 TEST(Pbft, QuadraticMessageComplexity) {
   // PBFT's all-to-all rounds vs SBFT's collectors at the same sizing: PBFT
   // must send substantially more messages for the same committed work.

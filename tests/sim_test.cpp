@@ -1,10 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <utility>
+
+#include "common/rng.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace sbft::sim {
 namespace {
+
+// A move-only capture that counts how many live instances were destroyed.
+// A move hands liveness to the new object, so however often the queue
+// relocates a closure, its capture reports exactly one destruction.
+struct Probe {
+  explicit Probe(int* destroyed) : destroyed_(destroyed) {}
+  Probe(Probe&& other) noexcept
+      : destroyed_(other.destroyed_), live_(std::exchange(other.live_, false)) {}
+  Probe(const Probe&) = delete;
+  ~Probe() {
+    if (live_) ++*destroyed_;
+  }
+
+ private:
+  int* destroyed_;
+  bool live_ = true;
+};
 
 TEST(Simulator, EventsRunInTimeOrder) {
   Simulator sim;
@@ -48,6 +70,73 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(sim.now(), 150);
   sim.run_until(250);
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, TiedRandomTimesRunInStableSortOrder) {
+  // 10k events at times with many ties, scheduled between steps so that the
+  // slots of run events are reused. They must run in the order of a stable
+  // sort of the schedule calls by time.
+  Simulator sim;
+  Rng rng(17);
+  std::vector<std::pair<SimTime, int>> scheduled;
+  std::vector<int> ran;
+  for (int id = 0; id < 10'000; ++id) {
+    SimTime at = sim.now() + static_cast<SimTime>(rng.below(40));
+    scheduled.emplace_back(at, id);
+    sim.schedule(at, [&sim, &ran, at, id] {
+      EXPECT_EQ(sim.now(), at);
+      ran.push_back(id);
+    });
+    if (rng.below(3) == 0) sim.step();
+  }
+  sim.run_until_idle();
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<int> expected;
+  for (const auto& entry : scheduled) expected.push_back(entry.second);
+  EXPECT_EQ(ran, expected);
+}
+
+TEST(Simulator, EventThatGrowsTheSlabKeepsItsCaptures) {
+  // The running event schedules enough events to reallocate the slab. It
+  // left its slot before it ran, so its captures stay valid (ASan checks).
+  Simulator sim;
+  int fired = 0;
+  sim.schedule(1, [&sim, &fired, payload = std::vector<int>(64, 7)] {
+    for (int i = 0; i < 4096; ++i) sim.after(1, [&fired] { ++fired; });
+    EXPECT_EQ(payload, std::vector<int>(64, 7));
+  });
+  sim.run_until_idle();
+  EXPECT_EQ(fired, 4096);
+}
+
+TEST(Simulator, MoveOnlyAndOversizedCapturesRunOnceAndDieOnce) {
+  int runs = 0;
+  int destroyed = 0;
+  {
+    Simulator sim;
+    auto inline_fn = [&runs, probe = Probe(&destroyed)] { ++runs; };
+    auto heap_fn = [&runs, probe = Probe(&destroyed), pad = std::array<char, 256>{}] {
+      runs += 1 + pad[0];
+    };
+    static_assert(Event::stores_inline<decltype(inline_fn)>());
+    static_assert(!Event::stores_inline<decltype(heap_fn)>());
+    sim.schedule(10, std::move(inline_fn));
+    sim.schedule(10, std::move(heap_fn));
+    sim.step();  // frees a slot for the next events to reuse
+    sim.schedule(20, [&runs, probe = Probe(&destroyed)] { ++runs; });
+    sim.schedule(20, [&runs, probe = Probe(&destroyed), pad = std::array<char, 256>{}] {
+      runs += 1 + pad[0];
+    });
+    // Still queued when the simulator goes away: destroyed, never run.
+    sim.schedule(30, [probe = Probe(&destroyed), pad = std::array<char, 256>{}] {
+      ADD_FAILURE() << "ran past run_until";
+    });
+    sim.run_until(25);
+    EXPECT_EQ(runs, 4);
+    EXPECT_EQ(destroyed, 4);
+  }
+  EXPECT_EQ(destroyed, 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -407,6 +496,31 @@ TEST(Network, OffloadCompletionsDieWithTheCrashedIncarnation) {
   // incarnation — exactly like a stale timer, it must never fire.
   EXPECT_EQ(net.offloads_run(node), 1u);
   EXPECT_FALSE(completed);
+}
+
+TEST(Network, CrashDropsAQueuedMoveOnlyHandler) {
+  struct Nobody : IActor {
+    void on_message(NodeId, const Message&, ActorContext&) override {}
+  };
+  Simulator sim;
+  Network net(sim, lan_topology(), CostModel{});
+  Nobody a, b;
+  NodeId crashed = net.add_node(&a);
+  NodeId live = net.add_node(&b);
+  int runs = 0;
+  int destroyed = 0;
+  for (NodeId node : {crashed, live}) {
+    // Single lane: the first offload runs at once and holds the lane for
+    // 10ms, so the second waits in the node's handler queue.
+    net.offload(node, 10'000, [](ActorContext&) {});
+    net.offload(node, 0, [&runs, probe = Probe(&destroyed)](ActorContext&) { ++runs; });
+    EXPECT_EQ(net.cpu_queue_depth(node), 1u);
+  }
+  net.crash(crashed);
+  sim.run_until_idle();
+  EXPECT_EQ(runs, 1);  // only the live node's
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(net.cpu_queue_depth(crashed), 0u);
 }
 
 TEST(Network, StragglerCpuFactorScalesWorkerLanes) {
