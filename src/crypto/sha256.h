@@ -1,5 +1,13 @@
 // From-scratch SHA-256 (FIPS 180-4). The paper uses SHA256 (via Crypto++) for
 // all protocol digests; this implementation replaces that dependency.
+//
+// Like current Crypto++ releases, it picks its block function at run time.
+// On an x86-64 CPU with the SHA extensions (CPUID, checked once per process)
+// whole blocks go through `_mm_sha256rnds2_epu32` and its message-schedule
+// companions; anywhere else, the portable FIPS 180-4 code hashes them. Both
+// produce the same digests (crypto_test checks them against each other and
+// against the known answers), and no build flag or setting chooses between
+// them. crypto/sha256_blocks.h declares the two block functions.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +18,14 @@ namespace sbft::crypto {
 
 class Sha256 {
  public:
-  Sha256() { reset(); }
+  /// Folds `count` consecutive 64-byte blocks at `blocks` into `state`.
+  using BlockFunction = void (*)(uint32_t* state, const uint8_t* blocks,
+                                 size_t count);
+
+  /// Hashes with the block function chosen for this CPU.
+  Sha256();
+  /// Hashes with `blocks` (tests compare the implementations through it).
+  explicit Sha256(BlockFunction blocks) : blocks_(blocks) { reset(); }
 
   void reset();
   Sha256& update(ByteSpan data);
@@ -19,8 +34,7 @@ class Sha256 {
   Digest finish();
 
  private:
-  void compress(const uint8_t* block);
-
+  BlockFunction blocks_;
   uint32_t h_[8];
   uint8_t buf_[64];
   size_t buf_len_ = 0;

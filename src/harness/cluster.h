@@ -21,7 +21,6 @@
 #include "harness/workload.h"
 #include "obs/trace_checker.h"
 #include "pbft/pbft_replica.h"
-#include "recovery/wal.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "storage/ledger_storage.h"
@@ -170,10 +169,6 @@ class Cluster {
   void submit_reconfig(const std::vector<ReplicaId>& adds,
                        const std::vector<ReplicaId>& removes, uint32_t new_f,
                        uint32_t new_c = 0);
-  /// Roster the harness believes active/incoming (updated by submit_reconfig).
-  const std::vector<ReplicaInfo>& current_members() const {
-    return current_members_;
-  }
   size_t num_replicas() const { return replicas_.size(); }
 
   // --- crash / restart (any protocol) ----------------------------------------
@@ -185,9 +180,6 @@ class Cluster {
   void restart_replica(ReplicaId r, bool wipe_storage = false);
   std::shared_ptr<storage::ILedgerStorage> replica_ledger(ReplicaId r) {
     return replica(r).ledger();
-  }
-  std::shared_ptr<recovery::IReplicaWal> replica_wal(ReplicaId r) {
-    return replica(r).wal();
   }
 
   // --- network partitions (any protocol) -------------------------------------

@@ -104,11 +104,6 @@ double& MetricsRegistry::gauge(std::string_view name) {
   return it->second;
 }
 
-double MetricsRegistry::gauge_value(std::string_view name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {

@@ -61,7 +61,6 @@ class MetricsRegistry {
   uint64_t value(std::string_view name) const;
 
   double& gauge(std::string_view name);
-  double gauge_value(std::string_view name) const;
 
   Histogram& histogram(std::string_view name);
   const Histogram* find_histogram(std::string_view name) const;

@@ -70,7 +70,7 @@ void PbftReplica::on_engine_message(NodeId from, const Message& msg,
         } else if constexpr (std::is_same_v<T, PbftCheckpointMsg>) {
           handle_checkpoint(m, ctx);
         } else if constexpr (std::is_same_v<T, PbftViewChangeMsg>) {
-          handle_view_change(m, ctx);
+          handle_view_change(from, m, ctx);
         } else if constexpr (std::is_same_v<T, PbftNewViewMsg>) {
           handle_new_view(from, m, ctx);
         }
@@ -561,10 +561,14 @@ void PbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
   arm_progress_timer(ctx);
 }
 
-void PbftReplica::handle_view_change(const PbftViewChangeMsg& m,
+void PbftReplica::handle_view_change(NodeId from, const PbftViewChangeMsg& m,
                                      sim::ActorContext& ctx) {
   if (m.next_view <= view_ || retired_) return;
   if (!epoch().contains(m.sender)) return;
+  // Filed under m.sender, so it counts only from that replica's node: else
+  // one node could claim f+1 senders and pull every replica into a view
+  // change.
+  if (!from_replica(from, m.sender)) return;
   ctx.charge(ctx.costs().rsa_verify_us);
   // A sender whose stable checkpoint trails ours missed the votes that made
   // ours stable, and an idle cluster never sends them again: its view change

@@ -183,7 +183,8 @@ class PbftReplica final : public runtime::EngineShell {
   /// paid (possibly on a worker lane).
   void handle_checkpoint_verified(const PbftCheckpointMsg& m,
                                   sim::ActorContext& ctx);
-  void handle_view_change(const PbftViewChangeMsg& m, sim::ActorContext& ctx);
+  void handle_view_change(NodeId from, const PbftViewChangeMsg& m,
+                          sim::ActorContext& ctx);
   void handle_new_view(NodeId from, const PbftNewViewMsg& m, sim::ActorContext& ctx);
 
   // --- checkpoint certificates (CheckpointSigShare lists) --------------------

@@ -35,7 +35,6 @@ class CheckpointManager {
   /// Records the snapshot captured when checkpoint sequence `s` executed
   /// (encode_checkpoint_snapshot envelope bytes).
   void capture_pending(SeqNum s, Bytes snapshot_envelope);
-  SeqNum pending_seq() const { return pending_seq_; }
 
   /// `cert` became the stable checkpoint. Promotes the pending snapshot when
   /// it matches; falls back to `live_capture()` only when the service has not

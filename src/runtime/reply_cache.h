@@ -11,8 +11,9 @@
 // transfer applied twice diverges from the certified state root).
 #pragma once
 
-#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "proto/types.h"
@@ -26,9 +27,15 @@ struct CachedReply {
   Bytes value;
 };
 
+/// Entries sit in one vector sorted by client id, so a lookup is a binary
+/// search over contiguous memory: every replica looks its cache up once per
+/// executed request.
 class ReplyCache {
  public:
-  /// Latest cached reply for the client (nullptr if none).
+  using Entry = std::pair<ClientId, CachedReply>;
+
+  /// Latest cached reply for the client (nullptr if none). The pointer is
+  /// valid until the next store, absorb or clear.
   const CachedReply* find(ClientId client) const;
   /// True when `timestamp` is at or below the client's executed watermark —
   /// i.e. the request must not execute again.
@@ -42,18 +49,20 @@ class ReplyCache {
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-  /// Full cache contents, client-ordered — cross-replica consistency audits
-  /// (harness/audit.h) compare caches entry by entry.
-  const std::map<ClientId, CachedReply>& entries() const { return entries_; }
+  /// Full cache contents in ascending client order — cross-replica
+  /// consistency audits (harness/audit.h) compare caches entry by entry.
+  const std::vector<Entry>& entries() const { return entries_; }
   void clear() { entries_.clear(); }
 
-  /// Canonical encoding (embedded in checkpoint snapshots).
+  /// Canonical encoding (embedded in checkpoint snapshots): the entries in
+  /// ascending client order.
   Bytes encode() const;
-  /// nullopt on malformed input.
+  /// nullopt on malformed or non-canonical input: a client id wider than
+  /// ClientId, or one not above the id before it.
   static std::optional<ReplyCache> decode(ByteSpan data);
 
  private:
-  std::map<ClientId, CachedReply> entries_;
+  std::vector<Entry> entries_;  // sorted by client, one entry each
 };
 
 }  // namespace sbft::runtime

@@ -1,57 +1,52 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_blocks.h"
 
 namespace sbft::crypto {
 namespace {
 
+// Every test below runs once per block function (crypto/sha256_blocks.h):
+// the portable one always, the SHA-NI one where the CPU has it.
+class Sha256Blocks : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    blocks_ = GetParam() == "portable" ? &sha256_blocks::portable
+                                       : sha256_blocks::shani();
+    if (blocks_ == nullptr) {
+      GTEST_SKIP() << "this CPU (or a non-x86-64 build) has no SHA-NI";
+    }
+  }
+  std::string hex(std::string_view s) const {
+    return to_hex(as_span(Sha256(blocks_).update(s).finish()));
+  }
+
+  Sha256::BlockFunction blocks_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(Implementations, Sha256Blocks,
+                         ::testing::Values("portable", "shani"),
+                         [](const auto& info) { return info.param; });
+
 // FIPS 180-4 / NIST test vectors.
-TEST(Sha256, EmptyString) {
-  EXPECT_EQ(to_hex(as_span(sha256(""))),
+TEST_P(Sha256Blocks, NistVectors) {
+  EXPECT_EQ(hex(""),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256, Abc) {
-  EXPECT_EQ(to_hex(as_span(sha256("abc"))),
+  EXPECT_EQ(hex("abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(to_hex(as_span(sha256(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+  EXPECT_EQ(hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256, MillionAs) {
-  Sha256 h;
+  Sha256 h(blocks_);
   std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.update(chunk);
   EXPECT_EQ(to_hex(as_span(h.finish())),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, IncrementalMatchesOneShot) {
-  Bytes data;
-  for (int i = 0; i < 300; ++i) data.push_back(static_cast<uint8_t>(i));
-  Digest whole = sha256(as_span(data));
-  for (size_t split : {1ul, 17ul, 63ul, 64ul, 65ul, 299ul}) {
-    Sha256 h;
-    h.update(ByteSpan{data.data(), split});
-    h.update(ByteSpan{data.data() + split, data.size() - split});
-    EXPECT_EQ(h.finish(), whole) << "split at " << split;
-  }
-}
-
-TEST(Sha256, ExactBlockBoundary) {
-  std::string msg(64, 'x');
-  Digest a = sha256(msg);
-  Sha256 h;
-  h.update(msg);
-  EXPECT_EQ(h.finish(), a);
-}
-
-TEST(Sha256, PaddingLengthsKnownAnswers) {
+TEST_P(Sha256Blocks, PaddingLengthsKnownAnswers) {
   // "a" * len around the padding boundaries: 55 and 119 bytes leave room for
   // the length field in the last block, 56 and 120 need one more block.
   // Digests from Python's hashlib.
@@ -64,9 +59,39 @@ TEST(Sha256, PaddingLengthsKnownAnswers) {
       {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
       {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
   };
-  for (const auto& [len, hex] : cases) {
-    EXPECT_EQ(to_hex(as_span(sha256(std::string(len, 'a')))), hex) << "length " << len;
+  for (const auto& [len, digest] : cases) {
+    EXPECT_EQ(hex(std::string(len, 'a')), digest) << "length " << len;
   }
+}
+
+TEST_P(Sha256Blocks, AgreesWithPortableAtEveryLength) {
+  // One update per message, so every whole block of it reaches the block
+  // function in a single call.
+  Bytes data;
+  for (size_t len = 0; len <= 1000; ++len) {
+    EXPECT_EQ(Sha256(blocks_).update(as_span(data)).finish(),
+              Sha256(&sha256_blocks::portable).update(as_span(data)).finish())
+        << "length " << len;
+    data.push_back(static_cast<uint8_t>(len * 131 + 7));
+  }
+}
+
+TEST_P(Sha256Blocks, SplitUpdatesAtEveryOffset) {
+  Bytes data;
+  for (int i = 0; i < 300; ++i) data.push_back(static_cast<uint8_t>(i));
+  Digest whole = Sha256(&sha256_blocks::portable).update(as_span(data)).finish();
+  for (size_t split = 0; split <= data.size(); ++split) {
+    Sha256 h(blocks_);
+    h.update(ByteSpan{data.data(), split});
+    h.update(ByteSpan{data.data() + split, data.size() - split});
+    EXPECT_EQ(h.finish(), whole) << "split at " << split;
+  }
+}
+
+TEST(Sha256, DefaultHashesWithShaNiWhereTheCpuHasIt) {
+  Sha256::BlockFunction shani = sha256_blocks::shani();
+  EXPECT_EQ(sha256_blocks::selected(),
+            shani != nullptr ? shani : &sha256_blocks::portable);
 }
 
 TEST(Sha256, ByteAtATimeMatchesOneShotAtEveryLength) {

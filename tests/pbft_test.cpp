@@ -94,6 +94,31 @@ TEST(Pbft, VotesClaimingAnotherReplicasIdDoNotCount) {
   EXPECT_EQ(cluster.pbft_replica(2)->last_executed(), 0u);
 }
 
+TEST(Pbft, ViewChangesClaimingOtherReplicasDoNotCount) {
+  // f = 1: view changes from f+1 = 2 replicas make a replica join the view
+  // change. Replica 1's node sends replica 2 two view changes for view 1 that
+  // claim to come from replicas 3 and 4. Each counts only under the id of
+  // the replica that sent it, so replica 2 stays in view 0.
+  ClusterOptions opts = pbft_cluster();
+  opts.num_clients = 0;
+  Cluster cluster(std::move(opts));
+  cluster.run_for(10'000);
+
+  sim::Network& net = cluster.network();
+  NodeId forger = cluster.node_base();  // replica 1
+  NodeId target = forger + 1;           // replica 2
+  for (ReplicaId claimed : {3u, 4u}) {
+    PbftViewChangeMsg vc;
+    vc.sender = claimed;
+    vc.next_view = 1;
+    net.inject(forger, target, make_message(std::move(vc)));
+  }
+  cluster.run_for(50'000);
+
+  EXPECT_EQ(cluster.pbft_replica(2)->view_changes(), 0u);
+  EXPECT_EQ(cluster.pbft_replica(2)->view(), 0u);
+}
+
 TEST(Pbft, QuadraticMessageComplexity) {
   // PBFT's all-to-all rounds vs SBFT's collectors at the same sizing: PBFT
   // must send substantially more messages for the same committed work.

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <set>
+#include <string>
 #include <string_view>
 
 #include "common/serde.h"
@@ -73,6 +75,85 @@ TEST(ReplyCache, DecodeRejectsMalformed) {
   Bytes encoded = cache.encode();
   encoded.pop_back();  // truncated value
   EXPECT_FALSE(ReplyCache::decode(as_span(encoded)).has_value());
+}
+
+TEST(ReplyCache, DecodeRejectsNonCanonicalClientIds) {
+  // encode() writes each client once, in ascending order, as a u64. A
+  // state-transfer donor's bytes are not covered by any state root, so a
+  // cache written any other way must not decode.
+  auto encode_ids = [](std::initializer_list<uint64_t> ids) {
+    Writer w;
+    w.u32(static_cast<uint32_t>(ids.size()));
+    for (uint64_t id : ids) {
+      w.u64(id);  // client
+      w.u64(1);   // timestamp
+      w.u64(1);   // seq
+      w.u64(0);   // index
+      w.bytes(as_span(to_bytes("v")));
+    }
+    return std::move(w).take();
+  };
+  ReplyCache canonical;
+  canonical.store(3, 1, 1, 0, to_bytes("v"));
+  canonical.store(UINT32_MAX, 1, 1, 0, to_bytes("v"));
+  ASSERT_EQ(canonical.encode(), encode_ids({3, UINT32_MAX}));
+  EXPECT_TRUE(ReplyCache::decode(as_span(encode_ids({3, UINT32_MAX}))).has_value());
+
+  const uint64_t wide = (uint64_t{1} << 32) + 7;  // would narrow to client 7
+  EXPECT_FALSE(ReplyCache::decode(as_span(encode_ids({wide}))).has_value());
+  EXPECT_FALSE(ReplyCache::decode(as_span(encode_ids({3, wide}))).has_value());
+  EXPECT_FALSE(ReplyCache::decode(as_span(encode_ids({7, 7}))).has_value());
+  EXPECT_FALSE(ReplyCache::decode(as_span(encode_ids({3, 7, 7}))).has_value());
+  EXPECT_FALSE(ReplyCache::decode(as_span(encode_ids({7, 3}))).has_value());
+}
+
+TEST(ReplyCache, SortedLayoutServesEveryClientAndEncodesAsBefore) {
+  // Clients arrive out of order; the cache keeps one entry per client in
+  // ascending client order.
+  ReplyCache cache;
+  for (ClientId c : {42u, 7u, 1000u, 3u, 99u, 15u, 512u, 1u}) {
+    cache.store(c, /*timestamp=*/c + 10, /*seq=*/c % 13 + 1, /*index=*/c % 5,
+                to_bytes("reply-" + std::to_string(c)));
+  }
+  cache.store(99, 200, 20, 4, to_bytes("newer-99"));  // replaces 99's entry
+  cache.store(15, 3, 2, 0, to_bytes("older-15"));     // below 15's watermark
+  ReplyCache other;
+  other.store(7, 5, 1, 0, to_bytes("older-7"));         // ours is newer
+  other.store(512, 600, 30, 1, to_bytes("newer-512"));  // theirs is newer
+  other.store(64, 1, 31, 2, to_bytes("new-64"));        // new, in the middle
+  other.store(2000, 2, 31, 3, Bytes{});                 // new, at the end
+  other.store(0, 9, 32, 0, to_bytes("new-0"));          // new, at the front
+  cache.absorb(std::move(other));
+
+  const std::pair<ClientId, std::string> expected[] = {
+      {0, "new-0"},       {1, "reply-1"},      {3, "reply-3"},
+      {7, "reply-7"},     {15, "reply-15"},    {42, "reply-42"},
+      {64, "new-64"},     {99, "newer-99"},    {512, "newer-512"},
+      {1000, "reply-1000"}, {2000, ""},
+  };
+  ASSERT_EQ(cache.size(), std::size(expected));
+  size_t i = 0;
+  for (const auto& [client, entry] : cache.entries()) {
+    EXPECT_EQ(client, expected[i].first) << "entry " << i;
+    ++i;
+  }
+  for (const auto& [client, value] : expected) {
+    const CachedReply* cached = cache.find(client);
+    ASSERT_NE(cached, nullptr) << "client " << client;
+    EXPECT_EQ(cached->value, to_bytes(value)) << "client " << client;
+  }
+  EXPECT_EQ(cache.find(99)->timestamp, 200u);
+  EXPECT_EQ(cache.find(15)->timestamp, 25u);
+  for (ClientId absent : {2u, 8u, 100u, 1999u, 2001u, UINT32_MAX}) {
+    EXPECT_EQ(cache.find(absent), nullptr) << "client " << absent;
+  }
+
+  // Every checkpoint snapshot and state-transfer envelope carries these
+  // bytes, so they are pinned.
+  Bytes encoded = cache.encode();
+  EXPECT_EQ(encoded.size(), 475u);
+  EXPECT_EQ(to_hex(as_span(crypto::sha256(as_span(encoded)))),
+            "b8170a83679f205eddf74ebf1968e51062f7d79cd4d9cf89ff06a2e3caf0f542");
 }
 
 TEST(EvidenceStore, PreparedHighestViewWinsProofsFirstWins) {
