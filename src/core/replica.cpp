@@ -190,9 +190,9 @@ void SbftReplica::on_engine_message(NodeId from, const Message& msg,
         } else if constexpr (std::is_same_v<T, FullExecuteProofMsg>) {
           handle_full_execute_proof(m, ctx);
         } else if constexpr (std::is_same_v<T, ViewChangeMsg>) {
-          handle_view_change(m, ctx);
+          handle_view_change(from, m, ctx);
         } else if constexpr (std::is_same_v<T, NewViewMsg>) {
-          handle_new_view(m, ctx);
+          handle_new_view(from, m, ctx);
         } else if constexpr (std::is_same_v<T, GetBlockRequestMsg>) {
           handle_get_block_request(m, ctx);
         } else if constexpr (std::is_same_v<T, GetBlockReplyMsg>) {
@@ -870,12 +870,8 @@ void SbftReplica::handle_full_execute_proof(const FullExecuteProofMsg& m,
     if (rec != nullptr && rec->cert.exec_digest() == m.exec_digest) {
       if (rec->cert.pi_sig.empty()) rec->cert.pi_sig = m.pi_sig;
       advance_checkpoint(m.seq, c);
-    } else if (m.seq > le() + opts_.config.win / 2 ||
-               (in_view_change_ && m.seq > le() &&
-                m.seq % opts_.config.checkpoint_interval() == 0)) {
-      // Far behind the cluster, or stalled in a view change behind a
-      // certified checkpoint (handle_view_change relays it): catch up via
-      // state transfer.
+    } else if (m.seq > le() + opts_.config.win / 2) {
+      // Far behind the cluster: catch up via state transfer.
       request_state_transfer(c);
     }
   });
@@ -1013,23 +1009,16 @@ ViewChangeMsg SbftReplica::build_view_change(ViewNum target) const {
   return msg;
 }
 
-void SbftReplica::handle_view_change(const ViewChangeMsg& m, sim::ActorContext& ctx) {
+void SbftReplica::handle_view_change(NodeId from, const ViewChangeMsg& m,
+                                     sim::ActorContext& ctx) {
   if (m.next_view <= view_ || retired_) return;
+  // Filed under m.sender, so it counts only from that replica's node: else
+  // one node could claim f+1 senders and pull every replica into a view
+  // change.
+  if (!from_replica(from, m.sender)) return;
   ViewChangeVerifiers verifiers = view_change_verifiers();
   ctx.charge(ctx.costs().batch_verify_us(2 * m.slots.size() + 1));
   if (!validate_view_change(cfg_, verifiers, m)) return;
-  // The PBFT engine's idle-cluster wedge (seed 39 there) exists here too: a
-  // sender whose stable checkpoint trails ours missed the execute proofs
-  // that made ours stable, and an idle cluster sends nothing that would
-  // catch it up, so its view change finds no one to join. Relay our
-  // pi-certified stable checkpoint (self-authenticating); receiving it mid
-  // view change starts the sender's state transfer.
-  if (m.ls < ls() && !silent()) {
-    const ExecCertificate& cert = runtime_.checkpoints().stable_cert();
-    send_to_replica(ctx, m.sender,
-                    make_message(FullExecuteProofMsg{cert.seq, cert.exec_digest(),
-                                                     cert.pi_sig}));
-  }
   vc_msgs_[m.next_view][m.sender] = m;
 
   // Join rule (§VII): f+1 distinct replicas ahead of us force our hand.
@@ -1068,8 +1057,10 @@ void SbftReplica::maybe_send_new_view(ViewNum target, sim::ActorContext& ctx) {
   enter_new_view(nv, ctx);
 }
 
-void SbftReplica::handle_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
+void SbftReplica::handle_new_view(NodeId from, const NewViewMsg& m,
+                                  sim::ActorContext& ctx) {
   if (m.view <= view_ || retired_) return;
+  if (from != node_of(epoch().primary_of(m.view))) return;
   ViewChangeVerifiers verifiers = view_change_verifiers();
   size_t evidence = 0;
   for (const auto& p : m.proofs) evidence += 2 * p.slots.size() + 1;
@@ -1153,21 +1144,6 @@ void SbftReplica::enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
 // ---------------------------------------------------------------------------
 // State-transfer hooks (the chunked protocol itself lives in
 // runtime::EngineShell; spec in docs/state_transfer.md)
-
-bool SbftReplica::state_transfer_behind() const {
-  // A committed-but-unfetchable slot or delivered traffic far past le() means
-  // blocks this replica will never see again; a wiped/restarted boot that has
-  // recovered nothing yet must also keep probing (its first probe may race
-  // ahead of any checkpoint existing). A joiner — bootstrapped with a roster
-  // that does not contain it — keeps probing until the epoch admitting it
-  // arrives via a fetched checkpoint (docs/reconfiguration.md).
-  const Slot* next = nullptr;
-  if (auto it = slots_.find(le() + 1); it != slots_.end()) next = &it->second;
-  return (!slots_.empty() && slots_.rbegin()->first > le() + opts_.config.win) ||
-         (next && next->committed && !next->block) ||
-         (opts_.recovering && le() == 0 && ls() == 0) ||
-         (!retired_ && !runtime_.membership().is_member(opts_.id));
-}
 
 bool SbftReplica::verify_manifest_cert(const StateManifestMsg& m,
                                        sim::ActorContext& ctx) {

@@ -132,9 +132,6 @@ class SbftReplica final : public runtime::EngineShell {
   bool prepare_manifest(StateManifestMsg& m) override {
     return !m.cert.pi_sig.empty();
   }
-  /// True while this replica demonstrably needs a newer checkpoint (execution
-  /// gap behind delivered traffic, or a wiped/restarted boot with nothing yet).
-  bool state_transfer_behind() const override;
   void on_checkpoint_adopted(SeqNum seq) override;
   bool silent() const override { return behavior_ == ReplicaBehavior::kSilent; }
   /// Censoring primary: requests from odd-id clients vanish at admission. The
@@ -155,8 +152,10 @@ class SbftReplica final : public runtime::EngineShell {
                                      sim::ActorContext& ctx);
   void handle_sign_state(const SignStateMsg& m, sim::ActorContext& ctx);
   void handle_full_execute_proof(const FullExecuteProofMsg& m, sim::ActorContext& ctx);
-  void handle_view_change(const ViewChangeMsg& m, sim::ActorContext& ctx);
-  void handle_new_view(const NewViewMsg& m, sim::ActorContext& ctx);
+  /// A view change counts only from the node of the replica it names.
+  void handle_view_change(NodeId from, const ViewChangeMsg& m, sim::ActorContext& ctx);
+  /// A new view counts only from the node of its view's primary.
+  void handle_new_view(NodeId from, const NewViewMsg& m, sim::ActorContext& ctx);
   void handle_get_block_request(const GetBlockRequestMsg& m, sim::ActorContext& ctx);
   void handle_get_block_reply(const GetBlockReplyMsg& m, sim::ActorContext& ctx);
 

@@ -16,7 +16,7 @@ std::vector<std::string> audit_state_convergence(
   }
 
   for (const ReplicaStateView& v : views) {
-    if (!v.live || !v.member) continue;
+    if (!v.live || !v.member || v.silent) continue;
     if (v.executed < max_stable) {
       violations.push_back(
           "convergence: replica " + std::to_string(v.id) + " executed only " +

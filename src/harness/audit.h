@@ -7,7 +7,8 @@
 // with accessors that collect the views from live replicas.
 //
 //   * State-root convergence: after every fault is healed and traffic has
-//     settled, every live roster member must have executed at least up to the
+//     settled, every live roster member that can fetch (a silent replica
+//     never sends, so it cannot) must have executed at least up to the
 //     cluster's highest stable checkpoint, and any two live members with the
 //     same execution cursor must hold byte-identical service state roots.
 //   * Reply-cache consistency: replicas agree on what they replied — two
@@ -29,6 +30,7 @@ struct ReplicaStateView {
   ReplicaId id = 0;
   bool live = false;    // node is up (not crashed)
   bool member = true;   // part of the active roster (a removed replica is not)
+  bool silent = false;  // built silent: never sends, so it never fetches
   SeqNum executed = 0;  // last executed sequence number
   SeqNum stable = 0;    // last stable checkpoint sequence
   Digest state_root{};  // service state digest at `executed`

@@ -96,6 +96,7 @@ void Cluster::build_replica(ReplicaHandle& handle, core::ReplicaBehavior behavio
   };
   handle.sbft_ = nullptr;
   handle.pbft_ = nullptr;
+  handle.silent_ = behavior == core::ReplicaBehavior::kSilent;
   if (opts_.kind == ProtocolKind::kPbft) {
     pbft::PbftOptions po;
     fill(po);
@@ -406,6 +407,7 @@ std::vector<std::string> Cluster::audit_state_convergence() const {
     v.member = std::any_of(
         current_members_.begin(), current_members_.end(),
         [&](const ReplicaInfo& m) { return m.id == h.id(); });
+    v.silent = h.silent();
     v.executed = h.last_executed();
     v.stable = h.last_stable();
     v.state_root = h.service().state_digest();

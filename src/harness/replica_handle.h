@@ -46,6 +46,9 @@ class ReplicaHandle {
   const runtime::ReplicaRuntime& runtime() const { return engine_->runtime(); }
   const runtime::RuntimeStats& runtime_stats() const { return runtime().stats(); }
   uint64_t view_changes() const { return engine_->view_changes(); }
+  /// This incarnation was built silent: it receives but never sends, so it
+  /// can never fetch a checkpoint (a restart rebuilds it honest).
+  bool silent() const { return silent_; }
   std::optional<Digest> committed_digest_of(SeqNum s) const {
     return engine_->committed_digest_of(s);
   }
@@ -80,6 +83,7 @@ class ReplicaHandle {
   std::unique_ptr<runtime::EngineShell> engine_;
   core::SbftReplica* sbft_ = nullptr;  // engine_, when it runs SBFT
   pbft::PbftReplica* pbft_ = nullptr;  // engine_, when it runs PBFT
+  bool silent_ = false;
   std::shared_ptr<storage::ILedgerStorage> ledger_;
   std::shared_ptr<recovery::IReplicaWal> wal_;
   std::shared_ptr<obs::Tracer> tracer_;

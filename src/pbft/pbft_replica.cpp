@@ -1,6 +1,7 @@
 #include "pbft/pbft_replica.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/serde.h"
 #include "crypto/hmac.h"
@@ -76,13 +77,6 @@ void PbftReplica::on_engine_message(NodeId from, const Message& msg,
         }
       },
       msg);
-}
-
-void PbftReplica::on_stall(sim::ActorContext& ctx) {
-  // We missed (or are dropping, if a view change is pending) the traffic for
-  // slots a quorum already garbage-collected; escalating the view change
-  // alone cannot recover the gap (schedule fuzzer, seed 91).
-  if (checkpoint_evidence_frontier() > le()) request_state_transfer(ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,19 +286,6 @@ bool PbftReplica::execution_gap() const {
     return !next->second.committed && next->second.pp_view < view_;
   }
   return slots_.rbegin()->first > le() + 1;
-}
-
-SeqNum PbftReplica::checkpoint_evidence_frontier() const {
-  SeqNum best = 0;
-  for (const auto& [seq, digests] : checkpoint_votes_) {
-    for (const auto& [digest, votes] : digests) {
-      if (votes.size() >= epoch_for_seq(seq).exec_quorum()) {
-        best = std::max(best, seq);
-        break;
-      }
-    }
-  }
-  return best;
 }
 
 void PbftReplica::handle_checkpoint(const PbftCheckpointMsg& m, sim::ActorContext& ctx) {
@@ -570,22 +551,6 @@ void PbftReplica::handle_view_change(NodeId from, const PbftViewChangeMsg& m,
   // change.
   if (!from_replica(from, m.sender)) return;
   ctx.charge(ctx.costs().rsa_verify_us);
-  // A sender whose stable checkpoint trails ours missed the votes that made
-  // ours stable, and an idle cluster never sends them again: its view change
-  // finds no one to join and it stays behind for good. Relay the votes we
-  // hold for our stable checkpoint (each is signed by its voter, so relaying
-  // needs no trust); f+1 of them start its state transfer. Found by the
-  // schedule fuzzer (seed 39).
-  if (m.ls < ls()) {
-    if (auto it = checkpoint_votes_.find(ls()); it != checkpoint_votes_.end()) {
-      for (const auto& [digest, votes] : it->second) {
-        for (const auto& [replica, sig] : votes) {
-          send_to_replica(ctx, m.sender,
-                          make_message(PbftCheckpointMsg{ls(), digest, replica, sig}));
-        }
-      }
-    }
-  }
   vc_msgs_[m.next_view][m.sender] = m;
 
   if (vc_msgs_[m.next_view].size() >= cfg_.f + 1 && m.next_view > vc_target_) {
@@ -612,7 +577,17 @@ void PbftReplica::handle_new_view(NodeId from, const PbftNewViewMsg& m,
                                   sim::ActorContext& ctx) {
   if (m.view <= view_ || retired_) return;
   if (from != node_of(epoch().primary_of(m.view))) return;
-  if (m.proofs.size() < cfg_.view_change_quorum()) return;
+  // The proofs must be view changes to this view from a quorum of distinct
+  // members: else a Byzantine primary could repeat its own and leave out the
+  // prepared certificates enter_new_view must re-propose.
+  std::set<ReplicaId> senders;
+  for (const PbftViewChangeMsg& p : m.proofs) {
+    if (p.next_view != m.view || !epoch().contains(p.sender) ||
+        !senders.insert(p.sender).second) {
+      return;
+    }
+  }
+  if (senders.size() < cfg_.view_change_quorum()) return;
   ctx.charge(ctx.costs().rsa_verify_us *
              static_cast<int64_t>(m.proofs.size()));
   enter_new_view(m, ctx);

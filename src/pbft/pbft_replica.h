@@ -143,9 +143,6 @@ class PbftReplica final : public runtime::EngineShell {
   /// Charges the block hash and the primary's RSA signature.
   void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) override;
   void start_view_change(ViewNum target, sim::ActorContext& ctx) override;
-  /// If f+1 checkpoint votes prove the cluster executed past us, the stall is
-  /// not the primary's fault: fetch the checkpoint as well (fuzz seed 91).
-  void on_stall(sim::ActorContext& ctx) override;
   /// Weak checkpoint certificate: f+1 distinct signed checkpoint digests (at
   /// least one honest voucher) must back the manifest's certificate, so a
   /// single faulty donor cannot feed a fabricated-but-root-consistent
@@ -161,10 +158,6 @@ class PbftReplica final : public runtime::EngineShell {
   bool prepare_manifest(StateManifestMsg& m) override {
     m.checkpoint_proof = checkpoint_proof_for(m.cert);
     return true;
-  }
-  bool state_transfer_behind() const override {
-    return execution_gap() || (opts_.recovering && le() == 0 && ls() == 0) ||
-           (!retired_ && !runtime_.membership().is_member(opts_.id));
   }
   void on_checkpoint_adopted(SeqNum seq) override;
   /// The fabricated-checkpoint fault answers every probe with its invented
@@ -212,9 +205,6 @@ class PbftReplica final : public runtime::EngineShell {
   void check_committed(SeqNum s, sim::ActorContext& ctx);
   void enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx);
   bool execution_gap() const;
-  /// Highest sequence for which f+1 distinct checkpoint votes on one digest
-  /// are on hand — proof some honest replica executed that far.
-  SeqNum checkpoint_evidence_frontier() const;
 
   bool fabricate_checkpoint_;
   std::shared_ptr<const CheckpointAuth> checkpoint_auth_;

@@ -89,6 +89,8 @@ void EngineShell::on_start(sim::ActorContext& ctx) {
     ctx.set_timer(opts_.marker_executor->tick_interval_us(),
                   timer_id(kShardTickTimer, 0));
   }
+  status_marker_ = le();
+  ctx.set_timer(opts_.config.view_change_timeout_us, timer_id(kStatusTimer, 0));
   // Recovery replay may have re-run shard decisions whose results the
   // outside world never saw (crash between execute and send): flush them.
   pump_marker_executor(ctx);
@@ -147,6 +149,9 @@ void EngineShell::on_timer(uint64_t id, sim::ActorContext& ctx) {
       break;
     case kProgressTimer:
       on_progress_timer(ctx);
+      break;
+    case kStatusTimer:
+      on_status_tick(ctx);
       break;
     case kStateTransferTimer:
       on_state_transfer_tick(ctx);
@@ -364,8 +369,18 @@ void EngineShell::on_progress_timer(sim::ActorContext& ctx) {
     return;
   }
   if (!outstanding) return;
-  on_stall(ctx);
   start_view_change(std::max(view_, vc_target_) + 1, ctx);
+}
+
+void EngineShell::on_status_tick(sim::ActorContext& ctx) {
+  // An idle cluster sends a replica that missed a checkpoint nothing, and
+  // with nothing outstanding its progress timer never fires: ask the peers.
+  if (le() == status_marker_ && !silent() && !retired_ &&
+      !runtime_.state_transfer().active()) {
+    broadcast_state_probe(ctx);
+  }
+  status_marker_ = le();
+  ctx.set_timer(opts_.config.view_change_timeout_us, timer_id(kStatusTimer, 0));
 }
 
 bool EngineShell::begin_view_change(ViewNum target, sim::ActorContext& ctx) {
@@ -516,13 +531,18 @@ void EngineShell::request_state_transfer(sim::ActorContext& ctx) {
   // execution past the drain point.
   if (silent() || retired_) return;
   if (runtime_.state_transfer().active()) return;  // a fetch round is running
+  open_fetch_round(ctx);
+  broadcast_state_probe(ctx);
+}
+
+void EngineShell::open_fetch_round(sim::ActorContext& ctx) {
+  runtime_.state_transfer().open_round();
   ++runtime_.stats().state_transfers;
   if (!st_span_open_) {
     st_span_open_ = true;
     trace_.begin(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStateTransfer,
                  ++st_session_, le());
   }
-  broadcast_state_probe(ctx);
   if (!st_inflight_) {
     st_inflight_ = true;  // retry timer armed
     ctx.set_timer(opts_.config.state_transfer_retry_us,
@@ -531,20 +551,23 @@ void EngineShell::request_state_transfer(sim::ActorContext& ctx) {
 }
 
 void EngineShell::on_state_transfer_tick(sim::ActorContext& ctx) {
-  // Single retry loop; the stop/probe decisions live in the manager.
-  auto tick = runtime_.state_transfer().on_retry_tick(le(), state_transfer_behind(),
-                                                      runtime_.stats());
+  // Single retry loop; the stop/probe decisions live in the manager. A round
+  // that drew no manifest ends here (the status tick asks again) unless the
+  // replica has nothing to run from: a recovering boot that holds nothing
+  // yet, or a joiner the epoch has not admitted.
+  bool behind = (opts_.recovering && le() == 0 && ls() == 0) ||
+                (!retired_ && !runtime_.membership().is_member(opts_.id));
+  auto tick = runtime_.state_transfer().on_retry_tick(le(), behind, runtime_.stats());
   if (tick.stop) {
     st_inflight_ = false;
-    if (st_span_open_ && !state_transfer_behind()) {
+    if (st_span_open_ && !behind) {
       st_span_open_ = false;
       trace_.end(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStateTransfer,
                  st_session_, le());
     }
     // The fetch that just ended may have become moot for its *target* while
-    // the replica fell behind a newer checkpoint (the cluster moved on
-    // mid-fetch): start over.
-    if (state_transfer_behind()) request_state_transfer(ctx);
+    // the replica still holds nothing it can run from: start over.
+    if (behind) request_state_transfer(ctx);
     return;
   }
   if (tick.probe) {
@@ -581,7 +604,8 @@ void EngineShell::handle_state_transfer_request(NodeId from,
 void EngineShell::handle_state_manifest(NodeId from, const StateManifestMsg& m,
                                         sim::ActorContext& ctx) {
   StateTransferManager& st = runtime_.state_transfer();
-  if (silent() || !st.active() || m.seq <= le()) return;
+  // Retired replicas never fetch (request_state_transfer).
+  if (silent() || retired_ || m.seq <= le()) return;
   // The donor field must match the authenticated channel's sender: donor
   // identity drives registration and (on an invalid chunk) exclusion, so a
   // Byzantine replica must not be able to impersonate honest donors. All
@@ -593,6 +617,9 @@ void EngineShell::handle_state_manifest(NodeId from, const StateManifestMsg& m,
   // the chunk root itself is bound end-to-end by the final state-root check
   // in adopt_checkpoint (a lying manifest sender is excluded there).
   if (!verify_manifest_cert(m, ctx)) return;
+  // A certified checkpoint past le() proves this replica is behind: open a
+  // round if none runs (the answer to a status probe).
+  if (!st.active()) open_fetch_round(ctx);
   if (!st.on_manifest(m, le(), runtime_.checkpoints(), runtime_.stats())) return;
   trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStManifest,
                  st_session_, m.seq, 0, "donor", m.donor);
@@ -641,8 +668,10 @@ void EngineShell::broadcast_state_probe(sim::ActorContext& ctx) {
   if (cold && probe.base_seq > 0) {
     ctx.charge(ctx.costs().hash_us(cp.snapshot().size()));
   }
-  trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStProbe,
-                 st_session_, le());
+  if (st.active()) {
+    trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStProbe,
+                   st_session_, le());
+  }
   broadcast_replicas(ctx, make_message(std::move(probe)));
 }
 

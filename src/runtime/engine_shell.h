@@ -12,19 +12,22 @@
 //   * the proposal pipeline: the demand estimate, the adaptive minimum batch,
 //     the window, watermark and reconfiguration guards, and the no-op fill;
 //   * the stall policy: the progress timer that escalates to a view change;
+//   * the status tick: a replica that executed nothing for a tick re-sends
+//     the state-transfer probe, so one that missed a checkpoint while the
+//     cluster went idle still learns it is behind;
 //   * the view-change session: opening and escalating it, its trace span,
 //     the backoff, installing the new view and resuming in it;
 //   * direct client replies, cached or fresh;
 //   * chunked state transfer, fetcher and donor side (docs/state_transfer.md);
-//   * the batch, progress, state-transfer, donor-tick and shard-tick timers.
+//   * the batch, progress, status, state-transfer, donor-tick and shard-tick
+//     timers.
 //
 // An engine derives from EngineShell and supplies the hooks below: its
 // proposal window and demand split, its in-flight slots, how a proposal and a
 // view-change message go out, how a manifest's checkpoint certificate is
-// checked and prepared, when the replica is behind, what to drop once a
-// checkpoint is adopted, how to execute, and whether it is silent. Messages
-// and timers the shell does not own reach the engine through
-// on_engine_message / on_engine_timer.
+// checked and prepared, what to drop once a checkpoint is adopted, how to
+// execute, and whether it is silent. Messages and timers the shell does not
+// own reach the engine through on_engine_message / on_engine_timer.
 #pragma once
 
 #include <deque>
@@ -117,6 +120,7 @@ class EngineShell : public sim::IActor {
   enum ShellTimer : uint64_t {
     kBatchTimer = 1,
     kProgressTimer,       // stall policy: escalate to a view change
+    kStatusTimer,         // no progress for a tick: re-send the probe
     kStateTransferTimer,  // chunked fetch retry tick
     kDonorTickTimer,      // drain chunk serves the donor rate limiter deferred
     kShardTickTimer,      // marker executor retry cadence (docs/sharding.md)
@@ -149,8 +153,6 @@ class EngineShell : public sim::IActor {
   /// Opens or escalates a view change to `target`: begin_view_change, then
   /// the engine's view-change message.
   virtual void start_view_change(ViewNum target, sim::ActorContext& ctx) = 0;
-  /// A stalled replica is about to escalate to a view change.
-  virtual void on_stall(sim::ActorContext& /*ctx*/) {}
   /// Fetcher: is the manifest's checkpoint certificate valid? Charges its
   /// verification cost. SBFT checks the pi signature, PBFT the weak f+1
   /// checkpoint certificate shipped with the manifest.
@@ -159,8 +161,6 @@ class EngineShell : public sim::IActor {
   /// Donor: completes a manifest before it is sent (PBFT attaches its
   /// checkpoint certificate); false refuses to serve the checkpoint.
   virtual bool prepare_manifest(StateManifestMsg& m) = 0;
-  /// True while this replica demonstrably needs a newer checkpoint.
-  virtual bool state_transfer_behind() const = 0;
   /// A checkpoint at `seq` was adopted via state transfer: drop the slots and
   /// protocol state it supersedes.
   virtual void on_checkpoint_adopted(SeqNum seq) = 0;
@@ -209,8 +209,8 @@ class EngineShell : public sim::IActor {
   void send_to_replica(sim::ActorContext& ctx, ReplicaId r, MessagePtr msg);
   void broadcast_replicas(sim::ActorContext& ctx, MessagePtr msg);
   void arm_progress_timer(sim::ActorContext& ctx);
-  /// Fetches a newer checkpoint: opens the session span, broadcasts the
-  /// probe, and arms the retry tick.
+  /// Fetches a newer checkpoint: opens a fetch round and its session,
+  /// and broadcasts the probe.
   void request_state_transfer(sim::ActorContext& ctx);
   /// Direct reply to a client (a cached reply, PBFT's execution replies,
   /// SBFT's replies without the execution collector); silent replicas skip it.
@@ -292,6 +292,10 @@ class EngineShell : public sim::IActor {
   /// kProgressTimer: re-arms while progress is made; a replica that owes
   /// progress and made none escalates to a view change.
   void on_progress_timer(sim::ActorContext& ctx);
+  /// kStatusTimer, every view_change_timeout_us: a replica whose le() did not
+  /// move since the last tick broadcasts the probe without opening a round;
+  /// only a donor with a newer certified checkpoint answers.
+  void on_status_tick(sim::ActorContext& ctx);
 
   // --- admission ----------------------------------------------------------------
   void handle_client_request(NodeId from, const ClientRequestMsg& m,
@@ -314,11 +318,15 @@ class EngineShell : public sim::IActor {
                              sim::ActorContext& ctx);
   void handle_state_chunk(NodeId from, const StateChunkMsg& m, sim::ActorContext& ctx);
   void on_state_transfer_tick(sim::ActorContext& ctx);
+  /// Opens a fetch round and its session: the count, the session span and
+  /// the retry tick (span and tick unless already open).
+  void open_fetch_round(sim::ActorContext& ctx);
   void on_donor_tick(sim::ActorContext& ctx);
   /// Sends the manager's next chunk-request plan to its chosen donors.
   void send_chunk_requests(sim::ActorContext& ctx);
   /// Broadcasts the state-transfer probe (delta base advertised; the cold
-  /// chunk-hashing of the local snapshot is charged here).
+  /// chunk-hashing of the local snapshot is charged here). Traced only
+  /// inside a fetch round.
   void broadcast_state_probe(sim::ActorContext& ctx);
   /// Arms the donor tick while the rate limiter has budget in use or deferred
   /// requests queued (re-served there instead of being dropped).
@@ -337,6 +345,7 @@ class EngineShell : public sim::IActor {
   uint32_t vc_attempts_ = 0;  // backoff exponent of the progress timer
   ViewNum vc_span_ = 0;       // open view-change session span (0: none)
   bool progress_timer_armed_ = false;
+  SeqNum status_marker_ = 0;  // le() at the last status tick
   bool forwarded_waiting_ = false;  // forwarded a client request to the primary
 
   // Votes persisted by a previous incarnation for slots still in flight:

@@ -89,7 +89,6 @@ void StateTransferManager::retarget(const StateManifestMsg& m) {
 
 StateTransferRequestMsg StateTransferManager::make_probe(
     const CheckpointManager& cp, ReplicaId self, SeqNum last_executed) {
-  active_ = true;
   probe_base_seq_ = 0;
   probe_base_root_ = Digest{};
   StateTransferRequestMsg req;
@@ -336,7 +335,7 @@ bool StateTransferManager::on_retry(RuntimeStats& stats) {
 StateTransferManager::RetryTick StateTransferManager::on_retry_tick(
     SeqNum last_executed, bool behind, RuntimeStats& stats) {
   // The fetch became moot: caught up to (or past) the target through the
-  // ordering protocol, or no manifest yet and no demonstrable lag remains.
+  // ordering protocol, or the round drew no manifest and need not wait.
   if (has_target() && target_cert_.seq <= last_executed) finish();
   if (active_ && !has_target() && !behind) finish();
   if (!active_) return {/*stop=*/true, /*probe=*/false};

@@ -127,19 +127,15 @@ class StateTransferManager {
   /// lets engines skip expensive signature checks on its further manifests.
   bool donor_excluded(ReplicaId donor) const { return excluded_.count(donor) > 0; }
 
-  /// Marks a fetch round active (idempotent) and clears the delta-base
-  /// advertisement. Unit-test/no-base entry point; engines use make_probe.
-  void begin_probe() {
-    active_ = true;
-    probe_base_seq_ = 0;
-    probe_base_root_ = Digest{};
-  }
-
-  /// Marks a fetch round active and builds the probe to broadcast. When this
-  /// replica retains a shippable checkpoint, the probe advertises it as the delta base: donors still holding that base's
-  /// chunk hashes answer with a delta manifest, and the fetcher seeds the
-  /// unchanged chunks from its local snapshot. Partial state from a disturbed
+  /// Marks a fetch round active (idempotent). Partial state from a disturbed
   /// earlier round is kept (resume).
+  void open_round() { active_ = true; }
+
+  /// Builds the probe to broadcast; opens no round (the probe doubles as the
+  /// idle replica's status message). When this replica retains a shippable
+  /// checkpoint, the probe advertises it as the delta base: donors still
+  /// holding that base's chunk hashes answer with a delta manifest, and the
+  /// fetcher seeds the unchanged chunks from its local snapshot.
   StateTransferRequestMsg make_probe(const CheckpointManager& cp, ReplicaId self,
                                      SeqNum last_executed);
 
@@ -181,11 +177,11 @@ class StateTransferManager {
   bool on_retry(RuntimeStats& stats);
 
   /// One full retry-timer tick, shared by both ordering engines so the
-  /// subtle stop/probe decisions cannot drift between them. `behind` is the
-  /// engine's protocol-specific "still demonstrably needs a checkpoint"
-  /// check. When `stop`, the fetch is over and the engine disarms its timer;
-  /// otherwise the engine re-broadcasts the probe iff `probe`, sends
-  /// plan_requests(), and re-arms.
+  /// subtle stop/probe decisions cannot drift between them. `behind` keeps a
+  /// round without a manifest open (a replica that must fetch before it can
+  /// do anything else). When `stop`, the fetch is over and the engine
+  /// disarms its timer; otherwise the engine re-broadcasts the probe iff
+  /// `probe`, sends plan_requests(), and re-arms.
   struct RetryTick {
     bool stop = false;
     bool probe = false;

@@ -12,9 +12,9 @@
 //   * Invariant-oracle unit cases: true-positive and true-negative inputs for
 //     the cluster-level audits (harness/audit.h) the runner applies after
 //     every fuzz run.
-// The smoke campaign at the end runs a handful of fixed seeds through the
-// full generate -> run -> audit pipeline and must come back clean — the
-// per-push CI gate. Long randomized campaigns live in bench_fuzz_campaign.
+// The smoke campaign at the end runs seeds 1-300 through the full
+// generate -> run -> audit pipeline and must come back clean — the per-push
+// CI gate. Long randomized campaigns live in bench_fuzz_campaign.
 
 #include <gtest/gtest.h>
 
@@ -232,11 +232,12 @@ TEST(Minimizer, PreservesTopologyAndBounds) {
 
 harness::ReplicaStateView view(ReplicaId id, SeqNum executed, SeqNum stable,
                                uint8_t root_byte, bool live = true,
-                               bool member = true) {
+                               bool member = true, bool silent = false) {
   harness::ReplicaStateView v;
   v.id = id;
   v.live = live;
   v.member = member;
+  v.silent = silent;
   v.executed = executed;
   v.stable = stable;
   v.state_root.fill(root_byte);
@@ -279,6 +280,35 @@ TEST(ConvergenceAudit, DeadAndRemovedReplicasExempt) {
   EXPECT_TRUE(harness::audit_state_convergence(views).empty());
 }
 
+TEST(ConvergenceAudit, SilentReplicaBelowFrontierExempt) {
+  // A replica built silent never sends, so it can never fetch the stable
+  // checkpoint it missed (fuzz seeds 746, 936, 1001, 1005, 2169).
+  std::vector<harness::ReplicaStateView> views = {
+      view(1, 100, 96, 0xaa), view(2, 100, 96, 0xaa), view(3, 100, 96, 0xaa),
+      view(4, 44, 32, 0x11, /*live=*/true, /*member=*/true, /*silent=*/true)};
+  EXPECT_TRUE(harness::audit_state_convergence(views).empty());
+}
+
+TEST(ConvergenceAudit, HonestLaggerBesideSilentReplicaFlagged) {
+  // The exemption is the silent replica's alone: an honest lagger beside it
+  // is still flagged, and the silent replica's state root still counts.
+  std::vector<harness::ReplicaStateView> views = {
+      view(1, 100, 96, 0xaa), view(2, 100, 96, 0xaa), view(3, 44, 32, 0x11),
+      view(4, 44, 32, 0x11, /*live=*/true, /*member=*/true, /*silent=*/true)};
+  std::vector<std::string> violations =
+      harness::audit_state_convergence(views);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("replica 3 executed only 44"), std::string::npos)
+      << violations[0];
+
+  views[3] = view(4, 100, 96, 0xbb, /*live=*/true, /*member=*/true,
+                  /*silent=*/true);
+  violations = harness::audit_state_convergence(views);
+  ASSERT_EQ(violations.size(), 3u);
+  EXPECT_NE(violations[1].find("replicas 1 and 4"), std::string::npos)
+      << violations[1];
+}
+
 TEST(ReplyCacheAudit, ConsistentCachesPass) {
   runtime::ReplyCache a;
   runtime::ReplyCache b;
@@ -309,16 +339,16 @@ TEST(ReplyCacheAudit, NewerTimestampAtOlderSeqFlagged) {
 // Fixed-seed smoke campaign (the per-push CI gate)
 
 TEST(FuzzSmoke, FixedSeedCampaignIsClean) {
-  // Seeds 1-100: the campaign a behaviour-preserving change must keep clean
+  // Seeds 1-300: the campaign a behaviour-preserving change must keep clean
   // (docs/fuzzing.md).
   fuzz::CampaignOptions opts;
   opts.seed_base = 1;
-  opts.num_seeds = 100;
+  opts.num_seeds = 300;
   opts.minimize = false;  // a failure here is reported, not triaged
   fuzz::CampaignReport report = fuzz::run_campaign(opts);
-  EXPECT_EQ(report.runs, 100u);
+  EXPECT_EQ(report.runs, 300u);
   EXPECT_TRUE(report.ok()) << report.failures << " seed(s) failed; re-run "
-                              "bench_fuzz_campaign --seeds 100 to triage";
+                              "bench_fuzz_campaign --seeds 300 to triage";
 }
 
 TEST(FuzzSmoke, TraceDigestFingerprintsTheRun) {
@@ -340,14 +370,18 @@ TEST(FuzzSmoke, TraceDigestsArePinned) {
   // and multi-lane nodes, crash and restart, reorder, delay, drop, censor,
   // partition and reconfiguration faults. A change that alters behaviour on
   // purpose re-pins these from `bench_fuzz_campaign --seeds 100 --seed-base 1
-  // --no-minimize` and says why.
+  // --no-minimize` and says why. Seeds 5, 7 and 100 were re-pinned when the
+  // engine shell's status tick began re-sending the state-transfer probe from
+  // a replica whose execution stalled for a tick: those probes draw link
+  // jitter and CPU time, so a later state transfer's manifests arrive some
+  // tens of microseconds apart from before.
   const std::pair<uint64_t, const char*> pinned[] = {
       {3, "2661b883d34f12ac"},   // sbft c=1, 2 lanes: reorder, censor, restart
-      {5, "779325544a6dd33e"},   // pbft, 2 lanes: delay, reconfig, restart
-      {7, "d581f460b14439eb"},   // linear_pbft, 2 lanes, equivocating replica
+      {5, "59889ecf0694e2a2"},   // pbft, 2 lanes: delay, reconfig, restart
+      {7, "d37f9c85165012c7"},   // linear_pbft, 2 lanes, equivocating replica
       {11, "14874ef81d5ba614"},  // sbft, 1 lane: delay, reorder, drop, restart
       {63, "d6437bfa1182c034"},  // pbft, 2 lanes: reorder, drop, restart
-      {100, "8398cdfe794bcfa5"}, // pbft, 2 lanes: reorder, reconfig, restart
+      {100, "6853e797f1521873"}, // pbft, 2 lanes: reorder, reconfig, restart
   };
   ScheduleFuzzer fuzzer;
   for (const auto& [seed, digest] : pinned) {

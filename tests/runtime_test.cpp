@@ -463,7 +463,7 @@ TEST(StateTransferManagerTest, FansOutResumesAndReassembles) {
   StateTransferManager mgr(1024, /*max_chunks_per_request=*/2);
   RuntimeStats stats;
 
-  mgr.begin_probe();
+  mgr.open_round();
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, /*donor=*/1, /*seq=*/16), 0));
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, /*donor=*/2, /*seq=*/16), 0));
   EXPECT_EQ(mgr.donor_count(), 2u);
@@ -522,7 +522,7 @@ TEST(StateTransferManagerTest, InvalidChunkExcludesDonorForGood) {
   StateTransferManager mgr(1024, 4);
   RuntimeStats stats;
 
-  mgr.begin_probe();
+  mgr.open_round();
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 1, 16), 0));
   auto plan = mgr.plan_requests(4);
   ASSERT_EQ(plan.size(), 1u);
@@ -550,7 +550,7 @@ TEST(StateTransferManagerTest, ExcludeDonorRePlansItsOutstandingChunks) {
   Bytes envelope = patterned_envelope(4 * 1024);
   ChunkedSnapshot snap(as_span(envelope), 1024);
   StateTransferManager mgr(1024, 4);
-  mgr.begin_probe();
+  mgr.open_round();
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 1, 16), 0));
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 2, 16), 0));
   ASSERT_FALSE(mgr.plan_requests(4).empty());
@@ -578,7 +578,7 @@ TEST(StateTransferManagerTest, BogusRootManifestCannotWedgeTheFetch) {
   // Liar serves an invalid chunk: target dropped at once, honest re-targets.
   {
     StateTransferManager mgr(1024, 4);
-    mgr.begin_probe();
+    mgr.open_round();
     StateManifestMsg bogus = manifest_of(honest, /*donor=*/1, /*seq=*/16);
     bogus.chunk_root[0] ^= 0xff;
     ASSERT_TRUE(feed_manifest(mgr, bogus, 0));
@@ -600,7 +600,7 @@ TEST(StateTransferManagerTest, BogusRootManifestCannotWedgeTheFetch) {
   // arrives between ticks — the struck-out evidence must survive all that.
   {
     StateTransferManager mgr(1024, 4);
-    mgr.begin_probe();
+    mgr.open_round();
     StateManifestMsg bogus = manifest_of(honest, /*donor=*/1, /*seq=*/16);
     bogus.chunk_root[0] ^= 0xff;
     ASSERT_TRUE(feed_manifest(mgr, bogus, 0));
@@ -630,7 +630,7 @@ TEST(StateTransferManagerTest, GeometryLieNamesADifferentTransfer) {
   ChunkedSnapshot snap(as_span(envelope), 1024);  // 10 chunks of 1024
   RuntimeStats stats;
   StateTransferManager mgr(1024, 4);
-  mgr.begin_probe();
+  mgr.open_round();
   StateManifestMsg shrunk = manifest_of(snap, /*donor=*/1, /*seq=*/16);
   shrunk.chunk_size = 512;  // honest root, lying grid
   shrunk.chunk_count = 20;  // passes ceil(10240 / 512) == 20
@@ -663,7 +663,7 @@ TEST(StateTransferManagerTest, RetryTickReprobesWhenEveryDonorStruckOut) {
   StateTransferManager mgr(1024, 4);
   RuntimeStats stats;
 
-  mgr.begin_probe();
+  mgr.open_round();
   auto first = mgr.on_retry_tick(/*last_executed=*/0, /*behind=*/true, stats);
   EXPECT_FALSE(first.stop);
   EXPECT_TRUE(first.probe);  // no manifest adopted yet
@@ -692,7 +692,7 @@ TEST(StateTransferManagerTest, AdoptResultDistinguishesStaleFromLyingManifest) {
   // Lying manifest: adoption failed and the target is still ahead of the
   // replica — the sender is excluded and the caller must re-probe.
   StateTransferManager mgr(1024, 4);
-  mgr.begin_probe();
+  mgr.open_round();
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 1, 16), 0));
   EXPECT_TRUE(mgr.on_adopt_result(/*adopted=*/false, /*last_executed=*/0));
   EXPECT_TRUE(mgr.active());                 // fetch restarts
@@ -702,14 +702,14 @@ TEST(StateTransferManagerTest, AdoptResultDistinguishesStaleFromLyingManifest) {
   // Stale target: adoption failed only because the replica caught up past
   // the checkpoint through the ordering protocol — nothing went wrong.
   StateTransferManager stale(1024, 4);
-  stale.begin_probe();
+  stale.open_round();
   ASSERT_TRUE(feed_manifest(stale, manifest_of(snap, 2, 16), 0));
   EXPECT_FALSE(stale.on_adopt_result(/*adopted=*/false, /*last_executed=*/16));
   EXPECT_FALSE(stale.active());
 
   // Success clears everything.
   StateTransferManager ok(1024, 4);
-  ok.begin_probe();
+  ok.open_round();
   ASSERT_TRUE(feed_manifest(ok, manifest_of(snap, 3, 16), 0));
   EXPECT_FALSE(ok.on_adopt_result(/*adopted=*/true, /*last_executed=*/16));
   EXPECT_FALSE(ok.active());
@@ -859,6 +859,8 @@ TEST(StateTransferManagerTest, DeltaManifestSeedsUnchangedChunks) {
   StateTransferRequestMsg probe = fetcher.make_probe(fetcher_cp, /*self=*/4,
                                                      /*last_executed=*/16);
   EXPECT_EQ(probe.base_seq, 16u);
+  EXPECT_FALSE(fetcher.active());  // building the probe opens no round
+  fetcher.open_round();
 
   auto manifest = donor.make_manifest(donor_cp, probe, /*donor=*/1);
   ASSERT_TRUE(manifest.has_value());
@@ -908,6 +910,7 @@ TEST(StateTransferManagerTest, LateDeltaManifestSeedsMidFetch) {
   CheckpointManager fetcher_cp(16);
   fetcher_cp.adopt(cert_at(16), base_env);
   StateTransferRequestMsg probe = fetcher.make_probe(fetcher_cp, 4, 16);
+  fetcher.open_round();
 
   // A full manifest (donor 9 lost its history) adopts the target first and
   // every chunk gets planned onto it.

@@ -8,11 +8,17 @@ convergence / reply-cache), and for every failing seed its schedule summary,
 violations, and the repro file to replay with
 `bench_fuzz_campaign --replay <file>`.
 
+Baseline mode compares the same seeds run at two commits: it lists the
+seeds the change fixed and the seeds it newly fails, with their violations,
+and the seeds that fail at both with a different set of oracles.
+
 Usage:
   ./build/bench_fuzz_campaign --seeds 100 | python3 tools/fuzz_triage.py
   python3 tools/fuzz_triage.py campaign.jsonl [more.jsonl ...]
+  python3 tools/fuzz_triage.py --baseline PARENT.jsonl CHANGE.jsonl
 
-Exits 1 when any run failed (so CI jobs can gate on it), 2 on unusable input.
+Exits 1 when any run failed (baseline mode: when a seed that passed in
+PARENT fails in CHANGE), 2 on unusable input.
 """
 import json
 import sys
@@ -43,7 +49,55 @@ def read_runs(streams):
     return runs, bad_lines
 
 
+def oracles(run):
+    return sorted({violation_class(v) for v in run.get("violations", [])})
+
+
+def compare(parent_path, change_path):
+    """Baseline mode: seeds fixed and newly failing between two campaigns."""
+    sides = []
+    for path in (parent_path, change_path):
+        with open(path, encoding="utf-8") as stream:
+            runs, _ = read_runs([stream])
+        if not runs:
+            print(f"fuzz_triage: no campaign records in {path}")
+            return 2
+        sides.append({run["seed"]: run for run in runs})
+    parent, change = sides
+    common = sorted(parent.keys() & change.keys())
+    fixed = [s for s in common if not parent[s]["ok"] and change[s]["ok"]]
+    broken = [s for s in common if parent[s]["ok"] and not change[s]["ok"]]
+    moved = [s for s in common if not parent[s]["ok"] and not change[s]["ok"]
+             and oracles(parent[s]) != oracles(change[s])]
+    failing = [sum(not side[s]["ok"] for s in common) for side in sides]
+
+    print(f"fuzz_triage: {len(common)} seed(s) in both logs; failures "
+          f"{failing[0]} -> {failing[1]}")
+    unmatched = len(parent.keys() ^ change.keys())
+    if unmatched:
+        print(f"  {unmatched} seed(s) in only one log (ignored)")
+    print(f"  fixed ({len(fixed)}): {' '.join(map(str, fixed)) or '-'}")
+    print(f"  newly failing ({len(broken)}): "
+          f"{' '.join(map(str, broken)) or '-'}")
+    for seed in broken:
+        run = change[seed]
+        print(f"    seed {seed}: {run.get('schedule', '?')}")
+        for violation in run.get("violations", []):
+            print(f"      - {violation}")
+    if moved:
+        print(f"  failing at both, other oracles ({len(moved)}):")
+        for seed in moved:
+            print(f"    seed {seed}: {', '.join(oracles(parent[seed]))} -> "
+                  f"{', '.join(oracles(change[seed]))}")
+    return 1 if broken else 0
+
+
 def main(argv):
+    if len(argv) > 1 and argv[1] == "--baseline":
+        if len(argv) != 4:
+            print("usage: fuzz_triage.py --baseline PARENT.jsonl CHANGE.jsonl")
+            return 2
+        return compare(argv[2], argv[3])
     if len(argv) > 1:
         streams = [open(path, encoding="utf-8") for path in argv[1:]]
     else:
