@@ -169,10 +169,15 @@ CheckReport TraceChecker::run() const {
   }
 
   // Invariant 4: state-transfer sessions terminate — every opened session
-  // span is closed within its replica's stream.
+  // span is closed within its replica's stream. A crash marker ends the
+  // sessions of the incarnation it stops; the next one numbers its own.
   for (const auto& s : streams_) {
     std::set<uint64_t> open;
     for (const auto& e : s.events) {
+      if (e.category == Category::kSlot &&
+          std::string_view(ev::kReplicaCrashed) == e.name) {
+        open.clear();
+      }
       if (e.category != Category::kStateTransfer) continue;
       if (e.phase == EventPhase::kBegin) open.insert(e.span);
       if (e.phase == EventPhase::kEnd) open.erase(e.span);

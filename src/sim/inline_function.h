@@ -57,6 +57,13 @@ class InlineFunction<R(Args...), Capacity> {
     return ops_->invoke(storage_, std::forward<Args>(args)...);
   }
 
+  /// Destroys the stored callable, if any; the function is then empty.
+  void reset() noexcept {
+    if (ops_ == nullptr) return;
+    ops_->destroy(storage_);
+    ops_ = nullptr;
+  }
+
   /// True when a callable of type F is stored without a heap allocation.
   template <typename F>
   static constexpr bool stores_inline() {
@@ -106,12 +113,6 @@ class InlineFunction<R(Args...), Capacity> {
     other.ops_->relocate(storage_, other.storage_);
     ops_ = other.ops_;
     other.ops_ = nullptr;
-  }
-
-  void reset() noexcept {
-    if (ops_ == nullptr) return;
-    ops_->destroy(storage_);
-    ops_ = nullptr;
   }
 
   alignas(8) unsigned char storage_[Capacity];

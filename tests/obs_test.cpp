@@ -230,6 +230,38 @@ TEST(TraceChecker, UnterminatedStateTransferSessionFlagged) {
   EXPECT_TRUE(closed.run().ok());
 }
 
+TEST(TraceChecker, CrashEndsItsIncarnationsStateTransferSessions) {
+  auto session = [](uint64_t span, obs::EventPhase phase) {
+    obs::TraceEvent e;
+    e.name = obs::ev::kStateTransfer;
+    e.category = obs::Category::kStateTransfer;
+    e.phase = phase;
+    e.span = span;
+    return e;
+  };
+  const obs::TraceEvent crashed = named_event(obs::Category::kSlot, obs::ev::kReplicaCrashed);
+  const obs::TraceEvent restarted =
+      named_event(obs::Category::kSlot, obs::ev::kReplicaRestarted);
+
+  // Session 2 is cut short by the crash; the next incarnation numbers its
+  // sessions from 1 again and closes the one it opens.
+  obs::TraceChecker cut;
+  cut.add_replica(6, {session(1, obs::EventPhase::kBegin), session(1, obs::EventPhase::kEnd),
+                      session(2, obs::EventPhase::kBegin), crashed, restarted,
+                      session(1, obs::EventPhase::kBegin), session(1, obs::EventPhase::kEnd)});
+  obs::CheckReport report = cut.run();
+  EXPECT_TRUE(report.ok()) << report.summary();
+
+  // A session the restarted incarnation opens and never ends is still one.
+  obs::TraceChecker endless;
+  endless.add_replica(6, {session(2, obs::EventPhase::kBegin), crashed, restarted,
+                          session(1, obs::EventPhase::kBegin)});
+  report = endless.run();
+  ASSERT_EQ(report.violations.size(), 1u) << report.summary();
+  EXPECT_NE(report.violations[0].find("replica 6: state-transfer session 1 never terminated"),
+            std::string::npos);
+}
+
 TEST(TraceChecker, TruncatedStreamSkipsSpanChecksWithNote) {
   obs::TraceEvent begin;
   begin.name = obs::ev::kStateTransfer;

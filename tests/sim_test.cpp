@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -97,9 +98,79 @@ TEST(Simulator, TiedRandomTimesRunInStableSortOrder) {
   EXPECT_EQ(ran, expected);
 }
 
+TEST(Simulator, HorizonsAcrossTheWindowRunInStableSortOrder) {
+  // 20k events due now, soon, at the edges of the wheel's window and several
+  // windows out, with steps and bare clock bumps in between. After a bump
+  // the window still starts at the last event run, so events at the new
+  // `now` and one window past it probe both edges. They must run at their
+  // times, in the order of a stable sort of the schedule calls by time.
+  constexpr SimTime kW = Simulator::kWheelSpan;
+  const SimTime horizons[] = {0,      1,          2,      7,          39,         kW - 1,
+                              kW,     kW + 1,     2 * kW, 2 * kW + 3, 3 * kW - 1, 5 * kW};
+  Simulator sim;
+  Rng rng(23);
+  std::vector<std::pair<SimTime, int>> scheduled;
+  std::vector<int> ran;
+  auto add = [&](SimTime at) {
+    int id = static_cast<int>(scheduled.size());
+    scheduled.emplace_back(at, id);
+    sim.schedule(at, [&sim, &ran, at, id] {
+      EXPECT_EQ(sim.now(), at);
+      ran.push_back(id);
+    });
+  };
+  auto horizon = [&] { return horizons[rng.below(std::size(horizons))]; };
+  while (scheduled.size() < 20'000) {
+    add(sim.now() + horizon());
+    switch (rng.below(8)) {
+      case 0:
+        sim.step();
+        break;
+      case 1:
+        sim.run_until(sim.now() + horizon() + static_cast<SimTime>(rng.below(50)));
+        for (SimTime at : {SimTime{0}, kW - 1, kW, kW + 1}) add(sim.now() + at);
+        break;
+      default:
+        break;
+    }
+  }
+  sim.run_until_idle();
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<int> expected;
+  for (const auto& entry : scheduled) expected.push_back(entry.second);
+  EXPECT_EQ(ran, expected);
+}
+
+TEST(Simulator, OverflowEventRunsBeforeALaterSameTimeEvent) {
+  // A is due past the wheel's window, so it waits in the overflow heap. B is
+  // scheduled for the same time once the clock has moved on; A was
+  // scheduled first, so it runs first, whether the clock moved by running
+  // an event or by a bare run_until.
+  constexpr SimTime kAt = Simulator::kWheelSpan + 5;
+  for (bool by_event : {true, false}) {
+    SCOPED_TRACE(by_event ? "clock moved by an event" : "clock moved by run_until");
+    Simulator sim;
+    std::string order;
+    sim.schedule(kAt, [&] { order += 'A'; });
+    if (by_event) {
+      sim.schedule(10, [] {});
+      EXPECT_TRUE(sim.step());
+    } else {
+      sim.run_until(10);
+    }
+    ASSERT_EQ(sim.now(), 10);
+    sim.schedule(kAt, [&] { order += 'B'; });
+    sim.run_until_idle();
+    EXPECT_EQ(order, "AB");
+    EXPECT_EQ(sim.now(), kAt);
+  }
+}
+
 TEST(Simulator, EventThatGrowsTheSlabKeepsItsCaptures) {
-  // The running event schedules enough events to reallocate the slab. It
-  // left its slot before it ran, so its captures stay valid (ASan checks).
+  // The running event stays in its slot while it schedules enough events to
+  // add several slab chunks. Chunks never move, so its captures stay valid
+  // (ASan checks).
   Simulator sim;
   int fired = 0;
   sim.schedule(1, [&sim, &fired, payload = std::vector<int>(64, 7)] {
