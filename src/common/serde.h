@@ -60,13 +60,19 @@ class Reader {
   bool boolean() { return u8() != 0; }
 
   Bytes bytes() {
+    ByteSpan s = span();
+    return Bytes(s.begin(), s.end());
+  }
+
+  /// A length-prefixed byte string as a view into the reader's data (empty,
+  /// with failure latched, on underflow).
+  ByteSpan span() {
     uint32_t n = u32();
     if (remaining() < n) {
       fail_ = true;
       return {};
     }
-    Bytes out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-              data_.begin() + static_cast<ptrdiff_t>(pos_ + n));
+    ByteSpan out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }

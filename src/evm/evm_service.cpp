@@ -1,5 +1,7 @@
 #include "evm/evm_service.h"
 
+#include <variant>
+
 #include "common/serde.h"
 #include "crypto/sha256.h"
 
@@ -36,6 +38,57 @@ Address read_address(Reader& r) {
   Address a{};
   for (size_t i = 0; i < a.size(); ++i) a[i] = r.u8();
   return a;
+}
+
+constexpr uint32_t kMaxBatchTxs = 100'000;
+
+using Tx = std::variant<CreateTx, CallTx>;
+
+/// Decodes one create or call; on failure `error` says what was wrong.
+std::optional<Tx> decode_tx(ByteSpan op, std::string& error) {
+  Reader r(op);
+  uint8_t tag = r.u8();
+  if (tag == static_cast<uint8_t>(TxType::kCreate)) {
+    CreateTx tx;
+    tx.sender = read_address(r);
+    tx.code = r.bytes();
+    if (r.at_end()) return tx;
+    error = "malformed create";
+  } else if (tag == static_cast<uint8_t>(TxType::kCall)) {
+    CallTx tx;
+    tx.sender = read_address(r);
+    tx.contract = read_address(r);
+    tx.calldata = r.bytes();
+    tx.gas_limit = r.u64();
+    if (r.at_end()) return tx;
+    error = "malformed call";
+  } else {
+    error = "unknown tx type";
+  }
+  return std::nullopt;
+}
+
+/// The transactions of a kBatch op, or nullopt unless its count fits, every
+/// length is in range, every transaction decodes (a nested batch does not)
+/// and no byte trails.
+std::optional<std::vector<Tx>> decode_tx_batch(ByteSpan op) {
+  Reader r(op);
+  r.u8();  // the kBatch tag
+  uint32_t count = r.u32();
+  // Each transaction takes at least its u32 length.
+  if (!r.ok() || count > kMaxBatchTxs || count > r.remaining() / 4) {
+    return std::nullopt;
+  }
+  std::vector<Tx> txs;
+  txs.reserve(count);
+  std::string error;
+  for (uint32_t i = 0; i < count; ++i) {
+    auto tx = decode_tx(r.span(), error);
+    if (!tx) return std::nullopt;
+    txs.push_back(std::move(*tx));
+  }
+  if (!r.at_end()) return std::nullopt;
+  return txs;
 }
 
 }  // namespace
@@ -177,42 +230,30 @@ TxResult EvmLedgerService::apply_call(const CallTx& tx) {
 
 Bytes EvmLedgerService::execute(ByteSpan op) {
   last_gas_ = 21000;
-  Reader r(op);
-  uint8_t tag = r.u8();
-  if (tag == static_cast<uint8_t>(TxType::kBatch)) {
-    uint32_t count = r.u32();
-    if (count > 100'000) return encode_tx_result({false, {}, 0, "malformed batch"});
+  auto run = [this](const Tx& tx) {
+    const auto* create = std::get_if<CreateTx>(&tx);
+    TxResult result = create ? apply_create(*create) : apply_call(std::get<CallTx>(tx));
+    last_gas_ = result.gas_used;
+    return encode_tx_result(result);
+  };
+  if (!op.empty() && op[0] == static_cast<uint8_t>(TxType::kBatch)) {
+    // The whole batch decodes before any transaction runs: a malformed one
+    // changes no state and is charged one transaction's base gas.
+    auto txs = decode_tx_batch(op);
+    if (!txs) return encode_tx_result({false, {}, 0, "malformed batch"});
     uint64_t total_gas = 0;
     Bytes last;
-    for (uint32_t i = 0; i < count && r.ok(); ++i) {
-      Bytes tx = r.bytes();
-      last = execute(as_span(tx));
+    for (const Tx& tx : *txs) {
+      last = run(tx);
       total_gas += last_gas_;
     }
     last_gas_ = total_gas;
     return last;
   }
-  if (tag == static_cast<uint8_t>(TxType::kCreate)) {
-    CreateTx tx;
-    tx.sender = read_address(r);
-    tx.code = r.bytes();
-    if (!r.at_end()) return encode_tx_result({false, {}, 0, "malformed create"});
-    TxResult result = apply_create(tx);
-    last_gas_ = result.gas_used;
-    return encode_tx_result(result);
-  }
-  if (tag == static_cast<uint8_t>(TxType::kCall)) {
-    CallTx tx;
-    tx.sender = read_address(r);
-    tx.contract = read_address(r);
-    tx.calldata = r.bytes();
-    tx.gas_limit = r.u64();
-    if (!r.at_end()) return encode_tx_result({false, {}, 0, "malformed call"});
-    TxResult result = apply_call(tx);
-    last_gas_ = result.gas_used;
-    return encode_tx_result(result);
-  }
-  return encode_tx_result({false, {}, 0, "unknown tx type"});
+  std::string error;
+  auto tx = decode_tx(op, error);
+  if (!tx) return encode_tx_result({false, {}, 0, error});
+  return run(*tx);
 }
 
 Bytes EvmLedgerService::query(ByteSpan q) const {

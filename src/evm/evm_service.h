@@ -30,6 +30,8 @@ Bytes encode_create(const CreateTx& tx);
 Bytes encode_call(const CallTx& tx);
 /// Wraps several transactions into one client request (§IX: "batching
 /// transactions into chunks of 12KB, on average about 50 transactions").
+/// A batch is flat, and execute() decodes all of it before it runs any
+/// transaction.
 Bytes encode_tx_batch(const std::vector<Bytes>& txs);
 
 struct TxResult {

@@ -60,6 +60,35 @@ std::optional<DecodedOp> decode_op(ByteSpan op) {
   return out;
 }
 
+namespace {
+
+constexpr uint32_t kMaxBatchOps = 1'000'000;
+
+/// The sub-ops of a kBatch op, or nullopt unless its count fits, every
+/// length is in range, every sub-op decodes to a simple op (decode_op
+/// rejects a nested batch's tag) and no byte trails.
+std::optional<std::vector<DecodedOp>> decode_batch(ByteSpan op) {
+  Reader r(op);
+  r.u8();  // the kBatch tag
+  uint32_t count = r.u32();
+  // Each sub-op takes at least its u32 length, so a count the remaining
+  // bytes cannot hold is rejected before anything is reserved for it.
+  if (!r.ok() || count > kMaxBatchOps || count > r.remaining() / 4) {
+    return std::nullopt;
+  }
+  std::vector<DecodedOp> ops;
+  ops.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    auto sub = decode_op(r.span());
+    if (!sub) return std::nullopt;
+    ops.push_back(std::move(*sub));
+  }
+  if (!r.at_end()) return std::nullopt;
+  return ops;
+}
+
+}  // namespace
+
 Digest KvService::leaf_for(ByteSpan key, ByteSpan value) {
   Writer w;
   w.bytes(key);
@@ -86,35 +115,37 @@ std::optional<Bytes> KvService::get(ByteSpan key) const {
 Bytes KvService::execute(ByteSpan op) {
   last_op_count_ = 1;
   if (!op.empty() && op[0] == static_cast<uint8_t>(OpType::kBatch)) {
-    Reader r(op.subspan(1));
-    uint32_t count = r.u32();
-    if (count > 1'000'000) return to_bytes("ERR:malformed");
+    // The whole batch decodes before any sub-op runs: a malformed one
+    // changes no state and is charged as one op.
+    auto ops = decode_batch(op);
+    if (!ops) return to_bytes("ERR:malformed");
     Bytes last;
-    for (uint32_t i = 0; i < count && r.ok(); ++i) {
-      Bytes sub = r.bytes();
-      last = execute(as_span(sub));
-    }
-    last_op_count_ = count == 0 ? 1 : count;
+    for (const DecodedOp& sub : *ops) last = apply(sub);
+    last_op_count_ = std::max<uint64_t>(1, ops->size());
     return last;
   }
   auto decoded = decode_op(op);
   if (!decoded) return to_bytes("ERR:malformed");
-  switch (decoded->type) {
+  return apply(*decoded);
+}
+
+Bytes KvService::apply(const DecodedOp& op) {
+  switch (op.type) {
     case OpType::kPut: {
-      put(as_span(decoded->key), as_span(decoded->value));
+      put(as_span(op.key), as_span(op.value));
       return to_bytes("OK");
     }
     case OpType::kGet: {
-      auto v = get(as_span(decoded->key));
+      auto v = get(as_span(op.key));
       return v ? *v : Bytes{};
     }
     case OpType::kDelete: {
-      erase(as_span(decoded->key));
+      erase(as_span(op.key));
       return to_bytes("OK");
     }
     case OpType::kBatch:
-      // Unreachable: batches are unpacked above and decode_op rejects the
-      // batch tag, but the case keeps -Wswitch exhaustive.
+      // Unreachable: decode_op rejects the batch tag, but the case keeps
+      // -Wswitch exhaustive.
       break;
   }
   return to_bytes("ERR:unknown");

@@ -24,7 +24,8 @@ namespace sbft::kv {
 
 /// Operation encoding for the KV service. kBatch wraps several simple ops in
 /// one request (§IX "in the batching mode each request contains 64
-/// operations").
+/// operations"); a batch is flat, and execute() decodes all of it before it
+/// applies any sub-op.
 enum class OpType : uint8_t { kPut = 1, kGet = 2, kDelete = 3, kBatch = 4 };
 
 Bytes encode_put(ByteSpan key, ByteSpan value);
@@ -69,6 +70,7 @@ class KvService final : public IService {
 
  private:
   static Digest leaf_for(ByteSpan key, ByteSpan value);
+  Bytes apply(const DecodedOp& op);
 
   std::map<Bytes, Bytes> data_;  // ordered so snapshots are canonical
   merkle::SparseMerkleTree tree_;

@@ -1,5 +1,7 @@
 #include "merkle/merkle_tree.h"
 
+#include <bit>
+
 #include "common/check.h"
 #include "common/serde.h"
 #include "crypto/sha256.h"
@@ -115,8 +117,6 @@ const std::vector<Digest>& SparseMerkleTree::default_hashes() {
   return defaults;
 }
 
-SparseMerkleTree::SparseMerkleTree() { root_ = default_hashes()[kDepth]; }
-
 uint64_t SparseMerkleTree::key_path(ByteSpan key) {
   Digest d = crypto::sha256(key);
   uint64_t path = 0;
@@ -124,57 +124,169 @@ uint64_t SparseMerkleTree::key_path(ByteSpan key) {
   return path;
 }
 
-Digest SparseMerkleTree::node(int level, uint64_t index) const {
-  if (level == 0) {
-    auto it = leaves_.find(index);
-    return it == leaves_.end() ? default_hashes()[0] : it->second;
+namespace {
+
+/// Which child of a level-(level + 1) node `path` lies under.
+unsigned side(uint64_t path, int level) {
+  return static_cast<unsigned>((path >> level) & 1);
+}
+
+/// The level of the lowest dense node above two different paths.
+int split_level(uint64_t a, uint64_t b) { return 64 - std::countl_zero(a ^ b); }
+
+}  // namespace
+
+Digest SparseMerkleTree::climb(Digest h, int from, int to, uint64_t path) {
+  const auto& d = default_hashes();
+  for (int level = from; level < to; ++level) {
+    const Digest& sib = d[static_cast<size_t>(level)];
+    h = side(path, level) ? node_hash(sib, h) : node_hash(h, sib);
   }
-  auto it = nodes_.find(NodeKey{level, index});
-  return it == nodes_.end() ? default_hashes()[static_cast<size_t>(level)] : it->second;
+  return h;
+}
+
+int SparseMerkleTree::top_level(const uint32_t* stack, size_t depth) const {
+  return depth == 0 ? kDepth : nodes_[stack[depth - 1]].level - 1;
+}
+
+uint32_t SparseMerkleTree::descend(uint64_t path, uint32_t* stack,
+                                   size_t& depth) const {
+  uint32_t cur = root_;
+  while (cur != kNil) {
+    const Node& n = nodes_[cur];
+    // A level-64 branch covers every path (and `path >> 64` is undefined).
+    if (n.level == 0 ||
+        (n.level < kDepth && (n.path >> n.level) != (path >> n.level))) {
+      break;
+    }
+    stack[depth++] = cur;
+    cur = n.child[side(path, n.level - 1)];
+  }
+  return cur;
+}
+
+uint32_t SparseMerkleTree::alloc(const Node& n) {
+  if (free_ == kNil) {
+    nodes_.push_back(n);
+    return static_cast<uint32_t>(nodes_.size() - 1);
+  }
+  uint32_t i = free_;
+  free_ = nodes_[i].child[0];
+  nodes_[i] = n;
+  return i;
+}
+
+void SparseMerkleTree::release(uint32_t i) {
+  nodes_[i].child[0] = free_;
+  free_ = i;
+}
+
+void SparseMerkleTree::reclimb(const uint32_t* stack, size_t depth) {
+  for (; depth > 0; --depth) {
+    Node& b = nodes_[stack[depth - 1]];
+    b.hash = node_hash(nodes_[b.child[0]].top, nodes_[b.child[1]].top);
+    b.top = climb(b.hash, b.level, top_level(stack, depth - 1), b.path);
+  }
 }
 
 void SparseMerkleTree::update(ByteSpan key, const Digest& leaf) {
-  uint64_t path = key_path(key);
-  Digest zero{};
-  if (digest_equal(leaf, zero)) {
-    leaves_.erase(path);
-  } else {
-    leaves_[path] = leaf;
-  }
-  // Recompute the path to the root.
-  uint64_t index = path;
-  for (int level = 1; level <= kDepth; ++level) {
-    uint64_t child = index;
-    index >>= 1;
-    Digest left = node(level - 1, child & ~1ull);
-    Digest right = node(level - 1, (child & ~1ull) | 1ull);
-    Digest h = node_hash(left, right);
-    if (digest_equal(h, default_hashes()[static_cast<size_t>(level)])) {
-      nodes_.erase(NodeKey{level, index});
-    } else {
-      nodes_[NodeKey{level, index}] = h;
+  const uint64_t path = key_path(key);
+  uint32_t stack[kDepth];
+  size_t depth = 0;
+  const uint32_t cur = descend(path, stack, depth);
+  // descend() stops at a leaf or at a subtree `path` is not under, so only
+  // the key's own leaf can carry its path.
+  const bool present = cur != kNil && nodes_[cur].path == path;
+  // The link from the cursor's parent (or the root) to the cursor.
+  auto link = [&](size_t d) -> uint32_t& {
+    if (d == 0) return root_;
+    Node& parent = nodes_[stack[d - 1]];
+    return parent.child[side(path, parent.level - 1)];
+  };
+
+  if (digest_equal(leaf, Digest{})) {
+    if (!present) return;  // erasing an absent key changes nothing
+    --leaf_count_;
+    release(cur);
+    if (depth == 0) {
+      root_ = kNil;
+      return;
     }
+    // The parent branch goes; its other child moves up to the grandparent.
+    const uint32_t parent = stack[--depth];
+    const uint32_t survivor =
+        nodes_[parent].child[side(path, nodes_[parent].level - 1) ^ 1];
+    release(parent);
+    link(depth) = survivor;
+    Node& s = nodes_[survivor];
+    s.top = climb(s.hash, s.level, top_level(stack, depth), s.path);
+  } else if (present) {
+    Node& n = nodes_[cur];
+    n.hash = leaf;
+    n.top = climb(leaf, 0, top_level(stack, depth), path);
+  } else {
+    // A new key. In an empty tree its leaf is the root. Otherwise its path
+    // leaves the tree inside the edge above `cur`, and a new branch joins
+    // the new leaf and `cur`'s subtree where the two paths part.
+    ++leaf_count_;
+    Node fresh;
+    fresh.hash = leaf;
+    fresh.path = path;
+    if (cur == kNil) {
+      fresh.top = climb(leaf, 0, kDepth, path);
+      root_ = alloc(fresh);
+      return;
+    }
+    const int level = split_level(path, nodes_[cur].path);
+    fresh.top = climb(leaf, 0, level - 1, path);
+    Node branch;
+    branch.level = level;
+    branch.path = path;
+    branch.child[side(path, level - 1)] = alloc(fresh);
+    branch.child[side(path, level - 1) ^ 1] = cur;
+    Node& old = nodes_[cur];  // taken after alloc(), which may move nodes_
+    old.top = climb(old.hash, old.level, level - 1, old.path);
+    branch.hash = node_hash(nodes_[branch.child[0]].top,
+                            nodes_[branch.child[1]].top);
+    branch.top = climb(branch.hash, level, top_level(stack, depth), path);
+    const uint32_t b = alloc(branch);
+    link(depth) = b;
   }
-  root_ = node(kDepth, 0);
+  reclimb(stack, depth);
 }
 
 std::optional<Digest> SparseMerkleTree::leaf(ByteSpan key) const {
-  auto it = leaves_.find(key_path(key));
-  if (it == leaves_.end()) return std::nullopt;
-  return it->second;
+  const uint64_t path = key_path(key);
+  uint32_t stack[kDepth];
+  size_t depth = 0;
+  const uint32_t cur = descend(path, stack, depth);
+  if (cur == kNil || nodes_[cur].path != path) return std::nullopt;
+  return nodes_[cur].hash;
 }
 
 SmtProof SparseMerkleTree::prove(ByteSpan key) const {
   SmtProof proof;
   proof.path = key_path(key);
-  uint64_t index = proof.path;
-  for (int level = 0; level < kDepth; ++level) {
-    Digest sib = node(level, index ^ 1ull);
-    if (!digest_equal(sib, default_hashes()[static_cast<size_t>(level)])) {
-      proof.nondefault_mask |= 1ull << level;
-      proof.siblings.push_back(sib);
-    }
-    index >>= 1;
+  uint32_t stack[kDepth];
+  size_t depth = 0;
+  const uint32_t cur = descend(proof.path, stack, depth);
+  // Siblings arrive leaf level first; a level with no entry is default.
+  auto add = [&](int level, const Digest& sib) {
+    if (digest_equal(sib, default_hashes()[static_cast<size_t>(level)])) return;
+    proof.nondefault_mask |= 1ull << level;
+    proof.siblings.push_back(sib);
+  };
+  if (cur != kNil && nodes_[cur].path != proof.path) {
+    // An absent key whose path leaves the tree inside the edge above `cur`:
+    // below the last branch its one non-default sibling is `cur`'s subtree,
+    // climbed to the level just under where the two paths part.
+    const Node& n = nodes_[cur];
+    const int level = split_level(proof.path, n.path) - 1;
+    add(level, climb(n.hash, n.level, level, n.path));
+  }
+  for (; depth > 0; --depth) {
+    const Node& b = nodes_[stack[depth - 1]];
+    add(b.level - 1, nodes_[b.child[side(proof.path, b.level - 1) ^ 1]].top);
   }
   return proof;
 }

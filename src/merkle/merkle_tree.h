@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -65,7 +64,18 @@ class BlockMerkleTree {
 // Keys are mapped to a 64-bit path (first 8 bytes of SHA-256 of the key);
 // depth-64 is collision-safe at the scales this repository runs (birthday
 // bound ~2^-24 at one million keys). Empty subtrees hash to per-level default
-// digests, so storage is proportional to the number of live keys.
+// digests.
+//
+// Storage is a path-compressed binary radix tree over the paths: k keys take
+// k leaves and k-1 branch nodes, two nodes per key, however deep the dense
+// tree is. A leaf sits at level 0; a branch at level L (1..64) is the one
+// dense node where two non-empty level-(L-1) subtrees meet, and the dense
+// levels between a node and its parent hold only default siblings. Each node
+// keeps `top`, its subtree's hash climbed through those default siblings to
+// its parent's level - 1 (to level 64 for the root), so the root and every
+// proof sibling come from the nodes alone and an untouched sibling is never
+// hashed again. The hashes, the root and the proofs are exactly those of the
+// dense 64-level tree.
 
 struct SmtProof {
   uint64_t path = 0;          // leaf index of the key
@@ -80,14 +90,17 @@ class SparseMerkleTree {
  public:
   static constexpr int kDepth = 64;
 
-  SparseMerkleTree();
+  SparseMerkleTree() = default;
 
   /// Sets the leaf for `key` to leaf_hash(key || value-binding). A zero
-  /// digest deletes the leaf (resets to default).
+  /// digest deletes the leaf (resets to default). Keys that share a path
+  /// share a leaf: the last write wins.
   void update(ByteSpan key, const Digest& leaf);
   std::optional<Digest> leaf(ByteSpan key) const;
-  const Digest& root() const { return root_; }
-  size_t size() const { return leaves_.size(); }
+  const Digest& root() const {
+    return root_ == kNil ? default_hashes()[kDepth] : nodes_[root_].top;
+  }
+  size_t size() const { return leaf_count_; }
 
   SmtProof prove(ByteSpan key) const;
   /// Verifies that `key` maps to `leaf` (or is absent if leaf==nullopt) under
@@ -98,22 +111,40 @@ class SparseMerkleTree {
   static uint64_t key_path(ByteSpan key);
 
  private:
-  struct NodeKey {
-    int level;       // 0 = leaf level, kDepth = root
-    uint64_t index;  // node index within the level
-    auto operator<=>(const NodeKey&) const = default;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  struct Node {
+    Digest hash{};  // the dense node's hash at `level` (the leaf digest at 0)
+    Digest top{};   // `hash` climbed to the parent's level - 1 (root: kDepth)
+    uint64_t path = 0;  // a leaf's path; for a branch, any path below it
+    uint32_t child[2] = {kNil, kNil};  // a branch's (a free node: child[0])
+    int level = 0;  // 0 = leaf, else a branch with both children non-empty
   };
 
-  Digest node(int level, uint64_t index) const;
   static const std::vector<Digest>& default_hashes();
+  /// `h`, the hash of the dense node at level `from` on `path`, hashed up
+  /// through default siblings to level `to`.
+  static Digest climb(Digest h, int from, int to, uint64_t path);
+  /// Walks down `path` from the root, pushing each branch it passes
+  /// (root first) onto `stack`, and returns the node it stops at: a leaf,
+  /// a subtree `path` is not under, or kNil for an empty tree.
+  uint32_t descend(uint64_t path, uint32_t* stack, size_t& depth) const;
+  /// The level `top` sits at for a child of stack[depth - 1]; kDepth for
+  /// the root (depth 0).
+  int top_level(const uint32_t* stack, size_t depth) const;
+  /// Free nodes form a list through child[0], headed by free_.
+  uint32_t alloc(const Node& n);
+  void release(uint32_t i);
+  /// Re-hashes stack[0..depth), deepest first.
+  void reclimb(const uint32_t* stack, size_t depth);
 
-  // Ordered maps, not hash maps: the state root these trees produce flows
-  // into checkpoint certificates and snapshots, so no container here may
-  // expose hash-seed-dependent iteration order (lint:determinism). Lookups
-  // are point-addressed; ordering also makes a future ranged diff trivial.
-  std::map<NodeKey, Digest> nodes_;
-  std::map<uint64_t, Digest> leaves_;
-  Digest root_;
+  // One vector, indices not pointers: alloc() may reallocate it. The tree's
+  // shape is a function of the key set alone; the slot a node occupies
+  // depends on history but never reaches a hash, proof or snapshot.
+  std::vector<Node> nodes_;
+  uint32_t root_ = kNil;
+  uint32_t free_ = kNil;
+  size_t leaf_count_ = 0;
 };
 
 }  // namespace sbft::merkle

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/serde.h"
 #include "crypto/sha256.h"
 #include "evm/assembler.h"
 #include "evm/contracts.h"
@@ -474,6 +475,90 @@ TEST(EvmLedger, BatchAggregatesGas) {
   ledger.execute(as_span(encode_tx_batch(txs)));
   sim::CostModel costs;
   EXPECT_GT(ledger.last_execute_cost_us(costs), 10 * costs.evm_us(21000) / 2);
+}
+
+// A batch is flat and is decoded whole before any transaction runs: a
+// malformed one returns "malformed batch", runs nothing and is charged one
+// transaction's base gas.
+void expect_rejected_batch(const Bytes& op) {
+  EvmLedgerService ledger;
+  Digest empty = ledger.state_digest();
+  auto result = decode_tx_result(as_span(ledger.execute(as_span(op))));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->success);
+  EXPECT_EQ(result->error, "malformed batch");
+  EXPECT_EQ(ledger.contracts_created(), 0u);
+  EXPECT_EQ(ledger.state_digest(), empty);
+  sim::CostModel costs;
+  EXPECT_EQ(ledger.last_execute_cost_us(costs), costs.evm_us(21000));
+}
+
+Bytes create_op(uint8_t sender) {
+  return encode_create(CreateTx{Address{{sender}}, counter_contract()});
+}
+
+TEST(EvmLedger, NestedBatchIsRejectedAndRunsNothing) {
+  expect_rejected_batch(encode_tx_batch({create_op(1), encode_tx_batch({create_op(2)})}));
+}
+
+TEST(EvmLedger, TruncatedOrTrailingBatchRunsNothing) {
+  // Three transactions declared: one complete create, then half a length.
+  Writer truncated;
+  truncated.u8(static_cast<uint8_t>(TxType::kBatch));
+  truncated.u32(3);
+  truncated.bytes(as_span(create_op(1)));
+  truncated.u16(9);
+  expect_rejected_batch(std::move(truncated).take());
+
+  Bytes trailing = encode_tx_batch({create_op(1)});
+  trailing.push_back(0);
+  expect_rejected_batch(trailing);
+
+  Bytes short_create = create_op(2);
+  short_create.pop_back();
+  expect_rejected_batch(encode_tx_batch({create_op(1), short_create}));
+}
+
+TEST(EvmLedger, OversizedBatchCountIsChargedOneTx) {
+  Writer w;
+  w.u8(static_cast<uint8_t>(TxType::kBatch));
+  w.u32(100'000);
+  w.u32(0);
+  expect_rejected_batch(std::move(w).take());
+}
+
+TEST(EvmLedger, DeeplyNestedBatchIsRejectedWithoutRecursion) {
+  // 100,000 one-transaction batches, each wrapping the next, around one
+  // create; built in one pass (9 header bytes per level).
+  constexpr uint32_t kLevels = 100'000;
+  Bytes create = create_op(1);
+  Writer w;
+  for (uint32_t level = kLevels; level > 0; --level) {
+    w.u8(static_cast<uint8_t>(TxType::kBatch));
+    w.u32(1);
+    w.u32(static_cast<uint32_t>(9 * (level - 1) + create.size()));
+  }
+  w.raw(as_span(create));
+  expect_rejected_batch(std::move(w).take());
+}
+
+TEST(EvmLedger, FailingTxInABatchKeepsItsOwnResult) {
+  // Well-framed transactions run in order even when one fails: the call to
+  // a missing contract fails on its own and the creates still land.
+  EvmLedgerService ledger;
+  CallTx missing;
+  missing.contract.fill(0x77);
+  Bytes out = ledger.execute(
+      as_span(encode_tx_batch({create_op(1), encode_call(missing), create_op(2)})));
+  auto last = decode_tx_result(as_span(out));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(last->success);
+  EXPECT_EQ(ledger.contracts_created(), 2u);
+  out = ledger.execute(as_span(encode_tx_batch({create_op(3), encode_call(missing)})));
+  last = decode_tx_result(as_span(out));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->error, "no such contract");
+  EXPECT_EQ(ledger.contracts_created(), 3u);
 }
 
 }  // namespace

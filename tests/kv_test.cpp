@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/serde.h"
 #include "harness/workload.h"
 #include "kv/kv_service.h"
 
@@ -103,6 +104,67 @@ TEST(KvService, MalformedOpReturnsError) {
   KvService svc;
   Bytes bad = {0x42};
   EXPECT_EQ(svc.execute(as_span(bad)), to_bytes("ERR:malformed"));
+}
+
+// A batch is flat and is decoded whole before any sub-op runs: whatever is
+// wrong with it, it returns ERR:malformed, applies nothing and is charged as
+// one op.
+void expect_rejected_batch(const Bytes& op) {
+  KvService svc;
+  Digest empty = svc.state_digest();
+  EXPECT_EQ(svc.execute(as_span(op)), to_bytes("ERR:malformed"));
+  EXPECT_EQ(svc.size(), 0u);
+  EXPECT_EQ(svc.state_digest(), empty);
+  sim::CostModel costs;
+  EXPECT_EQ(svc.last_execute_cost_us(costs), costs.kv_op_us);
+}
+
+TEST(KvService, NestedBatchIsRejectedAndAppliesNothing) {
+  Bytes put_a = encode_put(as_span("a"), as_span("1"));
+  Bytes put_b = encode_put(as_span("b"), as_span("2"));
+  expect_rejected_batch(encode_batch({put_a, encode_batch({put_b})}));
+}
+
+TEST(KvService, TruncatedOrTrailingBatchChangesNothing) {
+  Bytes put_a = encode_put(as_span("a"), as_span("1"));
+  // Three sub-ops declared: one complete put, then half a length.
+  Writer truncated;
+  truncated.u8(static_cast<uint8_t>(OpType::kBatch));
+  truncated.u32(3);
+  truncated.bytes(as_span(put_a));
+  truncated.u16(9);
+  expect_rejected_batch(std::move(truncated).take());
+
+  Bytes trailing = encode_batch({put_a});
+  trailing.push_back(0);
+  expect_rejected_batch(trailing);
+
+  Bytes garbage = {0x09, 0x01};
+  expect_rejected_batch(encode_batch({put_a, garbage}));
+}
+
+TEST(KvService, OversizedBatchCountIsChargedOneOp) {
+  // Nine bytes that declare a million sub-ops and hold one empty one.
+  Writer w;
+  w.u8(static_cast<uint8_t>(OpType::kBatch));
+  w.u32(1'000'000);
+  w.u32(0);
+  expect_rejected_batch(std::move(w).take());
+}
+
+TEST(KvService, DeeplyNestedBatchIsRejectedWithoutRecursion) {
+  // 100,000 one-op batches, each wrapping the next, around one put; built
+  // in one pass (each level adds a 9-byte header: tag, count, length).
+  constexpr uint32_t kLevels = 100'000;
+  Bytes put = encode_put(as_span("k"), as_span("v"));
+  Writer w;
+  for (uint32_t level = kLevels; level > 0; --level) {
+    w.u8(static_cast<uint8_t>(OpType::kBatch));
+    w.u32(1);
+    w.u32(static_cast<uint32_t>(9 * (level - 1) + put.size()));
+  }
+  w.raw(as_span(put));
+  expect_rejected_batch(std::move(w).take());
 }
 
 TEST(KvService, CloneEmptyIsFresh) {

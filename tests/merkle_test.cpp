@@ -1,8 +1,54 @@
 #include <gtest/gtest.h>
+#include <malloc.h>  // malloc_usable_size
+
+#include <atomic>
+#include <cstdlib>
+#include <map>
+#include <new>
 
 #include "common/rng.h"
 #include "crypto/sha256.h"
 #include "merkle/merkle_tree.h"
+
+// Live heap bytes of this test binary, for Smt.HeapStaysLinearInKeys: every
+// global new and delete below goes through malloc and counts the usable size.
+namespace {
+std::atomic<int64_t> g_live_heap{0};
+
+void* counted_new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_heap.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                        std::memory_order_relaxed);
+  return p;
+}
+
+void counted_delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_heap.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                        std::memory_order_relaxed);
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_new(n);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return operator new(n, tag);
+}
+void operator delete(void* p) noexcept { counted_delete(p); }
+void operator delete[](void* p) noexcept { counted_delete(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_delete(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_delete(p); }
 
 namespace sbft::merkle {
 namespace {
@@ -231,6 +277,146 @@ TEST(Smt, RandomizedAgainstReference) {
   SparseMerkleTree rebuilt;
   for (const auto& [key, leaf] : reference) rebuilt.update(as_span(key), leaf);
   EXPECT_EQ(rebuilt.root(), t.root());
+}
+
+// The dense layout the compact tree replaced, kept as its oracle: every
+// non-default node of all 64 levels is its own entry of one ordered map.
+class DenseSmt {
+ public:
+  DenseSmt() {
+    d_[0] = crypto::sha256("sbft.smt.empty-leaf");
+    for (int i = 1; i <= 64; ++i) d_[i] = node_hash(d_[i - 1], d_[i - 1]);
+  }
+
+  void update(ByteSpan key, const Digest& leaf) {
+    uint64_t index = SparseMerkleTree::key_path(key);
+    if (digest_equal(leaf, Digest{})) {
+      nodes_.erase({0, index});
+    } else {
+      nodes_[{0, index}] = leaf;
+    }
+    for (int level = 1; level <= 64; ++level) {
+      uint64_t child = index & ~1ull;
+      index >>= 1;
+      Digest h = node_hash(node(level - 1, child), node(level - 1, child | 1));
+      if (digest_equal(h, d_[level])) {
+        nodes_.erase({level, index});
+      } else {
+        nodes_[{level, index}] = h;
+      }
+    }
+  }
+  Digest root() const { return node(64, 0); }
+  std::optional<Digest> leaf(ByteSpan key) const {
+    auto it = nodes_.find({0, SparseMerkleTree::key_path(key)});
+    if (it == nodes_.end()) return std::nullopt;
+    return it->second;
+  }
+  size_t size() const {
+    return static_cast<size_t>(std::count_if(
+        nodes_.begin(), nodes_.end(), [](const auto& e) { return e.first.first == 0; }));
+  }
+  SmtProof prove(ByteSpan key) const {
+    SmtProof proof;
+    proof.path = SparseMerkleTree::key_path(key);
+    for (int level = 0; level < 64; ++level) {
+      Digest sib = node(level, (proof.path >> level) ^ 1);
+      if (digest_equal(sib, d_[level])) continue;
+      proof.nondefault_mask |= 1ull << level;
+      proof.siblings.push_back(sib);
+    }
+    return proof;
+  }
+
+ private:
+  Digest node(int level, uint64_t index) const {
+    auto it = nodes_.find({level, index});
+    return it == nodes_.end() ? d_[level] : it->second;
+  }
+
+  std::array<Digest, 65> d_;
+  std::map<std::pair<int, uint64_t>, Digest> nodes_;
+};
+
+/// Drives the compact tree and the dense oracle with one seeded stream of
+/// puts, overwrites and erases over `key_space` keys, then erases them all.
+void check_against_dense(uint64_t seed, uint64_t key_space, int steps) {
+  SparseMerkleTree tree;
+  DenseSmt dense;
+  Rng rng(seed);
+  auto key = [](uint64_t k) { return "k" + std::to_string(k); };
+  auto compare_reads = [&](int step) {
+    ASSERT_EQ(tree.size(), dense.size()) << "step " << step;
+    for (int probe = 0; probe < 8; ++probe) {
+      // Keys beyond the key space are never written: absent-key proofs.
+      std::string k = key(rng.below(key_space + key_space / 4 + 2));
+      ASSERT_EQ(tree.leaf(as_span(k)), dense.leaf(as_span(k))) << k;
+      ASSERT_EQ(tree.prove(as_span(k)).encode(), dense.prove(as_span(k)).encode())
+          << k << " at step " << step;
+    }
+  };
+  for (int step = 0; step < steps; ++step) {
+    std::string k = key(rng.below(key_space));
+    Digest leaf{};  // zero: erase (present or absent)
+    if (!rng.chance(0.3)) leaf = leaf_hash(as_span(rng.bytes(8)));
+    Digest before = tree.root();
+    bool absent = !tree.leaf(as_span(k)).has_value();
+    tree.update(as_span(k), leaf);
+    dense.update(as_span(k), leaf);
+    ASSERT_EQ(tree.root(), dense.root()) << "step " << step;
+    if (absent && digest_equal(leaf, Digest{})) {
+      ASSERT_EQ(tree.root(), before) << "erasing absent " << k;
+    }
+    if (step % 97 == 0) {
+      compare_reads(step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  compare_reads(steps);
+  if (::testing::Test::HasFatalFailure()) return;
+  for (uint64_t k = 0; k < key_space; ++k) {
+    tree.update(as_span(key(k)), Digest{});
+    dense.update(as_span(key(k)), Digest{});
+    ASSERT_EQ(tree.root(), dense.root()) << "erasing " << key(k);
+  }
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.root(), SparseMerkleTree().root());
+}
+
+TEST(Smt, MatchesDenseReference) {
+  ASSERT_NO_FATAL_FAILURE(check_against_dense(101, 40, 3000));
+  ASSERT_NO_FATAL_FAILURE(check_against_dense(202, 3000, 9000));
+}
+
+TEST(Smt, RootAndProofsArePinned) {
+  // Recorded from the dense per-level layout: the compact tree must keep
+  // every state digest and proof byte-identical.
+  SparseMerkleTree t;
+  for (int i = 0; i < 1000; ++i) {
+    t.update(as_span(to_bytes("key-" + std::to_string(i))),
+             leaf_hash(as_span(to_bytes("val-" + std::to_string(i)))));
+  }
+  EXPECT_EQ(to_hex(as_span(t.root())),
+            "6b6de908d237a78592af6ff90c62abe2d896418a7cb3cf7db62c95a0e97fefc8");
+  EXPECT_EQ(to_hex(as_span(crypto::sha256(as_span(t.prove(as_span("key-7")).encode())))),
+            "9c9302329595d2f721ce825bf61392f5efb07e8210b636f280c05e364f7a7dc7");
+  EXPECT_EQ(
+      to_hex(as_span(crypto::sha256(as_span(t.prove(as_span("key-1000")).encode())))),
+      "3058ff6c7417dfc0d1fef8b23ab7785fe314874c50e9eabdf8c9927c8a1c9b3a");
+}
+
+TEST(Smt, HeapStaysLinearInKeys) {
+  // Two nodes per key: well under 1 KiB each, where the dense layout spent
+  // ~4 KB on the ~53 map entries of a key's path.
+  constexpr int kKeys = 20000;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) keys.push_back("key-" + std::to_string(i));
+  int64_t before = g_live_heap.load();
+  SparseMerkleTree t;
+  for (const std::string& k : keys) t.update(as_span(k), leaf_hash(as_span(k)));
+  int64_t grown = g_live_heap.load() - before;
+  EXPECT_EQ(t.size(), static_cast<size_t>(kKeys));
+  EXPECT_LE(grown, int64_t{kKeys} * 1024) << grown / kKeys << " B per key";
 }
 
 }  // namespace

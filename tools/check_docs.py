@@ -32,8 +32,13 @@
    name in docs/architecture.md or docs/reconfiguration.md — the two
    ordering engines and the client session that talks to them are the
    protocol itself, so their surface must stay documented.
+10. Every public class declared in src/merkle/*.h and src/kv/*.h appears by
+   name in docs/architecture.md or docs/state_transfer.md — the Merkle
+   trees and the authenticated store are what a client's single-replica
+   proof and every state digest rest on, so their surface must stay
+   documented.
 
-Rules 2, 4-7 and 9 share one table, CLASS_RULES.
+Rules 2, 4-7, 9 and 10 share one table, CLASS_RULES.
 
 Exits non-zero with a summary of every violation.
 """
@@ -106,6 +111,7 @@ CLASS_RULES = [
     (("fuzz",), ("fuzzing.md", "architecture.md")),
     (("shard",), ("sharding.md", "architecture.md")),
     (("core", "pbft"), ("architecture.md", "reconfiguration.md")),
+    (("merkle", "kv"), ("architecture.md", "state_transfer.md")),
 ]
 
 
@@ -164,8 +170,8 @@ def main():
             print(f"  - {err}")
         return 1
     print(f"check_docs: OK ({docs} documents, links resolve, no orphaned "
-          f"pages, runtime, obs, sim, fuzz, shard, core and pbft classes "
-          f"documented, lint checks documented)")
+          f"pages, runtime, obs, sim, fuzz, shard, core, pbft, merkle and "
+          f"kv classes documented, lint checks documented)")
     return 0
 
 
