@@ -189,10 +189,6 @@ void SbftReplica::on_engine_message(NodeId from, const Message& msg,
           handle_sign_state(m, ctx);
         } else if constexpr (std::is_same_v<T, FullExecuteProofMsg>) {
           handle_full_execute_proof(m, ctx);
-        } else if constexpr (std::is_same_v<T, ViewChangeMsg>) {
-          handle_view_change(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, NewViewMsg>) {
-          handle_new_view(from, m, ctx);
         } else if constexpr (std::is_same_v<T, GetBlockRequestMsg>) {
           handle_get_block_request(m, ctx);
         } else if constexpr (std::is_same_v<T, GetBlockReplyMsg>) {
@@ -942,23 +938,13 @@ void SbftReplica::adopt_verified_view(ViewNum v, sim::ActorContext& ctx) {
   trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kViewAdopted,
                  0, 0, v);
   install_view(v);
-  vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(v));
   progress_marker_ = le();
   if (is_primary()) {
     ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
   }
 }
 
-void SbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
-  if (!begin_view_change(target, ctx)) return;
-  ViewChangeMsg msg = build_view_change(target);
-  vc_msgs_[target][opts_.id] = msg;
-  broadcast_replicas(ctx, make_message(ViewChangeMsg(msg)));
-  arm_progress_timer(ctx);  // exponential backoff to target+1 if this stalls
-  if (epoch().primary_of(target) == opts_.id) maybe_send_new_view(target, ctx);
-}
-
-ViewChangeMsg SbftReplica::build_view_change(ViewNum target) const {
+MessagePtr SbftReplica::make_view_change(ViewNum target, sim::ActorContext& /*ctx*/) {
   ViewChangeMsg msg;
   msg.sender = opts_.id;
   msg.next_view = target;
@@ -1006,75 +992,40 @@ ViewChangeMsg SbftReplica::build_view_change(ViewNum target) const {
     if (sl.block) e.block = sl.block;
     msg.slots.push_back(std::move(e));
   }
-  return msg;
+  return make_message(std::move(msg));
 }
 
-void SbftReplica::handle_view_change(NodeId from, const ViewChangeMsg& m,
-                                     sim::ActorContext& ctx) {
-  if (m.next_view <= view_ || retired_) return;
-  // Filed under m.sender, so it counts only from that replica's node: else
-  // one node could claim f+1 senders and pull every replica into a view
-  // change.
-  if (!from_replica(from, m.sender)) return;
+bool SbftReplica::check_view_evidence(const Message& msg, sim::ActorContext& ctx) {
   ViewChangeVerifiers verifiers = view_change_verifiers();
-  ctx.charge(ctx.costs().batch_verify_us(2 * m.slots.size() + 1));
-  if (!validate_view_change(cfg_, verifiers, m)) return;
-  vc_msgs_[m.next_view][m.sender] = m;
-
-  // Join rule (§VII): f+1 distinct replicas ahead of us force our hand.
-  if (m.next_view > vc_target_ || !in_view_change_) {
-    size_t ahead = 0;
-    for (const auto& [target, senders] : vc_msgs_) {
-      if (target > view_) ahead = std::max(ahead, senders.size());
-    }
-    if (ahead >= cfg_.f + 1) {
-      ViewNum best = view_;
-      for (const auto& [target, senders] : vc_msgs_) {
-        if (senders.size() >= cfg_.f + 1) best = std::max(best, target);
-      }
-      if (best > view_) start_view_change(best, ctx);
-    }
+  if (const auto* vc = std::get_if<ViewChangeMsg>(&msg)) {
+    ctx.charge(ctx.costs().batch_verify_us(2 * vc->slots.size() + 1));
+    return validate_view_change(cfg_, verifiers, *vc);
   }
-  if (epoch().primary_of(m.next_view) == opts_.id)
-    maybe_send_new_view(m.next_view, ctx);
-}
-
-void SbftReplica::maybe_send_new_view(ViewNum target, sim::ActorContext& ctx) {
-  if (new_view_sent_ && vc_target_ >= target) return;
-  auto it = vc_msgs_.find(target);
-  if (it == vc_msgs_.end() || it->second.size() < cfg_.view_change_quorum())
-    return;
-  NewViewMsg nv;
-  nv.view = target;
-  for (const auto& [sender, msg] : it->second) {
-    nv.proofs.push_back(msg);
-    if (nv.proofs.size() == cfg_.view_change_quorum()) break;
-  }
-  new_view_sent_ = true;
-  trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
-                 0, 0, target);
-  broadcast_replicas(ctx, make_message(NewViewMsg(nv)));
-  enter_new_view(nv, ctx);
-}
-
-void SbftReplica::handle_new_view(NodeId from, const NewViewMsg& m,
-                                  sim::ActorContext& ctx) {
-  if (m.view <= view_ || retired_) return;
-  if (from != node_of(epoch().primary_of(m.view))) return;
-  ViewChangeVerifiers verifiers = view_change_verifiers();
+  const auto* nv = std::get_if<NewViewMsg>(&msg);
+  if (nv == nullptr) return false;
   size_t evidence = 0;
-  for (const auto& p : m.proofs) evidence += 2 * p.slots.size() + 1;
+  for (const auto& p : nv->proofs) evidence += 2 * p.slots.size() + 1;
   ctx.charge(ctx.costs().batch_verify_us(evidence));
-  if (!validate_new_view(cfg_, verifiers, m)) return;
-  enter_new_view(m, ctx);
+  return std::all_of(nv->proofs.begin(), nv->proofs.end(),
+                     [&](const ViewChangeMsg& p) {
+                       return validate_view_change(cfg_, verifiers, p);
+                     });
 }
 
-void SbftReplica::enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
-  if (m.view < view_ || (m.view == view_ && !in_view_change_) || retired_) return;
-  ViewChangeVerifiers verifiers = view_change_verifiers();
-  close_view_change(m.view, ctx);
-  vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(m.view));
+MessagePtr SbftReplica::make_new_view(ViewNum v,
+                                      const std::vector<const Message*>& quorum,
+                                      sim::ActorContext& ctx) {
+  NewViewMsg nv;
+  nv.view = v;
+  for (const Message* vc : quorum) nv.proofs.push_back(std::get<ViewChangeMsg>(*vc));
+  trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
+                 0, 0, v);
+  return make_message(std::move(nv));
+}
 
+void SbftReplica::enter_new_view(const Message& new_view, sim::ActorContext& ctx) {
+  const auto& m = std::get<NewViewMsg>(new_view);
+  ViewChangeVerifiers verifiers = view_change_verifiers();
   SeqNum stable = select_stable_seq(cfg_, verifiers, m.proofs);
   if (stable > le()) request_state_transfer(ctx);
 
@@ -1138,7 +1089,6 @@ void SbftReplica::enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
   }
 
   next_seq_ = std::max<SeqNum>(max_evidence + 1, stable + 1);
-  resume_view(ctx);
 }
 
 // ---------------------------------------------------------------------------

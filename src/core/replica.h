@@ -122,7 +122,18 @@ class SbftReplica final : public runtime::EngineShell {
   SeqNum highest_slot() const override;
   /// Charges the block hash; the equivocation fault splits the broadcast.
   void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) override;
-  void start_view_change(ViewNum target, sim::ActorContext& ctx) override;
+  /// Its checkpoint certificate and, per slot in the window, the strongest
+  /// slow and fast evidence it holds (§V-G).
+  MessagePtr make_view_change(ViewNum target, sim::ActorContext& ctx) override;
+  /// Charges a batch verification of every evidence signature, then checks
+  /// each checkpoint certificate and slot evidence (validate_view_change).
+  bool check_view_evidence(const Message& msg, sim::ActorContext& ctx) override;
+  MessagePtr make_new_view(ViewNum v, const std::vector<const Message*>& quorum,
+                           sim::ActorContext& ctx) override;
+  /// Fetches a newer proven checkpoint, then takes each slot past it by
+  /// compute_safe_value: commits a decided value, re-accepts an adopted one,
+  /// or fills a no-op.
+  void enter_new_view(const Message& new_view, sim::ActorContext& ctx) override;
   /// Checks the manifest certificate's pi signature, seq-aware with the
   /// provisioned-epoch fallback: a joiner fetches checkpoints certified under
   /// epochs it has not installed yet.
@@ -152,10 +163,6 @@ class SbftReplica final : public runtime::EngineShell {
                                      sim::ActorContext& ctx);
   void handle_sign_state(const SignStateMsg& m, sim::ActorContext& ctx);
   void handle_full_execute_proof(const FullExecuteProofMsg& m, sim::ActorContext& ctx);
-  /// A view change counts only from the node of the replica it names.
-  void handle_view_change(NodeId from, const ViewChangeMsg& m, sim::ActorContext& ctx);
-  /// A new view counts only from the node of its view's primary.
-  void handle_new_view(NodeId from, const NewViewMsg& m, sim::ActorContext& ctx);
   void handle_get_block_request(const GetBlockRequestMsg& m, sim::ActorContext& ctx);
   void handle_get_block_reply(const GetBlockReplyMsg& m, sim::ActorContext& ctx);
 
@@ -211,11 +218,6 @@ class SbftReplica final : public runtime::EngineShell {
   /// through. No-op while a view change is in progress.
   void adopt_verified_view(ViewNum v, sim::ActorContext& ctx);
 
-  // --- view change (§V-G) -----------------------------------------------------
-  ViewChangeMsg build_view_change(ViewNum target) const;
-  void maybe_send_new_view(ViewNum target, sim::ActorContext& ctx);
-  void enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx);
-
   // --- helpers -----------------------------------------------------------------
   Slot& slot(SeqNum s);
   Slot* find_slot(SeqNum s);
@@ -232,9 +234,6 @@ class SbftReplica final : public runtime::EngineShell {
   mutable std::map<uint64_t, ReplicaCrypto> epoch_crypto_;
 
   std::map<SeqNum, Slot> slots_;
-
-  // View-change messages collected per target view.
-  std::map<ViewNum, std::map<ReplicaId, ViewChangeMsg>> vc_msgs_;
 
   ReplicaStats stats_;  // protocol-level counters; runtime fields merged in stats()
 };

@@ -87,18 +87,6 @@ bool validate_view_change(const ProtocolConfig& config,
   return true;
 }
 
-bool validate_new_view(const ProtocolConfig& config,
-                       const ViewChangeVerifiers& verifiers, const NewViewMsg& msg) {
-  if (msg.proofs.size() < config.view_change_quorum()) return false;
-  std::set<ReplicaId> senders;
-  for (const ViewChangeMsg& vc : msg.proofs) {
-    if (vc.next_view != msg.view) return false;
-    if (!senders.insert(vc.sender).second) return false;
-    if (!validate_view_change(config, verifiers, vc)) return false;
-  }
-  return true;
-}
-
 SeqNum select_stable_seq(const ProtocolConfig& /*config*/,
                          const ViewChangeVerifiers& verifiers,
                          const std::vector<ViewChangeMsg>& proofs) {

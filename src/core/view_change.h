@@ -43,12 +43,6 @@ bool validate_view_change(const ProtocolConfig& config,
                           const ViewChangeVerifiers& verifiers,
                           const ViewChangeMsg& msg);
 
-/// Validates a new-view message: >= 2f+2c+1 proofs, distinct senders, all for
-/// `view`, each individually valid.
-bool validate_new_view(const ProtocolConfig& config,
-                       const ViewChangeVerifiers& verifiers,
-                       const NewViewMsg& msg);
-
 /// Highest stable sequence number proven inside I (max valid checkpoint).
 SeqNum select_stable_seq(const ProtocolConfig& config,
                          const ViewChangeVerifiers& verifiers,

@@ -70,10 +70,6 @@ void PbftReplica::on_engine_message(NodeId from, const Message& msg,
           handle_commit(from, m, ctx);
         } else if constexpr (std::is_same_v<T, PbftCheckpointMsg>) {
           handle_checkpoint(m, ctx);
-        } else if constexpr (std::is_same_v<T, PbftViewChangeMsg>) {
-          handle_view_change(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, PbftNewViewMsg>) {
-          handle_new_view(from, m, ctx);
         }
       },
       msg);
@@ -519,8 +515,7 @@ void PbftReplica::on_checkpoint_adopted(SeqNum seq) {
 // ---------------------------------------------------------------------------
 // View change
 
-void PbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
-  if (!begin_view_change(target, ctx)) return;
+MessagePtr PbftReplica::make_view_change(ViewNum target, sim::ActorContext& ctx) {
   PbftViewChangeMsg msg;
   msg.sender = opts_.id;
   msg.next_view = target;
@@ -536,67 +531,37 @@ void PbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
         cert.block = *ev.prepared_block;
         msg.prepared.push_back(std::move(cert));
       });
-  vc_msgs_[target][opts_.id] = msg;
   ctx.charge(ctx.costs().rsa_sign_us);
-  broadcast_replicas(ctx, make_message(PbftViewChangeMsg(msg)));
-  arm_progress_timer(ctx);
+  return make_message(std::move(msg));
 }
 
-void PbftReplica::handle_view_change(NodeId from, const PbftViewChangeMsg& m,
-                                     sim::ActorContext& ctx) {
-  if (m.next_view <= view_ || retired_) return;
-  if (!epoch().contains(m.sender)) return;
-  // Filed under m.sender, so it counts only from that replica's node: else
-  // one node could claim f+1 senders and pull every replica into a view
-  // change.
-  if (!from_replica(from, m.sender)) return;
-  ctx.charge(ctx.costs().rsa_verify_us);
-  vc_msgs_[m.next_view][m.sender] = m;
-
-  if (vc_msgs_[m.next_view].size() >= cfg_.f + 1 && m.next_view > vc_target_) {
-    start_view_change(m.next_view, ctx);
+bool PbftReplica::check_view_evidence(const Message& msg, sim::ActorContext& ctx) {
+  if (std::holds_alternative<PbftViewChangeMsg>(msg)) {
+    ctx.charge(ctx.costs().rsa_verify_us);
+    return true;
   }
-  if (epoch().primary_of(m.next_view) == opts_.id && !new_view_sent_ &&
-      vc_msgs_[m.next_view].size() >= cfg_.view_change_quorum()) {
-    PbftNewViewMsg nv;
-    nv.view = m.next_view;
-    for (const auto& [sender, proof] : vc_msgs_[m.next_view]) {
-      nv.proofs.push_back(proof);
-      if (nv.proofs.size() == cfg_.view_change_quorum()) break;
-    }
-    new_view_sent_ = true;
-    trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
-                   view_change_span(), 0, m.next_view);
-    ctx.charge(ctx.costs().rsa_sign_us);
-    broadcast_replicas(ctx, make_message(PbftNewViewMsg(nv)));
-    enter_new_view(nv, ctx);
-  }
+  const auto* nv = std::get_if<PbftNewViewMsg>(&msg);
+  if (nv == nullptr) return false;
+  ctx.charge(ctx.costs().rsa_verify_us * static_cast<int64_t>(nv->proofs.size()));
+  return true;
 }
 
-void PbftReplica::handle_new_view(NodeId from, const PbftNewViewMsg& m,
-                                  sim::ActorContext& ctx) {
-  if (m.view <= view_ || retired_) return;
-  if (from != node_of(epoch().primary_of(m.view))) return;
-  // The proofs must be view changes to this view from a quorum of distinct
-  // members: else a Byzantine primary could repeat its own and leave out the
-  // prepared certificates enter_new_view must re-propose.
-  std::set<ReplicaId> senders;
-  for (const PbftViewChangeMsg& p : m.proofs) {
-    if (p.next_view != m.view || !epoch().contains(p.sender) ||
-        !senders.insert(p.sender).second) {
-      return;
-    }
+MessagePtr PbftReplica::make_new_view(ViewNum v,
+                                      const std::vector<const Message*>& quorum,
+                                      sim::ActorContext& ctx) {
+  PbftNewViewMsg nv;
+  nv.view = v;
+  for (const Message* vc : quorum) {
+    nv.proofs.push_back(std::get<PbftViewChangeMsg>(*vc));
   }
-  if (senders.size() < cfg_.view_change_quorum()) return;
-  ctx.charge(ctx.costs().rsa_verify_us *
-             static_cast<int64_t>(m.proofs.size()));
-  enter_new_view(m, ctx);
+  trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
+                 view_change_span(), 0, v);
+  ctx.charge(ctx.costs().rsa_sign_us);
+  return make_message(std::move(nv));
 }
 
-void PbftReplica::enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx) {
-  close_view_change(m.view, ctx);
-  vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(m.view));
-
+void PbftReplica::enter_new_view(const Message& new_view, sim::ActorContext& ctx) {
+  const auto& m = std::get<PbftNewViewMsg>(new_view);
   // Re-propose the highest-view prepared certificate per slot; no-op gaps.
   SeqNum max_ls = ls();
   for (const auto& proof : m.proofs) max_ls = std::max(max_ls, proof.ls);
@@ -618,7 +583,6 @@ void PbftReplica::enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx
     accept_pre_prepare(s, m.view, std::move(block), ctx);
   }
   next_seq_ = std::max(next_seq_, max_seq + 1);
-  resume_view(ctx);
 }
 
 }  // namespace sbft::pbft

@@ -142,7 +142,17 @@ class PbftReplica final : public runtime::EngineShell {
   }
   /// Charges the block hash and the primary's RSA signature.
   void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) override;
-  void start_view_change(ViewNum target, sim::ActorContext& ctx) override;
+  /// Its prepared certificates in the window, signed.
+  MessagePtr make_view_change(ViewNum target, sim::ActorContext& ctx) override;
+  /// Charges one signature check per view change; the prepared certificates
+  /// are taken on trust (crash faults, see the header comment).
+  bool check_view_evidence(const Message& msg, sim::ActorContext& ctx) override;
+  /// The quorum, signed.
+  MessagePtr make_new_view(ViewNum v, const std::vector<const Message*>& quorum,
+                           sim::ActorContext& ctx) override;
+  /// Re-proposes the highest-view prepared certificate of each slot past the
+  /// highest stable checkpoint named, and a no-op in each gap.
+  void enter_new_view(const Message& new_view, sim::ActorContext& ctx) override;
   /// Weak checkpoint certificate: f+1 distinct signed checkpoint digests (at
   /// least one honest voucher) must back the manifest's certificate, so a
   /// single faulty donor cannot feed a fabricated-but-root-consistent
@@ -176,9 +186,6 @@ class PbftReplica final : public runtime::EngineShell {
   /// paid (possibly on a worker lane).
   void handle_checkpoint_verified(const PbftCheckpointMsg& m,
                                   sim::ActorContext& ctx);
-  void handle_view_change(NodeId from, const PbftViewChangeMsg& m,
-                          sim::ActorContext& ctx);
-  void handle_new_view(NodeId from, const PbftNewViewMsg& m, sim::ActorContext& ctx);
 
   // --- checkpoint certificates (CheckpointSigShare lists) --------------------
   /// Proof for the current shippable checkpoint: up to 2f+1 shares, served
@@ -203,7 +210,6 @@ class PbftReplica final : public runtime::EngineShell {
                           sim::ActorContext& ctx);
   void check_prepared(SeqNum s, sim::ActorContext& ctx);
   void check_committed(SeqNum s, sim::ActorContext& ctx);
-  void enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx);
   bool execution_gap() const;
 
   bool fabricate_checkpoint_;
@@ -230,8 +236,6 @@ class PbftReplica final : public runtime::EngineShell {
   Bytes fake_envelope_;
   std::unique_ptr<runtime::ChunkedSnapshot> fake_chunks_;
   ExecCertificate fake_cert_;
-
-  std::map<ViewNum, std::map<ReplicaId, PbftViewChangeMsg>> vc_msgs_;
 
   PbftStats stats_;  // protocol-level counters; runtime fields merged in stats()
 };

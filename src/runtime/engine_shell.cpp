@@ -1,6 +1,7 @@
 #include "runtime/engine_shell.h"
 
 #include <algorithm>
+#include <set>
 
 namespace sbft::runtime {
 
@@ -101,6 +102,52 @@ void EngineShell::on_start(sim::ActorContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
+// View-change quorum (§V-G, §VII), one copy for both engines' wire types
+
+template <typename ViewChange>
+void EngineShell::receive_view_change(NodeId from, const ViewChange& m,
+                                      const Message& msg, sim::ActorContext& ctx) {
+  if (m.next_view <= view_ || retired_) return;
+  // Filed under m.sender, so it counts only from that member's node: else
+  // one node could claim f+1 senders and pull every replica into a view
+  // change.
+  if (!from_replica(from, m.sender) || !epoch().contains(m.sender)) return;
+  if (!check_view_evidence(msg, ctx)) return;
+  vc_by_target_[m.next_view][m.sender] = std::make_shared<const Message>(msg);
+
+  // Join rule (§VII): f+1 members asking for a view past this one include an
+  // honest replica that timed out; join the highest view that many ask for.
+  if (m.next_view > vc_target_ || !in_view_change_) {
+    ViewNum best = view_;
+    for (const auto& [target, senders] : vc_by_target_) {
+      if (target > best && senders.size() >= cfg_.f + 1) best = target;
+    }
+    if (best > view_) start_view_change(best, ctx);
+  }
+  if (epoch().primary_of(m.next_view) == opts_.id) try_new_view(m.next_view, ctx);
+}
+
+template <typename NewView>
+void EngineShell::receive_new_view(NodeId from, const NewView& m, const Message& msg,
+                                   sim::ActorContext& ctx) {
+  if (m.view <= view_ || retired_) return;
+  if (from != node_of(epoch().primary_of(m.view))) return;
+  // The proofs must be view changes to this view from a quorum of distinct
+  // members: else a Byzantine primary could repeat its own and leave out the
+  // evidence the new view must carry forward.
+  std::set<ReplicaId> senders;
+  for (const auto& p : m.proofs) {
+    if (p.next_view != m.view || !epoch().contains(p.sender) ||
+        !senders.insert(p.sender).second) {
+      return;
+    }
+  }
+  if (senders.size() < cfg_.view_change_quorum()) return;
+  if (!check_view_evidence(msg, ctx)) return;
+  enter_view(m.view, msg, ctx);
+}
+
+// ---------------------------------------------------------------------------
 // Dispatch
 
 void EngineShell::on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) {
@@ -119,6 +166,12 @@ void EngineShell::on_message(NodeId from, const Message& msg, sim::ActorContext&
           handle_state_chunk(from, m, ctx);
         } else if constexpr (std::is_same_v<T, ReconfigBlockMsg>) {
           handle_reconfig_block(m, ctx);
+        } else if constexpr (std::is_same_v<T, ViewChangeMsg> ||
+                             std::is_same_v<T, PbftViewChangeMsg>) {
+          receive_view_change(from, m, msg, ctx);
+        } else if constexpr (std::is_same_v<T, NewViewMsg> ||
+                             std::is_same_v<T, PbftNewViewMsg>) {
+          receive_new_view(from, m, msg, ctx);
         } else if constexpr (std::is_same_v<T, TxVoteMsg> ||
                              std::is_same_v<T, TxDecisionMsg>) {
           // Cross-shard 2PC traffic belongs to the marker executor; the pump
@@ -372,6 +425,36 @@ void EngineShell::on_progress_timer(sim::ActorContext& ctx) {
   start_view_change(std::max(view_, vc_target_) + 1, ctx);
 }
 
+void EngineShell::start_view_change(ViewNum target, sim::ActorContext& ctx) {
+  if (!begin_view_change(target, ctx)) return;
+  MessagePtr msg = make_view_change(target, ctx);
+  vc_by_target_[target][opts_.id] = msg;
+  broadcast_replicas(ctx, std::move(msg));
+  arm_progress_timer(ctx);  // exponential backoff to target+1 if this stalls
+  if (epoch().primary_of(target) == opts_.id) try_new_view(target, ctx);
+}
+
+void EngineShell::try_new_view(ViewNum target, sim::ActorContext& ctx) {
+  const uint32_t quorum = cfg_.view_change_quorum();
+  auto it = vc_by_target_.find(target);
+  if (it == vc_by_target_.end() || it->second.size() < quorum) return;
+  std::vector<const Message*> chosen;
+  for (const auto& [sender, vc] : it->second) {
+    chosen.push_back(vc.get());
+    if (chosen.size() == quorum) break;
+  }
+  MessagePtr nv = make_new_view(target, chosen, ctx);
+  broadcast_replicas(ctx, nv);
+  enter_view(target, *nv, ctx);
+}
+
+void EngineShell::enter_view(ViewNum v, const Message& new_view,
+                             sim::ActorContext& ctx) {
+  close_view_change(v, ctx);
+  enter_new_view(new_view, ctx);
+  resume_view(ctx);
+}
+
 void EngineShell::on_status_tick(sim::ActorContext& ctx) {
   // An idle cluster sends a replica that missed a checkpoint nothing, and
   // with nothing outstanding its progress timer never fires: ask the peers.
@@ -408,7 +491,7 @@ void EngineShell::install_view(ViewNum v) {
   view_ = v;
   vc_target_ = v;
   vc_attempts_ = 0;
-  new_view_sent_ = false;
+  vc_by_target_.erase(vc_by_target_.begin(), vc_by_target_.upper_bound(v));
   runtime_.wal_record_view(v);
 }
 

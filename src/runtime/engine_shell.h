@@ -17,17 +17,22 @@
 //     cluster went idle still learns it is behind;
 //   * the view-change session: opening and escalating it, its trace span,
 //     the backoff, installing the new view and resuming in it;
+//   * the view-change quorum: the view changes received per target view
+//     (sender-bound, members only), the f+1 join rule, the next primary's
+//     new-view send and the structural check of a received new view;
 //   * direct client replies, cached or fresh;
 //   * chunked state transfer, fetcher and donor side (docs/state_transfer.md);
 //   * the batch, progress, status, state-transfer, donor-tick and shard-tick
 //     timers.
 //
 // An engine derives from EngineShell and supplies the hooks below: its
-// proposal window and demand split, its in-flight slots, how a proposal and a
-// view-change message go out, how a manifest's checkpoint certificate is
-// checked and prepared, what to drop once a checkpoint is adopted, how to
-// execute, and whether it is silent. Messages and timers the shell does not
-// own reach the engine through on_engine_message / on_engine_timer.
+// proposal window and demand split, its in-flight slots, how a proposal goes
+// out, its view-change evidence (building and checking view changes and new
+// views, and entering a view from the chosen set), how a manifest's
+// checkpoint certificate is checked and prepared, what to drop once a
+// checkpoint is adopted, how to execute, and whether it is silent. Messages
+// and timers the shell does not own reach the engine through
+// on_engine_message / on_engine_timer.
 #pragma once
 
 #include <deque>
@@ -150,9 +155,22 @@ class EngineShell : public sim::IActor {
   virtual SeqNum highest_slot() const = 0;
   /// Sends the primary's pre-prepare of `block` at slot s in view_.
   virtual void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) = 0;
-  /// Opens or escalates a view change to `target`: begin_view_change, then
-  /// the engine's view-change message.
-  virtual void start_view_change(ViewNum target, sim::ActorContext& ctx) = 0;
+  // View-change evidence (§V-G). The shell runs the quorum over the engine's
+  // own wire types, whose `sender`, `next_view`, `view` and `proofs` fields
+  // it reads; each hook charges what the engine's evidence costs.
+  /// This replica's view change to `target`, carrying its evidence.
+  virtual MessagePtr make_view_change(ViewNum target, sim::ActorContext& ctx) = 0;
+  /// The evidence of a received view change, or of every proof of a received
+  /// new view, once the shell has checked their senders and views; false for
+  /// the other engine's wire types.
+  virtual bool check_view_evidence(const Message& msg, sim::ActorContext& ctx) = 0;
+  /// The new view for `v` built from `quorum`: view_change_quorum() view
+  /// changes this engine made or accepted, in sender order.
+  virtual MessagePtr make_new_view(ViewNum v, const std::vector<const Message*>& quorum,
+                                   sim::ActorContext& ctx) = 0;
+  /// Fills the slots of the view just installed from the new view's proofs,
+  /// and sets next_seq_ past them.
+  virtual void enter_new_view(const Message& new_view, sim::ActorContext& ctx) = 0;
   /// Fetcher: is the manifest's checkpoint certificate valid? Charges its
   /// verification cost. SBFT checks the pi signature, PBFT the weak f+1
   /// checkpoint certificate shipped with the manifest.
@@ -225,18 +243,9 @@ class EngineShell : public sim::IActor {
   void try_propose(sim::ActorContext& ctx, bool flush_partial = false);
 
   // --- view-change session (§V-G) -----------------------------------------------
-  /// Opens a view change to `target` or escalates the open one: backoff
-  /// attempt, view_changes count, session span. False, changing nothing, for
-  /// a retired replica or a target not past the view (or the open target).
-  bool begin_view_change(ViewNum target, sim::ActorContext& ctx);
-  /// Moves to view v: target and backoff reset, view recorded in the WAL.
+  /// Moves to view v: target and backoff reset, view recorded in the WAL,
+  /// the view changes collected for v and earlier dropped.
   void install_view(ViewNum v);
-  /// Ends the view-change session on entering view v (the span, or a
-  /// view.entered instant when none was open) and installs v.
-  void close_view_change(ViewNum v, sim::ActorContext& ctx);
-  /// Resumes normal operation in the view just entered: progress marker,
-  /// batch timer and proposals (primary), progress timer.
-  void resume_view(sim::ActorContext& ctx);
   /// Target of the open view-change session span (0: none).
   ViewNum view_change_span() const { return vc_span_; }
 
@@ -266,7 +275,6 @@ class EngineShell : public sim::IActor {
   ViewNum view_ = 0;
   bool in_view_change_ = false;
   ViewNum vc_target_ = 0;
-  bool new_view_sent_ = false;  // this primary broadcast the new view for vc_target_
   SeqNum next_seq_ = 1;  // primary: next sequence to propose
   // Progress marker of the stall timer: le() when it last saw progress.
   SeqNum progress_marker_ = 0;
@@ -296,6 +304,41 @@ class EngineShell : public sim::IActor {
   /// move since the last tick broadcasts the probe without opening a round;
   /// only a donor with a newer certified checkpoint answers.
   void on_status_tick(sim::ActorContext& ctx);
+
+  // --- view-change session and quorum (§V-G, §VII) --------------------------------
+  /// Opens or escalates a view change to `target`: begin_view_change, then
+  /// files and broadcasts the engine's view change; on the target's primary,
+  /// tries the new view.
+  void start_view_change(ViewNum target, sim::ActorContext& ctx);
+  /// Opens a view change to `target` or escalates the open one: backoff
+  /// attempt, view_changes count, session span. False, changing nothing, for
+  /// a retired replica or a target not past the view (or the open target).
+  bool begin_view_change(ViewNum target, sim::ActorContext& ctx);
+  /// Files a view change to a view past this one that comes from the node of
+  /// the member it names and whose evidence the engine accepts; then the join
+  /// rule and, on the target's primary, the new view.
+  template <typename ViewChange>
+  void receive_view_change(NodeId from, const ViewChange& m, const Message& msg,
+                           sim::ActorContext& ctx);
+  /// Primary of `target`: once view_change_quorum() view changes to it are
+  /// filed, sends the new view built from the first quorum in sender order
+  /// and enters the view.
+  void try_new_view(ViewNum target, sim::ActorContext& ctx);
+  /// Enters a new view sent by the node of its view's primary, for a view past
+  /// this one, whose proofs are view changes to that view from a quorum of
+  /// distinct members and carry evidence the engine accepts.
+  template <typename NewView>
+  void receive_new_view(NodeId from, const NewView& m, const Message& msg,
+                        sim::ActorContext& ctx);
+  /// Closes the session on view v, lets the engine fill the view's slots
+  /// from `new_view`, and resumes.
+  void enter_view(ViewNum v, const Message& new_view, sim::ActorContext& ctx);
+  /// Ends the view-change session on entering view v (the span, or a
+  /// view.entered instant when none was open) and installs v.
+  void close_view_change(ViewNum v, sim::ActorContext& ctx);
+  /// Resumes normal operation in the view just entered: progress marker,
+  /// batch timer and proposals (primary), progress timer.
+  void resume_view(sim::ActorContext& ctx);
 
   // --- admission ----------------------------------------------------------------
   void handle_client_request(NodeId from, const ClientRequestMsg& m,
@@ -344,6 +387,9 @@ class EngineShell : public sim::IActor {
 
   uint32_t vc_attempts_ = 0;  // backoff exponent of the progress timer
   ViewNum vc_span_ = 0;       // open view-change session span (0: none)
+  // View changes filed per target view (all past view_), keyed by sender:
+  // the engine's wire type, as received or, for this replica, as sent.
+  std::map<ViewNum, std::map<ReplicaId, MessagePtr>> vc_by_target_;
   bool progress_timer_armed_ = false;
   SeqNum status_marker_ = 0;  // le() at the last status tick
   bool forwarded_waiting_ = false;  // forwarded a client request to the primary

@@ -94,72 +94,6 @@ TEST(Pbft, VotesClaimingAnotherReplicasIdDoNotCount) {
   EXPECT_EQ(cluster.pbft_replica(2)->last_executed(), 0u);
 }
 
-TEST(Pbft, ViewChangesClaimingOtherReplicasDoNotCount) {
-  // f = 1: view changes from f+1 = 2 replicas make a replica join the view
-  // change. Replica 1's node sends replica 2 two view changes for view 1 that
-  // claim to come from replicas 3 and 4. Each counts only under the id of
-  // the replica that sent it, so replica 2 stays in view 0.
-  ClusterOptions opts = pbft_cluster();
-  opts.num_clients = 0;
-  Cluster cluster(std::move(opts));
-  cluster.run_for(10'000);
-
-  sim::Network& net = cluster.network();
-  NodeId forger = cluster.node_base();  // replica 1
-  NodeId target = forger + 1;           // replica 2
-  for (ReplicaId claimed : {3u, 4u}) {
-    PbftViewChangeMsg vc;
-    vc.sender = claimed;
-    vc.next_view = 1;
-    net.inject(forger, target, make_message(std::move(vc)));
-  }
-  cluster.run_for(50'000);
-
-  EXPECT_EQ(cluster.pbft_replica(2)->view_changes(), 0u);
-  EXPECT_EQ(cluster.pbft_replica(2)->view(), 0u);
-}
-
-TEST(Pbft, NewViewWithRepeatedProofsIsRejected) {
-  // f = 1: a new view needs 2f+1 = 3 view changes to its view. Replica 2,
-  // view 1's primary, sends replicas 1, 3 and 4 a new view for view 1 whose
-  // three proofs are its own view change repeated, then one whose proofs
-  // name view 2. Neither is a quorum of view changes to view 1 from distinct
-  // members, so every replica stays in view 0; the same new view with the
-  // view changes of replicas 2, 3 and 4 moves them to view 1.
-  ClusterOptions opts = pbft_cluster();
-  opts.num_clients = 0;
-  Cluster cluster(std::move(opts));
-  cluster.run_for(10'000);
-
-  auto view_change = [](ReplicaId sender, ViewNum next_view) {
-    PbftViewChangeMsg vc;
-    vc.sender = sender;
-    vc.next_view = next_view;
-    return vc;
-  };
-  auto send_new_view = [&cluster](std::vector<PbftViewChangeMsg> proofs) {
-    PbftNewViewMsg nv;
-    nv.view = 1;
-    nv.proofs = std::move(proofs);
-    for (ReplicaId r : {1u, 3u, 4u}) {
-      cluster.network().inject(cluster.replica(2).node(), cluster.replica(r).node(),
-                               make_message(PbftNewViewMsg(nv)));
-    }
-    cluster.run_for(50'000);
-  };
-
-  send_new_view({view_change(2, 1), view_change(2, 1), view_change(2, 1)});
-  send_new_view({view_change(2, 2), view_change(3, 2), view_change(4, 2)});
-  for (ReplicaId r : {1u, 3u, 4u}) {
-    EXPECT_EQ(cluster.pbft_replica(r)->view(), 0u) << "replica " << r;
-  }
-
-  send_new_view({view_change(2, 1), view_change(3, 1), view_change(4, 1)});
-  for (ReplicaId r : {1u, 3u, 4u}) {
-    EXPECT_EQ(cluster.pbft_replica(r)->view(), 1u) << "replica " << r;
-  }
-}
-
 TEST(Pbft, QuadraticMessageComplexity) {
   // PBFT's all-to-all rounds vs SBFT's collectors at the same sizing: PBFT
   // must send substantially more messages for the same committed work.

@@ -21,58 +21,6 @@ ClusterOptions small_cluster(ProtocolKind kind, uint32_t f = 1, uint32_t c = 0) 
   return opts;
 }
 
-TEST(Sbft, ViewChangesClaimingOtherReplicasDoNotCount) {
-  // f = 1: view changes from f+1 = 2 replicas make a replica join the view
-  // change. Replica 1's node sends replica 2 two view changes for view 1
-  // that claim to come from replicas 3 and 4. Each counts only under the id
-  // of the replica that sent it, so replica 2 stays in view 0.
-  ClusterOptions opts = small_cluster(ProtocolKind::kSbft);
-  opts.num_clients = 0;
-  Cluster cluster(std::move(opts));
-  cluster.run_for(10'000);
-
-  for (ReplicaId claimed : {3u, 4u}) {
-    ViewChangeMsg vc;
-    vc.sender = claimed;
-    vc.next_view = 1;
-    cluster.network().inject(cluster.replica(1).node(), cluster.replica(2).node(),
-                             make_message(std::move(vc)));
-  }
-  cluster.run_for(50'000);
-
-  EXPECT_EQ(cluster.sbft_replica(2)->view_changes(), 0u);
-  EXPECT_EQ(cluster.sbft_replica(2)->view(), 0u);
-}
-
-TEST(Sbft, NewViewFromANonPrimaryIsIgnored) {
-  // A new view counts only from its view's primary. Replica 3 sends replica
-  // 4 a new view for view 1 (primary: replica 2) carrying well-formed view
-  // changes from replicas 1, 2 and 3; replica 4 stays in view 0. The same
-  // message from replica 2's node moves it to view 1.
-  ClusterOptions opts = small_cluster(ProtocolKind::kSbft);
-  opts.num_clients = 0;
-  Cluster cluster(std::move(opts));
-  cluster.run_for(10'000);
-
-  NewViewMsg nv;
-  nv.view = 1;
-  for (ReplicaId sender : {1u, 2u, 3u}) {
-    ViewChangeMsg vc;
-    vc.sender = sender;
-    vc.next_view = 1;
-    nv.proofs.push_back(std::move(vc));
-  }
-  cluster.network().inject(cluster.replica(3).node(), cluster.replica(4).node(),
-                           make_message(NewViewMsg(nv)));
-  cluster.run_for(50'000);
-  EXPECT_EQ(cluster.sbft_replica(4)->view(), 0u);
-
-  cluster.network().inject(cluster.replica(2).node(), cluster.replica(4).node(),
-                           make_message(NewViewMsg(nv)));
-  cluster.run_for(50'000);
-  EXPECT_EQ(cluster.sbft_replica(4)->view(), 1u);
-}
-
 TEST(SbftProtocol, FastPathCommitsAndAcksClients) {
   Cluster cluster(small_cluster(ProtocolKind::kSbft));
   ASSERT_TRUE(cluster.run_until_done(60'000'000));

@@ -1,10 +1,12 @@
 // Unit and property tests for the dual-mode safe-value computation (§V-G),
-// the crux of SBFT's correctness argument (Theorem VI.1).
+// the crux of SBFT's correctness argument (Theorem VI.1), and for the
+// view-change quorum both engines share (runtime::EngineShell).
 #include <gtest/gtest.h>
 
 #include "core/crypto_context.h"
 #include "core/view_change.h"
 #include "crypto/sha256.h"
+#include "harness/cluster.h"
 
 namespace sbft::core {
 namespace {
@@ -251,17 +253,6 @@ TEST_F(ViewChangeFixture, ValidateViewChangeRejectsDuplicateSlots) {
   EXPECT_FALSE(validate_view_change(config_, verifiers_, m));
 }
 
-TEST_F(ViewChangeFixture, ValidateNewViewChecksQuorumAndSenders) {
-  NewViewMsg nv;
-  nv.view = 1;
-  nv.proofs = {vc(1, {}), vc(2, {}), vc(3, {})};
-  EXPECT_TRUE(validate_new_view(config_, verifiers_, nv));
-  nv.proofs.pop_back();
-  EXPECT_FALSE(validate_new_view(config_, verifiers_, nv));  // below 2f+2c+1
-  nv.proofs = {vc(1, {}), vc(1, {}), vc(2, {})};
-  EXPECT_FALSE(validate_new_view(config_, verifiers_, nv));  // duplicate sender
-}
-
 // Property: whenever a value *could have committed* in the old view (slow
 // certificate present, or a fast quorum of votes), the safe value is that
 // value — never a no-op, never a different value. Randomized over evidence
@@ -315,6 +306,120 @@ TEST_F(ViewChangeFixture, SelectStableSeqAcceptsProvenCheckpoint) {
   EXPECT_EQ(select_stable_seq(config_, verifiers_, proofs), 128u);
   EXPECT_TRUE(validate_view_change(config_, verifiers_, m));
 }
+
+// ---------------------------------------------------------------------------
+// The view-change quorum, on both engines: view changes and new views in the
+// engine's wire type, without evidence, injected into a 4-replica cluster
+// (f = 1, no clients). f+1 = 2 view changes make a replica join; a new view
+// needs 2f+1 = 3. View v's primary is replica v+1.
+
+using harness::ProtocolKind;
+
+class ViewChangeQuorum : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  ViewChangeQuorum() : cluster_(options()) { cluster_.run_for(10'000); }
+
+  static harness::ClusterOptions options() {
+    harness::ClusterOptions opts;
+    opts.kind = GetParam();
+    opts.f = 1;
+    opts.num_clients = 0;
+    opts.topology = sim::lan_topology();
+    opts.seed = 99;
+    return opts;
+  }
+
+  bool sbft() const { return GetParam() == ProtocolKind::kSbft; }
+
+  MessagePtr view_change(ReplicaId sender, ViewNum next_view) const {
+    if (sbft()) return make_message(ViewChangeMsg{sender, next_view});
+    return make_message(PbftViewChangeMsg{sender, next_view});
+  }
+
+  /// A new view for `view` whose proofs are view changes (sender, next view).
+  MessagePtr new_view(ViewNum view,
+                      const std::vector<std::pair<ReplicaId, ViewNum>>& proofs) const {
+    if (sbft()) {
+      NewViewMsg nv{view, {}};
+      for (auto [sender, next] : proofs) nv.proofs.push_back({sender, next});
+      return make_message(std::move(nv));
+    }
+    PbftNewViewMsg nv{view, {}};
+    for (auto [sender, next] : proofs) nv.proofs.push_back({sender, next});
+    return make_message(std::move(nv));
+  }
+
+  /// Delivers `msg` from replica `from`'s node to replica `to` and runs 50 ms.
+  void inject(ReplicaId from, ReplicaId to, MessagePtr msg) {
+    cluster_.network().inject(cluster_.replica(from).node(),
+                              cluster_.replica(to).node(), std::move(msg));
+    cluster_.run_for(50'000);
+  }
+
+  harness::Cluster cluster_;
+};
+
+TEST_P(ViewChangeQuorum, ViewChangesClaimingOtherReplicasDoNotCount) {
+  // Replica 1's node sends replica 2 view changes for view 1 that claim to
+  // come from replicas 3 and 4. Each counts only under the id of the replica
+  // that sent it, so replica 2 does not join; from 3's and 4's nodes they do.
+  for (ReplicaId claimed : {3u, 4u}) inject(1, 2, view_change(claimed, 1));
+  EXPECT_EQ(cluster_.replica(2).view_changes(), 0u);
+  EXPECT_EQ(cluster_.replica(2).view(), 0u);
+
+  for (ReplicaId sender : {3u, 4u}) inject(sender, 2, view_change(sender, 1));
+  EXPECT_EQ(cluster_.replica(2).view_changes(), 1u);
+}
+
+TEST_P(ViewChangeQuorum, NewViewFromANonPrimaryIsIgnored) {
+  // A well-formed new view for view 1 from replica 3's node leaves replica 4
+  // in view 0; the same message from replica 2's node, view 1's primary,
+  // moves it to view 1.
+  auto nv = new_view(1, {{1, 1}, {2, 1}, {3, 1}});
+  inject(3, 4, nv);
+  EXPECT_EQ(cluster_.replica(4).view(), 0u);
+
+  inject(2, 4, nv);
+  EXPECT_EQ(cluster_.replica(4).view(), 1u);
+}
+
+TEST_P(ViewChangeQuorum, NewViewWithoutAQuorumOfDistinctMembersIsIgnored) {
+  // From view 1's primary: proofs that repeat a sender, name another view,
+  // name a non-member, or number fewer than 2f+1 leave replica 4 in view 0.
+  // Replica 5 is not a member of the 4-replica roster.
+  inject(2, 4, new_view(1, {{2, 1}, {2, 1}, {2, 1}}));
+  inject(2, 4, new_view(1, {{2, 1}, {3, 1}, {4, 2}}));
+  inject(2, 4, new_view(1, {{2, 1}, {3, 1}, {5, 1}}));
+  inject(2, 4, new_view(1, {{2, 1}, {3, 1}}));
+  EXPECT_EQ(cluster_.replica(4).view(), 0u);
+
+  inject(2, 4, new_view(1, {{2, 1}, {3, 1}, {4, 1}}));
+  EXPECT_EQ(cluster_.replica(4).view(), 1u);
+}
+
+TEST_P(ViewChangeQuorum, JoinsTheHighestViewFPlusOneMembersAskFor) {
+  // Replicas 3 and 4 ask replica 1 for view 2, and it joins. A new view for
+  // view 1 from replica 2 then moves it to view 1, which keeps the view
+  // changes for view 2. One view change for view 3 is not f+1, but it
+  // re-applies the join rule, and replica 1 rejoins view 2.
+  for (ReplicaId sender : {3u, 4u}) inject(sender, 1, view_change(sender, 2));
+  EXPECT_EQ(cluster_.replica(1).view_changes(), 1u);
+  EXPECT_EQ(cluster_.replica(1).view(), 0u);
+
+  inject(2, 1, new_view(1, {{2, 1}, {3, 1}, {4, 1}}));
+  EXPECT_EQ(cluster_.replica(1).view(), 1u);
+  EXPECT_EQ(cluster_.replica(1).view_changes(), 1u);
+
+  inject(4, 1, view_change(4, 3));
+  EXPECT_EQ(cluster_.replica(1).view_changes(), 2u);
+  EXPECT_EQ(cluster_.replica(1).view(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, ViewChangeQuorum,
+                         ::testing::Values(ProtocolKind::kSbft, ProtocolKind::kPbft),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& info) {
+                           return std::string(harness::protocol_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace sbft::core
