@@ -1014,12 +1014,10 @@ bool SbftReplica::check_view_evidence(const Message& msg, sim::ActorContext& ctx
 
 MessagePtr SbftReplica::make_new_view(ViewNum v,
                                       const std::vector<const Message*>& quorum,
-                                      sim::ActorContext& ctx) {
+                                      sim::ActorContext& /*ctx*/) {
   NewViewMsg nv;
   nv.view = v;
   for (const Message* vc : quorum) nv.proofs.push_back(std::get<ViewChangeMsg>(*vc));
-  trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
-                 0, 0, v);
   return make_message(std::move(nv));
 }
 

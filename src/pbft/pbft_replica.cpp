@@ -554,8 +554,6 @@ MessagePtr PbftReplica::make_new_view(ViewNum v,
   for (const Message* vc : quorum) {
     nv.proofs.push_back(std::get<PbftViewChangeMsg>(*vc));
   }
-  trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
-                 view_change_span(), 0, v);
   ctx.charge(ctx.costs().rsa_sign_us);
   return make_message(std::move(nv));
 }

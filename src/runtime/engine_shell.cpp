@@ -443,6 +443,8 @@ void EngineShell::try_new_view(ViewNum target, sim::ActorContext& ctx) {
     chosen.push_back(vc.get());
     if (chosen.size() == quorum) break;
   }
+  trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kNewViewSent,
+                 vc_span_, 0, target);
   MessagePtr nv = make_new_view(target, chosen, ctx);
   broadcast_replicas(ctx, nv);
   enter_view(target, *nv, ctx);

@@ -246,8 +246,6 @@ class EngineShell : public sim::IActor {
   /// Moves to view v: target and backoff reset, view recorded in the WAL,
   /// the view changes collected for v and earlier dropped.
   void install_view(ViewNum v);
-  /// Target of the open view-change session span (0: none).
-  ViewNum view_change_span() const { return vc_span_; }
 
   EngineOptions opts_;
   ReplicaRuntime runtime_;
@@ -322,7 +320,8 @@ class EngineShell : public sim::IActor {
                            sim::ActorContext& ctx);
   /// Primary of `target`: once view_change_quorum() view changes to it are
   /// filed, sends the new view built from the first quorum in sender order
-  /// and enters the view.
+  /// (a newview.sent instant tagged with the open session's target) and
+  /// enters the view.
   void try_new_view(ViewNum target, sim::ActorContext& ctx);
   /// Enters a new view sent by the node of its view's primary, for a view past
   /// this one, whose proofs are view changes to that view from a quorum of

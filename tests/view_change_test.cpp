@@ -326,6 +326,7 @@ class ViewChangeQuorum : public ::testing::TestWithParam<ProtocolKind> {
     opts.num_clients = 0;
     opts.topology = sim::lan_topology();
     opts.seed = 99;
+    opts.tracing = true;
     return opts;
   }
 
@@ -369,6 +370,26 @@ TEST_P(ViewChangeQuorum, ViewChangesClaimingOtherReplicasDoNotCount) {
 
   for (ReplicaId sender : {3u, 4u}) inject(sender, 2, view_change(sender, 1));
   EXPECT_EQ(cluster_.replica(2).view_changes(), 1u);
+}
+
+TEST_P(ViewChangeQuorum, NextPrimarySendsTheNewViewInItsSession) {
+  // Replicas 3 and 4 ask replica 2, view 1's primary, for view 1. It joins,
+  // its own view change completes the 2f+1 quorum, and it sends the new view
+  // at once: its newview.sent instant carries the session's target as id.
+  for (ReplicaId sender : {3u, 4u}) inject(sender, 2, view_change(sender, 1));
+  EXPECT_EQ(cluster_.replica(2).view(), 1u);
+  size_t sent = 0;
+  for (const obs::TraceEvent& e : cluster_.replica(2).tracer()->events()) {
+    if (std::string_view(e.name) != obs::ev::kNewViewSent) continue;
+    ++sent;
+    EXPECT_EQ(e.span, 1u);
+    EXPECT_EQ(e.view, 1u);
+  }
+  EXPECT_EQ(sent, 1u);
+  // The new view reaches the backups, which enter view 1 too.
+  for (ReplicaId r : {1u, 3u, 4u}) {
+    EXPECT_EQ(cluster_.replica(r).view(), 1u) << "replica " << r;
+  }
 }
 
 TEST_P(ViewChangeQuorum, NewViewFromANonPrimaryIsIgnored) {
