@@ -7,7 +7,7 @@
 // at the next stable checkpoint boundary — producing a new epoch (id, replica
 // set, f/c and therefore all quorum sizes). Both ordering engines re-derive
 // quorum/collector/primary math from the active epoch, and the epoch rides in
-// the checkpoint snapshot envelope (version 3) so recovering and joining
+// the checkpoint snapshot envelope (version 4) so recovering and joining
 // replicas learn the roster from state transfer itself.
 //
 // The activation boundary gives a clean epoch cut: every slot <= the boundary

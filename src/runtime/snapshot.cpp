@@ -8,8 +8,7 @@ namespace sbft::runtime {
 
 namespace {
 constexpr char kMagic[8] = {'S', 'B', 'F', 'T', 'S', 'N', 'A', 'P'};
-constexpr uint16_t kVersionMembership = 3;  // membership tail section
-constexpr uint16_t kVersionMarker = 4;      // + marker-executor tail section
+constexpr uint16_t kVersion = 4;  // reply-cache, membership and marker tail
 constexpr uint32_t kMaxAlign = 1u << 26;
 
 size_t align_up(size_t n, uint32_t align) {
@@ -29,14 +28,12 @@ Bytes encode_checkpoint_snapshot(ByteSpan service_state, const ReplyCache& repli
   Bytes reply_bytes = replies.encode();
   Writer w;
   w.raw(ByteSpan{reinterpret_cast<const uint8_t*>(kMagic), sizeof(kMagic)});
-  // An empty marker section stays on the previous version so non-shard
-  // deployments emit byte-identical envelopes to the prior release.
-  w.u16(marker.empty() ? kVersionMembership : kVersionMarker);
+  w.u16(kVersion);
   w.u32(align);
   w.u64(service_state.size());
   w.u64(reply_bytes.size());
   w.u64(membership.size());
-  if (!marker.empty()) w.u64(marker.size());
+  w.u64(marker.size());
   while (w.size() % align != 0) w.u8(0);  // service starts chunk-aligned
   w.raw(service_state);
   while (w.size() % align != 0) w.u8(0);  // mutable tail dirties only the end
@@ -52,22 +49,18 @@ std::optional<CheckpointSnapshot> decode_checkpoint_snapshot(ByteSpan data) {
     return std::nullopt;
   }
   Reader r(ByteSpan{data.data() + sizeof(kMagic), data.size() - sizeof(kMagic)});
-  uint16_t version = r.u16();
-  if (version != kVersionMembership && version != kVersionMarker) {
-    return std::nullopt;
-  }
+  if (r.u16() != kVersion) return std::nullopt;
   uint32_t align = r.u32();
   uint64_t service_len = r.u64();
   uint64_t replies_len = r.u64();
   uint64_t membership_len = r.u64();
-  uint64_t marker_len = version == kVersionMarker ? r.u64() : 0;
+  uint64_t marker_len = r.u64();
   if (!r.ok() || align == 0 || align > kMaxAlign) return std::nullopt;
   if (service_len > data.size() || replies_len > data.size() ||
       membership_len > data.size() || marker_len > data.size()) {
     return std::nullopt;
   }
-  size_t len_fields = version == kVersionMarker ? 32 : 24;
-  size_t header = align_up(sizeof(kMagic) + 2 + 4 + len_fields, align);
+  size_t header = align_up(sizeof(kMagic) + 2 + 4 + 4 * 8, align);
   size_t service_end = header + align_up(service_len, align);
   if (service_end > data.size() ||
       data.size() != service_end + replies_len + membership_len + marker_len) {

@@ -5,7 +5,7 @@
 // recovered replica suppresses duplicates of pre-checkpoint requests instead
 // of re-executing them, the membership section lets recovering and joining
 // replicas learn the roster from the snapshot itself
-// (docs/reconfiguration.md), and (version 4) the marker-executor section lets
+// (docs/reconfiguration.md), and the marker-executor section lets
 // cross-shard lock/transaction state survive state transfer exactly like the
 // reply cache does (docs/sharding.md). The envelope frames all parts and is
 // *chunk-aligned* so the delta state-transfer path can diff consecutive
@@ -21,11 +21,10 @@
 // serializer's page-aligned sections land exactly on chunk boundaries of the
 // envelope: an unmutated section occupies byte-identical chunks across
 // consecutive checkpoints. The mutable reply-cache, membership, and marker
-// sections ride at the tail where they can only dirty the last chunks. An
-// empty marker section encodes as version 3 (no marker_len field), so
-// deployments without a shard layer stay byte-identical to that layout.
-// These two versions are the only ones decoded: anything else — including
-// bytes without the magic — is rejected, never guessed at.
+// sections ride at the tail where they can only dirty the last chunks; an
+// empty section still writes its zero length. Version 4 is the only one
+// decoded: anything else — including bytes without the magic — is rejected,
+// never guessed at.
 //
 // The service part is the component verified against the certificate's
 // state_root; the reply cache and membership section are covered by the local
@@ -42,7 +41,7 @@ struct CheckpointSnapshot {
   Bytes service_state;
   ReplyCache replies;
   Bytes membership;  // MembershipManager section; empty when unconfigured
-  Bytes marker;      // IMarkerExecutor section; empty on version-3 envelopes
+  Bytes marker;      // IMarkerExecutor section; empty without a shard layer
 };
 
 /// `align` is the chunk-stability unit (pass the state-transfer chunk size);
@@ -52,7 +51,7 @@ struct CheckpointSnapshot {
 Bytes encode_checkpoint_snapshot(ByteSpan service_state, const ReplyCache& replies,
                                  uint32_t align = 1, ByteSpan membership = {},
                                  ByteSpan marker = {});
-/// nullopt for anything but a well-formed version 3/4 envelope: missing
+/// nullopt for anything but a well-formed version-4 envelope: missing
 /// magic, unknown version, broken framing, or a corrupt reply-cache section.
 /// The cache has no state-root covering it, and silently dropping it would
 /// reintroduce the duplicate re-execution hazard the envelope exists to

@@ -341,9 +341,10 @@ TEST(Membership, EncodeRestoreMovesForwardOnly) {
 }
 
 TEST(CheckpointSnapshot, RejectsBareAndRetiredFormats) {
-  // Only version 3/4 envelopes decode. Bytes without the magic are not
-  // guessed to be a raw service snapshot, and the retired flat (v1) and
-  // membership-less aligned (v2) layouts are refused even when well formed.
+  // Only version-4 envelopes decode. Bytes without the magic are not
+  // guessed to be a raw service snapshot, and the retired flat (v1),
+  // membership-less aligned (v2) and marker-less (v3) layouts are refused
+  // even when well formed.
   Bytes bare = to_bytes("raw-service-snapshot");
   EXPECT_FALSE(decode_checkpoint_snapshot(as_span(bare)).has_value());
 
@@ -367,6 +368,15 @@ TEST(CheckpointSnapshot, RejectsBareAndRetiredFormats) {
   v2.raw(as_span(service));
   v2.raw(as_span(replies));
   EXPECT_FALSE(decode_checkpoint_snapshot(as_span(v2.data())).has_value());
+
+  Writer v3 = header(3);
+  v3.u32(1);  // align
+  v3.u64(service.size());
+  v3.u64(replies.size());
+  v3.u64(0);  // membership
+  v3.raw(as_span(service));
+  v3.raw(as_span(replies));
+  EXPECT_FALSE(decode_checkpoint_snapshot(as_span(v3.data())).has_value());
 
   // The same parts in the current layout decode.
   auto current = decode_checkpoint_snapshot(
