@@ -122,17 +122,13 @@ class SbftReplica final : public runtime::EngineShell {
   SeqNum highest_slot() const override;
   /// Charges the block hash; the equivocation fault splits the broadcast.
   void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) override;
-  /// Its checkpoint certificate and, per slot in the window, the strongest
-  /// slow and fast evidence it holds (§V-G).
+  /// Stable checkpoint certificate plus each slot's strongest evidence.
   MessagePtr make_view_change(ViewNum target, sim::ActorContext& ctx) override;
-  /// Charges a batch verification of every evidence signature, then checks
-  /// each checkpoint certificate and slot evidence (validate_view_change).
+  /// Batch-verifies every evidence signature (validate_view_change).
   bool check_view_evidence(const Message& msg, sim::ActorContext& ctx) override;
   MessagePtr make_new_view(ViewNum v, const std::vector<const Message*>& quorum,
                            sim::ActorContext& ctx) override;
-  /// Fetches a newer proven checkpoint, then takes each slot past it by
-  /// compute_safe_value: commits a decided value, re-accepts an adopted one,
-  /// or fills a no-op.
+  /// Commits, adopts or no-ops each slot by compute_safe_value.
   void enter_new_view(const Message& new_view, sim::ActorContext& ctx) override;
   /// Checks the manifest certificate's pi signature, seq-aware with the
   /// provisioned-epoch fallback: a joiner fetches checkpoints certified under

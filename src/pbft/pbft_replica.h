@@ -142,16 +142,14 @@ class PbftReplica final : public runtime::EngineShell {
   }
   /// Charges the block hash and the primary's RSA signature.
   void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) override;
-  /// Its prepared certificates in the window, signed.
+  /// Signed prepared certificates of the window.
   MessagePtr make_view_change(ViewNum target, sim::ActorContext& ctx) override;
-  /// Charges one signature check per view change; the prepared certificates
-  /// are taken on trust (crash faults, see the header comment).
+  /// One signature check per view change; certificates taken on trust.
   bool check_view_evidence(const Message& msg, sim::ActorContext& ctx) override;
   /// The quorum, signed.
   MessagePtr make_new_view(ViewNum v, const std::vector<const Message*>& quorum,
                            sim::ActorContext& ctx) override;
-  /// Re-proposes the highest-view prepared certificate of each slot past the
-  /// highest stable checkpoint named, and a no-op in each gap.
+  /// Highest-view prepared certificate per slot, no-op gaps.
   void enter_new_view(const Message& new_view, sim::ActorContext& ctx) override;
   /// Weak checkpoint certificate: f+1 distinct signed checkpoint digests (at
   /// least one honest voucher) must back the manifest's certificate, so a

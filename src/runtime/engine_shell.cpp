@@ -425,13 +425,48 @@ void EngineShell::on_progress_timer(sim::ActorContext& ctx) {
   start_view_change(std::max(view_, vc_target_) + 1, ctx);
 }
 
+void EngineShell::on_status_tick(sim::ActorContext& ctx) {
+  // An idle cluster sends a replica that missed a checkpoint nothing, and
+  // with nothing outstanding its progress timer never fires: ask the peers.
+  if (le() == status_marker_ && !silent() && !retired_ &&
+      !runtime_.state_transfer().active()) {
+    broadcast_state_probe(ctx);
+  }
+  status_marker_ = le();
+  ctx.set_timer(opts_.config.view_change_timeout_us, timer_id(kStatusTimer, 0));
+}
+
 void EngineShell::start_view_change(ViewNum target, sim::ActorContext& ctx) {
-  if (!begin_view_change(target, ctx)) return;
+  if (target <= view_ || retired_) return;
+  if (in_view_change_ && target <= vc_target_) return;
+  in_view_change_ = true;
+  vc_target_ = target;
+  ++vc_attempts_;
+  ++view_changes_;
+  // One session span per target view; escalating to a higher target closes
+  // the superseded session and opens the next.
+  if (vc_span_ != 0 && vc_span_ != target) {
+    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
+               vc_span_, 0, vc_span_, "superseded", 1);
+  }
+  if (vc_span_ != target) {
+    vc_span_ = target;
+    trace_.begin(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
+                 target, 0, target);
+  }
   MessagePtr msg = make_view_change(target, ctx);
   vc_by_target_[target][opts_.id] = msg;
   broadcast_replicas(ctx, std::move(msg));
   arm_progress_timer(ctx);  // exponential backoff to target+1 if this stalls
   if (epoch().primary_of(target) == opts_.id) try_new_view(target, ctx);
+}
+
+void EngineShell::install_view(ViewNum v) {
+  view_ = v;
+  vc_target_ = v;
+  vc_attempts_ = 0;
+  vc_by_target_.erase(vc_by_target_.begin(), vc_by_target_.upper_bound(v));
+  runtime_.wal_record_view(v);
 }
 
 void EngineShell::try_new_view(ViewNum target, sim::ActorContext& ctx) {
@@ -452,52 +487,6 @@ void EngineShell::try_new_view(ViewNum target, sim::ActorContext& ctx) {
 
 void EngineShell::enter_view(ViewNum v, const Message& new_view,
                              sim::ActorContext& ctx) {
-  close_view_change(v, ctx);
-  enter_new_view(new_view, ctx);
-  resume_view(ctx);
-}
-
-void EngineShell::on_status_tick(sim::ActorContext& ctx) {
-  // An idle cluster sends a replica that missed a checkpoint nothing, and
-  // with nothing outstanding its progress timer never fires: ask the peers.
-  if (le() == status_marker_ && !silent() && !retired_ &&
-      !runtime_.state_transfer().active()) {
-    broadcast_state_probe(ctx);
-  }
-  status_marker_ = le();
-  ctx.set_timer(opts_.config.view_change_timeout_us, timer_id(kStatusTimer, 0));
-}
-
-bool EngineShell::begin_view_change(ViewNum target, sim::ActorContext& ctx) {
-  if (target <= view_ || retired_) return false;
-  if (in_view_change_ && target <= vc_target_) return false;
-  in_view_change_ = true;
-  vc_target_ = target;
-  ++vc_attempts_;
-  ++view_changes_;
-  // One session span per target view; escalating to a higher target closes
-  // the superseded session and opens the next.
-  if (vc_span_ != 0 && vc_span_ != target) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, vc_span_, "superseded", 1);
-  }
-  if (vc_span_ != target) {
-    vc_span_ = target;
-    trace_.begin(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-                 target, 0, target);
-  }
-  return true;
-}
-
-void EngineShell::install_view(ViewNum v) {
-  view_ = v;
-  vc_target_ = v;
-  vc_attempts_ = 0;
-  vc_by_target_.erase(vc_by_target_.begin(), vc_by_target_.upper_bound(v));
-  runtime_.wal_record_view(v);
-}
-
-void EngineShell::close_view_change(ViewNum v, sim::ActorContext& ctx) {
   in_view_change_ = false;
   if (vc_span_ != 0) {
     trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
@@ -509,9 +498,7 @@ void EngineShell::close_view_change(ViewNum v, sim::ActorContext& ctx) {
                    0, 0, v);
   }
   install_view(v);
-}
-
-void EngineShell::resume_view(sim::ActorContext& ctx) {
+  enter_new_view(new_view, ctx);
   progress_marker_ = le();
   if (is_primary()) {
     ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));

@@ -15,11 +15,10 @@
 //   * the status tick: a replica that executed nothing for a tick re-sends
 //     the state-transfer probe, so one that missed a checkpoint while the
 //     cluster went idle still learns it is behind;
-//   * the view-change session: opening and escalating it, its trace span,
-//     the backoff, installing the new view and resuming in it;
-//   * the view-change quorum: the view changes received per target view
+//   * the view-change session and quorum: opening and escalating it, its
+//     trace span and backoff, the view changes filed per target view
 //     (sender-bound, members only), the f+1 join rule, the next primary's
-//     new-view send and the structural check of a received new view;
+//     new-view send, the check of a received new view, and entering it;
 //   * direct client replies, cached or fresh;
 //   * chunked state transfer, fetcher and donor side (docs/state_transfer.md);
 //   * the batch, progress, status, state-transfer, donor-tick and shard-tick
@@ -28,11 +27,11 @@
 // An engine derives from EngineShell and supplies the hooks below: its
 // proposal window and demand split, its in-flight slots, how a proposal goes
 // out, its view-change evidence (building and checking view changes and new
-// views, and entering a view from the chosen set), how a manifest's
-// checkpoint certificate is checked and prepared, what to drop once a
-// checkpoint is adopted, how to execute, and whether it is silent. Messages
-// and timers the shell does not own reach the engine through
-// on_engine_message / on_engine_timer.
+// views, filling a new view's slots), how a manifest's checkpoint
+// certificate is checked and prepared, what to drop once a checkpoint is
+// adopted, how to execute, and whether it is silent. Messages and timers the
+// shell does not own reach the engine through on_engine_message /
+// on_engine_timer.
 #pragma once
 
 #include <deque>
@@ -155,21 +154,16 @@ class EngineShell : public sim::IActor {
   virtual SeqNum highest_slot() const = 0;
   /// Sends the primary's pre-prepare of `block` at slot s in view_.
   virtual void propose_block(SeqNum s, SealedBlock block, sim::ActorContext& ctx) = 0;
-  // View-change evidence (§V-G). The shell runs the quorum over the engine's
-  // own wire types, whose `sender`, `next_view`, `view` and `proofs` fields
-  // it reads; each hook charges what the engine's evidence costs.
-  /// This replica's view change to `target`, carrying its evidence.
+  // View-change evidence (§V-G), in the engine's own wire types; each hook
+  // charges what its evidence costs.
   virtual MessagePtr make_view_change(ViewNum target, sim::ActorContext& ctx) = 0;
-  /// The evidence of a received view change, or of every proof of a received
-  /// new view, once the shell has checked their senders and views; false for
-  /// the other engine's wire types.
+  /// A received view change, or every proof of a received new view, once the
+  /// shell checked senders and views; false for the other engine's types.
   virtual bool check_view_evidence(const Message& msg, sim::ActorContext& ctx) = 0;
-  /// The new view for `v` built from `quorum`: view_change_quorum() view
-  /// changes this engine made or accepted, in sender order.
+  /// The new view for `v` over view_change_quorum() filed view changes.
   virtual MessagePtr make_new_view(ViewNum v, const std::vector<const Message*>& quorum,
                                    sim::ActorContext& ctx) = 0;
-  /// Fills the slots of the view just installed from the new view's proofs,
-  /// and sets next_seq_ past them.
+  /// Fills the just-installed view's slots from the proofs; sets next_seq_.
   virtual void enter_new_view(const Message& new_view, sim::ActorContext& ctx) = 0;
   /// Fetcher: is the manifest's checkpoint certificate valid? Charges its
   /// verification cost. SBFT checks the pi signature, PBFT the weak f+1
@@ -304,40 +298,29 @@ class EngineShell : public sim::IActor {
   void on_status_tick(sim::ActorContext& ctx);
 
   // --- view-change session and quorum (§V-G, §VII) --------------------------------
-  /// Opens or escalates a view change to `target`: begin_view_change, then
-  /// files and broadcasts the engine's view change; on the target's primary,
-  /// tries the new view.
+  /// Opens a view change to `target` or escalates the open one (backoff
+  /// attempt, view_changes count, session span), files and broadcasts the
+  /// engine's view change and, on the target's primary, tries the new view.
+  /// Nothing for a retired replica or a target not past the open one.
   void start_view_change(ViewNum target, sim::ActorContext& ctx);
-  /// Opens a view change to `target` or escalates the open one: backoff
-  /// attempt, view_changes count, session span. False, changing nothing, for
-  /// a retired replica or a target not past the view (or the open target).
-  bool begin_view_change(ViewNum target, sim::ActorContext& ctx);
-  /// Files a view change to a view past this one that comes from the node of
-  /// the member it names and whose evidence the engine accepts; then the join
-  /// rule and, on the target's primary, the new view.
+  /// Files a view change past this view, from the node of the member it
+  /// names, with evidence the engine accepts; then the f+1 join rule and, on
+  /// the target's primary, the new view.
   template <typename ViewChange>
   void receive_view_change(NodeId from, const ViewChange& m, const Message& msg,
                            sim::ActorContext& ctx);
-  /// Primary of `target`: once view_change_quorum() view changes to it are
-  /// filed, sends the new view built from the first quorum in sender order
-  /// (a newview.sent instant tagged with the open session's target) and
-  /// enters the view.
+  /// Target's primary: with a quorum filed, sends the new view over the first
+  /// quorum in sender order and enters it.
   void try_new_view(ViewNum target, sim::ActorContext& ctx);
-  /// Enters a new view sent by the node of its view's primary, for a view past
-  /// this one, whose proofs are view changes to that view from a quorum of
-  /// distinct members and carry evidence the engine accepts.
+  /// Enters a new view past this one from the node of its primary whose
+  /// proofs are view changes to it from a quorum of distinct members.
   template <typename NewView>
   void receive_new_view(NodeId from, const NewView& m, const Message& msg,
                         sim::ActorContext& ctx);
-  /// Closes the session on view v, lets the engine fill the view's slots
-  /// from `new_view`, and resumes.
+  /// Ends the session on view v (its span, or view.entered when none was
+  /// open), installs v, lets the engine fill its slots and resumes: progress
+  /// marker, batch timer and proposals (primary), progress timer.
   void enter_view(ViewNum v, const Message& new_view, sim::ActorContext& ctx);
-  /// Ends the view-change session on entering view v (the span, or a
-  /// view.entered instant when none was open) and installs v.
-  void close_view_change(ViewNum v, sim::ActorContext& ctx);
-  /// Resumes normal operation in the view just entered: progress marker,
-  /// batch timer and proposals (primary), progress timer.
-  void resume_view(sim::ActorContext& ctx);
 
   // --- admission ----------------------------------------------------------------
   void handle_client_request(NodeId from, const ClientRequestMsg& m,
@@ -386,8 +369,7 @@ class EngineShell : public sim::IActor {
 
   uint32_t vc_attempts_ = 0;  // backoff exponent of the progress timer
   ViewNum vc_span_ = 0;       // open view-change session span (0: none)
-  // View changes filed per target view (all past view_), keyed by sender:
-  // the engine's wire type, as received or, for this replica, as sent.
+  // View changes filed per target view (all past view_), keyed by sender.
   std::map<ViewNum, std::map<ReplicaId, MessagePtr>> vc_by_target_;
   bool progress_timer_armed_ = false;
   SeqNum status_marker_ = 0;  // le() at the last status tick
