@@ -2,10 +2,10 @@
 // acknowledgement with E-collectors, and the dual-mode view change.
 // Everything protocol-independent — the execution pipeline, reply cache,
 // checkpointing, WAL/recovery in runtime::ReplicaRuntime; admission, the
-// proposal pipeline, the stall timer, the view-change session, chunked state
-// transfer and reconfiguration glue in runtime::EngineShell — is shared with
-// the PBFT baseline; this class decides *which* block commits at each
-// sequence number.
+// proposal pipeline, the stall timer, the view-change session and quorum,
+// chunked state transfer and reconfiguration glue in runtime::EngineShell —
+// is shared with the PBFT baseline; this class decides *which* block commits
+// at each sequence number, and what its view changes prove.
 //
 // The replica is a simulator actor: all sends/timers go through the
 // ActorContext, and every cryptographic or service operation charges its

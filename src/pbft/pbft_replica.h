@@ -12,9 +12,9 @@
 // The ordering engine sits on the same runtime::ReplicaRuntime and
 // runtime::EngineShell as SBFT, so the baseline gets the identical execution
 // pipeline, reply cache, checkpointing, WAL durability, crash recovery,
-// admission, proposal pipeline, stall timer, view-change session and chunked
-// state transfer — every crash/restart/disk-wipe harness scenario runs on
-// both protocols through the same Cluster API.
+// admission, proposal pipeline, stall timer, view-change session and quorum,
+// and chunked state transfer — every crash/restart/disk-wipe harness
+// scenario runs on both protocols through the same Cluster API.
 // State-transfer certificates carry no pi threshold signature here (PBFT has
 // no threshold keys): a weak checkpoint certificate (f+1 CheckpointSigShares)
 // vouches for them instead, and the snapshot is verified against the
