@@ -484,7 +484,7 @@ bool PbftReplica::fabricated_chunks(NodeId from, const StateChunkRequestMsg& m,
   if (fabricate_checkpoint_ && fake_chunks_ &&
       m.chunk_root == fake_chunks_->transfer_root() && m.seq == fake_cert_.seq) {
     size_t limit = std::min<size_t>(
-        m.indices.size(), opts_.config.state_transfer_max_chunks_per_request);
+        m.indices.size(), runtime::StateTransferManager::kMaxChunksPerRequest);
     for (size_t i = 0; i < limit; ++i) {
       uint32_t index = m.indices[i];
       if (index >= fake_chunks_->chunk_count()) continue;

@@ -37,26 +37,6 @@ struct ProtocolConfig {
   // over chunk hashes, fetched in parallel from every replica holding the
   // stable checkpoint. Must be positive.
   uint32_t state_transfer_chunk_size = 64 * 1024;
-  // Upper bound on chunk indices carried by one StateChunkRequestMsg; bounds
-  // the per-donor burst a single request can trigger.
-  uint32_t state_transfer_max_chunks_per_request = 16;
-  // Delta state transfer (docs/state_transfer.md): a probing fetcher
-  // advertises its retained checkpoint, and donors still holding that base's
-  // chunk hashes answer with a delta manifest so only the chunks that differ
-  // travel. This bounds the bases retained per donor: a rejoining fetcher
-  // whose retained checkpoint is more than this many checkpoints behind the
-  // donor's newest falls back to a full-chunked manifest. Retention costs 32 B per chunk per
-  // base (hashes only), so deep histories are cheap for mid-size states.
-  uint32_t state_transfer_delta_history = 16;
-  // Donor-side chunk-rate limit: at most this many chunks served per donor
-  // tick, so a donor serving fetchers under heavy client load bounds its
-  // state-transfer burst instead of starving ordering. 0 = unlimited. The
-  // trimmed remainder of a throttled request is queued (deduped, bounded)
-  // and re-served on the donor tick; only queue overflow under sustained
-  // overload falls back to the fetcher's retry, and every trimmed chunk —
-  // queued or turned away — counts donor_chunks_throttled.
-  uint32_t state_transfer_donor_chunks_per_tick = 0;
-  int64_t state_transfer_donor_tick_us = 100'000;
 
   // --- timers (microseconds of simulated time) ------------------------------
   int64_t batch_timeout_us = 5'000;        // primary flushes a partial batch

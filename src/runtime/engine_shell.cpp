@@ -11,11 +11,6 @@ RuntimeOptions make_runtime_options(const EngineOptions& opts) {
   ro.ledger = opts.ledger;
   ro.wal = opts.wal;
   ro.state_transfer_chunk_size = opts.config.state_transfer_chunk_size;
-  ro.state_transfer_max_chunks_per_request =
-      opts.config.state_transfer_max_chunks_per_request;
-  ro.state_transfer_donor_chunks_per_tick =
-      opts.config.state_transfer_donor_chunks_per_tick;
-  ro.state_transfer_delta_history = opts.config.state_transfer_delta_history;
   ro.self = opts.id;
   ro.tracer = opts.tracer;
   ro.marker_executor = opts.marker_executor;
@@ -208,9 +203,6 @@ void EngineShell::on_timer(uint64_t id, sim::ActorContext& ctx) {
       break;
     case kStateTransferTimer:
       on_state_transfer_tick(ctx);
-      break;
-    case kDonorTickTimer:
-      on_donor_tick(ctx);
       break;
     case kShardTickTimer:
       if (opts_.marker_executor != nullptr) {
@@ -709,24 +701,12 @@ void EngineShell::handle_state_chunk_request(NodeId from,
                                              sim::ActorContext& ctx) {
   if (silent() || fabricated_chunks(from, m, ctx)) return;
   std::vector<StateChunkMsg> chunks = runtime_.state_transfer().make_chunks(
-      runtime_.checkpoints(), m, opts_.id, runtime_.stats(), from);
+      runtime_.checkpoints(), m, opts_.id, runtime_.stats());
   for (StateChunkMsg& c : chunks) {
     ctx.charge(ctx.costs().hash_us(c.data.size()));
     if (opts_.corrupt_state_chunks && !c.data.empty()) c.data[0] ^= 0xff;
     ctx.send(from, make_message(std::move(c)));  // joiners resolve by node only
   }
-  arm_donor_tick(ctx);
-}
-
-void EngineShell::on_donor_tick(sim::ActorContext& ctx) {
-  donor_tick_armed_ = false;
-  for (auto& [node, chunk] : runtime_.state_transfer().on_donor_tick(
-           runtime_.checkpoints(), opts_.id, runtime_.stats())) {
-    ctx.charge(ctx.costs().hash_us(chunk.data.size()));
-    if (opts_.corrupt_state_chunks && !chunk.data.empty()) chunk.data[0] ^= 0xff;
-    if (!silent()) ctx.send(node, make_message(std::move(chunk)));
-  }
-  arm_donor_tick(ctx);
 }
 
 void EngineShell::broadcast_state_probe(sim::ActorContext& ctx) {
@@ -745,13 +725,6 @@ void EngineShell::broadcast_state_probe(sim::ActorContext& ctx) {
                    st_session_, le());
   }
   broadcast_replicas(ctx, make_message(std::move(probe)));
-}
-
-void EngineShell::arm_donor_tick(sim::ActorContext& ctx) {
-  if (donor_tick_armed_ || !runtime_.state_transfer().donor_tick_needed()) return;
-  donor_tick_armed_ = true;
-  ctx.set_timer(opts_.config.state_transfer_donor_tick_us,
-                timer_id(kDonorTickTimer, 0));
 }
 
 void EngineShell::handle_state_chunk(NodeId from, const StateChunkMsg& m,

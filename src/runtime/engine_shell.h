@@ -126,7 +126,6 @@ class EngineShell : public sim::IActor {
     kProgressTimer,       // stall policy: escalate to a view change
     kStatusTimer,         // no progress for a tick: re-send the probe
     kStateTransferTimer,  // chunked fetch retry tick
-    kDonorTickTimer,      // drain chunk serves the donor rate limiter deferred
     kShardTickTimer,      // marker executor retry cadence (docs/sharding.md)
     kFirstEngineTimer,
   };
@@ -346,16 +345,12 @@ class EngineShell : public sim::IActor {
   /// Opens a fetch round and its session: the count, the session span and
   /// the retry tick (span and tick unless already open).
   void open_fetch_round(sim::ActorContext& ctx);
-  void on_donor_tick(sim::ActorContext& ctx);
   /// Sends the manager's next chunk-request plan to its chosen donors.
   void send_chunk_requests(sim::ActorContext& ctx);
   /// Broadcasts the state-transfer probe (delta base advertised; the cold
   /// chunk-hashing of the local snapshot is charged here). Traced only
   /// inside a fetch round.
   void broadcast_state_probe(sim::ActorContext& ctx);
-  /// Arms the donor tick while the rate limiter has budget in use or deferred
-  /// requests queued (re-served there instead of being dropped).
-  void arm_donor_tick(sim::ActorContext& ctx);
   /// All chunks received: assemble, adopt, and clean up (or restart the fetch
   /// when the assembled envelope fails the certified state-root check).
   void complete_chunked_transfer(sim::ActorContext& ctx);
@@ -380,7 +375,6 @@ class EngineShell : public sim::IActor {
   std::map<SeqNum, std::pair<ViewNum, Digest>> wal_votes_;
   bool st_span_open_ = false;  // session span begun and not yet ended
   bool st_inflight_ = false;   // retry tick armed
-  bool donor_tick_armed_ = false;
   uint64_t recovered_replay_bytes_ = 0;  // charged as boot-time replay CPU
 };
 

@@ -14,10 +14,7 @@ ReplicaRuntime::ReplicaRuntime(RuntimeOptions options,
       trace_(opts_.tracer ? *opts_.tracer : obs::Tracer::nop()),
       service_(std::move(service)),
       checkpoints_(opts_.checkpoint_interval),
-      state_transfer_(opts_.state_transfer_chunk_size,
-                      opts_.state_transfer_max_chunks_per_request,
-                      opts_.state_transfer_donor_chunks_per_tick,
-                      opts_.state_transfer_delta_history) {
+      state_transfer_(opts_.state_transfer_chunk_size) {
   // Every service instance this runtime ever executes on carries the same
   // chunk hint, so snapshot bytes are identical across replicas (the delta
   // path compares them chunk-for-chunk).

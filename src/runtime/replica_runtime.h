@@ -56,13 +56,9 @@ struct RuntimeOptions {
   uint64_t checkpoint_interval = 0;  // 0: checkpoints disabled
   std::shared_ptr<storage::ILedgerStorage> ledger;  // optional persistence
   std::shared_ptr<recovery::IReplicaWal> wal;       // optional consensus WAL
-  // Chunked state transfer (ProtocolConfig::state_transfer_chunk_size /
-  // _max_chunks_per_request / _donor_chunks_per_tick; docs/state_transfer.md).
+  // Chunked state transfer (ProtocolConfig::state_transfer_chunk_size;
+  // docs/state_transfer.md).
   uint32_t state_transfer_chunk_size = 64 * 1024;
-  uint32_t state_transfer_max_chunks_per_request = 16;
-  uint32_t state_transfer_donor_chunks_per_tick = 0;
-  // Delta bases retained per donor (ProtocolConfig::state_transfer_delta_history).
-  uint32_t state_transfer_delta_history = 16;
   // Marker-request executor (src/shard 2PC; docs/sharding.md). Not owned —
   // the harness keeps it alive across replica incarnations, like the ledger.
   // Null routes every non-reconfig request to the service, as before.
@@ -107,10 +103,6 @@ struct RuntimeStats {
   // the payload bytes that therefore never touched the wire.
   uint64_t delta_chunks_skipped = 0;
   uint64_t delta_bytes_saved = 0;
-  // Donor role: chunk serves deferred by the donor-side rate limiter to a
-  // later donor tick (a chunk re-deferred across several ticks counts once
-  // per deferral).
-  uint64_t donor_chunks_throttled = 0;
   // Group reconfiguration (docs/reconfiguration.md).
   uint64_t epochs_activated = 0;  // membership epochs that took effect here
   uint64_t joins_completed = 0;   // this replica became a member via an epoch
@@ -132,7 +124,6 @@ struct RuntimeStats {
     fn("state_transfer_bytes_transferred", state_transfer_bytes_transferred);
     fn("delta_chunks_skipped", delta_chunks_skipped);
     fn("delta_bytes_saved", delta_bytes_saved);
-    fn("donor_chunks_throttled", donor_chunks_throttled);
     fn("epochs_activated", epochs_activated);
     fn("joins_completed", joins_completed);
   }

@@ -288,7 +288,7 @@ StateTransferManager::plan_requests(ReplicaId self) {
     ReplicaId donor = 0;
     for (size_t probe = 0; probe < pool.size(); ++probe) {
       ReplicaId cand = pool[(cursor + probe) % pool.size()];
-      if (batch[cand].indices.size() < max_chunks_per_request_) {
+      if (batch[cand].indices.size() < kMaxChunksPerRequest) {
         donor = cand;
         cursor = (cursor + probe + 1) % pool.size();
         break;
@@ -432,7 +432,7 @@ const ChunkedSnapshot* StateTransferManager::donor_snapshot(
       rec.leaves = donor_chunks_->leaf_hashes();
       rec.chunk_size = donor_chunks_->chunk_size();
       donor_history_[donor_seq_] = std::move(rec);
-      while (donor_history_.size() > delta_history_) {
+      while (donor_history_.size() > kDeltaHistory) {
         donor_history_.erase(donor_history_.begin());
       }
     }
@@ -520,7 +520,7 @@ std::optional<StateManifestMsg> StateTransferManager::make_manifest(
 
 std::vector<StateChunkMsg> StateTransferManager::make_chunks(
     const CheckpointManager& cp, const StateChunkRequestMsg& req, ReplicaId self,
-    RuntimeStats& stats, NodeId requester_node) {
+    RuntimeStats& stats) {
   std::vector<StateChunkMsg> out;
   if (!cp.has_shippable() || cp.snapshot_cert().seq != req.seq) {
     return out;  // checkpoint advanced past the request: fetcher re-probes
@@ -530,20 +530,10 @@ std::vector<StateChunkMsg> StateTransferManager::make_chunks(
   // donor does not recognize (e.g. forged geometry over the honest root) is
   // ignored, so an honest donor can never be blamed for a liar's manifest.
   if (!(snap->transfer_root() == req.chunk_root)) return out;
-  size_t limit = std::min<size_t>(req.indices.size(), max_chunks_per_request_);
-  std::vector<uint32_t> deferred;
+  size_t limit = std::min<size_t>(req.indices.size(), kMaxChunksPerRequest);
   for (size_t i = 0; i < limit; ++i) {
     uint32_t index = req.indices[i];
     if (index >= snap->chunk_count()) continue;
-    if (donor_chunks_per_tick_ > 0 &&
-        donor_served_this_tick_ >= donor_chunks_per_tick_) {
-      // Rate limit hit: the remainder is re-served on the donor tick, never
-      // silently dropped (the fetcher would strike this donor for sitting on
-      // a request it never refused).
-      deferred.push_back(index);
-      continue;
-    }
-    ++donor_served_this_tick_;
     StateChunkMsg m;
     m.donor = self;
     m.seq = req.seq;
@@ -557,54 +547,6 @@ std::vector<StateChunkMsg> StateTransferManager::make_chunks(
     // once per role, and not inflated by dropped or duplicate serves.
     ++stats.state_transfer_chunks_served;
     out.push_back(std::move(m));
-  }
-  if (!deferred.empty()) {
-    // Dedup against what this requester already has queued for the same
-    // transfer (its retry ticks re-request chunks the limiter is still
-    // sitting on), and bound the queue — overflow falls back to the
-    // fetcher's retry rather than growing the donor's memory under the very
-    // overload the limiter exists to bound.
-    std::set<uint32_t> queued;
-    size_t queue_total = 0;
-    for (const DeferredRequest& q : donor_deferred_) {
-      queue_total += q.req.indices.size();
-      if (q.req.requester == req.requester && q.req.seq == req.seq &&
-          q.req.chunk_root == req.chunk_root) {
-        queued.insert(q.req.indices.begin(), q.req.indices.end());
-      }
-    }
-    StateChunkRequestMsg rest = req;
-    rest.indices.clear();
-    for (uint32_t index : deferred) {
-      if (!queued.count(index)) rest.indices.push_back(index);
-    }
-    if (!rest.indices.empty()) {
-      // Overflow drops are counted too — an operator watching the throttle
-      // counter must see the load the limiter turned away, not only the part
-      // it could queue.
-      stats.donor_chunks_throttled += rest.indices.size();
-      if (queue_total < kMaxDeferredChunks) {
-        donor_deferred_.push_back({requester_node, std::move(rest)});
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::pair<NodeId, StateChunkMsg>>
-StateTransferManager::on_donor_tick(const CheckpointManager& cp, ReplicaId self,
-                                    RuntimeStats& stats) {
-  donor_served_this_tick_ = 0;
-  std::vector<DeferredRequest> pending = std::move(donor_deferred_);
-  donor_deferred_.clear();
-  std::vector<std::pair<NodeId, StateChunkMsg>> out;
-  for (DeferredRequest& d : pending) {
-    // make_chunks re-validates against the now-current shippable pair (stale
-    // deferred requests fall out; the fetcher's retry tick covers them) and
-    // re-defers whatever exceeds this tick's budget.
-    for (StateChunkMsg& c : make_chunks(cp, d.req, self, stats, d.node)) {
-      out.emplace_back(d.node, std::move(c));
-    }
   }
   return out;
 }

@@ -15,16 +15,13 @@
 // donor that lied in its manifest is detected there, excluded, and the fetch
 // restarts against the remaining donors.
 //
-// Two refinements for the common briefly-behind case:
+// One refinement for the common briefly-behind case:
 //   * Delta transfer: the probe advertises the fetcher's retained checkpoint
 //     (seq + transfer root); a donor still holding that base's chunk hashes
 //     Merkle-diffs the two snapshots and its manifest marks the chunks that
 //     differ — the fetcher seeds every unchanged chunk from its local
 //     snapshot and fetches only the delta. Unknown base or no shared chunks
 //     falls back to the full-chunked path automatically.
-//   * Donor-side chunk-rate limiting: a donor bounds chunks served per tick
-//     so state transfer cannot starve ordering under load; the trimmed
-//     remainder of a throttled request is re-served on the donor tick.
 //
 // Split of responsibilities: this manager owns the fetch/serve state machine
 // and produces/consumes the protocol message *structs*; it never touches the
@@ -96,21 +93,21 @@ class ChunkedSnapshot {
 class StateTransferManager {
  public:
   /// `chunk_size` must be positive.
-  explicit StateTransferManager(uint32_t chunk_size,
-                                uint32_t max_chunks_per_request = 16,
-                                uint32_t donor_chunks_per_tick = 0,
-                                size_t delta_history = kDefaultDonorHistory)
-      : chunk_size_(chunk_size),
-        max_chunks_per_request_(max_chunks_per_request ? max_chunks_per_request : 1),
-        donor_chunks_per_tick_(donor_chunks_per_tick),
-        delta_history_(delta_history ? delta_history : 1) {}
+  explicit StateTransferManager(uint32_t chunk_size) : chunk_size_(chunk_size) {}
 
-  /// Delta bases retained per donor (ProtocolConfig::state_transfer_delta_history).
-  size_t delta_history() const { return delta_history_; }
-
-  /// Default delta-base retention: a fetcher whose base is older than this
-  /// many checkpoints behind a donor falls back to a full-chunked manifest.
-  static constexpr size_t kDefaultDonorHistory = 16;
+  // Refuse absurd manifests (memory-bound guard; a lying donor is caught by
+  // verification, but only if we don't allocate ourselves to death first).
+  static constexpr uint64_t kMaxTotalBytes = 1ull << 31;
+  static constexpr uint32_t kMaxChunks = 1u << 20;
+  static constexpr uint32_t kStrikeLimit = 2;
+  /// Chunk indices one StateChunkRequestMsg may carry: a fetcher plans at
+  /// most this many per donor, and a donor serves at most this many per
+  /// request, which bounds the burst one request from outside can trigger.
+  static constexpr uint32_t kMaxChunksPerRequest = 16;
+  /// Delta bases a donor retains (chunk hashes only, 32 B per chunk): a
+  /// fetcher whose base is more checkpoints behind falls back to a
+  /// full-chunked manifest.
+  static constexpr size_t kDeltaHistory = 16;
 
   // --- fetcher ---------------------------------------------------------------
 
@@ -235,30 +232,12 @@ class StateTransferManager {
                                                 ReplicaId self);
 
   /// Chunk replies for a fetch request against the current shippable pair;
-  /// empty when the request does not match it (stale root, wrong seq). When
-  /// the donor chunk-rate limit is hit, the trimmed remainder of the request
-  /// is queued for the next donor tick instead of being dropped.
-  /// `requester_node` is the channel node the request arrived from — the
-  /// deferred remainder is re-served there (a joiner's id resolves through
-  /// no roster the donor holds yet).
+  /// empty when the request does not match it (stale root, wrong seq). Only
+  /// the first kMaxChunksPerRequest indices are considered, and indices past
+  /// the chunk count are skipped.
   std::vector<StateChunkMsg> make_chunks(const CheckpointManager& cp,
                                          const StateChunkRequestMsg& req,
-                                         ReplicaId self, RuntimeStats& stats,
-                                         NodeId requester_node = 0);
-
-  /// Donor tick: resets the per-tick serve budget and re-serves the requests
-  /// the rate limiter deferred (dropping the ones the checkpoint advanced
-  /// past — the fetcher's retry covers those). The engine sends each chunk to
-  /// the returned *node* and re-arms the tick while donor_tick_needed().
-  std::vector<std::pair<NodeId, StateChunkMsg>> on_donor_tick(
-      const CheckpointManager& cp, ReplicaId self, RuntimeStats& stats);
-
-  /// A donor tick must be scheduled: the budget is in use or requests wait.
-  bool donor_tick_needed() const {
-    return donor_chunks_per_tick_ > 0 &&
-           (donor_served_this_tick_ > 0 || !donor_deferred_.empty());
-  }
-  size_t donor_deferred_requests() const { return donor_deferred_.size(); }
+                                         ReplicaId self, RuntimeStats& stats);
 
  private:
   void retarget(const StateManifestMsg& m);
@@ -272,21 +251,7 @@ class StateTransferManager {
   void reset_fetch_state();
   const ChunkedSnapshot* donor_snapshot(const CheckpointManager& cp);
 
-  // Refuse absurd manifests (memory-bound guard; a lying donor is caught by
-  // verification, but only if we don't allocate ourselves to death first).
-  static constexpr uint64_t kMaxTotalBytes = 1ull << 31;
-  static constexpr uint32_t kMaxChunks = 1u << 20;
-  static constexpr uint32_t kStrikeLimit = 2;
-  // Bound on chunk indices queued by the donor rate limiter; overflow falls
-  // back to the fetcher's retry instead of growing donor memory.
-  static constexpr size_t kMaxDeferredChunks = 4096;
-
   uint32_t chunk_size_;
-  uint32_t max_chunks_per_request_;
-  uint32_t donor_chunks_per_tick_;
-  // Delta bases retained per donor (chunk *hashes* only — 32 B per chunk, the
-  // envelope bytes are never duplicated).
-  size_t delta_history_;
 
   // Fetcher state.
   bool active_ = false;
@@ -347,16 +312,6 @@ class StateTransferManager {
   SeqNum diff_target_seq_ = 0;
   Bytes diff_bitmap_;
   std::vector<uint32_t> diff_base_map_;
-  // Rate limiter: chunks served since the last donor tick, and the trimmed
-  // requests awaiting the next tick (re-validated against the then-current
-  // shippable pair when drained). Each entry keeps the channel node the
-  // request arrived from, so the re-serve reaches joiners too.
-  struct DeferredRequest {
-    NodeId node = 0;
-    StateChunkRequestMsg req;
-  };
-  uint32_t donor_served_this_tick_ = 0;
-  std::vector<DeferredRequest> donor_deferred_;
 };
 
 }  // namespace sbft::runtime
