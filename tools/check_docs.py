@@ -37,6 +37,11 @@
    trees and the authenticated store are what a client's single-replica
    proof and every state digest rest on, so their surface must stay
    documented.
+11. Every field declared in struct ProtocolConfig (src/proto/config.h) is a
+   row of a docs table headed "Knob (ProtocolConfig)", and every row of
+   such a table names a field that exists — each value a caller can set on
+   a replica has its default, meaning and setter written down once, and a
+   deleted field takes its row with it.
 
 Rules 2, 4-7, 9 and 10 share one table, CLASS_RULES.
 
@@ -160,9 +165,63 @@ def check_lint_checks_documented():
     ]
 
 
+CONFIG_HEADER = ROOT / "src" / "proto" / "config.h"
+# A data member of the struct body: type, name, optional initializer, ';'.
+# Member functions never match: their name is followed by '('.
+FIELD_RE = re.compile(
+    r"^\s+[A-Za-z_][\w:<>, ]*\s+(\w+)\s*(?:=[^;]*|\{[^}]*\})?;", re.MULTILINE)
+KNOB_HEADER_RE = re.compile(r"^\|\s*Knob \(`?ProtocolConfig`?\)\s*\|")
+KNOB_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|")
+
+
+def protocol_config_fields():
+    text = CONFIG_HEADER.read_text(encoding="utf-8")
+    start = text.find("struct ProtocolConfig {")
+    if start < 0:
+        return None
+    end = text.find("\n};", start)
+    return FIELD_RE.findall(text[start:end])
+
+
+def knob_table_rows():
+    """(doc, field) for every row of every 'Knob (ProtocolConfig)' table."""
+    rows = []
+    for doc in doc_files():
+        in_table = False
+        for line in doc.read_text(encoding="utf-8").splitlines():
+            if KNOB_HEADER_RE.match(line):
+                in_table = True
+            elif not line.startswith("|"):
+                in_table = False
+            elif in_table and (m := KNOB_ROW_RE.match(line)):
+                rows.append((doc, m.group(1)))
+    return rows
+
+
+def check_protocol_config_documented():
+    fields = protocol_config_fields()
+    if not fields:
+        return [f"{CONFIG_HEADER.relative_to(ROOT)}: struct ProtocolConfig "
+                f"declares no fields"]
+    rows = knob_table_rows()
+    documented = {name for _, name in rows}
+    errors = [
+        f"{CONFIG_HEADER.relative_to(ROOT)}: ProtocolConfig field '{name}' "
+        f"has no row in a 'Knob (ProtocolConfig)' docs table"
+        for name in fields if name not in documented
+    ]
+    errors += [
+        f"{doc.relative_to(ROOT)}: 'Knob (ProtocolConfig)' row '{name}' names "
+        f"no ProtocolConfig field"
+        for doc, name in rows if name not in fields
+    ]
+    return errors
+
+
 def main():
     errors = (check_links() + check_docs_reachable()
-              + check_classes_documented() + check_lint_checks_documented())
+              + check_classes_documented() + check_lint_checks_documented()
+              + check_protocol_config_documented())
     docs = len(doc_files())
     if errors:
         print(f"check_docs: {len(errors)} problem(s) across {docs} documents:")
@@ -171,7 +230,8 @@ def main():
         return 1
     print(f"check_docs: OK ({docs} documents, links resolve, no orphaned "
           f"pages, runtime, obs, sim, fuzz, shard, core, pbft, merkle and "
-          f"kv classes documented, lint checks documented)")
+          f"kv classes documented, lint checks documented, ProtocolConfig "
+          f"fields documented)")
     return 0
 
 
