@@ -987,6 +987,40 @@ TEST(StateTransferManagerTest, UnknownBaseFallsBackToFullManifest) {
   EXPECT_EQ(wiped.base_seq, 0u);
 }
 
+TEST(StateTransferManagerTest, DonorServesAtMostTheCapPerRequest) {
+  // A chunk request arrives from outside and may name any indices: the donor
+  // answers only the first kMaxChunksPerRequest of them, and never an index
+  // past its chunk count.
+  constexpr uint32_t kCap = StateTransferManager::kMaxChunksPerRequest;
+  Bytes env = patterned_envelope(48 * 1024);
+  StateTransferManager donor(1024);
+  CheckpointManager cp(16);
+  cp.adopt(cert_at(16), env);
+  ChunkedSnapshot snap(as_span(env), 1024);  // 48 chunks
+  RuntimeStats stats;
+
+  StateChunkRequestMsg req;
+  req.requester = 4;
+  req.seq = 16;
+  req.chunk_root = snap.transfer_root();
+  for (uint32_t i = 0; i < 40; ++i) req.indices.push_back(i);
+  auto served = donor.make_chunks(cp, req, /*self=*/1, stats);
+  ASSERT_EQ(served.size(), kCap);
+  for (uint32_t i = 0; i < kCap; ++i) {
+    EXPECT_EQ(served[i].index, i);
+    EXPECT_TRUE(merkle::BlockMerkleTree::verify(
+        snap.chunk_root(), ChunkedSnapshot::chunk_leaf(as_span(served[i].data)),
+        served[i].proof));
+  }
+
+  req.indices = {3, snap.chunk_count(), 5, 0xffffffffu};
+  auto in_range = donor.make_chunks(cp, req, 1, stats);
+  ASSERT_EQ(in_range.size(), 2u);
+  EXPECT_EQ(in_range[0].index, 3u);
+  EXPECT_EQ(in_range[1].index, 5u);
+  EXPECT_EQ(stats.state_transfer_chunks_served, kCap + 2);
+}
+
 }  // namespace
 }  // namespace sbft::runtime
 
