@@ -67,11 +67,13 @@ std::string chrome_trace_json(const std::vector<const Tracer*>& tracers) {
         case EventPhase::kBegin:
         case EventPhase::kEnd:
           out += e.phase == EventPhase::kBegin ? ",\"ph\":\"b\"" : ",\"ph\":\"e\"";
-          out += ",\"id\":\"r" + std::to_string(t->replica()) + ":";
-          out += category_name(e.category);
-          out += ":" + std::to_string(e.span) + "\"";
           break;
       }
+      // Every event names its span, so an instant joins the span it belongs
+      // to on the same key its begin and end pair on.
+      out += ",\"id\":\"r" + std::to_string(t->replica()) + ":";
+      out += category_name(e.category);
+      out += ":" + std::to_string(e.span) + "\"";
       append_args(out, e);
       out += '}';
     }

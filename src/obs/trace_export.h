@@ -6,7 +6,8 @@
 //   * tid  = event category (one named track per category),
 //   * spans are async events ("b"/"e") with ids unique per (replica,
 //     category, span), so overlapping slots render as parallel bars,
-//   * instants are thread-scoped "i" events.
+//   * instants are thread-scoped "i" events carrying the id of their span
+//     (span 0 when they belong to none).
 // Output is byte-deterministic for a deterministic event stream: iteration
 // order is the caller's tracer order, and no wall-clock or locale state is
 // consulted (tests/determinism_test.cpp pins this).

@@ -370,18 +370,17 @@ TEST(FuzzSmoke, TraceDigestsArePinned) {
   // and multi-lane nodes, crash and restart, reorder, delay, drop, censor,
   // partition and reconfiguration faults. A change that alters behaviour on
   // purpose re-pins these from `bench_fuzz_campaign --seeds 100 --seed-base 1
-  // --no-minimize` and says why. Seeds 5, 7 and 100 were re-pinned when the
-  // engine shell's status tick began re-sending the state-transfer probe from
-  // a replica whose execution stalled for a tick: those probes draw link
-  // jitter and CPU time, so a later state transfer's manifests arrive some
-  // tens of microseconds apart from before.
+  // --no-minimize` and says why. All six were re-pinned when the Chrome-trace
+  // export began writing each instant's span id (obs::chrome_trace_json): the
+  // digest hashes that JSON, so every digest moved while every run, and
+  // every other field of the campaign records, stayed the same.
   const std::pair<uint64_t, const char*> pinned[] = {
-      {3, "2661b883d34f12ac"},   // sbft c=1, 2 lanes: reorder, censor, restart
-      {5, "59889ecf0694e2a2"},   // pbft, 2 lanes: delay, reconfig, restart
-      {7, "d37f9c85165012c7"},   // linear_pbft, 2 lanes, equivocating replica
-      {11, "14874ef81d5ba614"},  // sbft, 1 lane: delay, reorder, drop, restart
-      {63, "d6437bfa1182c034"},  // pbft, 2 lanes: reorder, drop, restart
-      {100, "6853e797f1521873"}, // pbft, 2 lanes: reorder, reconfig, restart
+      {3, "ff53eaf289908dbc"},   // sbft c=1, 2 lanes: reorder, censor, restart
+      {5, "7a3ab6512df20411"},   // pbft, 2 lanes: delay, reconfig, restart
+      {7, "292d856432df023e"},   // linear_pbft, 2 lanes, equivocating replica
+      {11, "2a3adc6dc2ae5869"},  // sbft, 1 lane: delay, reorder, drop, restart
+      {63, "577eab148334511d"},  // pbft, 2 lanes: reorder, drop, restart
+      {100, "252eec4892a468cb"}, // pbft, 2 lanes: reorder, reconfig, restart
   };
   ScheduleFuzzer fuzzer;
   for (const auto& [seed, digest] : pinned) {

@@ -447,6 +447,12 @@ TEST(TraceExport, EmitsWellFormedSpansAndMetadata) {
   EXPECT_NE(json.find("\"cat\":\"viewchange\""), std::string::npos);
   EXPECT_NE(json.find("\"id\":\"r3:viewchange:1\""), std::string::npos);
   EXPECT_NE(json.find("\"entered_view\":1"), std::string::npos);
+  // The instant carries its span's id too, so a dump (and every digest over
+  // one) sees the span an instant is filed under.
+  size_t instant = json.find("\"ph\":\"i\"");
+  ASSERT_NE(instant, std::string::npos);
+  std::string line = json.substr(instant, json.find('\n', instant) - instant);
+  EXPECT_NE(line.find("\"id\":\"r3:viewchange:1\""), std::string::npos) << line;
 }
 
 }  // namespace
