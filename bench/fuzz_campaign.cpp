@@ -4,6 +4,7 @@
 //   bench_fuzz_campaign --seeds 25 --seed-base 1      # fixed seed range
 //   bench_fuzz_campaign --duration 300                # wall-clock budget (s)
 //   bench_fuzz_campaign --replay repro/seed-7.sched   # re-run one repro file
+//   bench_fuzz_campaign --replay F --trace-out t.json # ... and write its trace
 //
 // Every run emits one JSON line (consumed by tools/fuzz_triage.py). Failing
 // seeds are delta-debugged down and written as replayable repro files under
@@ -26,7 +27,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seeds N] [--seed-base S] [--duration SECONDS]\n"
                "          [--repro-dir DIR] [--no-minimize] [--quick]\n"
-               "          [--replay FILE]\n",
+               "          [--replay FILE [--trace-out PATH]]\n",
                argv0);
 }
 
@@ -36,6 +37,7 @@ int main(int argc, char** argv) {
   CampaignOptions options;
   options.repro_dir = "fuzz-repros";
   std::string replay_path;
+  std::string trace_out;
 
   for (int i = 1; i < argc; ++i) {
     auto need_value = [&](const char* flag) -> const char* {
@@ -61,16 +63,23 @@ int main(int argc, char** argv) {
       options.num_seeds = 5;
     } else if (std::strcmp(argv[i], "--replay") == 0) {
       replay_path = need_value("--replay");
+    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
+      trace_out = need_value("--trace-out");
     } else {
       usage(argv[0]);
       return 2;
     }
   }
 
+  if (!trace_out.empty() && replay_path.empty()) {
+    std::fprintf(stderr, "--trace-out needs --replay\n");
+    usage(argv[0]);
+    return 2;
+  }
   if (!replay_path.empty()) {
     FuzzResult result;
     std::string error;
-    if (!replay_file(replay_path, &result, &error)) {
+    if (!replay_file(replay_path, &result, &error, trace_out)) {
       std::fprintf(stderr, "replay failed: %s\n", error.c_str());
       return 2;
     }

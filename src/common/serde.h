@@ -26,6 +26,8 @@ class Writer {
 
   /// Raw bytes, no length prefix.
   void raw(ByteSpan data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
+  /// `n` zero bytes (page padding in aligned snapshot formats).
+  void zeros(size_t n) { buf_.resize(buf_.size() + n); }
 
   /// Length-prefixed (u32) byte string.
   void bytes(ByteSpan data) {

@@ -7,15 +7,6 @@
 
 namespace sbft::core {
 
-namespace {
-
-// Collector staggering (§V: "in most executions just one collector is active
-// and the others just monitor in idle"): the collector of stagger rank k
-// takes its turn k steps after the first.
-constexpr int64_t kCollectorStaggerUs = 25'000;
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Per-slot state
 
@@ -384,7 +375,7 @@ void SbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
   }
   // If the designated collectors stall (e.g. all c+1 are faulty), re-send the
   // shares to the primary — the always-last fallback collector (§V-E).
-  ctx.set_timer(2 * opts_.config.fast_path_timeout_us, timer_id(kShareFallback, s));
+  ctx.set_timer(2 * kFastPathTimeoutUs, timer_id(kShareFallback, s));
   arm_progress_timer(ctx);
 
   if (sl.committed) try_execute(ctx);  // proof may have arrived before the block
@@ -421,7 +412,7 @@ void SbftReplica::handle_sign_share(const SignShareMsg& m, sim::ActorContext& ct
   if (!sl.coll_fast_timer_set) {
     sl.coll_fast_timer_set = true;
     if (opts_.config.fast_path_enabled) {
-      ctx.set_timer(opts_.config.fast_path_timeout_us + rank * kCollectorStaggerUs,
+      ctx.set_timer(kFastPathTimeoutUs + rank * kCollectorStaggerUs,
                     timer_id(kFastPathTimer, m.seq));
     }
   }
@@ -788,8 +779,7 @@ void SbftReplica::execute_block(SeqNum s, sim::ActorContext& ctx) {
     for (ReplicaId collector : e_collectors(epoch_for_seq(s), s, view_)) {
       send_to_replica(ctx, collector, msg);
     }
-    ctx.set_timer(2 * opts_.config.fast_path_timeout_us,
-                  timer_id(kStateFallback, s));
+    ctx.set_timer(2 * kFastPathTimeoutUs, timer_id(kStateFallback, s));
   }
   // Replay pi shares that arrived before we executed.
   for (auto& [replica, share] : buffered) {
@@ -940,7 +930,7 @@ void SbftReplica::adopt_verified_view(ViewNum v, sim::ActorContext& ctx) {
   install_view(v);
   progress_marker_ = le();
   if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
+    ctx.set_timer(kBatchTimeoutUs, timer_id(kBatchTimer, 0));
   }
 }
 

@@ -100,6 +100,15 @@ class SbftReplica final : public runtime::EngineShell {
   /// and tau(tau(h)) (Linear-PBFT, §V-E), pi(d) (execution, §V-D).
   enum Proof : uint64_t { kFast, kPrepare, kSlow, kExec, kNumProofs };
 
+  // A collector that has not formed the fast proof sigma(h) this long after
+  // the pre-prepare falls back to the slow path (§V-E); a replica re-sends
+  // its stalled shares to the primary after twice that.
+  static constexpr int64_t kFastPathTimeoutUs = 150'000;
+  // Collector staggering (§V: "in most executions just one collector is
+  // active and the others just monitor in idle"): the collector of stagger
+  // rank k takes its turn k steps after the first.
+  static constexpr int64_t kCollectorStaggerUs = 25'000;
+
   // Engine timer kinds (the shell owns the lower ones).
   enum TimerKind : uint64_t {
     kFastPathTimer = kFirstEngineTimer,

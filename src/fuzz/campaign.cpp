@@ -118,7 +118,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
 }
 
 bool replay_file(const std::string& path, FuzzResult* result,
-                 std::string* error) {
+                 std::string* error, const std::string& trace_path) {
   std::ifstream in(path);
   if (!in) {
     if (error != nullptr) *error = "cannot open " + path;
@@ -131,7 +131,7 @@ bool replay_file(const std::string& path, FuzzResult* result,
     if (error != nullptr) *error = "malformed schedule in " + path;
     return false;
   }
-  *result = run_schedule(*schedule);
+  *result = run_schedule(*schedule, trace_path);
   return true;
 }
 

@@ -53,8 +53,9 @@ std::string make_repro_text(const Schedule& minimized, const FuzzResult& result,
 
 /// Loads a repro/schedule file and re-runs it. Returns false (with *error
 /// set) if the file is missing or malformed; *result receives the re-run
-/// outcome otherwise.
+/// outcome otherwise. A non-empty `trace_path` receives the run's trace
+/// (run_schedule).
 bool replay_file(const std::string& path, FuzzResult* result,
-                 std::string* error);
+                 std::string* error, const std::string& trace_path = {});
 
 }  // namespace sbft::fuzz

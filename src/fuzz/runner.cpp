@@ -161,7 +161,7 @@ std::string FuzzResult::summary() const {
   return out.str();
 }
 
-FuzzResult run_schedule(const Schedule& schedule) {
+FuzzResult run_schedule(const Schedule& schedule, const std::string& trace_path) {
   const ScheduleTopology& t = schedule.topology;
   harness::ClusterOptions opts;
   opts.kind = t.kind;
@@ -215,6 +215,9 @@ FuzzResult run_schedule(const Schedule& schedule) {
   result.sim_end_us = cluster.simulator().now();
   result.trace_digest =
       obs::digest_prefix(crypto::sha256(cluster.trace_json()).data());
+  if (!trace_path.empty() && !cluster.dump_trace(trace_path)) {
+    result.violations.push_back("trace-out: cannot write " + trace_path);
+  }
 
   if (!result.completed) {
     uint64_t unfinished = 0;

@@ -44,7 +44,9 @@ struct FuzzResult {
 };
 
 /// Runs the schedule to completion and audits the outcome. Deterministic:
-/// the same schedule always produces the same FuzzResult.
-FuzzResult run_schedule(const Schedule& schedule);
+/// the same schedule always produces the same FuzzResult. A non-empty
+/// `trace_path` also receives the run's Cluster::dump_trace (Chrome-trace
+/// JSON); a write failure becomes a "trace-out:" violation.
+FuzzResult run_schedule(const Schedule& schedule, const std::string& trace_path = {});
 
 }  // namespace sbft::fuzz

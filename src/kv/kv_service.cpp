@@ -179,41 +179,47 @@ Bytes KvService::snapshot() const {
   uint32_t fanout = 1;
   while (fanout < kMaxSectionFanout && fanout * avg < target) fanout <<= 1;
 
-  Writer w;
-  w.raw(ByteSpan{reinterpret_cast<const uint8_t*>(kPagedMagic),
-                 sizeof(kPagedMagic)});
-  w.u32(page);
-  w.u64(data_.size());
-  auto pad_to_page = [&w, page] {
-    if (page > 1) {
-      while (w.size() % page != 0) w.u8(0);
-    }
+  // First pass: cut the sections and size the snapshot, so the second pass
+  // writes every entry once, in place, into a buffer of exactly that size.
+  auto padded = [page](size_t n) {
+    return page > 1 ? (n + page - 1) / page * page : n;
   };
-  pad_to_page();  // sections start page-aligned
-
-  Writer section;
+  constexpr size_t kHeader = sizeof(kPagedMagic) + 4 + 8;
+  size_t size = padded(kHeader);  // sections start page-aligned
+  std::vector<uint32_t> counts;   // entries per section
   uint32_t count = 0;
   uint64_t section_payload = 0;
-  auto flush = [&] {
-    if (count == 0) return;
-    w.u32(count);
-    w.raw(as_span(section.data()));
-    pad_to_page();
-    section = Writer();
-    count = 0;
-    section_payload = 0;
-  };
   for (const auto& [k, v] : data_) {
-    section.bytes(as_span(k));
-    section.bytes(as_span(v));
     ++count;
     section_payload += 8 + k.size() + v.size();
     if ((fnv1a(as_span(k)) & (fanout - 1)) == 0 ||
         section_payload >= 8 * target) {
-      flush();
+      counts.push_back(count);
+      size = padded(size + 4 + section_payload);
+      count = 0;
+      section_payload = 0;
     }
   }
-  flush();
+  if (count > 0) {
+    counts.push_back(count);
+    size = padded(size + 4 + section_payload);
+  }
+
+  Writer w(size);
+  w.raw(ByteSpan{reinterpret_cast<const uint8_t*>(kPagedMagic),
+                 sizeof(kPagedMagic)});
+  w.u32(page);
+  w.u64(data_.size());
+  w.zeros(padded(kHeader) - kHeader);
+  auto it = data_.begin();
+  for (uint32_t n : counts) {
+    w.u32(n);
+    for (uint32_t i = 0; i < n; ++i, ++it) {
+      w.bytes(as_span(it->first));
+      w.bytes(as_span(it->second));
+    }
+    w.zeros(padded(w.size()) - w.size());
+  }
   return std::move(w).take();
 }
 

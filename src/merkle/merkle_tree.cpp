@@ -146,14 +146,14 @@ Digest SparseMerkleTree::climb(Digest h, int from, int to, uint64_t path) {
 }
 
 int SparseMerkleTree::top_level(const uint32_t* stack, size_t depth) const {
-  return depth == 0 ? kDepth : nodes_[stack[depth - 1]].level - 1;
+  return depth == 0 ? kDepth : node(stack[depth - 1]).level - 1;
 }
 
 uint32_t SparseMerkleTree::descend(uint64_t path, uint32_t* stack,
                                    size_t& depth) const {
   uint32_t cur = root_;
   while (cur != kNil) {
-    const Node& n = nodes_[cur];
+    const Node& n = node(cur);
     // A level-64 branch covers every path (and `path >> 64` is undefined).
     if (n.level == 0 ||
         (n.level < kDepth && (n.path >> n.level) != (path >> n.level))) {
@@ -166,25 +166,29 @@ uint32_t SparseMerkleTree::descend(uint64_t path, uint32_t* stack,
 }
 
 uint32_t SparseMerkleTree::alloc(const Node& n) {
-  if (free_ == kNil) {
-    nodes_.push_back(n);
-    return static_cast<uint32_t>(nodes_.size() - 1);
-  }
   uint32_t i = free_;
-  free_ = nodes_[i].child[0];
-  nodes_[i] = n;
+  if (i != kNil) {
+    free_ = node(i).child[0];
+  } else {
+    SBFT_CHECK(used_ < kNil);
+    if (used_ % kBlockNodes == 0) {
+      nodes_.push_back(std::make_unique<Node[]>(kBlockNodes));
+    }
+    i = used_++;
+  }
+  node(i) = n;
   return i;
 }
 
 void SparseMerkleTree::release(uint32_t i) {
-  nodes_[i].child[0] = free_;
+  node(i).child[0] = free_;
   free_ = i;
 }
 
 void SparseMerkleTree::reclimb(const uint32_t* stack, size_t depth) {
   for (; depth > 0; --depth) {
-    Node& b = nodes_[stack[depth - 1]];
-    b.hash = node_hash(nodes_[b.child[0]].top, nodes_[b.child[1]].top);
+    Node& b = node(stack[depth - 1]);
+    b.hash = node_hash(node(b.child[0]).top, node(b.child[1]).top);
     b.top = climb(b.hash, b.level, top_level(stack, depth - 1), b.path);
   }
 }
@@ -196,11 +200,11 @@ void SparseMerkleTree::update(ByteSpan key, const Digest& leaf) {
   const uint32_t cur = descend(path, stack, depth);
   // descend() stops at a leaf or at a subtree `path` is not under, so only
   // the key's own leaf can carry its path.
-  const bool present = cur != kNil && nodes_[cur].path == path;
+  const bool present = cur != kNil && node(cur).path == path;
   // The link from the cursor's parent (or the root) to the cursor.
   auto link = [&](size_t d) -> uint32_t& {
     if (d == 0) return root_;
-    Node& parent = nodes_[stack[d - 1]];
+    Node& parent = node(stack[d - 1]);
     return parent.child[side(path, parent.level - 1)];
   };
 
@@ -215,13 +219,13 @@ void SparseMerkleTree::update(ByteSpan key, const Digest& leaf) {
     // The parent branch goes; its other child moves up to the grandparent.
     const uint32_t parent = stack[--depth];
     const uint32_t survivor =
-        nodes_[parent].child[side(path, nodes_[parent].level - 1) ^ 1];
+        node(parent).child[side(path, node(parent).level - 1) ^ 1];
     release(parent);
     link(depth) = survivor;
-    Node& s = nodes_[survivor];
+    Node& s = node(survivor);
     s.top = climb(s.hash, s.level, top_level(stack, depth), s.path);
   } else if (present) {
-    Node& n = nodes_[cur];
+    Node& n = node(cur);
     n.hash = leaf;
     n.top = climb(leaf, 0, top_level(stack, depth), path);
   } else {
@@ -237,17 +241,17 @@ void SparseMerkleTree::update(ByteSpan key, const Digest& leaf) {
       root_ = alloc(fresh);
       return;
     }
-    const int level = split_level(path, nodes_[cur].path);
+    const int level = split_level(path, node(cur).path);
     fresh.top = climb(leaf, 0, level - 1, path);
     Node branch;
     branch.level = level;
     branch.path = path;
     branch.child[side(path, level - 1)] = alloc(fresh);
     branch.child[side(path, level - 1) ^ 1] = cur;
-    Node& old = nodes_[cur];  // taken after alloc(), which may move nodes_
+    Node& old = node(cur);
     old.top = climb(old.hash, old.level, level - 1, old.path);
-    branch.hash = node_hash(nodes_[branch.child[0]].top,
-                            nodes_[branch.child[1]].top);
+    branch.hash = node_hash(node(branch.child[0]).top,
+                            node(branch.child[1]).top);
     branch.top = climb(branch.hash, level, top_level(stack, depth), path);
     const uint32_t b = alloc(branch);
     link(depth) = b;
@@ -260,8 +264,8 @@ std::optional<Digest> SparseMerkleTree::leaf(ByteSpan key) const {
   uint32_t stack[kDepth];
   size_t depth = 0;
   const uint32_t cur = descend(path, stack, depth);
-  if (cur == kNil || nodes_[cur].path != path) return std::nullopt;
-  return nodes_[cur].hash;
+  if (cur == kNil || node(cur).path != path) return std::nullopt;
+  return node(cur).hash;
 }
 
 SmtProof SparseMerkleTree::prove(ByteSpan key) const {
@@ -276,17 +280,17 @@ SmtProof SparseMerkleTree::prove(ByteSpan key) const {
     proof.nondefault_mask |= 1ull << level;
     proof.siblings.push_back(sib);
   };
-  if (cur != kNil && nodes_[cur].path != proof.path) {
+  if (cur != kNil && node(cur).path != proof.path) {
     // An absent key whose path leaves the tree inside the edge above `cur`:
     // below the last branch its one non-default sibling is `cur`'s subtree,
     // climbed to the level just under where the two paths part.
-    const Node& n = nodes_[cur];
+    const Node& n = node(cur);
     const int level = split_level(proof.path, n.path) - 1;
     add(level, climb(n.hash, n.level, level, n.path));
   }
   for (; depth > 0; --depth) {
-    const Node& b = nodes_[stack[depth - 1]];
-    add(b.level - 1, nodes_[b.child[side(proof.path, b.level - 1) ^ 1]].top);
+    const Node& b = node(stack[depth - 1]);
+    add(b.level - 1, node(b.child[side(proof.path, b.level - 1) ^ 1]).top);
   }
   return proof;
 }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -89,6 +90,8 @@ struct SmtProof {
 class SparseMerkleTree {
  public:
   static constexpr int kDepth = 64;
+  /// Nodes per storage block (see nodes_ below).
+  static constexpr uint32_t kBlockNodes = 512;
 
   SparseMerkleTree() = default;
 
@@ -98,7 +101,7 @@ class SparseMerkleTree {
   void update(ByteSpan key, const Digest& leaf);
   std::optional<Digest> leaf(ByteSpan key) const;
   const Digest& root() const {
-    return root_ == kNil ? default_hashes()[kDepth] : nodes_[root_].top;
+    return root_ == kNil ? default_hashes()[kDepth] : node(root_).top;
   }
   size_t size() const { return leaf_count_; }
 
@@ -132,16 +135,24 @@ class SparseMerkleTree {
   /// The level `top` sits at for a child of stack[depth - 1]; kDepth for
   /// the root (depth 0).
   int top_level(const uint32_t* stack, size_t depth) const;
-  /// Free nodes form a list through child[0], headed by free_.
+  Node& node(uint32_t i) { return nodes_[i / kBlockNodes][i % kBlockNodes]; }
+  const Node& node(uint32_t i) const {
+    return nodes_[i / kBlockNodes][i % kBlockNodes];
+  }
+  /// Free nodes form a list through child[0], headed by free_; a node never
+  /// used yet comes from the last block, a new block when it is full.
   uint32_t alloc(const Node& n);
   void release(uint32_t i);
   /// Re-hashes stack[0..depth), deepest first.
   void reclimb(const uint32_t* stack, size_t depth);
 
-  // One vector, indices not pointers: alloc() may reallocate it. The tree's
-  // shape is a function of the key set alone; the slot a node occupies
-  // depends on history but never reaches a hash, proof or snapshot.
-  std::vector<Node> nodes_;
+  // Fixed blocks of kBlockNodes nodes, allocated on demand: node i is
+  // nodes_[i / kBlockNodes][i % kBlockNodes], so growing never moves a node
+  // or leaves a doubled vector's spare slots. The tree's shape is a function
+  // of the key set alone; the slot a node occupies depends on history but
+  // never reaches a hash, proof or snapshot.
+  std::vector<std::unique_ptr<Node[]>> nodes_;
+  uint32_t used_ = 0;  // nodes ever allocated: indices [0, used_)
   uint32_t root_ = kNil;
   uint32_t free_ = kNil;
   size_t leaf_count_ = 0;

@@ -39,8 +39,6 @@ struct ProtocolConfig {
   uint32_t state_transfer_chunk_size = 64 * 1024;
 
   // --- timers (microseconds of simulated time) ------------------------------
-  int64_t batch_timeout_us = 5'000;        // primary flushes a partial batch
-  int64_t fast_path_timeout_us = 150'000;  // collector falls back to slow path
   int64_t view_change_timeout_us = 2'000'000;  // base; doubles per attempt (§VII)
   int64_t client_retry_timeout_us = 4'000'000;
   // Chunked state transfer retry tick: outstanding chunk requests older than

@@ -36,15 +36,48 @@ Bytes encode_vote(SeqNum seq, ViewNum view, const Digest& block_digest) {
   return std::move(w).take();
 }
 
-Bytes encode_checkpoint(const ExecCertificate& cert, ByteSpan snapshot) {
+/// A checkpoint record's payload is [u32 len][certificate][u32 len][snapshot];
+/// this is all of it but the snapshot bytes, so the envelope is written from
+/// its own buffer instead of a copy.
+Bytes checkpoint_head(const ExecCertificate& cert, size_t snapshot_size) {
   Writer w;
   w.bytes(as_span(encode_exec_certificate(cert)));
-  w.bytes(snapshot);
+  w.u32(static_cast<uint32_t>(snapshot_size));
   return std::move(w).take();
 }
 
-/// Applies one record to the logical state (shared by both implementations'
-/// replay paths). Returns false on a malformed payload.
+/// The checkpoint supersedes the previous one and the votes at or below it.
+void apply_checkpoint(WalState& state, const ExecCertificate& cert,
+                      std::shared_ptr<const Bytes> snapshot) {
+  state.checkpoint = cert;
+  state.last_stable = cert.seq;
+  state.snapshot = std::move(snapshot);
+  state.votes.erase(std::remove_if(state.votes.begin(), state.votes.end(),
+                                   [&](const WalVote& v) {
+                                     return v.seq <= state.last_stable;
+                                   }),
+                    state.votes.end());
+}
+
+/// Writes one [u32 len][u8 type][payload] frame whose payload is `parts`
+/// back to back; returns the frame's size.
+uint64_t write_frame(std::FILE* file, uint8_t type,
+                     std::initializer_list<ByteSpan> parts) {
+  uint64_t len = 1;
+  for (ByteSpan p : parts) len += p.size();
+  Writer header;
+  header.u32(static_cast<uint32_t>(len));
+  header.u8(type);
+  SBFT_CHECK(std::fwrite(header.data().data(), 1, header.size(), file) ==
+             header.size());
+  for (ByteSpan p : parts) {
+    SBFT_CHECK(std::fwrite(p.data(), 1, p.size(), file) == p.size());
+  }
+  return header.size() + len - 1;
+}
+
+/// Applies one record read back from the file to the logical state. Returns
+/// false on a malformed payload.
 bool apply_record(WalState& state, uint8_t type, ByteSpan payload) {
   Reader r(payload);
   switch (type) {
@@ -64,20 +97,12 @@ bool apply_record(WalState& state, uint8_t type, ByteSpan payload) {
       return true;
     }
     case kCheckpoint: {
-      Bytes cert_bytes = r.bytes();
-      Bytes snapshot = r.bytes();
+      ByteSpan cert_bytes = r.span();
+      ByteSpan snapshot = r.span();
       if (!r.at_end()) return false;
-      auto cert = decode_exec_certificate(as_span(cert_bytes));
+      auto cert = decode_exec_certificate(cert_bytes);
       if (!cert) return false;
-      state.checkpoint = *cert;
-      state.last_stable = cert->seq;
-      state.snapshot = std::move(snapshot);
-      // Compaction semantics: the checkpoint supersedes earlier votes.
-      state.votes.erase(std::remove_if(state.votes.begin(), state.votes.end(),
-                                       [&](const WalVote& v) {
-                                         return v.seq <= state.last_stable;
-                                       }),
-                        state.votes.end());
+      apply_checkpoint(state, *cert, std::make_shared<const Bytes>(to_bytes(snapshot)));
       return true;
     }
     default:
@@ -86,6 +111,10 @@ bool apply_record(WalState& state, uint8_t type, ByteSpan payload) {
 }
 
 }  // namespace
+
+void IReplicaWal::record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot) {
+  record_checkpoint(cert, std::make_shared<const Bytes>(to_bytes(snapshot)));
+}
 
 // ---------------------------------------------------------------------------
 // MemoryWal
@@ -100,10 +129,11 @@ void MemoryWal::record_vote(SeqNum seq, ViewNum view, const Digest& block_digest
   state_.votes.push_back({seq, view, block_digest});
 }
 
-void MemoryWal::record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot) {
-  Bytes payload = encode_checkpoint(cert, snapshot);
-  bytes_written_ += 1 + payload.size();
-  apply_record(state_, kCheckpoint, as_span(payload));
+void MemoryWal::record_checkpoint(const ExecCertificate& cert,
+                                  std::shared_ptr<const Bytes> snapshot) {
+  SBFT_CHECK(snapshot != nullptr);
+  bytes_written_ += 1 + checkpoint_head(cert, snapshot->size()).size() + snapshot->size();
+  apply_checkpoint(state_, cert, std::move(snapshot));
 }
 
 // ---------------------------------------------------------------------------
@@ -136,47 +166,45 @@ FileWal::~FileWal() {
   if (file_) std::fclose(file_);
 }
 
-void FileWal::append_record(uint8_t type, ByteSpan payload) {
-  Writer w;
-  w.u32(static_cast<uint32_t>(payload.size() + 1));
-  w.u8(type);
-  w.raw(payload);
+void FileWal::append_record(uint8_t type, std::initializer_list<ByteSpan> parts) {
   std::fseek(file_, 0, SEEK_END);
-  SBFT_CHECK(std::fwrite(w.data().data(), 1, w.size(), file_) == w.size());
+  uint64_t frame = write_frame(file_, type, parts);
   // Write-ahead contract: the record must be durable before the caller acts
   // on it (e.g. emits the sign-share the vote describes).
   std::fflush(file_);
-  bytes_written_ += w.size();
-  file_bytes_ += w.size();
+  bytes_written_ += frame;
+  file_bytes_ += frame;
 }
 
 void FileWal::record_view(ViewNum view) {
   Bytes payload = encode_view(view);
-  append_record(kView, as_span(payload));
+  append_record(kView, {as_span(payload)});
   apply_record(state_, kView, as_span(payload));
 }
 
 void FileWal::record_vote(SeqNum seq, ViewNum view, const Digest& block_digest) {
   Bytes payload = encode_vote(seq, view, block_digest);
-  append_record(kVote, as_span(payload));
+  append_record(kVote, {as_span(payload)});
   apply_record(state_, kVote, as_span(payload));
 }
 
-void FileWal::record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot) {
-  Bytes payload = encode_checkpoint(cert, snapshot);
-  apply_record(state_, kCheckpoint, as_span(payload));
+void FileWal::record_checkpoint(const ExecCertificate& cert,
+                                std::shared_ptr<const Bytes> snapshot) {
+  SBFT_CHECK(snapshot != nullptr);
   // Append the one record — loaders treat it as superseding earlier
   // checkpoints and votes at or below its sequence — and rewrite only when
   // dead records dominate the live state. Frame sizes are derived from the
   // encoders so the threshold stays in sync with the format.
-  append_record(kCheckpoint, payload);
+  Bytes head = checkpoint_head(cert, snapshot->size());
+  append_record(kCheckpoint, {as_span(head), as_span(*snapshot)});
+  const uint64_t payload = head.size() + snapshot->size();
+  apply_checkpoint(state_, cert, std::move(snapshot));
   static const uint64_t kFrameHeader = 4 + 1;  // [u32 len][u8 type]
   static const uint64_t kViewFrame = kFrameHeader + encode_view(0).size();
   static const uint64_t kVoteFrame =
       kFrameHeader + encode_vote(0, 0, Digest{}).size();
   uint64_t live = sizeof(kMagic) + (state_.view > 0 ? kViewFrame : 0) +
-                  kFrameHeader + payload.size() +
-                  state_.votes.size() * kVoteFrame;
+                  kFrameHeader + payload + state_.votes.size() * kVoteFrame;
   if (file_bytes_ > 2 * live + 4096) rewrite(state_);
 }
 
@@ -186,19 +214,16 @@ void FileWal::rewrite(const WalState& state) {
   std::string tmp = path_ + ".compact";
   std::FILE* out = std::fopen(tmp.c_str(), "wb");
   if (!out) throw std::runtime_error("FileWal: cannot open " + tmp);
-  Writer w;
-  w.raw(ByteSpan{reinterpret_cast<const uint8_t*>(kMagic), sizeof(kMagic)});
-  auto frame = [&w](uint8_t type, ByteSpan payload) {
-    w.u32(static_cast<uint32_t>(payload.size() + 1));
-    w.u8(type);
-    w.raw(payload);
-  };
-  if (state.view > 0) frame(kView, as_span(encode_view(state.view)));
-  if (state.last_stable > 0)
-    frame(kCheckpoint, as_span(encode_checkpoint(state.checkpoint, as_span(state.snapshot))));
-  for (const WalVote& v : state.votes)
-    frame(kVote, as_span(encode_vote(v.seq, v.view, v.block_digest)));
-  SBFT_CHECK(std::fwrite(w.data().data(), 1, w.size(), out) == w.size());
+  SBFT_CHECK(std::fwrite(kMagic, 1, sizeof(kMagic), out) == sizeof(kMagic));
+  uint64_t size = sizeof(kMagic);
+  if (state.view > 0) size += write_frame(out, kView, {as_span(encode_view(state.view))});
+  if (state.last_stable > 0) {
+    Bytes head = checkpoint_head(state.checkpoint, state.snapshot->size());
+    size += write_frame(out, kCheckpoint, {as_span(head), as_span(*state.snapshot)});
+  }
+  for (const WalVote& v : state.votes) {
+    size += write_frame(out, kVote, {as_span(encode_vote(v.seq, v.view, v.block_digest))});
+  }
   std::fflush(out);
   std::fclose(out);
   std::fclose(file_);
@@ -207,8 +232,8 @@ void FileWal::rewrite(const WalState& state) {
     throw std::runtime_error("FileWal: rename failed for " + path_);
   file_ = std::fopen(path_.c_str(), "ab+");
   if (!file_) throw std::runtime_error("FileWal: cannot reopen " + path_);
-  bytes_written_ += w.size();
-  file_bytes_ = w.size();
+  bytes_written_ += size;
+  file_bytes_ = size;
 }
 
 WalState FileWal::load() const { return state_; }

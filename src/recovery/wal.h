@@ -4,7 +4,7 @@
 // The ledger (storage/ledger_storage.h) holds the committed decision blocks;
 // the WAL layers the remaining consensus-critical metadata on top of it:
 //   * the highest view the replica entered,
-//   * the latest stable checkpoint certificate plus its service snapshot,
+//   * the latest stable checkpoint certificate plus its snapshot envelope,
 //   * in-flight slot votes (seq, view, block digest) written *before* the
 //     replica emits a sign-share, so a recovered replica can never be tricked
 //     into equivocating about a slot it voted on pre-crash.
@@ -17,6 +17,11 @@
 // surviving vote) at every checkpoint. recovery_bench asserts the file stays
 // within a small multiple of the live state.
 //
+// The checkpoint's snapshot envelope is an immutable, refcounted buffer,
+// the one the CheckpointManager holds (docs/architecture.md, "Ownership"):
+// both implementations keep that pointer as the logical state, so a replica
+// holds each stable envelope once. FileWal also appends its bytes to the file.
+//
 // Two implementations: MemoryWal (simulation — the harness keeps the handle
 // alive across a simulated restart, standing in for the surviving disk) and
 // FileWal (versioned on-disk format that tolerates a truncated tail record,
@@ -24,6 +29,7 @@
 #pragma once
 
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,7 +50,8 @@ struct WalState {
   ViewNum view = 0;
   SeqNum last_stable = 0;      // 0: no checkpoint recorded yet
   ExecCertificate checkpoint;  // pi-certified; valid when last_stable > 0
-  Bytes snapshot;              // service snapshot at the checkpoint
+  // Snapshot envelope at the checkpoint; set when last_stable > 0.
+  std::shared_ptr<const Bytes> snapshot;
   std::vector<WalVote> votes;  // votes above last_stable, ascending seq
 
   bool empty() const { return view == 0 && last_stable == 0 && votes.empty(); }
@@ -59,7 +66,11 @@ class IReplicaWal {
   /// Records a slot vote; must be durable before the sign-share leaves.
   virtual void record_vote(SeqNum seq, ViewNum view, const Digest& block_digest) = 0;
   /// Records a new stable checkpoint and compacts everything it supersedes.
-  virtual void record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot) = 0;
+  /// The log keeps `snapshot` by reference; it must not change afterwards.
+  virtual void record_checkpoint(const ExecCertificate& cert,
+                                 std::shared_ptr<const Bytes> snapshot) = 0;
+  /// Copies `snapshot` into a fresh buffer and records it.
+  void record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot);
 
   /// Rebuilds the logical state from the log (empty state for a fresh log).
   virtual WalState load() const = 0;
@@ -72,11 +83,15 @@ class IReplicaWal {
 
 /// In-memory WAL for the simulator: the cluster harness owns the handle, so
 /// it survives the replica object being torn down and rebuilt on restart.
+/// bytes_written counts each record as FileWal frames it, less the u32
+/// length prefix: the type byte and the payload.
 class MemoryWal final : public IReplicaWal {
  public:
+  using IReplicaWal::record_checkpoint;
   void record_view(ViewNum view) override;
   void record_vote(SeqNum seq, ViewNum view, const Digest& block_digest) override;
-  void record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot) override;
+  void record_checkpoint(const ExecCertificate& cert,
+                         std::shared_ptr<const Bytes> snapshot) override;
   WalState load() const override { return state_; }
   uint64_t bytes_written() const override { return bytes_written_; }
 
@@ -102,9 +117,11 @@ class FileWal final : public IReplicaWal {
   FileWal(const FileWal&) = delete;
   FileWal& operator=(const FileWal&) = delete;
 
+  using IReplicaWal::record_checkpoint;
   void record_view(ViewNum view) override;
   void record_vote(SeqNum seq, ViewNum view, const Digest& block_digest) override;
-  void record_checkpoint(const ExecCertificate& cert, ByteSpan snapshot) override;
+  void record_checkpoint(const ExecCertificate& cert,
+                         std::shared_ptr<const Bytes> snapshot) override;
   WalState load() const override;
   uint64_t bytes_written() const override { return bytes_written_; }
   void sync() override;
@@ -113,7 +130,7 @@ class FileWal final : public IReplicaWal {
   uint64_t file_bytes() const { return file_bytes_; }
 
  private:
-  void append_record(uint8_t type, ByteSpan payload);
+  void append_record(uint8_t type, std::initializer_list<ByteSpan> parts);
   void rewrite(const WalState& state);
   /// Parses the record stream; fills `state` when non-null. Returns the file
   /// offset just past the last complete, well-formed record.
@@ -121,9 +138,9 @@ class FileWal final : public IReplicaWal {
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  // In-memory mirror of the logical state (what scan() of the file yields);
-  // keeps load() O(1) and lets compaction size the live state without
-  // re-reading the file.
+  // In-memory mirror of the logical state (what scan() of the file yields,
+  // but holding the recorded envelope pointer); keeps load() O(1) and lets
+  // compaction size the live state without re-reading the file.
   WalState state_;
   uint64_t bytes_written_ = 0;
   uint64_t file_bytes_ = 0;

@@ -11,7 +11,14 @@
 //     a checkpoint can become stable without a usable snapshot (e.g. the
 //     sequence executed in a previous incarnation); in that case the previous
 //     consistent pair keeps serving state transfer.
+//
+// Each snapshot envelope is one immutable, refcounted buffer
+// (docs/architecture.md, "Ownership"): it moves from capture or a
+// state-transfer fetch into the manager, and the WAL keeps the same pointer,
+// so a replica holds its stable envelope once however many parts refer to it.
 #pragma once
+
+#include <memory>
 
 #include "proto/message.h"
 
@@ -29,17 +36,21 @@ class CheckpointManager {
   /// Shippable state-transfer pair: snapshot_cert().state_root matches the
   /// service part of snapshot() exactly.
   const ExecCertificate& snapshot_cert() const { return snapshot_cert_; }
-  const Bytes& snapshot() const { return snapshot_; }
-  bool has_shippable() const { return snapshot_cert_.seq > 0 && !snapshot_.empty(); }
+  /// The envelope bytes (empty when there is none).
+  const Bytes& snapshot() const;
+  /// The envelope buffer itself (null when there is none).
+  const std::shared_ptr<const Bytes>& snapshot_ptr() const { return snapshot_; }
+  bool has_shippable() const { return snapshot_cert_.seq > 0 && !snapshot().empty(); }
 
   /// Records the snapshot captured when checkpoint sequence `s` executed
   /// (encode_checkpoint_snapshot envelope bytes).
-  void capture_pending(SeqNum s, Bytes snapshot_envelope);
+  void capture_pending(SeqNum s, std::shared_ptr<const Bytes> snapshot_envelope);
 
   /// `cert` became the stable checkpoint. Promotes the pending snapshot when
-  /// it matches; falls back to `live_capture()` only when the service has not
-  /// executed past cert.seq (`last_executed == cert.seq`). Returns true when
-  /// a new consistent pair was recorded (the caller persists it to the WAL).
+  /// it matches; falls back to `live_capture()` (which returns the envelope
+  /// pointer) only when the service has not executed past cert.seq
+  /// (`last_executed == cert.seq`). Returns true when a new consistent pair
+  /// was recorded (the caller persists it to the WAL).
   template <typename LiveCapture>
   bool make_stable(const ExecCertificate& cert, SeqNum last_executed,
                    LiveCapture&& live_capture) {
@@ -63,16 +74,17 @@ class CheckpointManager {
 
   /// Adopts a verified checkpoint received via state transfer or installed
   /// from the WAL at recovery.
-  void adopt(const ExecCertificate& cert, Bytes snapshot_envelope);
+  void adopt(const ExecCertificate& cert,
+             std::shared_ptr<const Bytes> snapshot_envelope);
 
  private:
   uint64_t interval_;
   SeqNum ls_ = 0;  // last stable (checkpointed) sequence
   ExecCertificate stable_cert_;
   ExecCertificate snapshot_cert_;
-  Bytes snapshot_;  // envelope bytes matching snapshot_cert_
+  std::shared_ptr<const Bytes> snapshot_;  // envelope matching snapshot_cert_
   SeqNum pending_seq_ = 0;
-  Bytes pending_;  // envelope captured when pending_seq_ executed
+  std::shared_ptr<const Bytes> pending_;  // captured when pending_seq_ executed
 };
 
 }  // namespace sbft::runtime

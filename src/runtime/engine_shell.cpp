@@ -78,7 +78,7 @@ void EngineShell::on_start(sim::ActorContext& ctx) {
     ctx.charge(ctx.costs().persist_us(recovered_replay_bytes_));
   }
   if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
+    ctx.set_timer(kBatchTimeoutUs, timer_id(kBatchTimer, 0));
   }
   if (opts_.marker_executor != nullptr &&
       opts_.marker_executor->tick_interval_us() > 0) {
@@ -167,6 +167,8 @@ void EngineShell::on_message(NodeId from, const Message& msg, sim::ActorContext&
         } else if constexpr (std::is_same_v<T, NewViewMsg> ||
                              std::is_same_v<T, PbftNewViewMsg>) {
           receive_new_view(from, m, msg, ctx);
+        } else if constexpr (std::is_same_v<T, PrePrepareMsg>) {
+          return hold_pre_prepare(from, m, msg);  // false: the engine's
         } else if constexpr (std::is_same_v<T, TxVoteMsg> ||
                              std::is_same_v<T, TxDecisionMsg>) {
           // Cross-shard 2PC traffic belongs to the marker executor; the pump
@@ -192,7 +194,7 @@ void EngineShell::on_timer(uint64_t id, sim::ActorContext& ctx) {
       // reaching a timeout").
       if (is_primary() && !in_view_change_) try_propose(ctx, /*flush_partial=*/true);
       if (is_primary()) {
-        ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
+        ctx.set_timer(kBatchTimeoutUs, timer_id(kBatchTimer, 0));
       }
       break;
     case kProgressTimer:
@@ -267,7 +269,7 @@ void EngineShell::maybe_refresh_epoch(sim::ActorContext& ctx) {
   // adopted checkpoint arrive through the normal protocol paths.
   retired_ = false;
   if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
+    ctx.set_timer(kBatchTimeoutUs, timer_id(kBatchTimer, 0));
     try_propose(ctx);
   }
 }
@@ -458,7 +460,20 @@ void EngineShell::install_view(ViewNum v) {
   vc_target_ = v;
   vc_attempts_ = 0;
   vc_by_target_.erase(vc_by_target_.begin(), vc_by_target_.upper_bound(v));
+  std::erase_if(held_pre_prepares_, [v](const auto& entry) {
+    return std::get<PrePrepareMsg>(*entry.second.second).view != v;
+  });
   runtime_.wal_record_view(v);
+}
+
+bool EngineShell::hold_pre_prepare(NodeId from, const PrePrepareMsg& m,
+                                   const Message& msg) {
+  if (!in_view_change_ || retired_ || m.view != vc_target_) return false;
+  if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return false;
+  if (from != node_of(epoch_for_seq(m.seq).primary_of(vc_target_))) return false;
+  // One per slot: a later one (an escalated target's) replaces it.
+  held_pre_prepares_[m.seq] = {from, std::make_shared<const Message>(msg)};
+  return true;
 }
 
 void EngineShell::try_new_view(ViewNum target, sim::ActorContext& ctx) {
@@ -491,9 +506,16 @@ void EngineShell::enter_view(ViewNum v, const Message& new_view,
   }
   install_view(v);
   enter_new_view(new_view, ctx);
+  // The new primary's first proposals may have overtaken its new view; the
+  // engine takes the ones held for v now, in slot order.
+  auto held = std::move(held_pre_prepares_);
+  held_pre_prepares_.clear();
+  for (const auto& [seq, entry] : held) {
+    on_engine_message(entry.first, *entry.second, ctx);
+  }
   progress_marker_ = le();
   if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
+    ctx.set_timer(kBatchTimeoutUs, timer_id(kBatchTimer, 0));
     try_propose(ctx);
   }
   arm_progress_timer(ctx);
@@ -769,8 +791,8 @@ void EngineShell::send_chunk_requests(sim::ActorContext& ctx) {
 void EngineShell::complete_chunked_transfer(sim::ActorContext& ctx) {
   StateTransferManager& st = runtime_.state_transfer();
   ExecCertificate cert = st.target_cert();
-  Bytes envelope = st.take_envelope();
-  bool adopted = runtime_.adopt_checkpoint(cert, as_span(envelope), ctx);
+  bool adopted = runtime_.adopt_checkpoint(
+      cert, std::make_shared<const Bytes>(st.take_envelope()), ctx);
   // The stale-target vs lying-manifest distinction lives in the manager.
   if (st.on_adopt_result(adopted, le())) broadcast_state_probe(ctx);
   if (!adopted) {

@@ -18,10 +18,11 @@
 //   * the view-change session and quorum: opening and escalating it, its
 //     trace span and backoff, the view changes filed per target view
 //     (sender-bound, members only), the f+1 join rule, the next primary's
-//     new-view send, the check of a received new view, and entering it;
+//     new-view send, the check of a received new view, and entering it,
+//     with the target view's pre-prepares that arrived before its new view;
 //   * direct client replies, cached or fresh;
 //   * chunked state transfer, fetcher and donor side (docs/state_transfer.md);
-//   * the batch, progress, status, state-transfer, donor-tick and shard-tick
+//   * the batch, progress, status, state-transfer and shard-tick
 //     timers.
 //
 // An engine derives from EngineShell and supplies the hooks below: its
@@ -119,6 +120,10 @@ class EngineShell : public sim::IActor {
 
  protected:
   EngineShell(EngineOptions options, std::unique_ptr<IService> service);
+
+  // The primary flushes a partial batch this often (§V-C "or reaching a
+  // timeout").
+  static constexpr int64_t kBatchTimeoutUs = 5'000;
 
   // Timer kinds the shell owns; engines number theirs from kFirstEngineTimer.
   enum ShellTimer : uint64_t {
@@ -317,9 +322,14 @@ class EngineShell : public sim::IActor {
   void receive_new_view(NodeId from, const NewView& m, const Message& msg,
                         sim::ActorContext& ctx);
   /// Ends the session on view v (its span, or view.entered when none was
-  /// open), installs v, lets the engine fill its slots and resumes: progress
-  /// marker, batch timer and proposals (primary), progress timer.
+  /// open), installs v, lets the engine fill its slots, hands it the
+  /// pre-prepares held for v and resumes: progress marker, batch timer and
+  /// proposals (primary), progress timer.
   void enter_view(ViewNum v, const Message& new_view, sim::ActorContext& ctx);
+  /// During a view change, keeps a pre-prepare of the target view from that
+  /// view's primary for a slot in the window (the latest per slot) until a
+  /// view is installed; false leaves it to the engine.
+  bool hold_pre_prepare(NodeId from, const PrePrepareMsg& m, const Message& msg);
 
   // --- admission ----------------------------------------------------------------
   void handle_client_request(NodeId from, const ClientRequestMsg& m,
@@ -366,6 +376,9 @@ class EngineShell : public sim::IActor {
   ViewNum vc_span_ = 0;       // open view-change session span (0: none)
   // View changes filed per target view (all past view_), keyed by sender.
   std::map<ViewNum, std::map<ReplicaId, MessagePtr>> vc_by_target_;
+  // Pre-prepares of vc_target_ held until its new view: seq -> (sender
+  // node, message). install_view drops those of any other view.
+  std::map<SeqNum, std::pair<NodeId, MessagePtr>> held_pre_prepares_;
   bool progress_timer_armed_ = false;
   SeqNum status_marker_ = 0;  // le() at the last status tick
   bool forwarded_waiting_ = false;  // forwarded a client request to the primary

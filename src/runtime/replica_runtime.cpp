@@ -47,7 +47,7 @@ std::optional<RecoveredProtocolState> ReplicaRuntime::recover() {
   // 1. The stable checkpoint, if any.
   if (wal.last_stable > 0) {
     auto sections =
-        install_checkpoint_service(as_span(wal.snapshot), wal.checkpoint.state_root);
+        install_checkpoint_service(as_span(*wal.snapshot), wal.checkpoint.state_root);
     if (!sections) return std::nullopt;
     replies_ = std::move(sections->replies);
     // Membership as of the checkpoint (anything staged there and already past
@@ -208,8 +208,8 @@ ExecutionRecord& ReplicaRuntime::apply_block(SeqNum s, ViewNum pp_view,
   // state the certificate describes; the reply cache rides along so recovery
   // suppresses pre-checkpoint duplicates.
   if (opts_.checkpoint_interval > 0 && s % opts_.checkpoint_interval == 0) {
-    Bytes envelope = snapshot_envelope();
-    tally.snapshot_bytes = envelope.size();
+    auto envelope = snapshot_envelope();
+    tally.snapshot_bytes = envelope->size();
     checkpoints_.capture_pending(s, std::move(envelope));
   }
 
@@ -251,8 +251,8 @@ bool ReplicaRuntime::advance_stable(ExecCertificate cert, sim::ActorContext& ctx
       cert.seq % opts_.checkpoint_interval != 0)
     return false;
   bool recorded = checkpoints_.make_stable(cert, le_, [&] {
-    Bytes envelope = snapshot_envelope();
-    ctx.charge(ctx.costs().hash_us(envelope.size()));
+    auto envelope = snapshot_envelope();
+    ctx.charge(ctx.costs().hash_us(envelope->size()));
     return envelope;
   });
   if (recorded) {
@@ -280,11 +280,11 @@ bool ReplicaRuntime::advance_stable(ExecCertificate cert, sim::ActorContext& ctx
 }
 
 bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
-                                      ByteSpan snapshot_envelope_bytes,
+                                      std::shared_ptr<const Bytes> envelope,
                                       sim::ActorContext& ctx) {
   if (cert.seq <= le_) return false;
-  ctx.charge(ctx.costs().hash_us(snapshot_envelope_bytes.size()));
-  auto sections = install_checkpoint_service(snapshot_envelope_bytes, cert.state_root);
+  ctx.charge(ctx.costs().hash_us(envelope->size()));
+  auto sections = install_checkpoint_service(as_span(*envelope), cert.state_root);
   if (!sections) return false;  // corrupt envelope or forged snapshot
 
   le_ = cert.seq;
@@ -309,7 +309,7 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
     opts_.marker_executor->restore(as_span(sections->marker));
   }
   exec_digests_[cert.seq] = cert.exec_digest();
-  checkpoints_.adopt(cert, to_bytes(snapshot_envelope_bytes));
+  checkpoints_.adopt(cert, std::move(envelope));
   trace_.instant(ctx.now(), obs::Category::kCheckpoint,
                  obs::ev::kCheckpointAdopted, 0, cert.seq, 0, "digest",
                  obs::digest_prefix(exec_digests_[cert.seq].data()));
@@ -354,21 +354,20 @@ void ReplicaRuntime::wal_record_vote(SeqNum s, ViewNum v,
 void ReplicaRuntime::wal_record_checkpoint() {
   if (!opts_.wal || !checkpoints_.has_shippable()) return;
   opts_.wal->record_checkpoint(checkpoints_.snapshot_cert(),
-                               as_span(checkpoints_.snapshot()));
+                               checkpoints_.snapshot_ptr());
   stats_.wal_bytes_written = opts_.wal->bytes_written();
 }
 
-Bytes ReplicaRuntime::snapshot_envelope() const {
+std::shared_ptr<const Bytes> ReplicaRuntime::snapshot_envelope() const {
   // Align the envelope to the transfer chunk grid so the service serializer's
   // page-aligned sections land exactly on chunk boundaries (delta transfer
   // compares the two grids chunk-for-chunk). The membership and marker
   // sections ride at the mutable tail next to the reply cache.
   Bytes marker;
   if (opts_.marker_executor != nullptr) marker = opts_.marker_executor->snapshot();
-  return encode_checkpoint_snapshot(as_span(service_->snapshot()), replies_,
-                                    opts_.state_transfer_chunk_size,
-                                    as_span(membership_.encode()),
-                                    as_span(marker));
+  return std::make_shared<const Bytes>(encode_checkpoint_snapshot(
+      as_span(service_->snapshot()), replies_, opts_.state_transfer_chunk_size,
+      as_span(membership_.encode()), as_span(marker)));
 }
 
 }  // namespace sbft::runtime

@@ -214,9 +214,12 @@ class ReplicaRuntime {
   /// the WAL, and garbage-collects execution records below it.
   bool advance_stable(ExecCertificate cert, sim::ActorContext& ctx);
   /// Installs a checkpoint received via state transfer after verifying the
-  /// snapshot envelope's service part against cert.state_root. The protocol
-  /// layer performs any signature verification *before* calling this.
-  bool adopt_checkpoint(const ExecCertificate& cert, ByteSpan snapshot_envelope,
+  /// snapshot envelope's service part against cert.state_root; the envelope
+  /// moves into the CheckpointManager (and the WAL) without a copy. The
+  /// protocol layer performs any signature verification *before* calling
+  /// this.
+  bool adopt_checkpoint(const ExecCertificate& cert,
+                        std::shared_ptr<const Bytes> envelope,
                         sim::ActorContext& ctx);
 
   // --- view-change evidence --------------------------------------------------
@@ -279,7 +282,7 @@ class ReplicaRuntime {
   /// is corrupt or does not match the root.
   std::optional<CheckpointSnapshot> install_checkpoint_service(
       ByteSpan envelope, const Digest& state_root);
-  Bytes snapshot_envelope() const;
+  std::shared_ptr<const Bytes> snapshot_envelope() const;
   void wal_record_checkpoint();
   /// Folds a membership activation (or restore) into the stats and the
   /// engine-visible change flag. `now` timestamps the trace event.

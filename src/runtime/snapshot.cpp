@@ -10,6 +10,8 @@ namespace {
 constexpr char kMagic[8] = {'S', 'B', 'F', 'T', 'S', 'N', 'A', 'P'};
 constexpr uint16_t kVersion = 4;  // reply-cache, membership and marker tail
 constexpr uint32_t kMaxAlign = 1u << 26;
+// Magic, version, align and the four section lengths.
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 2 + 4 + 4 * 8;
 
 size_t align_up(size_t n, uint32_t align) {
   return align > 1 ? (n + align - 1) / align * align : n;
@@ -26,7 +28,12 @@ Bytes encode_checkpoint_snapshot(ByteSpan service_state, const ReplyCache& repli
   // function of the state, so every replica picks the same layout.
   if (service_state.size() < 4ull * align) align = 1;
   Bytes reply_bytes = replies.encode();
-  Writer w;
+  // One buffer of exactly the envelope's size: it is held for as long as the
+  // checkpoint is (CheckpointManager, WAL), so it must carry no spare
+  // capacity.
+  const size_t header = align_up(kHeaderBytes, align);
+  const size_t service_end = header + align_up(service_state.size(), align);
+  Writer w(service_end + reply_bytes.size() + membership.size() + marker.size());
   w.raw(ByteSpan{reinterpret_cast<const uint8_t*>(kMagic), sizeof(kMagic)});
   w.u16(kVersion);
   w.u32(align);
@@ -34,9 +41,9 @@ Bytes encode_checkpoint_snapshot(ByteSpan service_state, const ReplyCache& repli
   w.u64(reply_bytes.size());
   w.u64(membership.size());
   w.u64(marker.size());
-  while (w.size() % align != 0) w.u8(0);  // service starts chunk-aligned
+  w.zeros(header - w.size());  // service starts chunk-aligned
   w.raw(service_state);
-  while (w.size() % align != 0) w.u8(0);  // mutable tail dirties only the end
+  w.zeros(service_end - w.size());  // mutable tail dirties only the end
   w.raw(as_span(reply_bytes));
   w.raw(membership);
   w.raw(marker);
@@ -60,7 +67,7 @@ std::optional<CheckpointSnapshot> decode_checkpoint_snapshot(ByteSpan data) {
       membership_len > data.size() || marker_len > data.size()) {
     return std::nullopt;
   }
-  size_t header = align_up(sizeof(kMagic) + 2 + 4 + 4 * 8, align);
+  size_t header = align_up(kHeaderBytes, align);
   size_t service_end = header + align_up(service_len, align);
   if (service_end > data.size() ||
       data.size() != service_end + replies_len + membership_len + marker_len) {

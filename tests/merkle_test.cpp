@@ -388,6 +388,52 @@ TEST(Smt, MatchesDenseReference) {
   ASSERT_NO_FATAL_FAILURE(check_against_dense(202, 3000, 9000));
 }
 
+TEST(Smt, MatchesDenseReferenceAcrossNodeBlocks) {
+  // k keys take 2k - 1 nodes, so past kBlockNodes keys the tree spans more
+  // than two node blocks. Erasing two keys in three frees nodes in every
+  // block, and the re-inserts take them back from the free list; the roots
+  // and proofs stay the dense oracle's throughout.
+  constexpr uint64_t kKeys = SparseMerkleTree::kBlockNodes + 200;
+  SparseMerkleTree tree;
+  DenseSmt dense;
+  auto key = [](uint64_t k) { return "block-key-" + std::to_string(k); };
+  auto put = [&](uint64_t k, const std::string& tag) {
+    Digest leaf = leaf_hash(as_span(to_bytes(tag + std::to_string(k))));
+    tree.update(as_span(key(k)), leaf);
+    dense.update(as_span(key(k)), leaf);
+  };
+  auto erase = [&](uint64_t k) {
+    tree.update(as_span(key(k)), Digest{});
+    dense.update(as_span(key(k)), Digest{});
+  };
+  auto compare = [&](const char* phase) {
+    ASSERT_EQ(tree.root(), dense.root()) << phase;
+    ASSERT_EQ(tree.size(), dense.size()) << phase;
+    for (uint64_t k = 0; k < kKeys + 8; k += 37) {
+      ASSERT_EQ(tree.leaf(as_span(key(k))), dense.leaf(as_span(key(k))))
+          << phase << " " << key(k);
+      ASSERT_EQ(tree.prove(as_span(key(k))).encode(),
+                dense.prove(as_span(key(k))).encode())
+          << phase << " " << key(k);
+    }
+  };
+
+  for (uint64_t k = 0; k < kKeys; ++k) put(k, "v1-");
+  ASSERT_GT(2 * tree.size() - 1, 2 * uint64_t{SparseMerkleTree::kBlockNodes});
+  ASSERT_NO_FATAL_FAILURE(compare("inserted"));
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    if (k % 3 != 0) erase(k);
+  }
+  ASSERT_NO_FATAL_FAILURE(compare("erased"));
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    if (k % 3 != 0) put(k, "v2-");
+  }
+  ASSERT_NO_FATAL_FAILURE(compare("re-inserted"));
+  for (uint64_t k = 0; k < kKeys; ++k) erase(k);
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.root(), SparseMerkleTree().root());
+}
+
 TEST(Smt, RootAndProofsArePinned) {
   // Recorded from the dense per-level layout: the compact tree must keep
   // every state digest and proof byte-identical.

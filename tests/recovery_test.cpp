@@ -11,6 +11,7 @@
 
 #include "harness/cluster.h"
 #include "harness/workload.h"
+#include "kv/kv_service.h"
 #include "recovery/wal.h"
 #include "runtime/replica_runtime.h"
 #include "runtime/snapshot.h"
@@ -73,7 +74,7 @@ void roundtrip_checks(Wal& wal) {
   state = wal.load();
   EXPECT_EQ(state.last_stable, 5u);
   EXPECT_EQ(state.checkpoint.pi_sig, to_bytes("pi-signature"));
-  EXPECT_EQ(state.snapshot, to_bytes("snapshot-5"));
+  EXPECT_EQ(*state.snapshot, to_bytes("snapshot-5"));
   ASSERT_EQ(state.votes.size(), 1u);
   EXPECT_EQ(state.votes[0].seq, 6u);
   EXPECT_EQ(state.view, 1u);
@@ -103,7 +104,7 @@ TEST(FileWalTest, SurvivesReopen) {
   WalState state = reopened.load();
   EXPECT_EQ(state.view, 3u);
   EXPECT_EQ(state.last_stable, 8u);
-  EXPECT_EQ(state.snapshot, to_bytes("snap"));
+  EXPECT_EQ(*state.snapshot, to_bytes("snap"));
   ASSERT_EQ(state.votes.size(), 1u);
   EXPECT_EQ(state.votes[0].seq, 9u);
 }
@@ -154,6 +155,38 @@ TEST(FileWalTest, CorruptMagicRestartsAsFreshLog) {
   EXPECT_EQ(state.votes[0].seq, 3u);
 }
 
+TEST(MemoryWalTest, CountsTheFramesFileWalAppends) {
+  // MemoryWal::bytes_written (the repo benchmark's wal.bytes_per_op) counts
+  // each record as FileWal frames it, less the u32 length prefix: the type
+  // byte and the payload. MemoryWal sizes a checkpoint without encoding it.
+  TempFile tmp;
+  FileWal file(tmp.path());
+  MemoryWal memory;
+  const Bytes envelope(70'000, 0x5c);
+  uint64_t records = 0;
+  auto both = [&](const auto& record) {
+    record(static_cast<IReplicaWal&>(file));
+    record(static_cast<IReplicaWal&>(memory));
+    ++records;
+  };
+  both([](IReplicaWal& w) { w.record_view(3); });
+  both([](IReplicaWal& w) { w.record_vote(5, 3, digest_of(0x55)); });
+  both([](IReplicaWal& w) { w.record_checkpoint(make_cert(4), as_span(to_bytes("small"))); });
+  both([](IReplicaWal& w) { w.record_vote(7, 3, digest_of(0x77)); });
+  both([&](IReplicaWal& w) { w.record_checkpoint(make_cert(6), as_span(envelope)); });
+
+  // No compaction ran: the file is the magic and one frame per record.
+  ASSERT_EQ(file.file_bytes(), 8 + file.bytes_written());
+  ASSERT_EQ(std::filesystem::file_size(tmp.path()), file.file_bytes());
+  EXPECT_EQ(memory.bytes_written() + 4 * records, file.bytes_written());
+  // [u8 type] + payload: a view is a u64; a vote two u64s and a digest; a
+  // checkpoint the length-prefixed certificate and snapshot.
+  const uint64_t cert = encode_exec_certificate(make_cert(4)).size();
+  EXPECT_EQ(memory.bytes_written(),
+            (1 + 8) + 2 * (1 + 8 + 8 + 32) + (1 + 4 + cert + 4 + 5) +
+                (1 + 4 + cert + 4 + envelope.size()));
+}
+
 TEST(FileWalTest, IncrementalCompactionConvergesAndStaysBounded) {
   // A checkpoint appends one record instead of rewriting the whole log
   // (snapshot + every surviving vote); the file is rewritten only when dead
@@ -176,7 +209,7 @@ TEST(FileWalTest, IncrementalCompactionConvergesAndStaysBounded) {
   WalState si = wal.load();
   WalState sr = reference.load();
   EXPECT_EQ(si.last_stable, sr.last_stable);
-  EXPECT_EQ(si.snapshot, sr.snapshot);
+  EXPECT_EQ(*si.snapshot, *sr.snapshot);
   EXPECT_EQ(si.votes.size(), sr.votes.size());
   // The threshold rewrite bounds the file to a small multiple of the live
   // state (window of votes + one snapshot).
@@ -326,6 +359,104 @@ TEST(LedgerReplay, SurfacesInFlightVotes) {
   EXPECT_EQ(recovered->view, 1u);
   ASSERT_EQ(recovered->votes.size(), 1u);
   EXPECT_EQ(recovered->votes[0].seq, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// One envelope per stable checkpoint: the WAL keeps the manager's buffer
+
+class CheckpointEnvelope : public ::testing::Test {
+ protected:
+  CheckpointEnvelope() : net_(simulator_, sim::lan_topology(), sim::CostModel{}) {
+    node_ = net_.add_node(&idle_);
+    net_.start();
+  }
+
+  /// A KvService runtime checkpointing every 2 sequences.
+  std::unique_ptr<runtime::ReplicaRuntime> make_runtime(
+      std::shared_ptr<IReplicaWal> wal) const {
+    runtime::RuntimeOptions opts;
+    opts.checkpoint_interval = 2;
+    opts.ledger = ledger_;
+    opts.wal = std::move(wal);
+    return std::make_unique<runtime::ReplicaRuntime>(
+        std::move(opts), std::make_unique<kv::KvService>());
+  }
+
+  /// Executes one put per sequence through `last`, then makes `last` the
+  /// stable checkpoint.
+  void execute_through(runtime::ReplicaRuntime& rt, SeqNum last) {
+    net_.offload(node_, 0, [&](sim::ActorContext& ctx) {
+      for (SeqNum s = rt.last_executed() + 1; s <= last; ++s) {
+        Block block;
+        Request put;
+        put.client = 100;
+        put.timestamp = s;
+        put.op = kv::encode_put(as_span(to_bytes("key-" + std::to_string(s))),
+                                as_span(Bytes(3000, static_cast<uint8_t>(s))));
+        block.requests.push_back(std::move(put));
+        rt.execute_block(s, 0, block, ctx);
+      }
+      ASSERT_TRUE(rt.advance_stable(rt.record(last)->cert, ctx));
+    });
+    simulator_.run_until_idle();
+  }
+
+  struct Idle : sim::IActor {
+    void on_message(NodeId, const Message&, sim::ActorContext&) override {}
+  } idle_;
+  sim::Simulator simulator_;
+  sim::Network net_;
+  NodeId node_ = 0;
+  std::shared_ptr<storage::MemoryLedgerStorage> ledger_ =
+      std::make_shared<storage::MemoryLedgerStorage>();
+};
+
+TEST_F(CheckpointEnvelope, MemoryWalKeepsTheManagersBufferPastTheNextCheckpoint) {
+  auto wal = std::make_shared<MemoryWal>();
+  auto live = make_runtime(wal);
+  execute_through(*live, 2);
+  WalState at2 = wal->load();
+  ASSERT_EQ(at2.last_stable, 2u);
+  EXPECT_EQ(at2.snapshot.get(), live->checkpoints().snapshot_ptr().get());
+  const Bytes envelope2 = *at2.snapshot;
+
+  // The manager moves on to checkpoint 4, and the WAL with it.
+  execute_through(*live, 4);
+  ASSERT_EQ(live->checkpoints().snapshot_cert().seq, 4u);
+  EXPECT_EQ(wal->load().snapshot.get(), live->checkpoints().snapshot_ptr().get());
+  EXPECT_NE(live->checkpoints().snapshot(), envelope2);
+
+  // A replica restarted from the log as it stood at checkpoint 2 recovers
+  // that envelope byte for byte, then replays the ledger past it.
+  auto disk = std::make_shared<MemoryWal>();
+  disk->record_checkpoint(at2.checkpoint, at2.snapshot);
+  auto restarted = make_runtime(disk);
+  ASSERT_TRUE(restarted->recover().has_value());
+  EXPECT_EQ(restarted->last_stable(), 2u);
+  EXPECT_EQ(restarted->last_executed(), 4u);
+  EXPECT_EQ(restarted->checkpoints().snapshot(), envelope2);
+  EXPECT_EQ(restarted->service().state_digest(), live->service().state_digest());
+}
+
+TEST_F(CheckpointEnvelope, FileWalRestartRecoversTheEnvelopeItWrote) {
+  TempFile file;
+  TempFile copy;
+  auto wal = std::make_shared<FileWal>(file.path());
+  auto live = make_runtime(wal);
+  execute_through(*live, 2);
+  EXPECT_EQ(wal->load().snapshot.get(), live->checkpoints().snapshot_ptr().get());
+  const Bytes envelope2 = live->checkpoints().snapshot();
+  wal->sync();
+  std::filesystem::copy_file(file.path(), copy.path());  // the disk at 2
+
+  execute_through(*live, 4);
+  ASSERT_NE(live->checkpoints().snapshot(), envelope2);
+
+  auto restarted = make_runtime(std::make_shared<FileWal>(copy.path()));
+  ASSERT_TRUE(restarted->recover().has_value());
+  EXPECT_EQ(restarted->last_stable(), 2u);
+  EXPECT_EQ(restarted->checkpoints().snapshot(), envelope2);
+  EXPECT_EQ(restarted->service().state_digest(), live->service().state_digest());
 }
 
 TEST(LedgerReplay, MatchesLiveExecutionAcrossReconfigMarker) {

@@ -838,6 +838,66 @@ TEST(CheckpointSnapshot, AlignedEnvelopeRoundTrip) {
   EXPECT_EQ(tiny_decoded->service_state, to_bytes("svc"));
 }
 
+/// A KvService of `entries` 16-byte keys and 64-byte values (88 payload
+/// bytes each) at a 64 KiB chunk hint.
+kv::KvService golden_store(uint32_t entries) {
+  kv::KvService kv;
+  kv.set_snapshot_chunk_hint(64 * 1024);
+  for (uint32_t i = 0; i < entries; ++i) {
+    Bytes key(16);
+    Bytes value(64);
+    uint64_t mix = uint64_t{i} * 0x9E3779B97F4A7C15ull;
+    for (size_t b = 0; b < 8; ++b) {
+      key[b] = static_cast<uint8_t>(uint64_t{i} >> (8 * b));
+      key[8 + b] = static_cast<uint8_t>(mix >> (8 * b));
+    }
+    for (size_t b = 0; b < value.size(); ++b) {
+      value[b] = static_cast<uint8_t>(i * 7 + b);
+    }
+    kv.put(as_span(key), as_span(value));
+  }
+  return kv;
+}
+
+TEST(CheckpointSnapshot, EnvelopesKeepTheirBytesAndHoldNoSpareCapacity) {
+  // Lengths and SHA-256s recorded from the encoders that built each section
+  // in its own growing Writer. 2,979 entries are the fewest that pass the
+  // store's 4-page padding gate at 64 KiB; at 2,978 the store is compact but
+  // its envelope, over 4 chunks, is aligned; 100 entries are compact twice.
+  struct Golden {
+    uint32_t entries;
+    size_t snapshot_size;
+    const char* snapshot_sha;
+    size_t envelope_size;
+    const char* envelope_sha;
+  };
+  const Golden cases[] = {
+      {2979, 458752, "4bf4e456293b476b60f7401d88b7c9907b3f33ed684ff7aac5bc09e1044550d8",
+       524390, "6ff48f5b049bc7e95af4f4a5b8ec98c8d093646b801a1ee2dac9c084734763b7"},
+      {2978, 262196, "98929e41d92230d02fa165cecdc735d431fe8f34e01ebbd0b262bbb869f00004",
+       393318, "c2a345e89a8021ae37cbdac06fddb884cb759ab2a064c3681ef7c3b4c9959c39"},
+      {100, 8832, "4ead196b0af41be51976e8ce1c2e6c47722184c4caebcafc51f340ae16e00a9b",
+       8980, "6cb0d7e86834286aa1789ca64d24db3d5864de0eff66a183e40ddf3c0b587806"},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(g.entries);
+    Bytes snapshot = golden_store(g.entries).snapshot();
+    EXPECT_EQ(snapshot.size(), g.snapshot_size);
+    EXPECT_EQ(to_hex(as_span(crypto::sha256(as_span(snapshot)))), g.snapshot_sha);
+    EXPECT_EQ(snapshot.capacity(), snapshot.size());
+
+    ReplyCache replies;
+    replies.store(11, 3, 40, 0, to_bytes("OK"));
+    replies.store(12, 9, 41, 2, to_bytes("value-12"));
+    Bytes envelope = encode_checkpoint_snapshot(
+        as_span(snapshot), replies, 64 * 1024, as_span(to_bytes("membership")),
+        as_span(to_bytes("marker")));
+    EXPECT_EQ(envelope.size(), g.envelope_size);
+    EXPECT_EQ(to_hex(as_span(crypto::sha256(as_span(envelope)))), g.envelope_sha);
+    EXPECT_EQ(envelope.capacity(), envelope.size());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Delta state transfer (unit level)
 
@@ -861,15 +921,15 @@ TEST(StateTransferManagerTest, DeltaManifestSeedsUnchangedChunks) {
   // chunk hashes into its delta history).
   StateTransferManager donor(1024);
   CheckpointManager donor_cp(16);
-  donor_cp.adopt(cert_at(16), base_env);
+  donor_cp.adopt(cert_at(16), std::make_shared<const Bytes>(base_env));
   EXPECT_TRUE(donor.note_checkpoint(donor_cp));
-  donor_cp.adopt(cert_at(32), target_env);
+  donor_cp.adopt(cert_at(32), std::make_shared<const Bytes>(target_env));
   EXPECT_TRUE(donor.note_checkpoint(donor_cp));
 
   // Fetcher: retains the base as its shippable pair.
   StateTransferManager fetcher(1024);
   CheckpointManager fetcher_cp(16);
-  fetcher_cp.adopt(cert_at(16), base_env);
+  fetcher_cp.adopt(cert_at(16), std::make_shared<const Bytes>(base_env));
   StateTransferRequestMsg probe = fetcher.make_probe(fetcher_cp, /*self=*/4,
                                                      /*last_executed=*/16);
   EXPECT_EQ(probe.base_seq, 16u);
@@ -915,14 +975,14 @@ TEST(StateTransferManagerTest, LateDeltaManifestSeedsMidFetch) {
 
   StateTransferManager donor(1024);
   CheckpointManager donor_cp(16);
-  donor_cp.adopt(cert_at(16), base_env);
+  donor_cp.adopt(cert_at(16), std::make_shared<const Bytes>(base_env));
   donor.note_checkpoint(donor_cp);
-  donor_cp.adopt(cert_at(32), target_env);
+  donor_cp.adopt(cert_at(32), std::make_shared<const Bytes>(target_env));
   donor.note_checkpoint(donor_cp);
 
   StateTransferManager fetcher(1024);
   CheckpointManager fetcher_cp(16);
-  fetcher_cp.adopt(cert_at(16), base_env);
+  fetcher_cp.adopt(cert_at(16), std::make_shared<const Bytes>(base_env));
   StateTransferRequestMsg probe = fetcher.make_probe(fetcher_cp, 4, 16);
   fetcher.open_round();
 
@@ -963,7 +1023,7 @@ TEST(StateTransferManagerTest, UnknownBaseFallsBackToFullManifest) {
   Bytes target_env = patterned_envelope(6 * 1024);
   StateTransferManager donor(1024);
   CheckpointManager donor_cp(16);
-  donor_cp.adopt(cert_at(32), target_env);
+  donor_cp.adopt(cert_at(32), std::make_shared<const Bytes>(target_env));
   EXPECT_TRUE(donor.note_checkpoint(donor_cp));  // no retired base: no history
 
   // A probe advertising a base this donor never held gets a full manifest —
@@ -995,7 +1055,7 @@ TEST(StateTransferManagerTest, DonorServesAtMostTheCapPerRequest) {
   Bytes env = patterned_envelope(48 * 1024);
   StateTransferManager donor(1024);
   CheckpointManager cp(16);
-  cp.adopt(cert_at(16), env);
+  cp.adopt(cert_at(16), std::make_shared<const Bytes>(env));
   ChunkedSnapshot snap(as_span(env), 1024);  // 48 chunks
   RuntimeStats stats;
 
@@ -1042,8 +1102,8 @@ TEST(SeedRegressions, CheckpointSnapshotCapturedAtExecutionNotCertification) {
 
   for (int i = 0; i < 4; ++i) service.execute(as_span(to_bytes("op"))); // 1..4
   Digest root4 = service.state_digest();
-  manager.capture_pending(
-      4, runtime::encode_checkpoint_snapshot(as_span(service.snapshot()), replies));
+  manager.capture_pending(4, std::make_shared<const Bytes>(runtime::encode_checkpoint_snapshot(
+                                 as_span(service.snapshot()), replies)));
 
   // The service executes past the checkpoint before its certificate forms.
   service.execute(as_span(to_bytes("op5")));
@@ -1052,10 +1112,11 @@ TEST(SeedRegressions, CheckpointSnapshotCapturedAtExecutionNotCertification) {
   ExecCertificate cert;
   cert.seq = 4;
   cert.state_root = root4;
-  bool recorded = manager.make_stable(cert, /*last_executed=*/6, []() -> Bytes {
-    ADD_FAILURE() << "live capture would pair moved-on state with the cert";
-    return {};
-  });
+  bool recorded = manager.make_stable(
+      cert, /*last_executed=*/6, []() -> std::shared_ptr<const Bytes> {
+        ADD_FAILURE() << "live capture would pair moved-on state with the cert";
+        return nullptr;
+      });
   ASSERT_TRUE(recorded);
 
   // The shippable pair is consistent: restoring the snapshot reproduces
@@ -1072,7 +1133,9 @@ TEST(SeedRegressions, CheckpointSnapshotCapturedAtExecutionNotCertification) {
   cert8.seq = 8;
   cert8.state_root = service.state_digest();
   EXPECT_FALSE(manager.make_stable(cert8, /*last_executed=*/10,
-                                   []() -> Bytes { return {}; }));
+                                   []() -> std::shared_ptr<const Bytes> {
+                                     return nullptr;
+                                   }));
   EXPECT_EQ(manager.last_stable(), 8u);          // stable advanced...
   EXPECT_EQ(manager.snapshot_cert().seq, 4u);    // ...shippable pair kept
 }

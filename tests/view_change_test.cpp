@@ -3,6 +3,8 @@
 // view-change quorum both engines share (runtime::EngineShell).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/crypto_context.h"
 #include "core/view_change.h"
 #include "crypto/sha256.h"
@@ -433,6 +435,35 @@ TEST_P(ViewChangeQuorum, JoinsTheHighestViewFPlusOneMembersAskFor) {
   inject(4, 1, view_change(4, 3));
   EXPECT_EQ(cluster_.replica(1).view_changes(), 2u);
   EXPECT_EQ(cluster_.replica(1).view(), 1u);
+}
+
+TEST_P(ViewChangeQuorum, PrePrepareBeforeItsNewViewIsAccepted) {
+  // Replicas 2 and 3 pull replica 4 into a view change to view 1. View 1's
+  // primary, replica 2, proposes slot 1 before replica 4 has its new view;
+  // replica 4 keeps the pre-prepare and accepts it once it enters view 1.
+  for (ReplicaId sender : {2u, 3u}) inject(sender, 4, view_change(sender, 1));
+  ASSERT_EQ(cluster_.replica(4).view_changes(), 1u);
+  Block block;
+  Request req;
+  req.client = 100;
+  req.timestamp = 1;
+  req.op = to_bytes("early");
+  block.requests.push_back(std::move(req));
+  inject(2, 4, make_message(PrePrepareMsg{1, 1, block}));
+  // A pre-prepare of view 1 from a replica that is not its primary is not
+  // kept.
+  inject(3, 4, make_message(PrePrepareMsg{2, 1, block}));
+  inject(2, 4, new_view(1, {{2, 1}, {3, 1}, {4, 1}}));
+  ASSERT_EQ(cluster_.replica(4).view(), 1u);
+
+  std::set<SeqNum> accepted;
+  for (const obs::TraceEvent& e : cluster_.replica(4).tracer()->events()) {
+    if (std::string_view(e.name) == obs::ev::kSlot &&
+        e.phase == obs::EventPhase::kBegin && e.view == 1) {
+      accepted.insert(e.seq);
+    }
+  }
+  EXPECT_EQ(accepted, std::set<SeqNum>{1});
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, ViewChangeQuorum,
