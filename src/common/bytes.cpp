@@ -38,6 +38,23 @@ Bytes from_hex(std::string_view hex) {
   return out;
 }
 
+void ByteList::insert(size_t i, ByteSpan s) {
+  uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+  auto len = static_cast<uint32_t>(s.size());
+  ends_.insert(ends_.begin() + static_cast<ptrdiff_t>(i), begin + len);
+  for (size_t j = i + 1; j < ends_.size(); ++j) ends_[j] += len;
+  bytes_.insert(bytes_.begin() + begin, s.begin(), s.end());
+}
+
+void ByteList::shrink_to_fit() {
+  if (bytes_.capacity() != bytes_.size()) {
+    bytes_ = Bytes(bytes_.begin(), bytes_.end());
+  }
+  if (ends_.capacity() != ends_.size()) {
+    ends_ = std::vector<uint32_t>(ends_.begin(), ends_.end());
+  }
+}
+
 bool digest_equal(const Digest& a, const Digest& b) {
   uint8_t acc = 0;
   for (size_t i = 0; i < a.size(); ++i) acc |= static_cast<uint8_t>(a[i] ^ b[i]);

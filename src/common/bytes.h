@@ -29,6 +29,36 @@ inline Bytes to_bytes(std::string_view s) {
 
 inline Bytes to_bytes(ByteSpan s) { return Bytes(s.begin(), s.end()); }
 
+/// A list of byte strings held back to back in one buffer, with one end
+/// offset per string: two allocations for the whole list instead of one per
+/// string. For state held per slot (a collector's shares, a block's replies).
+class ByteList {
+ public:
+  size_t size() const { return ends_.size(); }
+  /// String i, as a view valid until the list next changes.
+  ByteSpan operator[](size_t i) const {
+    uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+    return ByteSpan{bytes_.data() + begin, ends_[i] - begin};
+  }
+  /// Inserts `s` as string i, before the strings from i on. `s` must not
+  /// view this list.
+  void insert(size_t i, ByteSpan s);
+  void push_back(ByteSpan s) { insert(size(), s); }
+  /// Room for `count` strings' offsets.
+  void reserve(size_t count) { ends_.reserve(count); }
+  /// Copies the bytes and the offsets into buffers of exactly their size.
+  void shrink_to_fit();
+  /// The strings back to back, and each one's end offset in that buffer.
+  const Bytes& bytes() const { return bytes_; }
+  const std::vector<uint32_t>& ends() const { return ends_; }
+
+  bool operator==(const ByteList&) const = default;
+
+ private:
+  Bytes bytes_;
+  std::vector<uint32_t> ends_;
+};
+
 /// Hex encoding (lowercase, no prefix).
 std::string to_hex(ByteSpan data);
 

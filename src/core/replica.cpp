@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "core/share_set.h"
 #include "crypto/sha256.h"
 
 namespace sbft::core {
@@ -37,7 +38,7 @@ struct SbftReplica::Slot {
   // --- Collector state --------------------------------------------------------
   // Shares of one proof over one signed digest.
   struct Quorum {
-    std::map<ReplicaId, Bytes> shares;
+    ShareSet shares;
     // A batch-verify + combine of this quorum is in flight on a worker lane;
     // cleared by the completion callback.
     bool verifying = false;
@@ -404,8 +405,8 @@ void SbftReplica::handle_sign_share(const SignShareMsg& m, sim::ActorContext& ct
       sl.sent[p] = false;
     }
   }
-  sl.quorums[kFast][m.h].shares.emplace(m.replica, m.sigma_share);
-  sl.quorums[kPrepare][m.h].shares.emplace(m.replica, m.tau_share);
+  sl.quorums[kFast][m.h].shares.add(m.replica, as_span(m.sigma_share));
+  sl.quorums[kPrepare][m.h].shares.add(m.replica, as_span(m.tau_share));
   sl.coll_digest_of_h[m.h] = m.block_digest;
 
   // Arm the fast->slow fallback timer on first contact (§V-E trigger).
@@ -472,8 +473,10 @@ void SbftReplica::collect(SeqNum s, Proof p, sim::ActorContext& ctx) {
     if (q.shares.size() < quorum || q.verifying) continue;
     std::vector<crypto::SignatureShare> shares;
     shares.reserve(q.shares.size());
-    for (auto& [replica, share] : q.shares)
-      shares.push_back({signer_of(replica, s), share});
+    for (size_t i = 0; i < q.shares.size(); ++i) {
+      shares.push_back(
+          {signer_of(q.shares.replica(i), s), to_bytes(q.shares.share(i))});
+    }
     // Batch-verify then combine, on a worker lane — combining slot s overlaps
     // collecting s+1..s+w. Group-signature mode (n-out-of-n) applies to the
     // fast proof when every replica contributed (§VIII).
@@ -637,7 +640,7 @@ void SbftReplica::handle_commit_share(const CommitShareMsg& m, sim::ActorContext
   // Only shares over the commit digest of our certificate count.
   Digest expected = commit_hash(crypto::sha256(as_span(slp->coll_tau)));
   if (!(m.commit_digest == expected)) return;
-  slp->quorums[kSlow][expected].shares.emplace(m.replica, m.tau_share);
+  slp->quorums[kSlow][expected].shares.add(m.replica, as_span(m.tau_share));
   maybe_collect(*slp, m.seq, kSlow, expected, rank, ctx);
 }
 
@@ -815,7 +818,7 @@ void SbftReplica::handle_sign_state(const SignStateMsg& m, sim::ActorContext& ct
     ++stats_.invalid_shares_seen;
     return;
   }
-  sl.quorums[kExec][d].shares.emplace(m.replica, m.pi_share);
+  sl.quorums[kExec][d].shares.add(m.replica, as_span(m.pi_share));
   maybe_collect(sl, m.seq, kExec, d, rank, ctx);
 }
 
@@ -836,7 +839,7 @@ void SbftReplica::send_execute_acks(SeqNum s, sim::ActorContext& ctx) {
     ack.client = req.client;
     ack.timestamp = req.timestamp;
     ack.index = l;
-    ack.value = rec.values[l];
+    ack.value = to_bytes(rec.values[l]);
     ack.cert = rec.cert;
     ack.proof = tree.prove(l);
     ctx.charge(ctx.costs().hash_us(256));  // proof assembly

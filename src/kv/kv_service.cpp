@@ -255,9 +255,13 @@ bool KvService::restore(ByteSpan snapshot) {
   if (!r.at_end() || parsed != entry_count || data.size() != entry_count) {
     return false;
   }
-  data_.clear();
+  // The parsed map becomes the store without a copy; the tree is rebuilt
+  // from it in key order.
+  data_ = std::move(data);
   tree_ = merkle::SparseMerkleTree();
-  for (const auto& [k, v] : data) put(as_span(k), as_span(v));
+  for (const auto& [k, v] : data_) {
+    tree_.update(as_span(k), leaf_for(as_span(k), as_span(v)));
+  }
   return true;
 }
 

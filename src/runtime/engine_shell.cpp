@@ -320,14 +320,14 @@ void EngineShell::arm_progress_timer(sim::ActorContext& ctx) {
 }
 
 void EngineShell::send_reply(sim::ActorContext& ctx, ClientId client,
-                             uint64_t timestamp, SeqNum seq, const Bytes& value) {
+                             uint64_t timestamp, SeqNum seq, ByteSpan value) {
   if (silent()) return;
   ClientReplyMsg reply;
   reply.replica = opts_.id;
   reply.client = client;
   reply.timestamp = timestamp;
   reply.seq = seq;
-  reply.value = value;
+  reply.value = to_bytes(value);
   ctx.send(client, make_message(std::move(reply)));
 }
 
@@ -543,7 +543,8 @@ void EngineShell::admit_client_request(NodeId from, const Request& req,
                                        sim::ActorContext& ctx) {
   if (const CachedReply* cached = runtime_.cached_reply(req.client, req.timestamp)) {
     // Already executed: serve the cached reply (client retry path, §V-A).
-    send_reply(ctx, req.client, cached->timestamp, cached->seq, cached->value);
+    send_reply(ctx, req.client, cached->timestamp, cached->seq,
+               as_span(cached->value));
     trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kReplyCached, 0,
                    cached->seq, view_, "client", req.client);
     return;

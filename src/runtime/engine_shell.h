@@ -231,7 +231,7 @@ class EngineShell : public sim::IActor {
   /// Direct reply to a client (a cached reply, PBFT's execution replies,
   /// SBFT's replies without the execution collector); silent replicas skip it.
   void send_reply(sim::ActorContext& ctx, ClientId client, uint64_t timestamp,
-                  SeqNum seq, const Bytes& value);
+                  SeqNum seq, ByteSpan value);
 
   // --- proposals (§VIII) ---------------------------------------------------------
   /// Primary: cuts blocks from the pending queue while the window, the

@@ -44,7 +44,8 @@ std::optional<RecoveredProtocolState> ReplicaRuntime::recover() {
   SeqNum ledger_last = opts_.ledger ? opts_.ledger->last_seq() : 0;
   if (wal.empty() && ledger_last == 0) return std::nullopt;  // fresh boot
 
-  // 1. The stable checkpoint, if any.
+  // 1. The stable checkpoint, if any. The sections are views into the WAL's
+  // envelope, which wal.snapshot holds until adopt takes the pointer.
   if (wal.last_stable > 0) {
     auto sections =
         install_checkpoint_service(as_span(*wal.snapshot), wal.checkpoint.state_root);
@@ -54,14 +55,14 @@ std::optional<RecoveredProtocolState> ReplicaRuntime::recover() {
     // its boundary activated before the crash) replaces the bootstrap roster;
     // a pre-membership log keeps the bootstrap roster.
     MembershipManager restored;
-    restored.restore(as_span(sections->membership));
+    restored.restore(sections->membership);
     restored.activate_up_to(wal.last_stable);
     if (restored.configured()) {
       membership_ = std::move(restored);
       epoch_changed_ = membership_.active().epoch > 0;
     }
     if (opts_.marker_executor != nullptr) {
-      opts_.marker_executor->restore(as_span(sections->marker));
+      opts_.marker_executor->restore(sections->marker);
     }
     le_ = wal.last_stable;
     exec_digests_[le_] = wal.checkpoint.exec_digest();
@@ -142,7 +143,10 @@ ExecutionRecord& ReplicaRuntime::apply_block(SeqNum s, ViewNum pp_view,
   ExecutionRecord rec;
   rec.block = block;
   rec.pp_view = pp_view;
-  for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+  const size_t requests = rec.block.requests().size();
+  rec.leaves.reserve(requests);
+  rec.values.reserve(requests);
+  for (size_t l = 0; l < requests; ++l) {
     const Request& req = rec.block.requests()[l];
     Bytes value;
     if (auto delta = decode_reconfig_request(req)) {
@@ -191,8 +195,9 @@ ExecutionRecord& ReplicaRuntime::apply_block(SeqNum s, ViewNum pp_view,
     }
     rec.leaves.push_back(
         exec_leaf(req.client, req.timestamp, crypto::sha256(as_span(value))));
-    rec.values.push_back(std::move(value));
+    rec.values.push_back(as_span(value));
   }
+  rec.values.shrink_to_fit();
 
   ExecCertificate cert;
   cert.seq = s;
@@ -284,6 +289,8 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
                                       sim::ActorContext& ctx) {
   if (cert.seq <= le_) return false;
   ctx.charge(ctx.costs().hash_us(envelope->size()));
+  // The sections are views into *envelope; adopt moves the pointer, not the
+  // bytes, so they stay valid throughout.
   auto sections = install_checkpoint_service(as_span(*envelope), cert.state_root);
   if (!sections) return false;  // corrupt envelope or forged snapshot
 
@@ -297,7 +304,7 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
   bool was_member = membership_.is_member(opts_.self);
   uint64_t epoch_before =
       membership_.configured() ? membership_.active().epoch : 0;
-  membership_.restore(as_span(sections->membership));
+  membership_.restore(sections->membership);
   membership_.activate_up_to(cert.seq);
   if (membership_.configured() && membership_.active().epoch != epoch_before) {
     note_membership_change(was_member, ctx.now());
@@ -306,7 +313,7 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
   // the donors' view at this checkpoint, so later markers execute against the
   // same state on every replica of the group (docs/sharding.md).
   if (opts_.marker_executor != nullptr) {
-    opts_.marker_executor->restore(as_span(sections->marker));
+    opts_.marker_executor->restore(sections->marker);
   }
   exec_digests_[cert.seq] = cert.exec_digest();
   checkpoints_.adopt(cert, std::move(envelope));
@@ -329,7 +336,7 @@ std::optional<CheckpointSnapshot> ReplicaRuntime::install_checkpoint_service(
   if (!sections) return std::nullopt;
   auto fresh = service_->clone_empty();
   fresh->set_snapshot_chunk_hint(opts_.state_transfer_chunk_size);
-  if (!fresh->restore(as_span(sections->service_state))) return std::nullopt;
+  if (!fresh->restore(sections->service_state)) return std::nullopt;
   if (!(fresh->state_digest() == state_root)) return std::nullopt;
   service_ = std::move(fresh);
   return sections;

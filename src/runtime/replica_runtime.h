@@ -129,12 +129,14 @@ struct RuntimeStats {
   }
 };
 
-/// Everything the runtime retains about an executed sequence.
+/// Everything the runtime retains about an executed sequence. Records live
+/// until the next stable checkpoint, so each holds its replies and leaves at
+/// exactly the block's size.
 struct ExecutionRecord {
   ExecCertificate cert;  // pi_sig filled in by the E-collector (SBFT only)
   SealedBlock block;     // shared with the slot and the pre-prepare
   ViewNum pp_view = 0;
-  std::vector<Bytes> values;
+  ByteList values;  // values[l]: the reply to request l of the block
   std::vector<Digest> leaves;
   sim::SimTime executed_at = 0;
 };
@@ -278,8 +280,8 @@ class ReplicaRuntime {
   /// Decodes a checkpoint snapshot envelope, restores its service part into a
   /// fresh service and verifies it against `state_root`. On success the fresh
   /// service replaces service_ and the envelope's other sections are returned
-  /// for the caller to install; nullopt (nothing changed) when the envelope
-  /// is corrupt or does not match the root.
+  /// for the caller to install, as views into `envelope`; nullopt (nothing
+  /// changed) when the envelope is corrupt or does not match the root.
   std::optional<CheckpointSnapshot> install_checkpoint_service(
       ByteSpan envelope, const Digest& state_root);
   std::shared_ptr<const Bytes> snapshot_envelope() const;

@@ -76,11 +76,10 @@ std::optional<CheckpointSnapshot> decode_checkpoint_snapshot(ByteSpan data) {
   auto cache = ReplyCache::decode(data.subspan(service_end, replies_len));
   if (!cache) return std::nullopt;
   CheckpointSnapshot out;
-  out.service_state = to_bytes(data.subspan(header, service_len));
+  out.service_state = data.subspan(header, service_len);
   out.replies = std::move(*cache);
-  out.membership = to_bytes(data.subspan(service_end + replies_len, membership_len));
-  out.marker =
-      to_bytes(data.subspan(service_end + replies_len + membership_len, marker_len));
+  out.membership = data.subspan(service_end + replies_len, membership_len);
+  out.marker = data.subspan(service_end + replies_len + membership_len, marker_len);
   return out;
 }
 

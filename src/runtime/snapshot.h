@@ -37,11 +37,14 @@
 
 namespace sbft::runtime {
 
+/// A decoded envelope. The three byte sections are views into the buffer
+/// given to decode_checkpoint_snapshot, valid only while that buffer lives;
+/// the reply cache is decoded into its own storage.
 struct CheckpointSnapshot {
-  Bytes service_state;
+  ByteSpan service_state;
   ReplyCache replies;
-  Bytes membership;  // MembershipManager section; empty when unconfigured
-  Bytes marker;      // IMarkerExecutor section; empty without a shard layer
+  ByteSpan membership;  // MembershipManager section; empty when unconfigured
+  ByteSpan marker;      // IMarkerExecutor section; empty without a shard layer
 };
 
 /// `align` is the chunk-stability unit (pass the state-transfer chunk size);

@@ -1,10 +1,12 @@
-// Collector selection (§V-B) and protocol-configuration arithmetic.
+// Collector selection and share sets (§V-B), and protocol-configuration
+// arithmetic.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
 #include "core/crypto_context.h"
+#include "core/share_set.h"
 
 namespace sbft::core {
 namespace {
@@ -176,6 +178,60 @@ TEST(Collectors, SmallClusterClamp) {
   runtime::MembershipEpoch epoch = genesis(1, 1);  // n = 6, c+1 = 2 of 5 backups
   auto collectors = c_collectors(epoch, 1, 0);
   EXPECT_EQ(collectors.size(), 2u);
+}
+
+std::vector<ReplicaId> replicas_of(const ShareSet& set) {
+  std::vector<ReplicaId> out;
+  for (size_t i = 0; i < set.size(); ++i) out.push_back(set.replica(i));
+  return out;
+}
+
+TEST(ShareSet, ReadsSharesInReplicaOrder) {
+  ShareSet set;
+  EXPECT_TRUE(set.add(9, as_span(to_bytes("nine"))));
+  EXPECT_TRUE(set.add(2, as_span(to_bytes("two"))));
+  EXPECT_TRUE(set.add(5, as_span(to_bytes("five"))));
+  EXPECT_TRUE(set.add(1, as_span(to_bytes("one"))));
+  ASSERT_EQ(set.size(), 4u);
+  EXPECT_EQ(replicas_of(set), (std::vector<ReplicaId>{1, 2, 5, 9}));
+  EXPECT_EQ(to_bytes(set.share(0)), to_bytes("one"));
+  EXPECT_EQ(to_bytes(set.share(1)), to_bytes("two"));
+  EXPECT_EQ(to_bytes(set.share(2)), to_bytes("five"));
+  EXPECT_EQ(to_bytes(set.share(3)), to_bytes("nine"));
+}
+
+TEST(ShareSet, FirstShareFromAReplicaWins) {
+  ShareSet set;
+  EXPECT_TRUE(set.add(4, as_span(to_bytes("first"))));
+  EXPECT_TRUE(set.add(7, as_span(to_bytes("other"))));
+  // A second share from replica 4, longer or shorter, changes nothing.
+  EXPECT_FALSE(set.add(4, as_span(to_bytes("a much longer second share"))));
+  EXPECT_FALSE(set.add(4, as_span(to_bytes(""))));
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_EQ(to_bytes(set.share(0)), to_bytes("first"));
+  EXPECT_EQ(to_bytes(set.share(1)), to_bytes("other"));
+}
+
+TEST(ShareSet, SharesOfDifferentLengthsKeepTheirBytes) {
+  // Shoup RSA shares vary in length, and a Byzantine share may have any
+  // length, empty included: each must read back exactly as it arrived, in
+  // the order a map keyed by replica would give.
+  Rng rng(31);
+  ShareSet set;
+  std::map<ReplicaId, Bytes> model;
+  for (int i = 0; i < 400; ++i) {
+    auto replica = static_cast<ReplicaId>(1 + rng.below(150));
+    Bytes share(rng.below(80));
+    for (auto& b : share) b = static_cast<uint8_t>(rng.next());
+    EXPECT_EQ(set.add(replica, as_span(share)), model.emplace(replica, share).second);
+  }
+  ASSERT_EQ(set.size(), model.size());
+  size_t i = 0;
+  for (const auto& [replica, share] : model) {
+    EXPECT_EQ(set.replica(i), replica);
+    EXPECT_EQ(to_bytes(set.share(i)), share) << "replica " << replica;
+    ++i;
+  }
 }
 
 TEST(ClusterKeys, SchemesHaveProtocolThresholds) {

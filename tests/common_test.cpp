@@ -39,6 +39,32 @@ TEST(Fnv, StableAndSensitive) {
   EXPECT_NE(fnv1a(as_span(a)), fnv1a(as_span(b)));
 }
 
+TEST(ByteList, InsertKeepsEachStringAndItsPlace) {
+  ByteList list;
+  list.push_back(as_span("bb"));
+  list.insert(0, as_span("a"));
+  list.push_back(as_span(""));
+  list.insert(2, as_span("cccc"));
+  ASSERT_EQ(list.size(), 4u);
+  EXPECT_EQ(to_bytes(list[0]), to_bytes("a"));
+  EXPECT_EQ(to_bytes(list[1]), to_bytes("bb"));
+  EXPECT_EQ(to_bytes(list[2]), to_bytes("cccc"));
+  EXPECT_TRUE(list[3].empty());
+  EXPECT_EQ(list.bytes(), to_bytes("abbcccc"));
+  EXPECT_EQ(list.ends(), (std::vector<uint32_t>{1, 3, 7, 7}));
+}
+
+TEST(ByteList, ShrinkToFitLeavesNoSpareCapacity) {
+  ByteList list;
+  list.reserve(8);
+  for (int i = 0; i < 5; ++i) list.push_back(as_span(std::string(i, 'x')));
+  const ByteList before = list;
+  list.shrink_to_fit();
+  EXPECT_EQ(list, before);
+  EXPECT_EQ(list.bytes().capacity(), list.bytes().size());
+  EXPECT_EQ(list.ends().capacity(), 5u);
+}
+
 TEST(Serde, IntegersRoundTrip) {
   Writer w;
   w.u8(0xab);

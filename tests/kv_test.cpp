@@ -72,6 +72,69 @@ TEST(KvService, RestoreRejectsMalformed) {
   EXPECT_FALSE(svc.restore(as_span(garbage)));
 }
 
+TEST(KvService, RestoreReplacesWhatTheStoreHeld) {
+  KvService source;
+  for (int i = 0; i < 40; ++i) {
+    source.put(as_span(to_bytes("key" + std::to_string(i))),
+               as_span(to_bytes("value" + std::to_string(i))));
+  }
+  Bytes snap = source.snapshot();
+
+  // The target holds keys the snapshot lacks, and one of its keys with
+  // another value: restoring leaves exactly the snapshot's contents.
+  KvService target;
+  for (int i = 0; i < 30; ++i) {
+    target.put(as_span(to_bytes("other" + std::to_string(i))), as_span("x"));
+  }
+  target.put(as_span("key3"), as_span("stale"));
+  ASSERT_TRUE(target.restore(as_span(snap)));
+  EXPECT_EQ(target.state_digest(), source.state_digest());
+  EXPECT_EQ(target.size(), source.size());
+  EXPECT_EQ(target.snapshot(), snap);
+  EXPECT_FALSE(target.get(as_span("other0")).has_value());
+  EXPECT_EQ(target.get(as_span("key3")), to_bytes("value3"));
+}
+
+TEST(KvService, FailedRestoreKeepsThePreviousStore) {
+  // Snapshots in the compact layout (page 1): magic, page, entry count, then
+  // sections of a count and that many key/value pairs.
+  auto snapshot_of = [](uint64_t entry_count,
+                        const std::vector<std::vector<std::string>>& sections) {
+    Writer w;
+    w.raw(as_span("SBFTKVP2"));
+    w.u32(1);
+    w.u64(entry_count);
+    for (const auto& section : sections) {
+      w.u32(static_cast<uint32_t>(section.size() / 2));
+      for (const std::string& part : section) w.bytes(as_span(part));
+    }
+    return std::move(w).take();
+  };
+  // The hand-built layout itself restores.
+  KvService control;
+  ASSERT_TRUE(control.restore(as_span(snapshot_of(2, {{"a", "1", "b", "2"}}))));
+  EXPECT_EQ(control.get(as_span("b")), to_bytes("2"));
+
+  KvService svc;
+  for (int i = 0; i < 20; ++i) {
+    svc.put(as_span(to_bytes("key" + std::to_string(i))), as_span("v"));
+  }
+  const Digest root = svc.state_digest();
+  const Bytes before = svc.snapshot();
+  const std::vector<Bytes> bad = {
+      snapshot_of(2, {{"a", "1", "a", "2"}}),  // a duplicate key
+      snapshot_of(3, {{"a", "1", "b", "2"}}),  // more entries claimed than held
+      snapshot_of(1, {{"a", "1", "b", "2"}}),  // fewer entries claimed than held
+  };
+  for (const Bytes& snap : bad) {
+    EXPECT_FALSE(svc.restore(as_span(snap)));
+    EXPECT_EQ(svc.state_digest(), root);
+    EXPECT_EQ(svc.size(), 20u);
+    EXPECT_EQ(svc.snapshot(), before);
+    EXPECT_EQ(svc.get(as_span("key7")), to_bytes("v"));
+  }
+}
+
 TEST(KvService, ProofsAgainstStateDigest) {
   KvService svc;
   svc.put(as_span("alpha"), as_span("1"));

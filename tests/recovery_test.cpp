@@ -509,7 +509,7 @@ TEST(LedgerReplay, MatchesLiveExecutionAcrossReconfigMarker) {
   });
   simulator.run_until_idle();
   ASSERT_EQ(live->last_executed(), 2u);
-  ASSERT_EQ(live->record(1)->values[0], to_bytes("RECONF"));
+  ASSERT_EQ(to_bytes(live->record(1)->values[0]), to_bytes("RECONF"));
 
   auto recovered = make_runtime();
   ASSERT_TRUE(recovered->recover().has_value());

@@ -9,9 +9,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "common/serde.h"
 #include "crypto/sha256.h"
@@ -208,7 +211,7 @@ TEST(CheckpointSnapshot, EnvelopeRoundTrip) {
   Bytes envelope = encode_checkpoint_snapshot(as_span(to_bytes("svc-state")), cache);
   auto decoded = decode_checkpoint_snapshot(as_span(envelope));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->service_state, to_bytes("svc-state"));
+  EXPECT_EQ(to_bytes(decoded->service_state), to_bytes("svc-state"));
   ASSERT_NE(decoded->replies.find(11), nullptr);
   EXPECT_EQ(decoded->replies.find(11)->timestamp, 5u);
 }
@@ -221,8 +224,8 @@ TEST(CheckpointSnapshot, MembershipSectionRoundTrip) {
                                               cache, 1, as_span(membership));
   auto decoded = decode_checkpoint_snapshot(as_span(envelope));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->service_state, to_bytes("svc-state"));
-  EXPECT_EQ(decoded->membership, membership);
+  EXPECT_EQ(to_bytes(decoded->service_state), to_bytes("svc-state"));
+  EXPECT_EQ(to_bytes(decoded->membership), membership);
   ASSERT_NE(decoded->replies.find(11), nullptr);
 }
 
@@ -379,10 +382,10 @@ TEST(CheckpointSnapshot, RejectsBareAndRetiredFormats) {
   EXPECT_FALSE(decode_checkpoint_snapshot(as_span(v3.data())).has_value());
 
   // The same parts in the current layout decode.
-  auto current = decode_checkpoint_snapshot(
-      as_span(encode_checkpoint_snapshot(as_span(service), ReplyCache{})));
+  Bytes envelope = encode_checkpoint_snapshot(as_span(service), ReplyCache{});
+  auto current = decode_checkpoint_snapshot(as_span(envelope));
   ASSERT_TRUE(current.has_value());
-  EXPECT_EQ(current->service_state, service);
+  EXPECT_EQ(to_bytes(current->service_state), service);
 }
 
 TEST(CheckpointSnapshot, CorruptCacheSectionRejectsEnvelope) {
@@ -823,7 +826,7 @@ TEST(CheckpointSnapshot, AlignedEnvelopeRoundTrip) {
   EXPECT_EQ((envelope.size() - cache.encode().size()) % 512, 0u);
   auto decoded = decode_checkpoint_snapshot(as_span(envelope));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->service_state, state);
+  EXPECT_EQ(to_bytes(decoded->service_state), state);
   ASSERT_NE(decoded->replies.find(11), nullptr);
 
   // Truncation anywhere must reject the envelope, exactly like version 1.
@@ -835,7 +838,7 @@ TEST(CheckpointSnapshot, AlignedEnvelopeRoundTrip) {
   EXPECT_LT(tiny.size(), 1000u);
   auto tiny_decoded = decode_checkpoint_snapshot(as_span(tiny));
   ASSERT_TRUE(tiny_decoded.has_value());
-  EXPECT_EQ(tiny_decoded->service_state, to_bytes("svc"));
+  EXPECT_EQ(to_bytes(tiny_decoded->service_state), to_bytes("svc"));
 }
 
 /// A KvService of `entries` 16-byte keys and 64-byte values (88 payload
@@ -1124,7 +1127,7 @@ TEST(SeedRegressions, CheckpointSnapshotCapturedAtExecutionNotCertification) {
   auto decoded = runtime::decode_checkpoint_snapshot(as_span(manager.snapshot()));
   ASSERT_TRUE(decoded.has_value());
   FastKvService fresh;
-  ASSERT_TRUE(fresh.restore(as_span(decoded->service_state)));
+  ASSERT_TRUE(fresh.restore(decoded->service_state));
   EXPECT_EQ(fresh.state_digest(), manager.snapshot_cert().state_root);
 
   // A later checkpoint whose execution-time snapshot is missing (executed by
@@ -1543,6 +1546,105 @@ INSTANTIATE_TEST_SUITE_P(Protocols, SharedDecisionBlocks,
                            return info.param == ProtocolKind::kSbft ? "Sbft"
                                                                     : "Pbft";
                          });
+
+// ---------------------------------------------------------------------------
+// Execution records (docs/architecture.md): a record holds its replies in one
+// buffer with no spare capacity, and its leaves and offsets at the block's
+// request count, until the next stable checkpoint retires it.
+
+/// Stands in for a client: keeps the value of every execute-ack (SBFT) and
+/// direct reply (PBFT) it receives.
+struct ReplyProbe : sim::IActor {
+  void on_message(NodeId, const Message& msg, sim::ActorContext&) override {
+    if (const auto* ack = std::get_if<ExecuteAckMsg>(&msg)) values.push_back(ack->value);
+    if (const auto* reply = std::get_if<ClientReplyMsg>(&msg)) {
+      values.push_back(reply->value);
+    }
+  }
+  std::vector<Bytes> values;
+};
+
+class ExecutionRecords
+    : public ::testing::TestWithParam<std::tuple<ProtocolKind, bool>> {};
+
+TEST_P(ExecutionRecords, HoldTheirRepliesAtExactSize) {
+  auto [kind, authenticated_store] = GetParam();
+  ClusterOptions opts;
+  opts.kind = kind;
+  opts.f = 1;
+  opts.num_clients = 0;
+  opts.topology = sim::lan_topology();
+  opts.seed = 5;
+  // At most four slots in flight on both engines, so requests that arrive
+  // together share a block, and no checkpoint (at seq 8) retires a record.
+  opts.tweak_config = [](ProtocolConfig& config) { config.win = 16; };
+  if (authenticated_store) {
+    opts.service_factory = [] { return std::make_unique<kv::KvService>(); };
+  }
+  Cluster cluster(std::move(opts));
+  cluster.run_for(1'000);  // the replicas start before the probes send
+
+  // Twelve probes, each one request: puts of values of different lengths,
+  // and gets of those keys and of a missing one, so the KV store's replies
+  // vary in length and some are empty (FastKvService answers "OK" to each).
+  constexpr int kProbes = 12;
+  std::vector<std::unique_ptr<ReplyProbe>> probes;
+  std::map<ClientId, ReplyProbe*> by_client;
+  for (int i = 0; i < kProbes; ++i) {
+    probes.push_back(std::make_unique<ReplyProbe>());
+    NodeId node = cluster.network().add_node(probes.back().get());
+    by_client[node] = probes.back().get();
+    Bytes key = to_bytes("key-" + std::to_string(i / 3));
+    Request req;
+    req.client = node;
+    req.timestamp = 1;
+    req.op = i % 3 == 0   ? kv::encode_put(as_span(key), as_span(Bytes(i + 1, 'v')))
+             : i % 3 == 1 ? kv::encode_get(as_span(key))
+                          : kv::encode_get(as_span(to_bytes("missing")));
+    cluster.network().inject(node, cluster.replica(1).node(),  // the primary
+                             make_message(ClientRequestMsg{req}));
+  }
+  cluster.run_for(2'000'000);
+
+  std::set<ClientId> answered;
+  bool multi_request_block = false;
+  for (ReplicaId r = 1; r <= cluster.num_replicas(); ++r) {
+    const runtime::ReplicaRuntime& runtime = cluster.replica(r).runtime();
+    ASSERT_EQ(runtime.last_stable(), 0u);
+    for (SeqNum s = 1; s <= runtime.last_executed(); ++s) {
+      const runtime::ExecutionRecord* rec = runtime.record(s);
+      ASSERT_NE(rec, nullptr) << "replica " << r << " seq " << s;
+      const size_t k = rec->block.requests().size();
+      multi_request_block |= k > 1;
+      EXPECT_EQ(rec->leaves.capacity(), k) << "replica " << r << " seq " << s;
+      EXPECT_EQ(rec->values.size(), k) << "replica " << r << " seq " << s;
+      EXPECT_EQ(rec->values.ends().capacity(), k) << "replica " << r << " seq " << s;
+      EXPECT_EQ(rec->values.bytes().capacity(), rec->values.bytes().size())
+          << "replica " << r << " seq " << s;
+      for (size_t l = 0; l < k; ++l) {
+        const Request& req = rec->block.requests()[l];
+        ReplyProbe* probe = by_client.at(req.client);
+        ASSERT_FALSE(probe->values.empty()) << "client " << req.client;
+        for (const Bytes& received : probe->values) {
+          EXPECT_EQ(received, to_bytes(rec->values[l])) << "client " << req.client;
+        }
+        answered.insert(req.client);
+      }
+    }
+  }
+  EXPECT_EQ(answered.size(), size_t{kProbes});
+  EXPECT_TRUE(multi_request_block);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndStores, ExecutionRecords,
+    ::testing::Combine(::testing::Values(ProtocolKind::kSbft, ProtocolKind::kPbft),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<ProtocolKind, bool>>& info) {
+      return std::string(std::get<0>(info.param) == ProtocolKind::kSbft ? "Sbft"
+                                                                       : "Pbft") +
+             (std::get<1>(info.param) ? "KvService" : "FastKvService");
+    });
 
 // ---------------------------------------------------------------------------
 // One proposer (runtime::EngineShell::try_propose): both engines cut blocks
