@@ -160,13 +160,12 @@ Bytes SbftReplica::sign_share_maybe_corrupt(const crypto::IThresholdSigner& sign
 // ---------------------------------------------------------------------------
 // Dispatch
 
-void SbftReplica::on_engine_message(NodeId from, const Message& msg,
-                                    sim::ActorContext& ctx) {
+void SbftReplica::on_engine_message(const Message& msg, sim::ActorContext& ctx) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, PrePrepareMsg>) {
-          handle_pre_prepare(from, m, ctx);
+          handle_pre_prepare(m, ctx);
         } else if constexpr (std::is_same_v<T, SignShareMsg>) {
           handle_sign_share(m, ctx);
         } else if constexpr (std::is_same_v<T, FullCommitProofMsg>) {
@@ -296,13 +295,8 @@ void SbftReplica::propose_block(SeqNum s, SealedBlock block, sim::ActorContext& 
 // ---------------------------------------------------------------------------
 // Fast path (§V-C)
 
-void SbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
-                                     sim::ActorContext& ctx) {
+void SbftReplica::handle_pre_prepare(const PrePrepareMsg& m, sim::ActorContext& ctx) {
   if (in_view_change_ || m.view != view_ || retired_) return;
-  // The proposer check is slot-scoped: the slot's epoch elects its primary
-  // (equal to the live epoch for every seq the window+wedge guards admit,
-  // but the routing must say so — lint:epoch_math).
-  if (!from_replica(from, epoch_for_seq(m.seq).primary_of(m.view))) return;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) {
     if (m.seq > ls() + opts_.config.win) arm_progress_timer(ctx);
     return;

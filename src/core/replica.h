@@ -118,8 +118,7 @@ class SbftReplica final : public runtime::EngineShell {
   };
 
   // --- engine hooks (runtime::EngineShell) ------------------------------------
-  void on_engine_message(NodeId from, const Message& msg,
-                         sim::ActorContext& ctx) override;
+  void on_engine_message(const Message& msg, sim::ActorContext& ctx) override;
   void on_engine_timer(uint64_t kind, uint64_t payload,
                        sim::ActorContext& ctx) override;
   void try_execute(sim::ActorContext& ctx) override;
@@ -159,7 +158,7 @@ class SbftReplica final : public runtime::EngineShell {
   }
 
   // --- message handlers -----------------------------------------------------
-  void handle_pre_prepare(NodeId from, const PrePrepareMsg& m, sim::ActorContext& ctx);
+  void handle_pre_prepare(const PrePrepareMsg& m, sim::ActorContext& ctx);
   void handle_sign_share(const SignShareMsg& m, sim::ActorContext& ctx);
   void handle_full_commit_proof(const FullCommitProofMsg& m, sim::ActorContext& ctx);
   void handle_prepare(const PrepareMsg& m, sim::ActorContext& ctx);

@@ -57,17 +57,16 @@ std::optional<Digest> PbftReplica::committed_digest_of(SeqNum s) const {
   return std::nullopt;
 }
 
-void PbftReplica::on_engine_message(NodeId from, const Message& msg,
-                                    sim::ActorContext& ctx) {
+void PbftReplica::on_engine_message(const Message& msg, sim::ActorContext& ctx) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, PrePrepareMsg>) {
-          handle_pre_prepare(from, m, ctx);
+          handle_pre_prepare(m, ctx);
         } else if constexpr (std::is_same_v<T, PbftPrepareMsg>) {
-          handle_prepare(from, m, ctx);
+          handle_prepare(m, ctx);
         } else if constexpr (std::is_same_v<T, PbftCommitMsg>) {
-          handle_commit(from, m, ctx);
+          handle_commit(m, ctx);
         } else if constexpr (std::is_same_v<T, PbftCheckpointMsg>) {
           handle_checkpoint(m, ctx);
         }
@@ -92,13 +91,8 @@ void PbftReplica::propose_block(SeqNum s, SealedBlock block, sim::ActorContext& 
   broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
 }
 
-void PbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
-                                     sim::ActorContext& ctx) {
+void PbftReplica::handle_pre_prepare(const PrePrepareMsg& m, sim::ActorContext& ctx) {
   if (in_view_change_ || m.view != view_ || retired_) return;
-  // Slot-scoped proposer check: the slot's epoch elects its primary
-  // (lint:epoch_math), even though the window+wedge guards below keep every
-  // admitted seq inside the live epoch.
-  if (from != node_of(epoch_for_seq(m.seq).primary_of(m.view))) return;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
   if (SeqNum gate = reconfig_gate(); gate > 0 && m.seq > gate) return;
   Slot& sl = slots_[m.seq];
@@ -152,12 +146,10 @@ void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
   check_prepared(s, ctx);
 }
 
-void PbftReplica::handle_prepare(NodeId from, const PbftPrepareMsg& m,
-                                 sim::ActorContext& ctx) {
+void PbftReplica::handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx) {
   if (in_view_change_ || m.view != view_ || retired_) return;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
   if (!epoch_for_seq(m.seq).contains(m.replica)) return;
-  if (!from_replica(from, m.replica)) return;
   // The all-to-all quadratic verification cost — the offload is what lets a
   // multi-core PBFT replica absorb 3f+1 prepares per slot in parallel.
   ctx.offload(ctx.costs().rsa_verify_us, [this, m](sim::ActorContext& c) {
@@ -191,12 +183,10 @@ void PbftReplica::check_prepared(SeqNum s, sim::ActorContext& ctx) {
   check_committed(s, ctx);
 }
 
-void PbftReplica::handle_commit(NodeId from, const PbftCommitMsg& m,
-                                sim::ActorContext& ctx) {
+void PbftReplica::handle_commit(const PbftCommitMsg& m, sim::ActorContext& ctx) {
   if (in_view_change_ || m.view != view_ || retired_) return;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
   if (!epoch_for_seq(m.seq).contains(m.replica)) return;
-  if (!from_replica(from, m.replica)) return;
   ctx.offload(ctx.costs().rsa_verify_us, [this, m](sim::ActorContext& c) {
     if (in_view_change_ || m.view != view_ || retired_) return;
     if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;

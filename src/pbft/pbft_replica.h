@@ -128,8 +128,7 @@ class PbftReplica final : public runtime::EngineShell {
   };
 
   // --- engine hooks (runtime::EngineShell) ------------------------------------
-  void on_engine_message(NodeId from, const Message& msg,
-                         sim::ActorContext& ctx) override;
+  void on_engine_message(const Message& msg, sim::ActorContext& ctx) override;
   void try_execute(sim::ActorContext& ctx) override;
   /// A quarter of the watermark window: no collector bound applies.
   uint64_t proposal_window() const override { return opts_.config.win / 4; }
@@ -175,10 +174,9 @@ class PbftReplica final : public runtime::EngineShell {
   bool fabricated_chunks(NodeId from, const StateChunkRequestMsg& m,
                          sim::ActorContext& ctx) override;
 
-  void handle_pre_prepare(NodeId from, const PrePrepareMsg& m, sim::ActorContext& ctx);
-  /// Votes count under the replica id of the node that sent them.
-  void handle_prepare(NodeId from, const PbftPrepareMsg& m, sim::ActorContext& ctx);
-  void handle_commit(NodeId from, const PbftCommitMsg& m, sim::ActorContext& ctx);
+  void handle_pre_prepare(const PrePrepareMsg& m, sim::ActorContext& ctx);
+  void handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx);
+  void handle_commit(const PbftCommitMsg& m, sim::ActorContext& ctx);
   void handle_checkpoint(const PbftCheckpointMsg& m, sim::ActorContext& ctx);
   /// Continuation of handle_checkpoint once the vote signature cost has been
   /// paid (possibly on a worker lane).

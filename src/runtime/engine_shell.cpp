@@ -100,13 +100,9 @@ void EngineShell::on_start(sim::ActorContext& ctx) {
 // View-change quorum (§V-G, §VII), one copy for both engines' wire types
 
 template <typename ViewChange>
-void EngineShell::receive_view_change(NodeId from, const ViewChange& m,
-                                      const Message& msg, sim::ActorContext& ctx) {
-  if (m.next_view <= view_ || retired_) return;
-  // Filed under m.sender, so it counts only from that member's node: else
-  // one node could claim f+1 senders and pull every replica into a view
-  // change.
-  if (!from_replica(from, m.sender) || !epoch().contains(m.sender)) return;
+void EngineShell::receive_view_change(const ViewChange& m, const Message& msg,
+                                      sim::ActorContext& ctx) {
+  if (m.next_view <= view_ || retired_ || !epoch().contains(m.sender)) return;
   if (!check_view_evidence(msg, ctx)) return;
   vc_by_target_[m.next_view][m.sender] = std::make_shared<const Message>(msg);
 
@@ -123,10 +119,9 @@ void EngineShell::receive_view_change(NodeId from, const ViewChange& m,
 }
 
 template <typename NewView>
-void EngineShell::receive_new_view(NodeId from, const NewView& m, const Message& msg,
+void EngineShell::receive_new_view(const NewView& m, const Message& msg,
                                    sim::ActorContext& ctx) {
   if (m.view <= view_ || retired_) return;
-  if (from != node_of(epoch().primary_of(m.view))) return;
   // The proofs must be view changes to this view from a quorum of distinct
   // members: else a Byzantine primary could repeat its own and leave out the
   // evidence the new view must carry forward.
@@ -145,7 +140,44 @@ void EngineShell::receive_new_view(NodeId from, const NewView& m, const Message&
 // ---------------------------------------------------------------------------
 // Dispatch
 
+template <typename T, typename... Ts>
+constexpr bool is_one_of = (std::is_same_v<T, Ts> || ...);
+
+std::optional<ReplicaId> EngineShell::claimed_sender(const Message& msg) const {
+  return std::visit(
+      [this](const auto& m) -> std::optional<ReplicaId> {
+        using T = std::decay_t<decltype(m)>;
+        // Exempt: full proofs (their threshold signatures vouch for them) and
+        // fetched blocks (checked against the digest asked for); client and
+        // operator traffic; other shard groups' traffic, whose replicas no roster
+        // here names; state-transfer requests, which a joiner sends unnamed.
+        if constexpr (is_one_of<T, FullCommitProofMsg, PrepareMsg, FullCommitProofSlowMsg,
+                                FullExecuteProofMsg, GetBlockReplyMsg, ClientRequestMsg,
+                                ExecuteAckMsg, ClientReplyMsg, ReconfigBlockMsg, TxVoteMsg,
+                                TxDecisionMsg, TxResultMsg, StateTransferRequestMsg,
+                                StateChunkRequestMsg>) {
+          return std::nullopt;
+        } else if constexpr (std::is_same_v<T, PrePrepareMsg>) {
+          return epoch_for_seq(m.seq).primary_of(m.view);  // the slot's epoch elects it
+        } else if constexpr (is_one_of<T, NewViewMsg, PbftNewViewMsg>) {
+          return epoch().primary_of(m.view);
+        } else if constexpr (requires { m.replica; }) {
+          return m.replica;
+        } else if constexpr (requires { m.sender; }) {
+          return m.sender;
+        } else if constexpr (requires { m.donor; }) {
+          return m.donor;
+        } else {
+          return m.requester;  // a type that claims no replica is exempt above
+        }
+      },
+      msg);
+}
+
 void EngineShell::on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) {
+  // Sender binding: no handler sees a message from a node other than the
+  // one of the replica it claims.
+  if (std::optional<ReplicaId> r = claimed_sender(msg); r && node_of(*r) != from) return;
   bool handled = std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -154,23 +186,20 @@ void EngineShell::on_message(NodeId from, const Message& msg, sim::ActorContext&
         } else if constexpr (std::is_same_v<T, StateTransferRequestMsg>) {
           handle_state_transfer_request(from, m, ctx);
         } else if constexpr (std::is_same_v<T, StateManifestMsg>) {
-          handle_state_manifest(from, m, ctx);
+          handle_state_manifest(m, ctx);
         } else if constexpr (std::is_same_v<T, StateChunkRequestMsg>) {
           handle_state_chunk_request(from, m, ctx);
         } else if constexpr (std::is_same_v<T, StateChunkMsg>) {
-          handle_state_chunk(from, m, ctx);
+          handle_state_chunk(m, ctx);
         } else if constexpr (std::is_same_v<T, ReconfigBlockMsg>) {
           handle_reconfig_block(m, ctx);
-        } else if constexpr (std::is_same_v<T, ViewChangeMsg> ||
-                             std::is_same_v<T, PbftViewChangeMsg>) {
-          receive_view_change(from, m, msg, ctx);
-        } else if constexpr (std::is_same_v<T, NewViewMsg> ||
-                             std::is_same_v<T, PbftNewViewMsg>) {
-          receive_new_view(from, m, msg, ctx);
+        } else if constexpr (is_one_of<T, ViewChangeMsg, PbftViewChangeMsg>) {
+          receive_view_change(m, msg, ctx);
+        } else if constexpr (is_one_of<T, NewViewMsg, PbftNewViewMsg>) {
+          receive_new_view(m, msg, ctx);
         } else if constexpr (std::is_same_v<T, PrePrepareMsg>) {
-          return hold_pre_prepare(from, m, msg);  // false: the engine's
-        } else if constexpr (std::is_same_v<T, TxVoteMsg> ||
-                             std::is_same_v<T, TxDecisionMsg>) {
+          return hold_pre_prepare(m, msg);  // false: the engine's
+        } else if constexpr (is_one_of<T, TxVoteMsg, TxDecisionMsg>) {
           // Cross-shard 2PC traffic belongs to the marker executor; the pump
           // below relays its responses and stages decision markers.
           if (opts_.marker_executor != nullptr) {
@@ -182,7 +211,7 @@ void EngineShell::on_message(NodeId from, const Message& msg, sim::ActorContext&
         return true;
       },
       msg);
-  if (!handled) on_engine_message(from, msg, ctx);
+  if (!handled) on_engine_message(msg, ctx);
   pump_marker_executor(ctx);
 }
 
@@ -461,18 +490,16 @@ void EngineShell::install_view(ViewNum v) {
   vc_attempts_ = 0;
   vc_by_target_.erase(vc_by_target_.begin(), vc_by_target_.upper_bound(v));
   std::erase_if(held_pre_prepares_, [v](const auto& entry) {
-    return std::get<PrePrepareMsg>(*entry.second.second).view != v;
+    return std::get<PrePrepareMsg>(*entry.second).view != v;
   });
   runtime_.wal_record_view(v);
 }
 
-bool EngineShell::hold_pre_prepare(NodeId from, const PrePrepareMsg& m,
-                                   const Message& msg) {
+bool EngineShell::hold_pre_prepare(const PrePrepareMsg& m, const Message& msg) {
   if (!in_view_change_ || retired_ || m.view != vc_target_) return false;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return false;
-  if (from != node_of(epoch_for_seq(m.seq).primary_of(vc_target_))) return false;
   // One per slot: a later one (an escalated target's) replaces it.
-  held_pre_prepares_[m.seq] = {from, std::make_shared<const Message>(msg)};
+  held_pre_prepares_[m.seq] = std::make_shared<const Message>(msg);
   return true;
 }
 
@@ -510,9 +537,7 @@ void EngineShell::enter_view(ViewNum v, const Message& new_view,
   // engine takes the ones held for v now, in slot order.
   auto held = std::move(held_pre_prepares_);
   held_pre_prepares_.clear();
-  for (const auto& [seq, entry] : held) {
-    on_engine_message(entry.first, *entry.second, ctx);
-  }
+  for (const auto& [seq, pre_prepare] : held) on_engine_message(*pre_prepare, ctx);
   progress_marker_ = le();
   if (is_primary()) {
     ctx.set_timer(kBatchTimeoutUs, timer_id(kBatchTimer, 0));
@@ -688,17 +713,13 @@ void EngineShell::handle_state_transfer_request(NodeId from,
   ctx.send(from, make_message(std::move(*manifest)));
 }
 
-void EngineShell::handle_state_manifest(NodeId from, const StateManifestMsg& m,
+void EngineShell::handle_state_manifest(const StateManifestMsg& m,
                                         sim::ActorContext& ctx) {
   StateTransferManager& st = runtime_.state_transfer();
-  // Retired replicas never fetch (request_state_transfer).
+  // Retired replicas never fetch (request_state_transfer). All cheap
+  // structural checks run before the certificate is verified — an excluded
+  // donor spamming manifests must not cost a verification each.
   if (silent() || retired_ || m.seq <= le()) return;
-  // The donor field must match the authenticated channel's sender: donor
-  // identity drives registration and (on an invalid chunk) exclusion, so a
-  // Byzantine replica must not be able to impersonate honest donors. All
-  // cheap structural checks run before the certificate is verified — an
-  // excluded donor spamming manifests must not cost a verification each.
-  if (!from_replica(from, m.donor)) return;
   if (m.cert.seq != m.seq || st.donor_excluded(m.donor)) return;
   // The certificate must verify before the manifest can target the fetch;
   // the chunk root itself is bound end-to-end by the final state-root check
@@ -750,11 +771,8 @@ void EngineShell::broadcast_state_probe(sim::ActorContext& ctx) {
   broadcast_replicas(ctx, make_message(std::move(probe)));
 }
 
-void EngineShell::handle_state_chunk(NodeId from, const StateChunkMsg& m,
-                                     sim::ActorContext& ctx) {
+void EngineShell::handle_state_chunk(const StateChunkMsg& m, sim::ActorContext& ctx) {
   if (silent()) return;
-  // Spoofed donor ids could exclude honest donors (see handle_state_manifest).
-  if (!from_replica(from, m.donor)) return;
   StateTransferManager& st = runtime_.state_transfer();
   ctx.charge(ctx.costs().hash_us(m.data.size()));  // leaf hash + proof path
   using Verdict = StateTransferManager::ChunkVerdict;

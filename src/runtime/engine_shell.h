@@ -7,6 +7,8 @@
 //   * construction and lifecycle: the ReplicaRuntime, boot-time recovery, the
 //     epoch/retirement tail of the constructor, on_start;
 //   * membership: node_of, the reconfiguration gate, epoch refresh;
+//   * sender binding: a message reaches a handler only from the node of the
+//     replica it claims (claimed_sender; docs/architecture.md);
 //   * admission: client requests, reconfiguration blocks and cross-shard
 //     marker requests feed the primary's pending queue;
 //   * the proposal pipeline: the demand estimate, the adaptive minimum batch,
@@ -17,7 +19,7 @@
 //     cluster went idle still learns it is behind;
 //   * the view-change session and quorum: opening and escalating it, its
 //     trace span and backoff, the view changes filed per target view
-//     (sender-bound, members only), the f+1 join rule, the next primary's
+//     (members only), the f+1 join rule, the next primary's
 //     new-view send, the check of a received new view, and entering it,
 //     with the target view's pre-prepares that arrived before its new view;
 //   * direct client replies, cached or fresh;
@@ -140,8 +142,7 @@ class EngineShell : public sim::IActor {
   }
 
   // --- engine hooks -----------------------------------------------------------
-  virtual void on_engine_message(NodeId from, const Message& msg,
-                                 sim::ActorContext& ctx) = 0;
+  virtual void on_engine_message(const Message& msg, sim::ActorContext& ctx) = 0;
   /// Every timer whose kind the shell does not handle (the engine's own
   /// kinds); `payload` is the low 48 bits of the id.
   virtual void on_engine_timer(uint64_t /*kind*/, uint64_t /*payload*/,
@@ -202,7 +203,6 @@ class EngineShell : public sim::IActor {
     return runtime_.membership().epoch_for_seq(s);
   }
   NodeId node_of(ReplicaId r) const;
-  bool from_replica(NodeId node, ReplicaId r) const { return node == node_of(r); }
   /// First sequence proposals/pre-prepares must not cross while a
   /// reconfiguration awaits activation (0: no gate). Pre-boundary keys must
   /// never sign post-boundary slots.
@@ -301,35 +301,36 @@ class EngineShell : public sim::IActor {
   /// only a donor with a newer certified checkpoint answers.
   void on_status_tick(sim::ActorContext& ctx);
 
+  /// The replica `msg` claims to come from; nullopt for a type exempt by name.
+  std::optional<ReplicaId> claimed_sender(const Message& msg) const;
   // --- view-change session and quorum (§V-G, §VII) --------------------------------
   /// Opens a view change to `target` or escalates the open one (backoff
   /// attempt, view_changes count, session span), files and broadcasts the
   /// engine's view change and, on the target's primary, tries the new view.
   /// Nothing for a retired replica or a target not past the open one.
   void start_view_change(ViewNum target, sim::ActorContext& ctx);
-  /// Files a view change past this view, from the node of the member it
-  /// names, with evidence the engine accepts; then the f+1 join rule and, on
-  /// the target's primary, the new view.
+  /// Files a view change past this view from a member, with evidence the
+  /// engine accepts; then the f+1 join rule and, on the target's primary, the
+  /// new view.
   template <typename ViewChange>
-  void receive_view_change(NodeId from, const ViewChange& m, const Message& msg,
+  void receive_view_change(const ViewChange& m, const Message& msg,
                            sim::ActorContext& ctx);
   /// Target's primary: with a quorum filed, sends the new view over the first
   /// quorum in sender order and enters it.
   void try_new_view(ViewNum target, sim::ActorContext& ctx);
-  /// Enters a new view past this one from the node of its primary whose
-  /// proofs are view changes to it from a quorum of distinct members.
+  /// Enters a new view past this one whose proofs are view changes to it
+  /// from a quorum of distinct members.
   template <typename NewView>
-  void receive_new_view(NodeId from, const NewView& m, const Message& msg,
-                        sim::ActorContext& ctx);
+  void receive_new_view(const NewView& m, const Message& msg, sim::ActorContext& ctx);
   /// Ends the session on view v (its span, or view.entered when none was
   /// open), installs v, lets the engine fill its slots, hands it the
   /// pre-prepares held for v and resumes: progress marker, batch timer and
   /// proposals (primary), progress timer.
   void enter_view(ViewNum v, const Message& new_view, sim::ActorContext& ctx);
-  /// During a view change, keeps a pre-prepare of the target view from that
-  /// view's primary for a slot in the window (the latest per slot) until a
-  /// view is installed; false leaves it to the engine.
-  bool hold_pre_prepare(NodeId from, const PrePrepareMsg& m, const Message& msg);
+  /// During a view change, keeps a pre-prepare of the target view for a slot
+  /// in the window (the latest per slot) until a view is installed; false
+  /// leaves it to the engine.
+  bool hold_pre_prepare(const PrePrepareMsg& m, const Message& msg);
 
   // --- admission ----------------------------------------------------------------
   void handle_client_request(NodeId from, const ClientRequestMsg& m,
@@ -348,9 +349,8 @@ class EngineShell : public sim::IActor {
                                      sim::ActorContext& ctx);
   void handle_state_chunk_request(NodeId from, const StateChunkRequestMsg& m,
                                   sim::ActorContext& ctx);
-  void handle_state_manifest(NodeId from, const StateManifestMsg& m,
-                             sim::ActorContext& ctx);
-  void handle_state_chunk(NodeId from, const StateChunkMsg& m, sim::ActorContext& ctx);
+  void handle_state_manifest(const StateManifestMsg& m, sim::ActorContext& ctx);
+  void handle_state_chunk(const StateChunkMsg& m, sim::ActorContext& ctx);
   void on_state_transfer_tick(sim::ActorContext& ctx);
   /// Opens a fetch round and its session: the count, the session span and
   /// the retry tick (span and tick unless already open).
@@ -376,9 +376,9 @@ class EngineShell : public sim::IActor {
   ViewNum vc_span_ = 0;       // open view-change session span (0: none)
   // View changes filed per target view (all past view_), keyed by sender.
   std::map<ViewNum, std::map<ReplicaId, MessagePtr>> vc_by_target_;
-  // Pre-prepares of vc_target_ held until its new view: seq -> (sender
-  // node, message). install_view drops those of any other view.
-  std::map<SeqNum, std::pair<NodeId, MessagePtr>> held_pre_prepares_;
+  // Pre-prepares of vc_target_ held until its new view, by seq. install_view
+  // drops those of any other view.
+  std::map<SeqNum, MessagePtr> held_pre_prepares_;
   bool progress_timer_armed_ = false;
   SeqNum status_marker_ = 0;  // le() at the last status tick
   bool forwarded_waiting_ = false;  // forwarded a client request to the primary

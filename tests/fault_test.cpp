@@ -1,7 +1,9 @@
 // Fault-injection tests: crashes, stragglers, Byzantine replicas, primary
-// failure and the dual-mode view change, state transfer.
+// failure and the dual-mode view change, state transfer, and messages that
+// claim another replica's id.
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.h"
 #include "harness/cluster.h"
 
 namespace sbft::harness {
@@ -210,6 +212,135 @@ TEST(Faults, SafetyUnderRandomizedFaultSchedules) {
     EXPECT_TRUE(cluster.check_agreement(&bad))
         << "divergence at seq " << bad << " with seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sender binding (docs/architecture.md): replica 4's node sends messages that
+// claim other replicas' ids, with 33 garbage bytes where a share goes. The
+// shell drops each one before any handler sees it. Four replicas (f = 1,
+// c = 0) on a LAN, seed 99; view 0's primary is replica 1.
+
+ClusterOptions spoof_target(ProtocolKind kind, uint64_t requests) {
+  ClusterOptions opts = base(kind, 1, 0);
+  opts.num_clients = requests > 0 ? 1 : 0;
+  opts.requests_per_client = requests;
+  opts.seed = 99;
+  return opts;
+}
+
+/// Sends `msg` from replica `from`'s node to replica `to`'s.
+void inject(Cluster& cluster, ReplicaId from, ReplicaId to, Message msg) {
+  cluster.network().inject(cluster.replica(from).node(), cluster.replica(to).node(),
+                           std::make_shared<const Message>(std::move(msg)));
+}
+
+TEST(SenderBinding, SignSharesClaimingOtherReplicasDoNotBlockTheFastPath) {
+  // Before slot 1's pre-prepare, replica 4's node sends every replica sign
+  // shares that claim replicas 1, 2 and 3. A collector keeps the first share
+  // it files per replica, so filed garbage would fail every combine and move
+  // the cluster to view 1. Dropped, slot 1 fast-commits in view 0.
+  Cluster cluster(spoof_target(ProtocolKind::kSbft, 0));
+  cluster.run_for(10'000);
+  SealedBlock block{Block{}};
+  for (ReplicaId to = 1; to <= 4; ++to) {
+    for (ReplicaId claimed : {1u, 2u, 3u}) {
+      SignShareMsg share;
+      share.seq = 1;
+      share.block_digest = block.digest();
+      share.h = slot_hash(1, 0, block.digest());
+      share.replica = claimed;
+      share.sigma_share = Bytes(33, 0xab);
+      share.tau_share = Bytes(33, 0xab);
+      inject(cluster, 4, to, share);
+    }
+  }
+  cluster.run_for(10'000);
+  for (ReplicaId to = 1; to <= 4; ++to) inject(cluster, 1, to, PrePrepareMsg{1, 0, block});
+  cluster.run_for(3'000'000);
+  for (ReplicaId r = 1; r <= 4; ++r) {
+    SCOPED_TRACE("replica " + std::to_string(r));
+    EXPECT_EQ(cluster.replica(r).view(), 0u);
+    EXPECT_TRUE(cluster.replica(r).committed_digest_of(1) == block.digest());
+    EXPECT_EQ(cluster.sbft_replica(r)->stats().fast_commits, 1u);
+    EXPECT_EQ(cluster.sbft_replica(r)->stats().invalid_shares_seen, 0u);
+  }
+}
+
+TEST(SenderBinding, CommitSharesClaimingOtherReplicasDoNotBlockTheSlowPath) {
+  // Linear-PBFT, no fast path. Replicas 1-3 run at half speed, so replica 4
+  // checks the collector's tau(h) first. Right then, its node sends every
+  // replica commit shares over that certificate's commit digest that claim
+  // replicas 1, 2 and 3; they reach the collectors before the honest shares.
+  // Dropped, they leave slot 1 to commit on the slow path in view 0.
+  Cluster cluster(spoof_target(ProtocolKind::kLinearPbft, 0));
+  cluster.run_for(10'000);
+  for (ReplicaId r : {1u, 2u, 3u}) {
+    cluster.network().set_cpu_factor(cluster.replica(r).node(), 2.0);
+  }
+  SealedBlock block{Block{}};
+  for (ReplicaId to = 1; to <= 4; ++to) inject(cluster, 1, to, PrePrepareMsg{1, 0, block});
+  auto prepared = [&cluster]() -> const runtime::SlotEvidenceRecord* {
+    const runtime::SlotEvidenceRecord* ev = cluster.replica(4).runtime().evidence().find(1);
+    return ev != nullptr && ev->has_prepared ? ev : nullptr;
+  };
+  for (int step = 0; step < 1000 && prepared() == nullptr; ++step) cluster.run_for(20);
+  ASSERT_NE(prepared(), nullptr) << "replica 4 never checked tau(h)";
+  Digest commit_digest = commit_hash(crypto::sha256(as_span(prepared()->prepared_sig)));
+  for (ReplicaId to = 1; to <= 4; ++to) {
+    for (ReplicaId claimed : {1u, 2u, 3u}) {
+      inject(cluster, 4, to, CommitShareMsg{1, 0, commit_digest, claimed, Bytes(33, 0xab)});
+    }
+  }
+  cluster.run_for(3'000'000);
+  for (ReplicaId r = 1; r <= 4; ++r) {
+    SCOPED_TRACE("replica " + std::to_string(r));
+    EXPECT_EQ(cluster.replica(r).view(), 0u);
+    EXPECT_TRUE(cluster.replica(r).committed_digest_of(1) == block.digest());
+    EXPECT_EQ(cluster.sbft_replica(r)->stats().slow_commits, 1u);
+  }
+}
+
+TEST(SenderBinding, PiSharesClaimingOtherReplicasLeaveAnIdleClusterInItsView) {
+  // After one client's 20 requests, replica 4's node sends replicas 1-3 pi
+  // shares for the next ten slots that claim replicas 1, 2 and 3. Filed, they
+  // would wait in slots no block fills, and each E-collector holding one
+  // would owe progress and change views for as long as the cluster idles.
+  // Dropped, nothing is buffered and nobody leaves the view.
+  Cluster cluster(spoof_target(ProtocolKind::kSbft, 20));
+  ASSERT_TRUE(cluster.run_until_done(60'000'000));
+  SeqNum le = cluster.replica(1).last_executed();
+  for (ReplicaId to = 1; to <= 3; ++to) {
+    for (ReplicaId claimed : {1u, 2u, 3u}) {
+      for (SeqNum s = le + 1; s <= le + 10; ++s) {
+        inject(cluster, 4, to, SignStateMsg{s, claimed, {}, Bytes(33, 0xab)});
+      }
+    }
+  }
+  cluster.run_for(30'000'000);
+  for (ReplicaId r = 1; r <= 4; ++r) {
+    SCOPED_TRACE("replica " + std::to_string(r));
+    EXPECT_EQ(cluster.replica(r).view_changes(), 0u);
+    EXPECT_EQ(cluster.sbft_replica(r)->stats().buffered_pi_shares, 0u);
+  }
+}
+
+TEST(SenderBinding, BlockRequestsClaimingAnotherReplicaGetNoReply) {
+  // Replica 4's node asks replica 1 for slot 1's block in replica 2's name.
+  // Served, the block would go to replica 2, which never asked. Dropped, no
+  // block leaves; the same request from replica 2's node is answered.
+  Cluster cluster(spoof_target(ProtocolKind::kSbft, 3));
+  ASSERT_TRUE(cluster.run_until_done(60'000'000));
+  std::optional<Digest> digest = cluster.replica(1).committed_digest_of(1);
+  ASSERT_TRUE(digest.has_value());
+  const size_t reply = Message(GetBlockReplyMsg{}).index();
+  cluster.network().reset_stats();
+  GetBlockRequestMsg request{2, 1, *digest};
+  inject(cluster, 4, 1, request);
+  cluster.run_for(50'000);
+  EXPECT_EQ(cluster.network().stats_by_type()[reply].count, 0u);
+  inject(cluster, 2, 1, request);
+  cluster.run_for(50'000);
+  EXPECT_EQ(cluster.network().stats_by_type()[reply].count, 1u);
 }
 
 }  // namespace
