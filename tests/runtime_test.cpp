@@ -1936,6 +1936,45 @@ TEST_P(ChunkedStateTransfer, CorruptChunkDetectedAndRefetchedFromHonestDonor) {
   EXPECT_TRUE(cluster.check_agreement());
 }
 
+TEST_P(ChunkedStateTransfer, ChunkClaimingAnotherDonorDoesNotExcludeIt) {
+  // docs/state_transfer.md, "Spoofed donor id": mid-transfer, replica 3's
+  // node sends the fetcher a corrupt chunk of its target that claims donor
+  // 2, then the same chunk under its own id. The first is dropped before any
+  // state-transfer state sees it, so donor 2 stays in the fetch. The second
+  // is judged invalid and excludes replica 3, which shows the forgery reaches
+  // the Merkle check once its donor is the sender.
+  auto opts = base(/*requests=*/250, /*chunk_size=*/1024, /*value_size=*/1024);
+  Cluster cluster(std::move(opts));
+  ASSERT_TRUE(cluster.run_until_done(600'000'000)) << "clients stalled";
+  ASSERT_GT(cluster.replica(1).last_stable(), 0u) << "no checkpoint formed";
+  cluster.crash_replica(4);
+  cluster.run_for(200'000);
+  cluster.network().set_extra_latency(cluster.replica(4).node(), 20'000);
+  cluster.restart_replica(4, /*wipe_storage=*/true);
+  ASSERT_TRUE(run_until_mid_transfer(cluster, 4));
+
+  const runtime::StateTransferManager& fetch = cluster.replica(4).runtime().state_transfer();
+  const runtime::CheckpointManager& donor = cluster.replica(2).runtime().checkpoints();
+  ASSERT_EQ(donor.snapshot_cert().seq, fetch.target_cert().seq);
+  runtime::ChunkedSnapshot snap(as_span(donor.snapshot()), 1024);
+  StateChunkMsg forged = runtime::chunk_msg_of(snap, as_span(donor.snapshot()),
+                                               /*donor=*/2, donor.snapshot_cert().seq, 0);
+  forged.data[0] ^= 0xff;
+  NodeId sender = cluster.replica(3).node();
+  cluster.network().inject(sender, cluster.replica(4).node(), make_message(forged));
+  forged.donor = 3;
+  cluster.network().inject(sender, cluster.replica(4).node(), make_message(forged));
+  cluster.run_for(25'000);  // the fetcher's links add 20 ms
+  ASSERT_EQ(cluster.replica(4).last_executed(), 0u) << "the fetch ended too soon";
+  EXPECT_FALSE(fetch.donor_excluded(2));
+  EXPECT_TRUE(fetch.donor_excluded(3));
+  EXPECT_EQ(stats_of(cluster, 4).state_transfer_invalid_chunks, 1u);
+
+  ASSERT_TRUE(run_until_adopted(cluster, 4)) << "transfer never completed";
+  EXPECT_GT(cluster.replica(4).last_stable(), 0u);
+  EXPECT_TRUE(cluster.check_agreement());
+}
+
 // ---------------------------------------------------------------------------
 // Delta state transfer, repeated disk wipe
 // (docs/state_transfer.md "delta manifests"; docs/scenarios.md)
