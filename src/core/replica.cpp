@@ -790,7 +790,9 @@ void SbftReplica::execute_block(SeqNum s, sim::ActorContext& ctx) {
 }
 
 void SbftReplica::handle_sign_state(const SignStateMsg& m, sim::ActorContext& ctx) {
-  if (retired_) return;
+  // Outside the window no block will fill the slot: buffering its share
+  // would hold the slot forever, and the stall timer would owe it progress.
+  if (retired_ || m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
   uint32_t signer = signer_of(m.replica, m.seq);
   if (signer == 0) return;  // not a member of the slot's epoch
   auto collectors = fallback_e_collectors(epoch_for_seq(m.seq), m.seq, view_);

@@ -324,6 +324,27 @@ TEST(SenderBinding, PiSharesClaimingOtherReplicasLeaveAnIdleClusterInItsView) {
   }
 }
 
+TEST(Faults, PiSharesBeyondTheWindowLeaveAnIdleClusterInItsView) {
+  // After one client's 20 requests, replica 4 sends replicas 1-3 pi shares
+  // under its own id for ten slots 1,000 past the last executed one. A
+  // collector files a pi share only inside its window, so no slot is
+  // created, nothing is owed, and the idle cluster stays in view 0.
+  Cluster cluster(spoof_target(ProtocolKind::kSbft, 20));
+  ASSERT_TRUE(cluster.run_until_done(60'000'000));
+  SeqNum le = cluster.replica(1).last_executed();
+  for (ReplicaId to = 1; to <= 3; ++to) {
+    for (SeqNum s = le + 1000; s < le + 1010; ++s) {
+      inject(cluster, 4, to, SignStateMsg{s, 4, {}, Bytes(33, 0xab)});
+    }
+  }
+  cluster.run_for(30'000'000);
+  for (ReplicaId r = 1; r <= 4; ++r) {
+    SCOPED_TRACE("replica " + std::to_string(r));
+    EXPECT_EQ(cluster.replica(r).view_changes(), 0u);
+    EXPECT_EQ(cluster.sbft_replica(r)->stats().buffered_pi_shares, 0u);
+  }
+}
+
 TEST(SenderBinding, BlockRequestsClaimingAnotherReplicaGetNoReply) {
   // Replica 4's node asks replica 1 for slot 1's block in replica 2's name.
   // Served, the block would go to replica 2, which never asked. Dropped, no
