@@ -59,7 +59,13 @@ class Reader {
   uint32_t u32() { return static_cast<uint32_t>(get_le(4)); }
   uint64_t u64() { return get_le(8); }
   int64_t i64() { return static_cast<int64_t>(u64()); }
-  bool boolean() { return u8() != 0; }
+  /// A one-byte flag, 0 or 1; any other byte latches failure, so a flag has
+  /// one encoding.
+  bool boolean() {
+    uint8_t b = u8();
+    if (b > 1) fail_ = true;
+    return b == 1;
+  }
 
   Bytes bytes() {
     ByteSpan s = span();

@@ -379,7 +379,9 @@ struct Decode {
 
   template <Scalar T>
   void get(T& v) {
-    if constexpr (sizeof(T) == 1) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r.boolean();
+    } else if constexpr (sizeof(T) == 1) {
       v = static_cast<T>(r.u8());
     } else if constexpr (sizeof(T) == 4) {
       v = static_cast<T>(r.u32());
@@ -414,7 +416,7 @@ struct Decode {
   }
   template <class T>
   void get(std::optional<T>& v) {
-    if (r.u8() != 0) get(v.emplace());
+    if (r.boolean()) get(v.emplace());
   }
   template <class List>
   void get(AtMost<List>& capped) {

@@ -83,6 +83,18 @@ TEST(Serde, IntegersRoundTrip) {
   EXPECT_TRUE(r.at_end());
 }
 
+TEST(Serde, FlagIsZeroOrOne) {
+  // The membership, EVM-result and tx-manager decoders read their flags
+  // here: a byte above 1 latches failure instead of reading as true.
+  const Bytes bytes{0, 1, 2};
+  Reader r(as_span(bytes));
+  EXPECT_FALSE(r.boolean());
+  EXPECT_TRUE(r.boolean());
+  EXPECT_TRUE(r.ok());
+  EXPECT_FALSE(r.boolean());
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(Serde, BytesAndStringsRoundTrip) {
   Writer w;
   w.bytes(as_span(to_bytes("payload")));

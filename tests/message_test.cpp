@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "common/rng.h"
 #include "common/serde.h"
 #include "crypto/sha256.h"
@@ -812,6 +815,49 @@ TEST(WireFormat, GoldenEncodingsArePinned) {
     EXPECT_EQ(bytes.size(), kGoldenWire[i].size) << name;
     EXPECT_EQ(sha, kGoldenWire[i].sha256)
         << "    {\"" << name << "\", " << bytes.size() << ", \"" << sha << "\"},";
+  }
+}
+
+TEST(WireFormat, FlagBytesAboveOneAreRejected) {
+  // A one-byte flag (a bool field, or an optional's presence byte) has one
+  // encoding: 1 decodes as set, and 2 or 0xff fail to decode rather than
+  // read as a second encoding of the same message. Each case pairs a message
+  // with its flag set and the same message with it clear; the first byte
+  // where their encodings differ is the flag.
+  auto view_change = [](bool block) {
+    ViewChangeMsg vc = fixed_view_change();
+    if (!block) vc.slots[0].block.reset();
+    return vc;
+  };
+  auto decision = [](bool commit, bool cert_commit, bool vote_commit) {
+    TxDecisionMsg m{0xabcdef0123, commit, {fixed_group_cert(1)}};
+    m.certs[0].commit = cert_commit;
+    m.certs[0].votes[0].commit = vote_commit;
+    return m;
+  };
+  const std::vector<std::tuple<std::string, Message, Message>> cases = {
+      {"view change SlotEvidence.block", view_change(true), view_change(false)},
+      {"new view SlotEvidence.block", NewViewMsg{8, {view_change(true)}},
+       NewViewMsg{8, {view_change(false)}}},
+      {"TxVoteMsg.commit", TxVoteMsg{1, 3, 2, true, fill(4, 0x4c)},
+       TxVoteMsg{1, 3, 2, false, fill(4, 0x4c)}},
+      {"TxDecisionMsg.commit", decision(true, true, true), decision(false, true, true)},
+      {"TxGroupCert.commit", decision(true, true, true), decision(true, false, true)},
+      {"TxVote.commit", decision(true, true, true), decision(true, true, false)},
+      {"TxResultMsg.committed", TxResultMsg{1, 2, 1, true}, TxResultMsg{1, 2, 1, false}},
+  };
+  for (const auto& [name, set, clear] : cases) {
+    SCOPED_TRACE(name);
+    Bytes wire = encode_message(set);
+    const Bytes other = encode_message(clear);
+    auto flag = std::mismatch(wire.begin(), wire.end(), other.begin(), other.end()).first;
+    ASSERT_NE(flag, wire.end());
+    ASSERT_EQ(*flag, 1);
+    EXPECT_TRUE(decode_message(as_span(wire)).has_value());
+    for (uint8_t bad : {uint8_t{2}, uint8_t{0xff}}) {
+      *flag = bad;
+      EXPECT_FALSE(decode_message(as_span(wire)).has_value()) << "flag byte " << int{bad};
+    }
   }
 }
 
