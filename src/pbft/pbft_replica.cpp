@@ -457,41 +457,41 @@ std::optional<StateManifestMsg> PbftReplica::fabricate_manifest(
   return m;
 }
 
-bool PbftReplica::fabricated_manifest(NodeId from, const StateTransferRequestMsg& m,
-                                      sim::ActorContext& ctx) {
-  if (!fabricate_checkpoint_) return false;
-  if (auto fake = fabricate_manifest(m, ctx)) {
-    ctx.send(from, make_message(std::move(*fake)));
-  }
-  return true;
+std::optional<std::vector<MessagePtr>> PbftReplica::forged_answers(
+    const StateTransferRequestMsg& m, sim::ActorContext& ctx) {
+  if (!fabricate_checkpoint_) return std::nullopt;
+  std::vector<MessagePtr> forged;
+  if (auto fake = fabricate_manifest(m, ctx)) forged.push_back(make_message(std::move(*fake)));
+  return forged;
 }
 
-bool PbftReplica::fabricated_chunks(NodeId from, const StateChunkRequestMsg& m,
-                                    sim::ActorContext& ctx) {
+std::optional<std::vector<MessagePtr>> PbftReplica::forged_answers(
+    const StateChunkRequestMsg& m, sim::ActorContext& ctx) {
   // The fabricating donor serves its invented envelope with perfectly valid
   // Merkle proofs — per-chunk verification cannot catch it; only the
   // checkpoint certificate (or the final state-root check) can.
-  if (fabricate_checkpoint_ && fake_chunks_ &&
-      m.chunk_root == fake_chunks_->transfer_root() && m.seq == fake_cert_.seq) {
-    size_t limit = std::min<size_t>(
-        m.indices.size(), runtime::StateTransferManager::kMaxChunksPerRequest);
-    for (size_t i = 0; i < limit; ++i) {
-      uint32_t index = m.indices[i];
-      if (index >= fake_chunks_->chunk_count()) continue;
-      StateChunkMsg c;
-      c.donor = opts_.id;
-      c.seq = fake_cert_.seq;
-      c.chunk_root = fake_chunks_->transfer_root();
-      c.index = index;
-      c.chunk_count = fake_chunks_->chunk_count();
-      c.data = to_bytes(fake_chunks_->chunk(as_span(fake_envelope_), index));
-      c.proof = fake_chunks_->proof(index);
-      ctx.charge(ctx.costs().hash_us(c.data.size()));
-      ctx.send(from, make_message(std::move(c)));
-    }
-    return true;
+  if (!fabricate_checkpoint_ || !fake_chunks_ ||
+      !(m.chunk_root == fake_chunks_->transfer_root()) || m.seq != fake_cert_.seq) {
+    return std::nullopt;
   }
-  return false;
+  std::vector<MessagePtr> forged;
+  size_t limit = std::min<size_t>(m.indices.size(),
+                                  runtime::StateTransferManager::kMaxChunksPerRequest);
+  for (size_t i = 0; i < limit; ++i) {
+    uint32_t index = m.indices[i];
+    if (index >= fake_chunks_->chunk_count()) continue;
+    StateChunkMsg c;
+    c.donor = opts_.id;
+    c.seq = fake_cert_.seq;
+    c.chunk_root = fake_chunks_->transfer_root();
+    c.index = index;
+    c.chunk_count = fake_chunks_->chunk_count();
+    c.data = to_bytes(fake_chunks_->chunk(as_span(fake_envelope_), index));
+    c.proof = fake_chunks_->proof(index);
+    ctx.charge(ctx.costs().hash_us(c.data.size()));
+    forged.push_back(make_message(std::move(c)));
+  }
+  return forged;
 }
 
 void PbftReplica::on_checkpoint_adopted(SeqNum seq) {

@@ -169,10 +169,10 @@ class PbftReplica final : public runtime::EngineShell {
   void on_checkpoint_adopted(SeqNum seq) override;
   /// The fabricated-checkpoint fault answers every probe with its invented
   /// checkpoint, and serves the chunks of that checkpoint.
-  bool fabricated_manifest(NodeId from, const StateTransferRequestMsg& m,
-                           sim::ActorContext& ctx) override;
-  bool fabricated_chunks(NodeId from, const StateChunkRequestMsg& m,
-                         sim::ActorContext& ctx) override;
+  std::optional<std::vector<MessagePtr>> forged_answers(
+      const StateTransferRequestMsg& m, sim::ActorContext& ctx) override;
+  std::optional<std::vector<MessagePtr>> forged_answers(
+      const StateChunkRequestMsg& m, sim::ActorContext& ctx) override;
 
   void handle_pre_prepare(const PrePrepareMsg& m, sim::ActorContext& ctx);
   void handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx);

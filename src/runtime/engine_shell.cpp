@@ -693,10 +693,19 @@ void EngineShell::on_state_transfer_tick(sim::ActorContext& ctx) {
                 timer_id(kStateTransferTimer, 0));
 }
 
+template <typename Request>
+bool EngineShell::send_forged_answers(NodeId to, const Request& request,
+                                      sim::ActorContext& ctx) {
+  std::optional<std::vector<MessagePtr>> forged = forged_answers(request, ctx);
+  if (!forged) return false;
+  for (MessagePtr& answer : *forged) ctx.send(to, std::move(answer));
+  return true;
+}
+
 void EngineShell::handle_state_transfer_request(NodeId from,
                                                 const StateTransferRequestMsg& m,
                                                 sim::ActorContext& ctx) {
-  if (silent() || fabricated_manifest(from, m, ctx)) return;
+  if (silent() || send_forged_answers(from, m, ctx)) return;
   // Ship the consistent (certificate, snapshot) pair — never the bare stable
   // checkpoint, whose snapshot may not have been captured. Replies go to the
   // requesting *node*: a joining replica is not in any epoch the donor holds
@@ -743,7 +752,7 @@ void EngineShell::handle_state_manifest(const StateManifestMsg& m,
 void EngineShell::handle_state_chunk_request(NodeId from,
                                              const StateChunkRequestMsg& m,
                                              sim::ActorContext& ctx) {
-  if (silent() || fabricated_chunks(from, m, ctx)) return;
+  if (silent() || send_forged_answers(from, m, ctx)) return;
   std::vector<StateChunkMsg> chunks = runtime_.state_transfer().make_chunks(
       runtime_.checkpoints(), m, opts_.id, runtime_.stats());
   for (StateChunkMsg& c : chunks) {

@@ -185,16 +185,16 @@ class EngineShell : public sim::IActor {
   virtual bool silent() const { return false; }
   /// A censoring primary drops the request at admission.
   virtual bool censors(const Request& /*req*/) const { return false; }
-  /// Donor fault injection (PBFT's fabricated checkpoint): answer a probe or
-  /// a chunk request with forged state instead; true when it did.
-  virtual bool fabricated_manifest(NodeId /*from*/,
-                                   const StateTransferRequestMsg& /*m*/,
-                                   sim::ActorContext& /*ctx*/) {
-    return false;
+  /// Donor fault injection (PBFT's fabricated checkpoint): forged answers to
+  /// a probe or a chunk request, which the shell sends its sender in place of
+  /// serving it; nullopt serves it.
+  virtual std::optional<std::vector<MessagePtr>> forged_answers(
+      const StateTransferRequestMsg& /*m*/, sim::ActorContext& /*ctx*/) {
+    return std::nullopt;
   }
-  virtual bool fabricated_chunks(NodeId /*from*/, const StateChunkRequestMsg& /*m*/,
-                                 sim::ActorContext& /*ctx*/) {
-    return false;
+  virtual std::optional<std::vector<MessagePtr>> forged_answers(
+      const StateChunkRequestMsg& /*m*/, sim::ActorContext& /*ctx*/) {
+    return std::nullopt;
   }
 
   // --- membership epochs (docs/reconfiguration.md) ----------------------------
@@ -349,6 +349,10 @@ class EngineShell : public sim::IActor {
                                      sim::ActorContext& ctx);
   void handle_state_chunk_request(NodeId from, const StateChunkRequestMsg& m,
                                   sim::ActorContext& ctx);
+  /// Sends `to` the engine's forged answers to `request`; false when it
+  /// forges none.
+  template <typename Request>
+  bool send_forged_answers(NodeId to, const Request& request, sim::ActorContext& ctx);
   void handle_state_manifest(const StateManifestMsg& m, sim::ActorContext& ctx);
   void handle_state_chunk(const StateChunkMsg& m, sim::ActorContext& ctx);
   void on_state_transfer_tick(sim::ActorContext& ctx);
