@@ -461,7 +461,9 @@ std::optional<std::vector<MessagePtr>> PbftReplica::forged_answers(
     const StateTransferRequestMsg& m, sim::ActorContext& ctx) {
   if (!fabricate_checkpoint_) return std::nullopt;
   std::vector<MessagePtr> forged;
-  if (auto fake = fabricate_manifest(m, ctx)) forged.push_back(make_message(std::move(*fake)));
+  if (auto fake = fabricate_manifest(m, ctx)) {
+    forged.push_back(make_message(std::move(*fake)));
+  }
   return forged;
 }
 

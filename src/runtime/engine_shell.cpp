@@ -149,13 +149,14 @@ std::optional<ReplicaId> EngineShell::claimed_sender(const Message& msg) const {
         using T = std::decay_t<decltype(m)>;
         // Exempt: full proofs (their threshold signatures vouch for them) and
         // fetched blocks (checked against the digest asked for); client and
-        // operator traffic; other shard groups' traffic, whose replicas no roster
-        // here names; state-transfer requests, which a joiner sends unnamed.
+        // operator traffic; other shard groups' traffic, whose replicas no
+        // roster here names; state-transfer requests, which a joiner sends
+        // before any roster names it.
         if constexpr (is_one_of<T, FullCommitProofMsg, PrepareMsg, FullCommitProofSlowMsg,
                                 FullExecuteProofMsg, GetBlockReplyMsg, ClientRequestMsg,
-                                ExecuteAckMsg, ClientReplyMsg, ReconfigBlockMsg, TxVoteMsg,
-                                TxDecisionMsg, TxResultMsg, StateTransferRequestMsg,
-                                StateChunkRequestMsg>) {
+                                ExecuteAckMsg, ClientReplyMsg, ReconfigBlockMsg,
+                                TxVoteMsg, TxDecisionMsg, TxResultMsg,
+                                StateTransferRequestMsg, StateChunkRequestMsg>) {
           return std::nullopt;
         } else if constexpr (std::is_same_v<T, PrePrepareMsg>) {
           return epoch_for_seq(m.seq).primary_of(m.view);  // the slot's epoch elects it

@@ -255,7 +255,9 @@ TEST(SenderBinding, SignSharesClaimingOtherReplicasDoNotBlockTheFastPath) {
     }
   }
   cluster.run_for(10'000);
-  for (ReplicaId to = 1; to <= 4; ++to) inject(cluster, 1, to, PrePrepareMsg{1, 0, block});
+  for (ReplicaId to = 1; to <= 4; ++to) {
+    inject(cluster, 1, to, PrePrepareMsg{1, 0, block});
+  }
   cluster.run_for(3'000'000);
   for (ReplicaId r = 1; r <= 4; ++r) {
     SCOPED_TRACE("replica " + std::to_string(r));
@@ -278,9 +280,12 @@ TEST(SenderBinding, CommitSharesClaimingOtherReplicasDoNotBlockTheSlowPath) {
     cluster.network().set_cpu_factor(cluster.replica(r).node(), 2.0);
   }
   SealedBlock block{Block{}};
-  for (ReplicaId to = 1; to <= 4; ++to) inject(cluster, 1, to, PrePrepareMsg{1, 0, block});
+  for (ReplicaId to = 1; to <= 4; ++to) {
+    inject(cluster, 1, to, PrePrepareMsg{1, 0, block});
+  }
   auto prepared = [&cluster]() -> const runtime::SlotEvidenceRecord* {
-    const runtime::SlotEvidenceRecord* ev = cluster.replica(4).runtime().evidence().find(1);
+    const runtime::SlotEvidenceRecord* ev =
+        cluster.replica(4).runtime().evidence().find(1);
     return ev != nullptr && ev->has_prepared ? ev : nullptr;
   };
   for (int step = 0; step < 1000 && prepared() == nullptr; ++step) cluster.run_for(20);
@@ -288,7 +293,8 @@ TEST(SenderBinding, CommitSharesClaimingOtherReplicasDoNotBlockTheSlowPath) {
   Digest commit_digest = commit_hash(crypto::sha256(as_span(prepared()->prepared_sig)));
   for (ReplicaId to = 1; to <= 4; ++to) {
     for (ReplicaId claimed : {1u, 2u, 3u}) {
-      inject(cluster, 4, to, CommitShareMsg{1, 0, commit_digest, claimed, Bytes(33, 0xab)});
+      inject(cluster, 4, to,
+             CommitShareMsg{1, 0, commit_digest, claimed, Bytes(33, 0xab)});
     }
   }
   cluster.run_for(3'000'000);
@@ -300,48 +306,35 @@ TEST(SenderBinding, CommitSharesClaimingOtherReplicasDoNotBlockTheSlowPath) {
   }
 }
 
-TEST(SenderBinding, PiSharesClaimingOtherReplicasLeaveAnIdleClusterInItsView) {
+TEST(SenderBinding, PiSharesThatCannotCountLeaveAnIdleClusterInItsView) {
   // After one client's 20 requests, replica 4's node sends replicas 1-3 pi
-  // shares for the next ten slots that claim replicas 1, 2 and 3. Filed, they
-  // would wait in slots no block fills, and each E-collector holding one
-  // would owe progress and change views for as long as the cluster idles.
-  // Dropped, nothing is buffered and nobody leaves the view.
-  Cluster cluster(spoof_target(ProtocolKind::kSbft, 20));
-  ASSERT_TRUE(cluster.run_until_done(60'000'000));
-  SeqNum le = cluster.replica(1).last_executed();
-  for (ReplicaId to = 1; to <= 3; ++to) {
-    for (ReplicaId claimed : {1u, 2u, 3u}) {
-      for (SeqNum s = le + 1; s <= le + 10; ++s) {
-        inject(cluster, 4, to, SignStateMsg{s, claimed, {}, Bytes(33, 0xab)});
+  // shares for slots no block fills: for the next ten slots claiming
+  // replicas 1, 2 and 3, or, in a second cluster, under its own id for ten
+  // slots 1,000 past the last executed one. Filed, they would wait in those
+  // slots, and each E-collector holding one would owe progress and change
+  // views for as long as the cluster idles. The first are dropped for their
+  // claimed ids, the second because a pi share counts only inside the
+  // window: nothing is buffered and nobody leaves the view.
+  const std::vector<std::pair<std::vector<ReplicaId>, SeqNum>> cases = {
+      {{1, 2, 3}, 1}, {{4}, 1000}};
+  for (const auto& [claimed, ahead] : cases) {
+    SCOPED_TRACE("slots " + std::to_string(ahead) + " ahead");
+    Cluster cluster(spoof_target(ProtocolKind::kSbft, 20));
+    ASSERT_TRUE(cluster.run_until_done(60'000'000));
+    SeqNum le = cluster.replica(1).last_executed();
+    for (ReplicaId to = 1; to <= 3; ++to) {
+      for (ReplicaId r : claimed) {
+        for (SeqNum s = le + ahead; s < le + ahead + 10; ++s) {
+          inject(cluster, 4, to, SignStateMsg{s, r, {}, Bytes(33, 0xab)});
+        }
       }
     }
-  }
-  cluster.run_for(30'000'000);
-  for (ReplicaId r = 1; r <= 4; ++r) {
-    SCOPED_TRACE("replica " + std::to_string(r));
-    EXPECT_EQ(cluster.replica(r).view_changes(), 0u);
-    EXPECT_EQ(cluster.sbft_replica(r)->stats().buffered_pi_shares, 0u);
-  }
-}
-
-TEST(Faults, PiSharesBeyondTheWindowLeaveAnIdleClusterInItsView) {
-  // After one client's 20 requests, replica 4 sends replicas 1-3 pi shares
-  // under its own id for ten slots 1,000 past the last executed one. A
-  // collector files a pi share only inside its window, so no slot is
-  // created, nothing is owed, and the idle cluster stays in view 0.
-  Cluster cluster(spoof_target(ProtocolKind::kSbft, 20));
-  ASSERT_TRUE(cluster.run_until_done(60'000'000));
-  SeqNum le = cluster.replica(1).last_executed();
-  for (ReplicaId to = 1; to <= 3; ++to) {
-    for (SeqNum s = le + 1000; s < le + 1010; ++s) {
-      inject(cluster, 4, to, SignStateMsg{s, 4, {}, Bytes(33, 0xab)});
+    cluster.run_for(30'000'000);
+    for (ReplicaId r = 1; r <= 4; ++r) {
+      SCOPED_TRACE("replica " + std::to_string(r));
+      EXPECT_EQ(cluster.replica(r).view_changes(), 0u);
+      EXPECT_EQ(cluster.sbft_replica(r)->stats().buffered_pi_shares, 0u);
     }
-  }
-  cluster.run_for(30'000'000);
-  for (ReplicaId r = 1; r <= 4; ++r) {
-    SCOPED_TRACE("replica " + std::to_string(r));
-    EXPECT_EQ(cluster.replica(r).view_changes(), 0u);
-    EXPECT_EQ(cluster.sbft_replica(r)->stats().buffered_pi_shares, 0u);
   }
 }
 

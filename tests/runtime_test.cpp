@@ -1953,7 +1953,8 @@ TEST_P(ChunkedStateTransfer, ChunkClaimingAnotherDonorDoesNotExcludeIt) {
   cluster.restart_replica(4, /*wipe_storage=*/true);
   ASSERT_TRUE(run_until_mid_transfer(cluster, 4));
 
-  const runtime::StateTransferManager& fetch = cluster.replica(4).runtime().state_transfer();
+  const runtime::StateTransferManager& fetch =
+      cluster.replica(4).runtime().state_transfer();
   const runtime::CheckpointManager& donor = cluster.replica(2).runtime().checkpoints();
   ASSERT_EQ(donor.snapshot_cert().seq, fetch.target_cert().seq);
   runtime::ChunkedSnapshot snap(as_span(donor.snapshot()), 1024);
