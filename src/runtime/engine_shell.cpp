@@ -143,45 +143,43 @@ void EngineShell::receive_new_view(const NewView& m, const Message& msg,
 template <typename T, typename... Ts>
 constexpr bool is_one_of = (std::is_same_v<T, Ts> || ...);
 
-std::optional<ReplicaId> EngineShell::claimed_sender(const Message& msg) const {
-  return std::visit(
-      [this](const auto& m) -> std::optional<ReplicaId> {
-        using T = std::decay_t<decltype(m)>;
-        // Exempt: full proofs (their threshold signatures vouch for them) and
-        // fetched blocks (checked against the digest asked for); client and
-        // operator traffic; other shard groups' traffic, whose replicas no
-        // roster here names; state-transfer requests, which a joiner sends
-        // before any roster names it.
-        if constexpr (is_one_of<T, FullCommitProofMsg, PrepareMsg, FullCommitProofSlowMsg,
-                                FullExecuteProofMsg, GetBlockReplyMsg, ClientRequestMsg,
-                                ExecuteAckMsg, ClientReplyMsg, ReconfigBlockMsg,
-                                TxVoteMsg, TxDecisionMsg, TxResultMsg,
-                                StateTransferRequestMsg, StateChunkRequestMsg>) {
-          return std::nullopt;
-        } else if constexpr (std::is_same_v<T, PrePrepareMsg>) {
-          return epoch_for_seq(m.seq).primary_of(m.view);  // the slot's epoch elects it
-        } else if constexpr (is_one_of<T, NewViewMsg, PbftNewViewMsg>) {
-          return epoch().primary_of(m.view);
-        } else if constexpr (requires { m.replica; }) {
-          return m.replica;
-        } else if constexpr (requires { m.sender; }) {
-          return m.sender;
-        } else if constexpr (requires { m.donor; }) {
-          return m.donor;
-        } else {
-          return m.requester;  // a type that claims no replica is exempt above
-        }
-      },
-      msg);
+template <typename Msg>
+std::optional<ReplicaId> EngineShell::claimed_sender(const Msg& m) const {
+  // Exempt: full proofs (their threshold signatures vouch for them) and
+  // fetched blocks (checked against the digest asked for); client and
+  // operator traffic; other shard groups' traffic, whose replicas no roster
+  // here names; state-transfer requests, which a joiner sends before any
+  // roster names it.
+  if constexpr (is_one_of<Msg, FullCommitProofMsg, PrepareMsg, FullCommitProofSlowMsg,
+                          FullExecuteProofMsg, GetBlockReplyMsg, ClientRequestMsg,
+                          ExecuteAckMsg, ClientReplyMsg, ReconfigBlockMsg, TxVoteMsg,
+                          TxDecisionMsg, TxResultMsg, StateTransferRequestMsg,
+                          StateChunkRequestMsg>) {
+    return std::nullopt;
+  } else if constexpr (std::is_same_v<Msg, PrePrepareMsg>) {
+    return epoch_for_seq(m.seq).primary_of(m.view);  // the slot's epoch elects it
+  } else if constexpr (is_one_of<Msg, NewViewMsg, PbftNewViewMsg>) {
+    return epoch().primary_of(m.view);
+  } else if constexpr (requires { m.replica; }) {
+    return m.replica;
+  } else if constexpr (requires { m.sender; }) {
+    return m.sender;
+  } else if constexpr (requires { m.donor; }) {
+    return m.donor;
+  } else {
+    return m.requester;  // a type that claims no replica is exempt above
+  }
 }
 
 void EngineShell::on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) {
-  // Sender binding: no handler sees a message from a node other than the
-  // one of the replica it claims.
-  if (std::optional<ReplicaId> r = claimed_sender(msg); r && node_of(*r) != from) return;
   bool handled = std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
+        // Sender binding: no handler sees a message from a node other than
+        // the one of the replica it claims.
+        if (std::optional<ReplicaId> r = claimed_sender(m); r && node_of(*r) != from) {
+          return true;
+        }
         if constexpr (std::is_same_v<T, ClientRequestMsg>) {
           handle_client_request(from, m, ctx);
         } else if constexpr (std::is_same_v<T, StateTransferRequestMsg>) {

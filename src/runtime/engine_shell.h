@@ -301,8 +301,10 @@ class EngineShell : public sim::IActor {
   /// only a donor with a newer certified checkpoint answers.
   void on_status_tick(sim::ActorContext& ctx);
 
-  /// The replica `msg` claims to come from; nullopt for a type exempt by name.
-  std::optional<ReplicaId> claimed_sender(const Message& msg) const;
+  /// The replica message `m` claims to come from; nullopt for a type exempt
+  /// by name.
+  template <typename Msg>
+  std::optional<ReplicaId> claimed_sender(const Msg& m) const;
   // --- view-change session and quorum (§V-G, §VII) --------------------------------
   /// Opens a view change to `target` or escalates the open one (backoff
   /// attempt, view_changes count, session span), files and broadcasts the
