@@ -305,6 +305,7 @@ class EngineShell : public sim::IActor {
   /// by name.
   template <typename Msg>
   std::optional<ReplicaId> claimed_sender(const Msg& m) const;
+
   // --- view-change session and quorum (§V-G, §VII) --------------------------------
   /// Opens a view change to `target` or escalates the open one (backoff
   /// attempt, view_changes count, session span), files and broadcasts the
