@@ -312,13 +312,15 @@ void SbftReplica::handle_pre_prepare(const PrePrepareMsg& m, sim::ActorContext& 
   // have advanced while verification was in flight.
   int64_t cost =
       static_cast<int64_t>(m.block.requests().size()) * ctx.costs().rsa_verify_us;
-  ctx.offload(cost, [this, seq = m.seq, v = m.view,
-                     block = m.block](sim::ActorContext& c) mutable {
-    if (in_view_change_ || v != view_ || retired_) return;
-    if (seq <= ls() || seq > ls() + opts_.config.win) return;
-    if (SeqNum gate = reconfig_gate(); gate > 0 && seq > gate) return;
-    accept_pre_prepare(seq, v, std::move(block), c);
-  });
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    const PrePrepareMsg& m = *shared;
+    if (in_view_change_ || m.view != view_ || retired_) return;
+    if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
+    if (SeqNum gate = reconfig_gate(); gate > 0 && m.seq > gate) return;
+    accept_pre_prepare(m.seq, m.view, m.block, c);
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(cost, std::move(verified));
 }
 
 void SbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
@@ -573,7 +575,8 @@ void SbftReplica::handle_prepare(const PrepareMsg& m, sim::ActorContext& ctx) {
   // Verify the combined tau on a worker lane; certificate adoption and the
   // commit share reply continue serially. The entry guards re-run in the
   // completion against state that moved during verification.
-  ctx.offload(ctx.costs().bls_verify_combined_us, [this, m](sim::ActorContext& c) {
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    const PrepareMsg& m = *shared;
     if (m.view < view_ || (in_view_change_ && m.view == view_) || retired_) return;
     if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
     Digest h = slot_hash(m.seq, m.view, m.block_digest);
@@ -620,7 +623,9 @@ void SbftReplica::handle_prepare(const PrepareMsg& m, sim::ActorContext& ctx) {
       auto msg = make_message(std::move(cs));
       for (ReplicaId collector : collectors) send_to_replica(c, collector, msg);
     }
-  });
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(ctx.costs().bls_verify_combined_us, std::move(verified));
 }
 
 void SbftReplica::handle_commit_share(const CommitShareMsg& m, sim::ActorContext& ctx) {
@@ -646,7 +651,8 @@ void SbftReplica::handle_full_commit_proof(const FullCommitProofMsg& m,
   if (m.seq <= le()) return;
   // Combined-signature check on a worker lane; the commit itself (state
   // mutation, execution) stays serial in the completion.
-  ctx.offload(ctx.costs().bls_verify_combined_us, [this, m](sim::ActorContext& c) {
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    const FullCommitProofMsg& m = *shared;
     if (m.seq <= le()) return;
     Digest h = slot_hash(m.seq, m.view, m.block_digest);
     if (!crypto_for_seq(m.seq).sigma_verifier->verify(h, as_span(m.sigma_sig))) {
@@ -657,13 +663,16 @@ void SbftReplica::handle_full_commit_proof(const FullCommitProofMsg& m,
     runtime_.evidence().record_fast_proof(m.seq, m.view, m.block_digest,
                                           m.sigma_sig);
     commit(m.seq, m.block_digest, /*fast=*/true, c);
-  });
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(ctx.costs().bls_verify_combined_us, std::move(verified));
 }
 
 void SbftReplica::handle_full_commit_proof_slow(const FullCommitProofSlowMsg& m,
                                                 sim::ActorContext& ctx) {
   if (m.seq <= le()) return;
-  ctx.offload(2 * ctx.costs().bls_verify_combined_us, [this, m](sim::ActorContext& c) {
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    const FullCommitProofSlowMsg& m = *shared;
     if (m.seq <= le()) return;
     Digest h = slot_hash(m.seq, m.view, m.block_digest);
     Digest d2 = commit_hash(crypto::sha256(as_span(m.tau_sig)));
@@ -677,7 +686,9 @@ void SbftReplica::handle_full_commit_proof_slow(const FullCommitProofSlowMsg& m,
     runtime_.evidence().record_slow_proof(m.seq, m.view, m.block_digest,
                                           m.tau_sig, m.tau_tau_sig);
     commit(m.seq, m.block_digest, /*fast=*/false, c);
-  });
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(2 * ctx.costs().bls_verify_combined_us, std::move(verified));
 }
 
 void SbftReplica::commit(SeqNum s, const Digest& block_digest, bool fast,
@@ -845,7 +856,8 @@ void SbftReplica::send_execute_acks(SeqNum s, sim::ActorContext& ctx) {
 
 void SbftReplica::handle_full_execute_proof(const FullExecuteProofMsg& m,
                                             sim::ActorContext& ctx) {
-  ctx.offload(ctx.costs().bls_verify_combined_us, [this, m](sim::ActorContext& c) {
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    const FullExecuteProofMsg& m = *shared;
     if (!crypto_for_seq(m.seq).pi_verifier->verify(m.exec_digest,
                                                    as_span(m.pi_sig))) {
       ++stats_.invalid_shares_seen;
@@ -859,7 +871,9 @@ void SbftReplica::handle_full_execute_proof(const FullExecuteProofMsg& m,
       // Far behind the cluster: catch up via state transfer.
       request_state_transfer(c);
     }
-  });
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(ctx.costs().bls_verify_combined_us, std::move(verified));
 }
 
 void SbftReplica::advance_checkpoint(SeqNum s, sim::ActorContext& ctx) {

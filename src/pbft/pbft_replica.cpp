@@ -102,13 +102,15 @@ void PbftReplica::handle_pre_prepare(const PrePrepareMsg& m, sim::ActorContext& 
   // The entry guards re-run in the completion.
   int64_t cost = ctx.costs().rsa_verify_us *
                  static_cast<int64_t>(1 + m.block.requests().size());
-  ctx.offload(cost, [this, seq = m.seq, v = m.view,
-                     block = m.block](sim::ActorContext& c) mutable {
-    if (in_view_change_ || v != view_ || retired_) return;
-    if (seq <= ls() || seq > ls() + opts_.config.win) return;
-    if (SeqNum gate = reconfig_gate(); gate > 0 && seq > gate) return;
-    accept_pre_prepare(seq, v, std::move(block), c);
-  });
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    const PrePrepareMsg& m = *shared;
+    if (in_view_change_ || m.view != view_ || retired_) return;
+    if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
+    if (SeqNum gate = reconfig_gate(); gate > 0 && m.seq > gate) return;
+    accept_pre_prepare(m.seq, m.view, m.block, c);
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(cost, std::move(verified));
 }
 
 void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, SealedBlock block,
@@ -152,14 +154,17 @@ void PbftReplica::handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx
   if (!epoch_for_seq(m.seq).contains(m.replica)) return;
   // The all-to-all quadratic verification cost — the offload is what lets a
   // multi-core PBFT replica absorb 3f+1 prepares per slot in parallel.
-  ctx.offload(ctx.costs().rsa_verify_us, [this, m](sim::ActorContext& c) {
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    const PbftPrepareMsg& m = *shared;
     if (in_view_change_ || m.view != view_ || retired_) return;
     if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
     Slot& sl = slots_[m.seq];
     if (sl.has_pp && !(m.h == sl.h)) return;
     sl.prepares.insert(m.replica);
     check_prepared(m.seq, c);
-  });
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(ctx.costs().rsa_verify_us, std::move(verified));
 }
 
 void PbftReplica::check_prepared(SeqNum s, sim::ActorContext& ctx) {
@@ -187,14 +192,17 @@ void PbftReplica::handle_commit(const PbftCommitMsg& m, sim::ActorContext& ctx) 
   if (in_view_change_ || m.view != view_ || retired_) return;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
   if (!epoch_for_seq(m.seq).contains(m.replica)) return;
-  ctx.offload(ctx.costs().rsa_verify_us, [this, m](sim::ActorContext& c) {
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    const PbftCommitMsg& m = *shared;
     if (in_view_change_ || m.view != view_ || retired_) return;
     if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
     Slot& sl = slots_[m.seq];
     if (sl.has_pp && !(m.h == sl.h)) return;
     sl.commits.insert(m.replica);
     check_committed(m.seq, c);
-  });
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(ctx.costs().rsa_verify_us, std::move(verified));
 }
 
 void PbftReplica::check_committed(SeqNum s, sim::ActorContext& ctx) {
@@ -280,9 +288,11 @@ void PbftReplica::handle_checkpoint(const PbftCheckpointMsg& m, sim::ActorContex
   // strictly older ones are dropped.
   if (m.seq < ls()) return;
   if (!epoch_for_seq(m.seq).contains(m.replica)) return;
-  ctx.offload(ctx.costs().rsa_verify_us, [this, m](sim::ActorContext& c) {
-    handle_checkpoint_verified(m, c);
-  });
+  auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+    handle_checkpoint_verified(*shared, c);
+  };
+  static_assert(sim::Handler::stores_inline<decltype(verified)>());
+  ctx.offload(ctx.costs().rsa_verify_us, std::move(verified));
 }
 
 void PbftReplica::handle_checkpoint_verified(const PbftCheckpointMsg& m,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 namespace sbft::runtime {
 
@@ -104,7 +105,7 @@ void EngineShell::receive_view_change(const ViewChange& m, const Message& msg,
                                       sim::ActorContext& ctx) {
   if (m.next_view <= view_ || retired_ || !epoch().contains(m.sender)) return;
   if (!check_view_evidence(msg, ctx)) return;
-  vc_by_target_[m.next_view][m.sender] = std::make_shared<const Message>(msg);
+  vc_by_target_[m.next_view][m.sender] = ctx.share(msg);
 
   // Join rule (§VII): f+1 members asking for a view past this one include an
   // honest replica that timed out; join the highest view that many ask for.
@@ -197,7 +198,7 @@ void EngineShell::on_message(NodeId from, const Message& msg, sim::ActorContext&
         } else if constexpr (is_one_of<T, NewViewMsg, PbftNewViewMsg>) {
           receive_new_view(m, msg, ctx);
         } else if constexpr (std::is_same_v<T, PrePrepareMsg>) {
-          return hold_pre_prepare(m, msg);  // false: the engine's
+          return hold_pre_prepare(m, msg, ctx);  // false: the engine's
         } else if constexpr (is_one_of<T, TxVoteMsg, TxDecisionMsg>) {
           // Cross-shard 2PC traffic belongs to the marker executor; the pump
           // below relays its responses and stages decision markers.
@@ -494,11 +495,12 @@ void EngineShell::install_view(ViewNum v) {
   runtime_.wal_record_view(v);
 }
 
-bool EngineShell::hold_pre_prepare(const PrePrepareMsg& m, const Message& msg) {
+bool EngineShell::hold_pre_prepare(const PrePrepareMsg& m, const Message& msg,
+                                   sim::ActorContext& ctx) {
   if (!in_view_change_ || retired_ || m.view != vc_target_) return false;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return false;
   // One per slot: a later one (an escalated target's) replaces it.
-  held_pre_prepares_[m.seq] = std::make_shared<const Message>(msg);
+  held_pre_prepares_[m.seq] = ctx.share(msg);
   return true;
 }
 
@@ -556,14 +558,25 @@ void EngineShell::handle_client_request(NodeId from, const ClientRequestMsg& m,
   // shard 2PC decision marker id (decisions enter via the marker executor).
   if (req.client == kReconfigClient || req.client == kShardTxClient) return;
   // Client request signature ([31]): verified on a worker lane when the node
-  // has one; admission continues in the completion.
-  ctx.offload(ctx.costs().rsa_verify_us,
-              [this, from, req](sim::ActorContext& c) {
-                admit_client_request(from, req, c);
-              });
+  // has one; admission continues in the completion. Of `from`, admission
+  // needs only whether the client sent the request itself; that is the
+  // completion's type rather than a capture, so the completion fits in
+  // place in a Handler.
+  auto verify_then_admit = [&](auto from_client) {
+    auto verified = [this, shared = ctx.share(m)](sim::ActorContext& c) {
+      admit_client_request(decltype(from_client)::value, shared->request, c);
+    };
+    static_assert(sim::Handler::stores_inline<decltype(verified)>());
+    ctx.offload(ctx.costs().rsa_verify_us, std::move(verified));
+  };
+  if (from == req.client) {
+    verify_then_admit(std::true_type{});
+  } else {
+    verify_then_admit(std::false_type{});
+  }
 }
 
-void EngineShell::admit_client_request(NodeId from, const Request& req,
+void EngineShell::admit_client_request(bool from_client, const Request& req,
                                        sim::ActorContext& ctx) {
   if (const CachedReply* cached = runtime_.cached_reply(req.client, req.timestamp)) {
     // Already executed: serve the cached reply (client retry path, §V-A).
@@ -583,7 +596,7 @@ void EngineShell::admit_client_request(NodeId from, const Request& req,
                      0, 0, view_, "client", req.client);
     }
     try_propose(ctx);
-  } else if (from == req.client) {
+  } else if (from_client) {
     // Forward to the current primary; remember that we owe progress — if the
     // primary never commits this request the timer forces a view change.
     send_to_replica(ctx, epoch().primary_of(view_),

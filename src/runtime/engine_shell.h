@@ -333,14 +333,17 @@ class EngineShell : public sim::IActor {
   /// During a view change, keeps a pre-prepare of the target view for a slot
   /// in the window (the latest per slot) until a view is installed; false
   /// leaves it to the engine.
-  bool hold_pre_prepare(const PrePrepareMsg& m, const Message& msg);
+  bool hold_pre_prepare(const PrePrepareMsg& m, const Message& msg,
+                        sim::ActorContext& ctx);
 
   // --- admission ----------------------------------------------------------------
   void handle_client_request(NodeId from, const ClientRequestMsg& m,
                              sim::ActorContext& ctx);
   /// Continuation of handle_client_request once the request signature has
-  /// been verified (possibly on a worker lane).
-  void admit_client_request(NodeId from, const Request& req, sim::ActorContext& ctx);
+  /// been verified (possibly on a worker lane); `from_client` says whether
+  /// the client sent it here itself, rather than a replica forwarding it.
+  void admit_client_request(bool from_client, const Request& req,
+                            sim::ActorContext& ctx);
   void handle_reconfig_block(const ReconfigBlockMsg& m, sim::ActorContext& ctx);
   /// Drains the marker executor after every message/timer: relays its queued
   /// sends and (primary only) enqueues staged 2PC decision markers for

@@ -411,12 +411,16 @@ void Network::deliver(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
     dst.downlink_busy = ready;
     sim_.schedule(ready, [this, from, to, msg = std::move(msg)]() mutable {
       // The handler owns the payload: run_handler may queue it if the
-      // target CPU is busy, so it must outlive this event.
-      run_handler(to, sim_.now(),
-                  [this, from, to, msg = std::move(msg)](ActorContext& ctx) {
-                    ctx.charge(costs_.msg_overhead_us);
-                    nodes_[to].actor->on_message(from, *msg, ctx);
-                  });
+      // target CPU is busy, so it must outlive this event. It takes its
+      // network and node from the context, and lends the context its
+      // message for ActorContext::share.
+      auto handler = [from, msg = std::move(msg)](ActorContext& ctx) {
+        ctx.delivered_ = &msg;
+        ctx.charge(ctx.costs().msg_overhead_us);
+        ctx.net_.nodes_[ctx.self_].actor->on_message(from, *msg, ctx);
+      };
+      static_assert(Handler::stores_inline<decltype(handler)>());
+      run_handler(to, sim_.now(), std::move(handler));
     });
   });
 }

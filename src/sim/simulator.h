@@ -18,9 +18,11 @@ namespace sbft::sim {
 
 using SimTime = int64_t;  // microseconds since simulation start
 
-/// A scheduled event. 112 bytes hold the network's largest hot closure, an
-/// offload completion that carries its lane-0 Handler (sim/network.cpp).
-using Event = InlineFunction<void(), 112>;
+/// A scheduled event. 56 bytes hold the network's largest hot closure, an
+/// offload completion that carries its 32-byte lane-0 Handler
+/// (sim/network.cpp), and make each slab slot one 64-byte cache line.
+using Event = InlineFunction<void(), 56>;
+static_assert(sizeof(Event) == 64);
 
 /// Events run in (time, seq) order, seq being the order of the schedule
 /// calls, so same-time events run first-scheduled first. Events due within

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -592,6 +593,126 @@ TEST(Network, CrashDropsAQueuedMoveOnlyHandler) {
   EXPECT_EQ(runs, 1);  // only the live node's
   EXPECT_EQ(destroyed, 2);
   EXPECT_EQ(net.cpu_queue_depth(crashed), 0u);
+}
+
+TEST(Network, LaneUsageBooksAHandlersWholeChargeWhenItStarts) {
+  struct Busy : IActor {
+    void on_start(ActorContext& ctx) override { ctx.charge(10'000); }
+    void on_message(NodeId, const Message&, ActorContext&) override {}
+  };
+  Simulator sim;
+  Network net(sim, lan_topology(), CostModel{});
+  Busy actor;
+  NodeId node = net.add_node(&actor);
+  net.start();
+  sim.run_until(5000);
+  // Half the handler has run, but its whole charge is booked: a usage read
+  // mid-handler counts the rest too. This is why the benchmark's
+  // cpu.primary_lane0_util can exceed 1 (docs/performance.md).
+  EXPECT_EQ(net.lane_used_us(node)[0], 10'000);
+}
+
+// ---------------------------------------------------------------------------
+// Shared messages (ActorContext::share)
+
+// Sends one client request with the given timestamp to `target` at start.
+struct RequestSender : IActor {
+  NodeId target = 0;
+  uint64_t timestamp = 7;
+  void on_start(ActorContext& ctx) override {
+    ClientRequestMsg m;
+    m.request.timestamp = timestamp;
+    ctx.send(target, make_message(std::move(m)));
+  }
+  void on_message(NodeId, const Message&, ActorContext&) override {}
+};
+
+TEST(Network, ShareAliasesTheDeliveredMessage) {
+  struct Sharer : IActor {
+    const Message* delivered = nullptr;
+    std::shared_ptr<const Message> whole;
+    std::shared_ptr<const ClientRequestMsg> alternative;
+    void on_message(NodeId, const Message& msg, ActorContext& ctx) override {
+      delivered = &msg;
+      whole = ctx.share(msg);
+      alternative = ctx.share(std::get<ClientRequestMsg>(msg));
+    }
+  };
+  Simulator sim;
+  Network net(sim, lan_topology(), CostModel{});
+  RequestSender sender;
+  Sharer actor;
+  net.add_node(&sender);
+  sender.target = net.add_node(&actor);
+  net.start();
+  sim.run_until_idle();
+  ASSERT_NE(actor.delivered, nullptr);
+  EXPECT_EQ(actor.whole.get(), actor.delivered);
+  EXPECT_EQ(actor.alternative.get(), &std::get<ClientRequestMsg>(*actor.delivered));
+  // No copy: the two pointers own the network's message, and nothing else
+  // does once it has been delivered.
+  EXPECT_EQ(actor.whole.use_count(), 2);
+  EXPECT_EQ(actor.alternative->request.timestamp, 7u);
+}
+
+TEST(Network, ShareCopiesAPartTheMessageDoesNotHold) {
+  struct Sharer : IActor {
+    Request local;
+    std::shared_ptr<const Request> from_start;
+    std::shared_ptr<const Request> from_message;
+    void on_start(ActorContext& ctx) override { from_start = ctx.share(local); }
+    void on_message(NodeId, const Message&, ActorContext& ctx) override {
+      from_message = ctx.share(local);
+    }
+  };
+  Simulator sim;
+  Network net(sim, lan_topology(), CostModel{});
+  RequestSender sender;
+  Sharer actor;
+  actor.local.timestamp = 9;
+  net.add_node(&sender);
+  sender.target = net.add_node(&actor);
+  net.start();
+  sim.run_until_idle();
+  // Outside the delivered message (or with none delivered): a copy each.
+  for (const auto& copy : {actor.from_start, actor.from_message}) {
+    ASSERT_NE(copy, nullptr);
+    EXPECT_NE(copy.get(), &actor.local);
+    EXPECT_EQ(copy.use_count(), 2);  // this loop's and the actor's
+    EXPECT_EQ(copy->timestamp, 9u);
+  }
+}
+
+TEST(Network, QueuedContinuationOutlivesEveryOtherHolderOfItsMessage) {
+  struct Verifier : IActor {
+    std::weak_ptr<const ClientRequestMsg> shared;
+    uint64_t read = 0;
+    void on_message(NodeId, const Message& msg, ActorContext& ctx) override {
+      auto m = ctx.share(std::get<ClientRequestMsg>(msg));
+      shared = m;
+      // The work ends 1ms after this handler, while the timer's handler
+      // holds lane 0 for 10ms, so the continuation waits in the queue.
+      ctx.offload(1000, [this, m](ActorContext&) { read = m->request.timestamp; });
+      ctx.set_timer(500, 0);
+    }
+    void on_timer(uint64_t, ActorContext& ctx) override { ctx.charge(10'000); }
+  };
+  Simulator sim;
+  Network net(sim, lan_topology(), CostModel{});
+  RequestSender sender;
+  Verifier actor;
+  net.add_node(&sender);
+  NodeId node = net.add_node(&actor);
+  sender.target = node;
+  net.set_cores(node, 2);
+  net.start();
+  sim.run_until(5000);
+  EXPECT_EQ(net.cpu_queue_depth(node), 1u);
+  EXPECT_EQ(actor.shared.use_count(), 1);  // the queued continuation's only
+  EXPECT_EQ(actor.read, 0u);
+  sim.run_until_idle();
+  EXPECT_EQ(actor.read, 7u);
+  EXPECT_TRUE(actor.shared.expired());
 }
 
 TEST(Network, StragglerCpuFactorScalesWorkerLanes) {
