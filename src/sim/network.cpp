@@ -152,9 +152,10 @@ void Network::restart(NodeId node, IActor* actor) {
   ++state.incarnation;
   if (actor) state.actor = actor;
   // Runtime state died with the process; every lane and the link are idle
-  // when it boots. Pending offload completions from the dead incarnation are
-  // dropped by the incarnation gate when they fire.
+  // when it boots. Pending offload completions and drains from the dead
+  // incarnation are dropped by the incarnation gate when they fire.
   state.cpu_queue.clear();
+  state.drain_scheduled = false;
   for (SimTime& busy : state.lane_busy) busy = sim_.now();
   state.uplink_busy = sim_.now();
   state.downlink_busy = sim_.now();
@@ -297,7 +298,10 @@ void Network::schedule_drain(NodeId node, SimTime at) {
   NodeState& state = nodes_[node];
   if (state.drain_scheduled) return;
   state.drain_scheduled = true;
-  sim_.schedule(std::max(at, sim_.now()), [this, node] { drain(node); });
+  uint64_t inc = state.incarnation;
+  sim_.schedule(std::max(at, sim_.now()), [this, node, inc] {
+    if (nodes_[node].incarnation == inc) drain(node);
+  });
 }
 
 void Network::drain(NodeId node) {

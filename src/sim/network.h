@@ -267,7 +267,9 @@ class Network {
     // FIFO of handlers waiting for the node's serial lane.
     std::deque<Handler> cpu_queue;
     bool drain_scheduled = false;
-    uint64_t incarnation = 0;  // bumped by restart(); gates stale timers
+    // Bumped by restart(); gates the dead incarnation's timers, offload
+    // completions and drains.
+    uint64_t incarnation = 0;
     std::vector<int64_t> lane_used_us{0};  // cumulative charged CPU per lane
     uint64_t offloads_run = 0;
     uint64_t handlers_run = 0;

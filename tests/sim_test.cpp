@@ -595,6 +595,30 @@ TEST(Network, CrashDropsAQueuedMoveOnlyHandler) {
   EXPECT_EQ(net.cpu_queue_depth(crashed), 0u);
 }
 
+TEST(Network, RestartedNodeDrainsItsQueueWithoutTheDeadIncarnation) {
+  struct Nobody : IActor {
+    void on_message(NodeId, const Message&, ActorContext&) override {}
+  };
+  Simulator sim;
+  Network net(sim, lan_topology(), CostModel{});
+  Nobody actor;
+  NodeId node = net.add_node(&actor);
+  // Single lane: the first offload holds it for 50ms, so the second waits in
+  // the queue for a drain at 50ms.
+  net.offload(node, 50'000, [](ActorContext&) {});
+  net.offload(node, 0, [](ActorContext&) {});
+  sim.run_until(2000);
+  net.crash(node);
+  net.restart(node);
+  // The new incarnation's lane is idle: this one runs at once and holds it
+  // for 1ms, and the next waits in the queue for the lane to free.
+  net.offload(node, 1000, [](ActorContext&) {});
+  SimTime started = -1;
+  net.offload(node, 0, [&](ActorContext& ctx) { started = ctx.now(); });
+  sim.run_until_idle();
+  EXPECT_EQ(started, 3000);  // not at the dead incarnation's drain, at 50ms
+}
+
 TEST(Network, LaneUsageBooksAHandlersWholeChargeWhenItStarts) {
   struct Busy : IActor {
     void on_start(ActorContext& ctx) override { ctx.charge(10'000); }
