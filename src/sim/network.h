@@ -55,8 +55,8 @@ class ActorContext;
 /// A lane-0 handler or offload continuation, a 32-byte object: thousands
 /// queue behind a busy lane at once. Its 24 bytes in place hold one shared
 /// pointer and one word: a delivery handler's `[from, msg]`, or an engine's
-/// `[this, m]` continuation over a vote, which shares the delivered message
-/// (ActorContext::share) instead of copying the vote.
+/// `[this, shared]` continuation over a vote, which shares the delivered
+/// message (ActorContext::share) instead of copying the vote.
 using Handler = InlineFunction<void(ActorContext&), 24>;
 static_assert(sizeof(Handler) == 32);
 
